@@ -11,9 +11,9 @@
 //   * sketch        — workers write double-buffered thread-local
 //                     WorkerSketchSlabs; a SealMsg swaps the buffers at
 //                     the boundary and a merge thread absorbs the sealed
-//                     epoch into one SketchStatsWindow while the next
-//                     interval's tuples are generated (the asynchronous
-//                     boundary merge).
+//                     epoch into the sketch monitor (ShardedSketchStats)
+//                     while the next interval's tuples are generated (the
+//                     asynchronous boundary merge).
 //   * sketch-inline — same slabs, PR-3 inline boundary (full quiescence
 //                     wait + driver-side absorb). Byte-identical
 //                     statistics; exists here as the stall A/B baseline.
@@ -21,11 +21,11 @@
 // Measured:
 //   1. MEMORY     — end-to-end statistics bytes (provider + per-worker
 //                   accumulators, both slab buffers) from
-//                   ThreadedIntervalReport;
+//                   IntervalReport;
 //   2. THROUGHPUT — steady-state tuples/s (interval 0 is excluded: it
 //                   pays one-off state creation in both modes);
 //   3. STALL      — per-boundary time tuple ingestion was blocked
-//                   (ThreadedIntervalReport::stall_ms), taking the
+//                   (IntervalReport::stall_ms), taking the
 //                   MINIMUM over the steady overlapped boundaries
 //                   (1..N-2; interval 0 is warm-up, the final boundary
 //                   has no next interval to overlap with) — identical
@@ -48,7 +48,7 @@
 
 #include "bench_common.h"
 #include "engine/threaded_engine.h"
-#include "sketch/sketch_stats_window.h"
+#include "core/sharded_controller.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -143,8 +143,8 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
   res.merge_ms = merge_sum / static_cast<double>(reports.size());
   res.stats_memory_bytes = reports.back().stats_memory_bytes;
   if (const auto* sketch =
-          dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker())) {
-    res.heavy_keys = sketch->heavy_count();
+          dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker())) {
+    res.heavy_keys = sketch->heavy_keys().size();
   }
   engine.shutdown();
   return res;

@@ -30,6 +30,15 @@ class VirtualClock {
   Micros now_ = 0;
 };
 
+/// Microseconds on the monotonic clock — the engines' tuple emit stamps
+/// and latency reads. Forked net workers share the driver's clock, so the
+/// stamps compare across processes.
+[[nodiscard]] inline Micros steady_now_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Wall-clock stopwatch for measuring plan-generation time (the paper's
 /// "average generation time" metric) and threaded-engine intervals.
 class WallTimer {

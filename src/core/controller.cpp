@@ -5,8 +5,7 @@
 #include "common/assert.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "sketch/sketch_stats_window.h"
-#include "sketch/slab_sink.h"
+#include "core/sharded_controller.h"
 
 namespace skewless {
 
@@ -18,38 +17,31 @@ Controller::Controller(AssignmentFunction assignment, PlannerPtr planner,
       stats_(make_stats_provider(config.stats_mode, num_keys, config.window,
                                  config.sketch, config.shards)) {
   SKW_EXPECTS(planner_ != nullptr || !config_.enabled);
+  SKW_EXPECTS(config_.shards >= 1);
 }
 
-SketchStatsWindow* Controller::sketch_stats() {
-  return dynamic_cast<SketchStatsWindow*>(stats_.get());
+ShardedSketchStats* Controller::slab_sink() {
+  return dynamic_cast<ShardedSketchStats*>(stats_.get());
 }
 
-const SketchStatsWindow* Controller::sketch_stats() const {
-  return dynamic_cast<const SketchStatsWindow*>(stats_.get());
-}
-
-SketchSlabSink* Controller::slab_sink() {
-  return dynamic_cast<SketchSlabSink*>(stats_.get());
-}
-
-const SketchSlabSink* Controller::slab_sink() const {
-  return dynamic_cast<const SketchSlabSink*>(stats_.get());
+const ShardedSketchStats* Controller::slab_sink() const {
+  return dynamic_cast<const ShardedSketchStats*>(stats_.get());
 }
 
 std::uint64_t Controller::heavy_promotions() const {
-  const SketchSlabSink* sink = slab_sink();
-  return sink ? sink->total_promotions() : 0;
+  const ShardedSketchStats* sketch = slab_sink();
+  return sketch ? sketch->total_promotions() : 0;
 }
 
 std::uint64_t Controller::heavy_demotions() const {
-  const SketchSlabSink* sink = slab_sink();
-  return sink ? sink->total_demotions() : 0;
+  const ShardedSketchStats* sketch = slab_sink();
+  return sketch ? sketch->total_demotions() : 0;
 }
 
 PartitionSnapshot Controller::build_snapshot() const {
   PartitionSnapshot snap;
   snap.num_instances = assignment_.num_instances();
-  if (const SketchSlabSink* sink = slab_sink()) {
+  if (const ShardedSketchStats* sketch = slab_sink()) {
     // Compact planning view: the heavy set as entries (exact values) plus
     // per-instance cold residual aggregates. O(k + N_D) work and memory —
     // nothing here scales with |K|, which is what lets planning keep up
@@ -59,8 +51,8 @@ PartitionSnapshot Controller::build_snapshot() const {
     // once the merge thread hands the epoch back), so the snapshot is a
     // pure function of the merged epoch — identical across schedulings
     // and buffer modes.
-    sink->synthesize_compact(snap.num_instances, snap.keys, snap.cost,
-                             snap.state, snap.cold_cost, snap.cold_state);
+    sketch->synthesize_compact(snap.num_instances, snap.keys, snap.cost,
+                               snap.state, snap.cold_cost, snap.cold_state);
     snap.total_keys = stats_->num_keys();
     const std::size_t n = snap.keys.size();
     snap.hash_dest.resize(n);

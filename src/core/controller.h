@@ -25,8 +25,7 @@
 
 namespace skewless {
 
-class SketchStatsWindow;
-class SketchSlabSink;
+class ShardedSketchStats;
 
 struct ControllerConfig {
   PlannerConfig planner;
@@ -38,18 +37,16 @@ struct ControllerConfig {
   /// How per-key statistics are stored: kExact keeps dense O(|K|)
   /// vectors (StatsWindow); kSketch keeps exact stats only for tracked
   /// heavy hitters plus Count-Min aggregates for the cold tail
-  /// (SketchStatsWindow) — the million-key configuration.
+  /// (ShardedSketchStats) — the million-key configuration.
   StatsMode stats_mode = StatsMode::kExact;
   /// Tuning for stats_mode == kSketch.
   SketchStatsConfig sketch = {};
-  /// Key-domain shards for the sketch provider. 0 = the legacy single
-  /// SketchStatsWindow; >= 1 selects the sharded controller
-  /// (ShardedSketchStats): S shard-local windows absorbing sealed worker
-  /// slabs concurrently, a thin global tier concatenating the per-shard
-  /// compact snapshots for planning. shards = 1 is contractually
-  /// byte-identical to shards = 0 (plan-history digest, θ bit patterns).
-  /// Ignored in exact mode.
-  std::size_t shards = 0;
+  /// Key-domain shards of the sketch provider (ShardedSketchStats), >= 1:
+  /// S shard-local windows absorbing sealed worker slabs concurrently,
+  /// a thin global tier concatenating the per-shard compact snapshots
+  /// for planning. 1 is the single-window configuration. Ignored in
+  /// exact mode.
+  std::size_t shards = 1;
 };
 
 class Controller {
@@ -70,20 +67,11 @@ class Controller {
   [[nodiscard]] StatsProvider& stats() { return *stats_; }
   [[nodiscard]] const StatsProvider& stats() const { return *stats_; }
 
-  /// The provider as a SketchStatsWindow when stats_mode == kSketch,
-  /// nullptr in exact mode. The ThreadedEngine uses this seam to switch
-  /// its workers onto thread-local sketch slabs merged at the interval
-  /// boundary (instead of funnelling dense per-key maps through the
-  /// shared record() path).
-  [[nodiscard]] SketchStatsWindow* sketch_stats();
-  [[nodiscard]] const SketchStatsWindow* sketch_stats() const;
-
-  /// The provider as a slab sink when stats_mode == kSketch — the single
-  /// window (shards <= 1) or the sharded provider — nullptr in exact
-  /// mode. This is the seam the engines feed sealed worker slabs through
-  /// and the shard boundary the sharded controller lives behind.
-  [[nodiscard]] SketchSlabSink* slab_sink();
-  [[nodiscard]] const SketchSlabSink* slab_sink() const;
+  /// The sketch provider when stats_mode == kSketch, nullptr in exact
+  /// mode. The engines feed sealed worker slabs through it (instead of
+  /// funnelling dense per-key maps through the shared record() path).
+  [[nodiscard]] ShardedSketchStats* slab_sink();
+  [[nodiscard]] const ShardedSketchStats* slab_sink() const;
 
   /// Resident bytes of the statistics structures (the exact-vs-sketch
   /// trade-off number).

@@ -149,10 +149,6 @@ Bytes ShardedSketchStats::total_windowed_state() const {
 
 void ShardedSketchStats::synthesize_dense(std::vector<Cost>& cost,
                                           std::vector<Bytes>& state) const {
-  if (shards_.size() == 1) {
-    shards_[0]->synthesize_dense(cost, state);
-    return;
-  }
   for (const auto& shard : shards_) {
     // Widen every shard to the global bound so each lane pass covers the
     // whole domain (logical resize — the sketch allocates nothing).

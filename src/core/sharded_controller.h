@@ -1,13 +1,15 @@
-// ShardedSketchStats — the sharded controller's statistics tier: S
+// ShardedSketchStats — the sketch-mode statistics provider: S
 // shard-local SketchStatsWindows (shard = stable hash of the KeyId, the
 // same shard_of_key every layer uses) behind the StatsProvider seam, so
 // the Controller, the planners and both engines see ONE provider while
-// the boundary merge fans out across shards concurrently.
+// the boundary merge fans out across shards concurrently. It is the only
+// sketch provider; S = 1 (ControllerConfig::shards' default) is the
+// single-window configuration.
 //
 // Concurrency model: a sealed epoch is the shard-boundary unit. The
-// engines absorb workers in worker-index order (unchanged), and each
-// absorb_slab call hands section s of that worker's ShardedWorkerSlab to
-// shard window s on a small persistent thread pool — shard windows are
+// engines absorb workers in worker-index order, and each absorb_slab
+// call hands section s of that worker's ShardedWorkerSlab to shard
+// window s on a small persistent thread pool — shard windows are
 // disjoint (a key's whole history lives in exactly one shard), so the
 // only ordering that matters for determinism is the per-shard absorb
 // order, which the sequential worker loop fixes. roll() and the dense /
@@ -21,10 +23,9 @@
 // work, never O(|K|). The concatenated snapshot feeds the existing
 // planner stack untouched.
 //
-// S = 1 is an explicit identity: every path short-circuits to the single
-// window inline (no pool threads exist), so a shards=1 run is
-// byte-identical — plan-history digest, θ bit patterns — to the
-// pre-sharding single controller.
+// S = 1 runs every path on the single window inline (no pool threads
+// exist), so it answers every query exactly as a plain SketchStatsWindow
+// fed the same stream (test_sharded_controller).
 #pragma once
 
 #include <atomic>
@@ -39,7 +40,6 @@
 
 #include "sketch/sharded_worker_slab.h"
 #include "sketch/sketch_stats_window.h"
-#include "sketch/slab_sink.h"
 #include "sketch/stats_provider.h"
 
 namespace skewless {
@@ -78,7 +78,7 @@ class ShardPool {
   std::vector<std::thread> threads_;
 };
 
-class ShardedSketchStats final : public StatsProvider, public SketchSlabSink {
+class ShardedSketchStats final : public StatsProvider {
  public:
   /// `config` is the GLOBAL sketch configuration; each shard window gets
   /// shard_config(config, shards) — ε and heavy_capacity scaled by S,
@@ -106,22 +106,41 @@ class ShardedSketchStats final : public StatsProvider, public SketchSlabSink {
   [[nodiscard]] std::size_t memory_bytes() const override;
   [[nodiscard]] StatsMode mode() const override { return StatsMode::kSketch; }
 
-  // SketchSlabSink.
-  [[nodiscard]] const SketchStatsConfig& slab_config() const override {
+  /// The GLOBAL (unsharded) sketch configuration. Worker slabs must be
+  /// constructed as ShardedWorkerSlab(slab_config(), slab_shards()) — the
+  /// slab derives the per-shard section geometry with the same
+  /// shard_config() derivation the shard windows use, so sections and
+  /// windows stay cell-wise compatible.
+  [[nodiscard]] const SketchStatsConfig& slab_config() const {
     return config_;
   }
-  [[nodiscard]] std::size_t slab_shards() const override {
-    return shards_.size();
-  }
+  [[nodiscard]] std::size_t slab_shards() const { return shards_.size(); }
+
+  /// Boundary merge: folds one worker's sealed interval slab into the
+  /// open interval, section s into shard s. Callers absorb workers in
+  /// worker-index order; the S sections of one call absorb concurrently
+  /// (they touch disjoint shard windows), so the combined order — fixed
+  /// across workers, parallel across shards — keeps the merged state
+  /// deterministic. `dest` is the slab's owning instance.
   void absorb_slab(const ShardedWorkerSlab& slab,
-                   InstanceId dest = kNilInstance) override;
-  [[nodiscard]] std::vector<KeyId> heavy_keys() const override;
+                   InstanceId dest = kNilInstance);
+
+  /// Union of the per-shard heavy sets, sorted ascending (shards hold
+  /// disjoint key ranges, so the union is duplicate-free). What the
+  /// engines distribute to worker slabs at interval boundaries.
+  [[nodiscard]] std::vector<KeyId> heavy_keys() const;
+
+  /// The compact planner view (see SketchStatsWindow::synthesize_compact
+  /// for the per-window contract), concatenated across shards as the
+  /// header describes.
   void synthesize_compact(InstanceId num_instances, std::vector<KeyId>& keys,
                           std::vector<Cost>& cost, std::vector<Bytes>& state,
                           std::vector<Cost>& cold_cost,
-                          std::vector<Bytes>& cold_state) const override;
-  [[nodiscard]] std::uint64_t total_promotions() const override;
-  [[nodiscard]] std::uint64_t total_demotions() const override;
+                          std::vector<Bytes>& cold_state) const;
+
+  /// Heavy-set churn accounting, summed across shards.
+  [[nodiscard]] std::uint64_t total_promotions() const;
+  [[nodiscard]] std::uint64_t total_demotions() const;
 
   /// Shard window s (tests; shards hold disjoint key sets).
   [[nodiscard]] const SketchStatsWindow& shard(std::size_t s) const {

@@ -7,8 +7,8 @@
 //
 // This is the *exact* StatsProvider: six dense O(|K|) vectors plus a
 // w-deep ring. Perfect fidelity, O(|K|) memory. For million-key domains
-// use SketchStatsWindow (sketch/sketch_stats_window.h) instead — the
-// make_stats_provider factory below selects between them.
+// use the sketch provider, ShardedSketchStats (core/sharded_controller.h),
+// instead — the make_stats_provider factory below selects between them.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +96,11 @@ class StatsWindow final : public StatsProvider {
   std::deque<std::vector<Bytes>> ring_;  // closed per-interval state bytes
 };
 
-/// Builds the statistics provider selected by `mode`. In sketch mode
-/// `shards >= 1` selects the sharded provider (ShardedSketchStats, S
-/// shard-local windows absorbing concurrently); 0 keeps the legacy
-/// single SketchStatsWindow. Exact mode ignores `shards`.
+/// Builds the statistics provider selected by `mode`: StatsWindow in
+/// exact mode, ShardedSketchStats with `shards` (>= 1) shard-local
+/// windows in sketch mode. Exact mode ignores `shards`.
 [[nodiscard]] std::unique_ptr<StatsProvider> make_stats_provider(
     StatsMode mode, std::size_t num_keys, int window,
-    const SketchStatsConfig& sketch = {}, std::size_t shards = 0);
+    const SketchStatsConfig& sketch = {}, std::size_t shards = 1);
 
 }  // namespace skewless

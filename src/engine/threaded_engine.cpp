@@ -1,13 +1,13 @@
 #include "engine/threaded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/assert.h"
 #include "common/clock.h"
 #include "common/cpu_topology.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "core/sharded_controller.h"
 
 #if defined(__linux__) && defined(_GNU_SOURCE)
 #include <pthread.h>
@@ -17,12 +17,6 @@
 
 namespace skewless {
 namespace {
-
-Micros steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Worker-side collector: counts emissions (downstream wiring is handled
 /// by pipelines at a higher level; the single-operator engine sinks them).
@@ -59,19 +53,6 @@ bool pin_thread_to_slot(std::thread& thread, unsigned slot) {
 #endif
 }
 
-/// Realized imbalance max|c_d - avg|/avg over the per-worker costs.
-double max_theta_of(const std::vector<double>& worker_cost) {
-  double total = 0.0;
-  for (const double c : worker_cost) total += c;
-  if (total <= 0.0) return 0.0;
-  const double avg = total / static_cast<double>(worker_cost.size());
-  double worst = 0.0;
-  for (const double c : worker_cost) {
-    worst = std::max(worst, std::abs(c - avg) / avg);
-  }
-  return worst;
-}
-
 }  // namespace
 
 ThreadedEngine::ThreadedEngine(ThreadedConfig config,
@@ -86,7 +67,7 @@ ThreadedEngine::ThreadedEngine(ThreadedConfig config,
   // No separate monitor in controller mode: the controller's provider
   // already sees every drained observation, and doubling it would
   // double exactly the stats memory the sketch mode exists to shrink.
-  sketch_sink_ = controller_->slab_sink();
+  sketch_stats_ = controller_->slab_sink();
   start_workers();
 }
 
@@ -102,7 +83,7 @@ ThreadedEngine::ThreadedEngine(ThreadedConfig config,
   // The key domain is discovered from the stream; the monitor grows on
   // demand (the exact provider via resize_keys, the sketch natively).
   monitor_ = make_stats_provider(config_.stats_mode, 0, 1, config_.sketch);
-  sketch_sink_ = dynamic_cast<SketchSlabSink*>(monitor_.get());
+  sketch_stats_ = dynamic_cast<ShardedSketchStats*>(monitor_.get());
   start_workers();
 }
 
@@ -126,19 +107,19 @@ void ThreadedEngine::start_workers() {
     stats_.back()->per_key.reserve(256);
     drain_scratch_[i].reserve(256);
   }
-  if (sketch_sink_ != nullptr) {
+  if (sketch_stats_ != nullptr) {
     // Sketch mode: thread-local slabs per worker, built against the
-    // sink's own config so the Count-Min families match cell-for-cell.
+    // provider's own config so the Count-Min families match cell-for-cell.
     // The second buffer of each pair exists only under the asynchronous
     // merge — the inline path never seals, so it never swaps.
     slabs_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       auto pair = std::make_unique<SlabPair>();
       pair->bufs[0] = std::make_unique<ShardedWorkerSlab>(
-          sketch_sink_->slab_config(), sketch_sink_->slab_shards());
+          sketch_stats_->slab_config(), sketch_stats_->slab_shards());
       if (config_.async_merge) {
         pair->bufs[1] = std::make_unique<ShardedWorkerSlab>(
-            sketch_sink_->slab_config(), sketch_sink_->slab_shards());
+            sketch_stats_->slab_config(), sketch_stats_->slab_shards());
       }
       slabs_.push_back(std::move(pair));
     }
@@ -185,10 +166,7 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   bool prefaulted[2] = {false, false};
   std::size_t active_buf = 0;
   CountingCollector collector(total_outputs_);
-  // Per-batch aggregation buffer, reused across batches (clear() keeps
-  // the bucket array, so steady state allocates nothing per batch).
-  std::unordered_map<KeyId, PerKeyStat> local;
-  local.reserve(256);
+  BatchFold fold;
 
   while (true) {
     auto msg = queues_[idx]->pop();
@@ -202,26 +180,8 @@ void ThreadedEngine::worker_loop(InstanceId id) {
     } done_guard{stats.done_msgs};
 
     if (auto* batch = std::get_if<BatchMsg>(&*msg)) {
-      const Micros now = steady_now_us();
-      double latency_acc = 0.0;
-      std::uint64_t latency_n = 0;
-      // Per-key aggregation outside any shared structure: each distinct
-      // key pays ONE slab/map update per batch, not one per tuple.
-      local.clear();
-      for (const Tuple& t : batch->tuples) {
-        KeyState& state =
-            store.get_or_create(t.key, [&] { return logic_->make_state(); });
-        const Bytes before = state.bytes();
-        const Cost cost = logic_->process(t, state, collector);
-        const Bytes delta = std::max(0.0, state.bytes() - before);
-        auto& entry = local[t.key];
-        entry.cost += cost;
-        entry.state_bytes += delta;
-        ++entry.frequency;
-        latency_acc +=
-            static_cast<double>(now - engine_epoch_us_ - t.emit_micros);
-        ++latency_n;
-      }
+      fold.run(batch->tuples, steady_now_us() - engine_epoch_us_, store,
+               *logic_, collector);
       total_processed_.fetch_add(batch->tuples.size(),
                                  std::memory_order_relaxed);
       if (slab != nullptr) {
@@ -234,24 +194,18 @@ void ThreadedEngine::worker_loop(InstanceId id) {
           slab->prefault();
           prefaulted[active_buf] = true;
         }
-        slab->add_batch(local);
-        WorkerSketchSlab::IntervalScalars& sc = slab->scalars();
-        sc.processed += batch->tuples.size();
-        sc.latency_sum_us += latency_acc;
-        sc.latency_samples += latency_n;
+        fold.add_to(*slab);
       } else {
         // Exact mode — one lock per batch: the merge and every counter
         // update share a single critical section.
         std::lock_guard lock(stats.mu);
-        for (const auto& [key, cb] : local) {
+        for (const auto& [key, cb] : fold.per_key()) {
           auto& entry = stats.per_key[key];
           entry.cost += cb.cost;
           entry.state_bytes += cb.state_bytes;
           entry.frequency += cb.frequency;
         }
-        stats.processed += batch->tuples.size();
-        stats.latency_sum_us += latency_acc;
-        stats.latency_samples += latency_n;
+        fold.add_scalars(stats.scalars);
       }
     } else if (auto* extract = std::get_if<ExtractMsg>(&*msg)) {
       for (const KeyId key : extract->keys) {
@@ -339,40 +293,30 @@ void ThreadedEngine::flush_batch(InstanceId d) {
   BatchMsg msg;
   msg.tuples = std::move(batch);
   batch.clear();
-  const bool ok =
-      queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(std::move(msg)));
+  push_counted(d, std::move(msg));
+}
+
+void ThreadedEngine::push_counted(InstanceId d, WorkerMsg msg) {
+  const auto di = static_cast<std::size_t>(d);
+  // A dropped-but-counted message would deadlock the quiescence wait;
+  // push only fails after close(), which cannot happen while running.
+  const bool ok = queues_[di]->push(std::move(msg));
   SKW_ASSERT(ok);
-  ++pushed_msgs_[static_cast<std::size_t>(d)];
+  ++pushed_msgs_[di];
 }
 
 void ThreadedEngine::flush_batches() {
   for (InstanceId d = 0; d < num_workers_; ++d) flush_batch(d);
 }
 
-void ThreadedEngine::drain_worker_stats(ThreadedIntervalReport& report) {
-  double latency_sum = 0.0;
-  std::uint64_t latency_n = 0;
-  std::vector<double> worker_cost(stats_.size(), 0.0);
+void ThreadedEngine::drain_worker_stats(SlabTally& tally) {
   for (std::size_t w = 0; w < stats_.size(); ++w) {
     WorkerStats& ws = *stats_[w];
-    if (sketch_sink_ != nullptr) {
-      // Inline boundary merge, in worker-index order — a fixed order, so
-      // the merged sketch state is byte-identical regardless of which
-      // worker finished first. The quiescence wait in finish_boundary
-      // ordered all slab writes before this read; no lock is needed (the
-      // scalars ride the slab too).
+    if (sketch_stats_ != nullptr) {
+      // The quiescence wait in finish_boundary ordered all slab writes
+      // before this read; no lock is needed (the scalars ride the slab).
       ShardedWorkerSlab& slab = *slabs_[w]->bufs[0];
-      report.processed += slab.scalars().processed;
-      latency_sum += slab.scalars().latency_sum_us;
-      latency_n += slab.scalars().latency_samples;
-      worker_cost[w] = slab.total_cost();
-      report.stats_memory_bytes += slab.memory_bytes();
-      // Worker w IS instance w: the whole slab's cold stream ran there,
-      // which is exactly the attribution the compact planning view's
-      // per-instance cold residual aggregates need.
-      WallTimer merge_timer;
-      sketch_sink_->absorb_slab(slab, static_cast<InstanceId>(w));
-      report.merge_ms += merge_timer.elapsed_millis();
+      tally.absorb(*sketch_stats_, slab, w);
       slab.clear();
       continue;
     }
@@ -383,51 +327,35 @@ void ThreadedEngine::drain_worker_stats(ThreadedIntervalReport& report) {
       // interval's cleared, pre-bucketed map.
       std::lock_guard lock(ws.mu);
       drained.swap(ws.per_key);
-      report.processed += ws.processed;
-      ws.processed = 0;
-      latency_sum += ws.latency_sum_us;
-      latency_n += ws.latency_samples;
-      ws.latency_sum_us = 0.0;
-      ws.latency_samples = 0;
+      tally.add(ws.scalars);
+      ws.scalars = {};
     }
     // Exact mode: account the worker-side map at its fullest (nodes are
     // freed by the clear below), then replay it into the provider.
     constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
-    report.stats_memory_bytes +=
-        drained.size() *
-            (sizeof(std::pair<const KeyId, PerKeyStat>) + kNodeOverhead) +
+    tally.memory_bytes +=
+        drained.size() * (sizeof(KeyAggMap::value_type) + kNodeOverhead) +
         (drained.bucket_count() + ws.per_key.bucket_count()) * sizeof(void*);
+    StatsProvider& provider = controller_ ? controller_->stats() : *monitor_;
     WallTimer merge_timer;
     for (const auto& [key, cb] : drained) {
-      worker_cost[w] += cb.cost;
-      const auto dest = static_cast<InstanceId>(w);
-      if (controller_) {
-        controller_->record(key, cb.cost, cb.state_bytes, cb.frequency, dest);
-      } else {
-        if (monitor_->mode() == StatsMode::kExact &&
-            key >= monitor_->num_keys()) {
-          monitor_->resize_keys(static_cast<std::size_t>(key) + 1);
-        }
-        monitor_->record(key, cb.cost, cb.state_bytes, cb.frequency, dest);
+      tally.worker_cost[w] += cb.cost;
+      // The hash-only monitor discovers its key domain from the stream.
+      if (monitor_ && key >= monitor_->num_keys()) {
+        monitor_->resize_keys(static_cast<std::size_t>(key) + 1);
       }
+      provider.record(key, cb.cost, cb.state_bytes, cb.frequency,
+                      static_cast<InstanceId>(w));
     }
-    report.merge_ms += merge_timer.elapsed_millis();
+    tally.merge_ms += merge_timer.elapsed_millis();
     // clear() keeps the bucket array; the next swap hands it back to the
     // worker so steady-state intervals do no hash-table allocation.
     drained.clear();
   }
-  report.avg_latency_ms =
-      latency_n > 0 ? latency_sum / static_cast<double>(latency_n) / 1000.0
-                    : 0.0;
-  // Imbalance from the realized per-worker work (works in every mode; in
-  // controller mode end_interval() recomputes the same value from the
-  // recorded statistics).
-  report.max_theta = max_theta_of(worker_cost);
 }
 
 void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
-                                        BoundaryResult& result) {
-  std::vector<double> worker_cost(slabs_.size(), 0.0);
+                                        SlabTally& tally) {
   for (std::size_t w = 0; w < slabs_.size(); ++w) {
     SlabPair& pair = *slabs_[w];
     // The seal is the last message of the epoch in worker w's FIFO, so
@@ -446,24 +374,13 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
     if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) return;
     ShardedWorkerSlab& slab = *pair.bufs[(epoch - 1) & 1];
     SKW_ASSERT(slab.epoch() == epoch);
-    result.processed += slab.scalars().processed;
-    result.latency_sum_us += slab.scalars().latency_sum_us;
-    result.latency_samples += slab.scalars().latency_samples;
-    worker_cost[w] = slab.total_cost();
-    result.slab_memory_bytes += slab.memory_bytes();
-    // Worker-index order keeps the merged window byte-identical across
-    // schedulings; `w` is the slab's owning instance (cold-residual
-    // attribution, as in the inline path).
-    WallTimer merge_timer;
-    sketch_sink_->absorb_slab(slab, static_cast<InstanceId>(w));
-    result.merge_ms += merge_timer.elapsed_millis();
+    tally.absorb(*sketch_stats_, slab, w);
     slab.clear();
     // The worker's active peer cannot be measured while it accumulates;
     // the just-cleared buffer (same capacities, empty contents) stands
     // in for it so the double-buffer footprint is still accounted.
-    result.slab_memory_bytes += slab.memory_bytes();
+    tally.memory_bytes += slab.memory_bytes();
   }
-  result.max_theta = max_theta_of(worker_cost);
 }
 
 void ThreadedEngine::merge_loop() {
@@ -481,20 +398,20 @@ void ThreadedEngine::merge_loop() {
                      [&] { return merge_requested_ >= epoch || merge_stop_; });
       if (merge_requested_ < epoch) return;  // stopping, nothing pending
     }
-    BoundaryResult result;
-    merge_sealed_slabs(epoch, result);
+    SlabTally tally(slabs_.size());
+    merge_sealed_slabs(epoch, tally);
     if (stopping_.load(std::memory_order_acquire)) return;
     if (!controller_) {
       // Hash-only mode: the merge thread owns the monitor's roll and the
       // heavy-set publication — the sealed workers resume as soon as the
       // roll lands, with no driver involvement at all.
       monitor_->roll();
-      result.provider_memory_bytes = monitor_->memory_bytes();
+      tally.memory_bytes += monitor_->memory_bytes();
       publish_heavy_set(epoch);
     }
     {
       std::lock_guard lock(merge_mu_);
-      boundary_result_ = result;
+      boundary_result_ = std::move(tally);
       merge_completed_ = epoch;
     }
     merge_cv_.notify_all();
@@ -503,13 +420,13 @@ void ThreadedEngine::merge_loop() {
 }
 
 void ThreadedEngine::refresh_worker_heavy_sets() {
-  if (sketch_sink_ == nullptr) return;
-  const std::vector<KeyId> keys = sketch_sink_->heavy_keys();
+  if (sketch_stats_ == nullptr) return;
+  const std::vector<KeyId> keys = sketch_stats_->heavy_keys();
   for (auto& pair : slabs_) pair->bufs[0]->set_heavy_keys(keys);
 }
 
 void ThreadedEngine::publish_heavy_set(std::uint64_t epoch) {
-  heavy_published_ = sketch_sink_->heavy_keys();
+  heavy_published_ = sketch_stats_->heavy_keys();
   heavy_epoch_.store(epoch, std::memory_order_release);
   {
     std::lock_guard lock(heavy_mu_);
@@ -529,12 +446,7 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
     auto& keys = by_source[static_cast<std::size_t>(d)];
     if (keys.empty()) continue;
     expected += keys.size();
-    ExtractMsg msg;
-    msg.keys = std::move(keys);
-    const bool ok =
-        queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(std::move(msg)));
-    SKW_ASSERT(ok);
-    ++pushed_msgs_[static_cast<std::size_t>(d)];
+    push_counted(d, ExtractMsg{std::move(keys)});
   }
 
   // Collect the extracted states (workers reach the Extract message after
@@ -574,20 +486,15 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
   for (InstanceId d = 0; d < num_workers_; ++d) {
     auto& states = by_dest[static_cast<std::size_t>(d)];
     if (states.empty()) continue;
-    InstallMsg msg;
-    msg.states = std::move(states);
-    const bool ok =
-        queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(std::move(msg)));
-    SKW_ASSERT(ok);
-    ++pushed_msgs_[static_cast<std::size_t>(d)];
+    push_counted(d, InstallMsg{std::move(states)});
   }
   return wire_bytes;
 }
 
-ThreadedIntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
+IntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
   SKW_EXPECTS(!stopped_);
   SKW_EXPECTS(open_boundary_epoch_ == 0);  // previous boundary finished
-  ThreadedIntervalReport report;
+  IntervalReport report;
   report.interval = interval_;
   WallTimer timer;
   constexpr std::size_t kRouteChunk = 1024;
@@ -602,7 +509,7 @@ ThreadedIntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) 
   return report;
 }
 
-void ThreadedEngine::begin_boundary(ThreadedIntervalReport& report) {
+void ThreadedEngine::begin_boundary() {
   WallTimer timer;
   if (async_merge_on()) {
     // Seal the epoch: one lightweight message per worker (FIFO puts it
@@ -628,51 +535,29 @@ void ThreadedEngine::begin_boundary(ThreadedIntervalReport& report) {
     }
     merge_cv_.notify_all();
   }
-  const double seg = timer.elapsed_millis();
-  open_boundary_stall_ms_ = seg;
-  report.wall_ms += seg;
+  open_boundary_stall_ms_ = timer.elapsed_millis();
 }
 
-void ThreadedEngine::finish_boundary(ThreadedIntervalReport& report) {
+void ThreadedEngine::finish_boundary(IntervalReport& report) {
   WallTimer timer;
   if (async_merge_on()) {
     const std::uint64_t epoch =
         open_boundary_epoch_ != 0
             ? open_boundary_epoch_
             : static_cast<std::uint64_t>(interval_) + 1;
-    BoundaryResult r;
     {
       std::unique_lock lock(merge_mu_);
       merge_cv_.wait(lock, [&] { return merge_completed_ >= epoch; });
-      r = boundary_result_;
+      boundary_result_.add_to(report);
     }
-    report.processed += r.processed;
-    report.avg_latency_ms =
-        r.latency_samples > 0
-            ? r.latency_sum_us / static_cast<double>(r.latency_samples) /
-                  1000.0
-            : 0.0;
-    report.max_theta = r.max_theta;
-    report.merge_ms = r.merge_ms;
-    report.stats_memory_bytes += r.slab_memory_bytes;
     if (controller_) {
       // The controller rolls and plans over the fully-merged epoch; the
       // heavy set is published (unblocking the sealed workers) before
       // any migration messages need processing.
-      if (auto plan = controller_->end_interval()) {
-        report.migrated = true;
-        report.moves = plan->moves.size();
-        report.migration_bytes = plan->migration_bytes;
-        report.generation_micros = plan->generation_micros;
-        publish_heavy_set(epoch);
-        report.migration_wire_bytes = execute_migration(*plan);
-      } else {
-        publish_heavy_set(epoch);
-      }
-      report.max_theta = controller_->last_observed_theta();
+      const auto plan = plan_boundary(*controller_, report);
+      publish_heavy_set(epoch);
+      if (plan) report.migration_wire_bytes = execute_migration(*plan);
       report.stats_memory_bytes += controller_->stats_memory_bytes();
-    } else {
-      report.stats_memory_bytes += r.provider_memory_bytes;
     }
   } else {
     // Inline boundary: wait for every pushed message to be fully
@@ -687,20 +572,17 @@ void ThreadedEngine::finish_boundary(ThreadedIntervalReport& report) {
         std::this_thread::yield();
       }
     }
-    drain_worker_stats(report);  // also accounts worker-side stats memory
+    SlabTally tally(stats_.size());
+    drain_worker_stats(tally);
+    tally.add_to(report);
     if (monitor_) monitor_->roll();
     report.stats_memory_bytes += controller_
                                      ? controller_->stats_memory_bytes()
                                      : monitor_->memory_bytes();
     if (controller_) {
-      if (auto plan = controller_->end_interval()) {
-        report.migrated = true;
-        report.moves = plan->moves.size();
-        report.migration_bytes = plan->migration_bytes;
-        report.generation_micros = plan->generation_micros;
+      if (const auto plan = plan_boundary(*controller_, report)) {
         report.migration_wire_bytes = execute_migration(*plan);
       }
-      report.max_theta = controller_->last_observed_theta();
     }
     // The roll just promoted/demoted: re-broadcast the heavy set so next
     // interval's hot keys accumulate exactly in the worker slabs.
@@ -713,67 +595,36 @@ void ThreadedEngine::finish_boundary(ThreadedIntervalReport& report) {
     const Micros watermark =
         (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
     for (InstanceId d = 0; d < num_workers_; ++d) {
-      ExpireMsg msg{watermark};
-      const bool ok =
-          queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(msg));
-      // A dropped-but-counted message would deadlock the quiescence
-      // wait; push only fails after close(), which cannot happen here.
-      SKW_ASSERT(ok);
-      ++pushed_msgs_[static_cast<std::size_t>(d)];
+      push_counted(d, ExpireMsg{watermark});
     }
   }
-  const double seg = timer.elapsed_millis();
-  report.stall_ms = open_boundary_stall_ms_ + seg;
-  report.wall_ms += seg;
-  report.throughput_tps = report.wall_ms > 0.0
-                              ? static_cast<double>(report.processed) /
-                                    (report.wall_ms / 1000.0)
-                              : 0.0;
-  if (controller_) controller_->note_boundary(report.merge_ms, report.stall_ms);
+  close_interval(report, report.wall_ms,
+                 open_boundary_stall_ms_ + timer.elapsed_millis(),
+                 controller_.get());
   open_boundary_epoch_ = 0;
   open_boundary_stall_ms_ = 0.0;
   ++interval_;
 }
 
-ThreadedIntervalReport ThreadedEngine::run_interval(
-    const std::vector<Tuple>& tuples) {
-  ThreadedIntervalReport report = ingest(tuples);
-  begin_boundary(report);
+IntervalReport ThreadedEngine::run_interval(const std::vector<Tuple>& tuples) {
+  IntervalReport report = ingest(tuples);
+  begin_boundary();
   finish_boundary(report);
   return report;
 }
 
-std::vector<ThreadedIntervalReport> ThreadedEngine::run(WorkloadSource& source,
-                                                        int intervals,
-                                                        std::uint64_t seed) {
-  std::vector<ThreadedIntervalReport> reports;
+std::vector<IntervalReport> ThreadedEngine::run(WorkloadSource& source,
+                                                int intervals,
+                                                std::uint64_t seed) {
+  std::vector<IntervalReport> reports;
   reports.reserve(static_cast<std::size_t>(intervals));
   Xoshiro256 rng(seed);
-
-  const auto expand = [&](std::vector<Tuple>& tuples) {
-    const IntervalWorkload load = source.next_interval();
-    tuples.clear();
-    tuples.reserve(static_cast<std::size_t>(load.total()));
-    for (std::size_t k = 0; k < load.counts.size(); ++k) {
-      for (std::uint64_t c = 0; c < load.counts[k]; ++c) {
-        Tuple t;
-        t.key = static_cast<KeyId>(k);
-        t.value = static_cast<std::int64_t>(c);
-        tuples.push_back(t);
-      }
-    }
-    // Deterministic shuffle so hot keys are interleaved like a stream.
-    for (std::size_t j = tuples.size(); j > 1; --j) {
-      std::swap(tuples[j - 1], tuples[rng.next_below(j)]);
-    }
-  };
-
   std::vector<Tuple> tuples;
   std::vector<Tuple> next;
-  if (intervals > 0) expand(tuples);
+  if (intervals > 0) expand_interval(source, rng, tuples);
   for (int i = 0; i < intervals; ++i) {
-    ThreadedIntervalReport report = ingest(tuples);
-    begin_boundary(report);
+    IntervalReport report = ingest(tuples);
+    begin_boundary();
     // Overlap window: generate (expand + shuffle) the NEXT interval's
     // tuples while the merge thread absorbs this interval's sealed
     // slabs. The tuple source keeps flowing through the boundary — the
@@ -781,7 +632,7 @@ std::vector<ThreadedIntervalReport> ThreadedEngine::run(WorkloadSource& source,
     // segment, because the driver is doing next-interval source work,
     // not waiting. Without the async merge this is a plain sequential
     // expansion (begin_boundary was a no-op).
-    if (i + 1 < intervals) expand(next);
+    if (i + 1 < intervals) expand_interval(source, rng, next);
     finish_boundary(report);
     reports.push_back(report);
     std::swap(tuples, next);

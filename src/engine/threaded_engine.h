@@ -27,7 +27,7 @@
 //   * sketch mode — each worker owns thread-local WorkerSketchSlabs
 //     (Count-Min sketches + Misra-Gries candidates + exact hot-key map
 //     for the current heavy set) that are merged into the
-//     SketchStatsWindow at the interval boundary in worker-index order,
+//     ShardedSketchStats at the interval boundary in worker-index order,
 //     so results are byte-identical regardless of worker finish order.
 //     No per-key hash traffic crosses threads on the data path.
 //
@@ -66,14 +66,12 @@
 #include "common/queue.h"
 #include "common/types.h"
 #include "core/controller.h"
+#include "engine/interval.h"
 #include "engine/operator.h"
 #include "engine/state.h"
 #include "engine/tuple.h"
 #include "engine/workload_source.h"
 #include "sketch/sharded_worker_slab.h"
-#include "sketch/sketch_stats_window.h"
-#include "sketch/slab_sink.h"
-#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 
@@ -88,7 +86,7 @@ struct ThreadedConfig {
   /// If true, migrated states round-trip through the byte codec
   /// (KeyState::serialize -> OperatorLogic::deserialize_state), as a
   /// distributed deployment would ship them. Costs CPU, proves fidelity,
-  /// and fills ThreadedIntervalReport::migration_wire_bytes.
+  /// and fills IntervalReport::migration_wire_bytes.
   bool serialize_migration = false;
   /// Storage for the engine-side statistics monitor that hash-only mode
   /// keeps (there is no controller to hold one). In controller mode the
@@ -116,44 +114,6 @@ struct ThreadedConfig {
   bool pin_workers = false;
 };
 
-struct ThreadedIntervalReport {
-  IntervalId interval = 0;
-  std::uint64_t emitted = 0;
-  std::uint64_t processed = 0;
-  double wall_ms = 0.0;
-  double throughput_tps = 0.0;
-  double avg_latency_ms = 0.0;
-  double max_theta = 0.0;
-  bool migrated = false;
-  std::size_t moves = 0;
-  Bytes migration_bytes = 0.0;
-  /// Actual serialized payload shipped during migration (only when
-  /// ThreadedConfig::serialize_migration is set).
-  Bytes migration_wire_bytes = 0.0;
-  Micros generation_micros = 0;
-  /// Resident bytes of ALL statistics structures on the engine: the
-  /// provider (controller's in controller mode, the engine monitor in
-  /// hash-only mode) plus the per-worker accumulators — sketch slabs
-  /// (both buffers of each pair in double-buffered mode) in sketch mode,
-  /// the shared per-key maps and drain scratch in exact mode. This is
-  /// the end-to-end number the exact-vs-sketch memory trade-off is
-  /// about.
-  std::size_t stats_memory_bytes = 0;
-  /// Time the driver's tuple ingestion was blocked by this interval's
-  /// boundary: everything between the last tuple of this interval and
-  /// being ready to route the next one, minus any overlap window run()
-  /// spends generating the next interval's tuples. Inline merge: the
-  /// whole quiesce + absorb + roll + plan sequence. Async merge: the
-  /// seal pushes plus whatever merge/plan work had not finished by
-  /// harvest time.
-  double stall_ms = 0.0;
-  /// Time spent absorbing worker statistics into the provider — slab
-  /// absorbs on the merge path in sketch mode, the per-key replay under
-  /// the drain locks in exact mode — so exact mode's per-drain cost is
-  /// visible in the same place.
-  double merge_ms = 0.0;
-};
-
 class ThreadedEngine {
  public:
   /// Controller mode: the controller's AssignmentFunction routes tuples
@@ -176,15 +136,14 @@ class ThreadedEngine {
   /// asynchronous boundary merge enabled, the next interval's tuple
   /// expansion overlaps the previous boundary's slab merge — the
   /// pipelining run_interval's one-shot API cannot express.
-  std::vector<ThreadedIntervalReport> run(WorkloadSource& source,
-                                          int intervals,
-                                          std::uint64_t seed = 1);
+  std::vector<IntervalReport> run(WorkloadSource& source, int intervals,
+                                  std::uint64_t seed = 1);
 
   /// Processes an explicit tuple sequence as one interval. Uses the same
   /// seal/merge protocol as run() but completes the boundary before
   /// returning (no overlap window), so the merged statistics are fully
   /// visible to the caller — and byte-identical to the inline merge.
-  ThreadedIntervalReport run_interval(const std::vector<Tuple>& tuples);
+  IntervalReport run_interval(const std::vector<Tuple>& tuples);
 
   /// Stops and joins the workers; further run() calls are invalid.
   /// Called automatically by the destructor.
@@ -251,11 +210,6 @@ class ThreadedEngine {
     std::unique_ptr<KeyState> state;  // nullptr if the key had no state yet
   };
 
-  /// Per-key accumulation for one batch/interval on one worker — the
-  /// slab's exact-aggregation struct, reused so a batch's scratch map
-  /// can be handed to WorkerSketchSlab::add_batch wholesale.
-  using PerKeyStat = WorkerSketchSlab::KeyAgg;
-
   /// Per-worker statistics shared with the driver. The channel depends
   /// on the stats mode:
   ///
@@ -274,10 +228,8 @@ class ThreadedEngine {
   ///    hash traffic and no lock on the data path.
   struct WorkerStats {
     std::mutex mu;
-    std::unordered_map<KeyId, PerKeyStat> per_key;
-    std::uint64_t processed = 0;
-    double latency_sum_us = 0.0;
-    std::uint64_t latency_samples = 0;
+    KeyAggMap per_key;
+    WorkerSketchSlab::IntervalScalars scalars;
     /// Messages fully handled by the worker, incremented with release
     /// ordering only AFTER all the message's effects (state mutations,
     /// slab writes, stats updates) are complete. The driver is the only
@@ -299,18 +251,6 @@ class ThreadedEngine {
     std::atomic<std::uint64_t> sealed_epoch{0};
   };
 
-  /// Everything the merge path harvests for one sealed epoch; handed to
-  /// the driver under merge_mu_ when the epoch completes.
-  struct BoundaryResult {
-    std::uint64_t processed = 0;
-    double latency_sum_us = 0.0;
-    std::uint64_t latency_samples = 0;
-    double max_theta = 0.0;
-    double merge_ms = 0.0;
-    std::size_t slab_memory_bytes = 0;
-    std::size_t provider_memory_bytes = 0;  // hash-only mode: post-roll
-  };
-
   void start_workers();
   void worker_loop(InstanceId id);
   void merge_loop();
@@ -320,14 +260,19 @@ class ThreadedEngine {
   void route_chunk(const Tuple* tuples, std::size_t n);
   void flush_batches();
   void flush_batch(InstanceId d);
+  /// Pushes `msg` to worker d's queue and counts it in pushed_msgs_.
+  void push_counted(InstanceId d, WorkerMsg msg);
   /// Returns the serialized payload size (0 when serialization is off).
   Bytes execute_migration(const RebalancePlan& plan);
-  void drain_worker_stats(ThreadedIntervalReport& report);
+  /// Inline boundary: tallies every (quiescent) worker's interval
+  /// statistics in worker-index order — absorbing the slabs in sketch
+  /// mode, replaying the per-key maps into the provider in exact mode.
+  void drain_worker_stats(SlabTally& tally);
   /// Absorbs every worker's sealed slab for `epoch` in worker-index
-  /// order (waiting for stragglers to seal), filling `result`. Runs on
+  /// order (waiting for stragglers to seal), filling `tally`. Runs on
   /// the merge thread.
-  void merge_sealed_slabs(std::uint64_t epoch, BoundaryResult& result);
-  /// Pushes the sketch window's post-roll heavy set into every worker
+  void merge_sealed_slabs(std::uint64_t epoch, SlabTally& tally);
+  /// Pushes the sketch provider's post-roll heavy set into every worker
   /// slab (inline merge only; workers must be quiescent).
   void refresh_worker_heavy_sets();
   /// Epoch-stamped release-publish of the post-roll heavy set; sealed
@@ -335,19 +280,19 @@ class ThreadedEngine {
   void publish_heavy_set(std::uint64_t epoch);
   /// Routes `tuples` as the open interval's stream (wall_ms accumulates
   /// the routing segment only).
-  ThreadedIntervalReport ingest(const std::vector<Tuple>& tuples);
+  IntervalReport ingest(const std::vector<Tuple>& tuples);
   /// Starts the interval boundary: async merge pushes the seals and
   /// hands the epoch to the merge thread; inline/exact modes do nothing
   /// yet. Between begin and finish the caller may overlap driver-side
   /// work (run() expands the next interval's tuples there) — but must
   /// not route tuples or touch statistics.
-  void begin_boundary(ThreadedIntervalReport& report);
+  void begin_boundary();
   /// Completes the boundary: harvests the merge (waiting if it has not
   /// caught up), rolls/plans/migrates, publishes the heavy set, and
   /// finalizes the report's wall/stall/throughput numbers.
-  void finish_boundary(ThreadedIntervalReport& report);
+  void finish_boundary(IntervalReport& report);
   [[nodiscard]] bool async_merge_on() const {
-    return sketch_sink_ != nullptr && config_.async_merge;
+    return sketch_stats_ != nullptr && config_.async_merge;
   }
 
   ThreadedConfig config_;
@@ -365,14 +310,13 @@ class ThreadedEngine {
   std::vector<std::uint64_t> pushed_msgs_;
   /// Driver-side scratch maps swapped against WorkerStats::per_key at
   /// each drain (cleared with buckets retained — no per-interval rebuild).
-  std::vector<std::unordered_map<KeyId, PerKeyStat>> drain_scratch_;
+  std::vector<KeyAggMap> drain_scratch_;
   std::unique_ptr<StatsProvider> monitor_;  // hash-only mode, else null
-  /// The provider as a slab sink when stats_mode == kSketch (whether
-  /// owned by the controller or by monitor_; the single window or the
-  /// sharded controller — the engine cannot tell, which is the point);
-  /// null in exact mode. Non-null switches the worker↔driver statistics
-  /// contract to thread-local slabs + boundary merge.
-  SketchSlabSink* sketch_sink_ = nullptr;
+  /// The sketch provider when stats_mode == kSketch (owned by the
+  /// controller or by monitor_), null in exact mode. Non-null switches
+  /// the worker↔driver statistics contract to thread-local slabs +
+  /// boundary merge.
+  ShardedSketchStats* sketch_stats_ = nullptr;
   /// One slab pair per worker (sketch mode only, else empty). Inline
   /// merge uses buffer 0 only.
   std::vector<std::unique_ptr<SlabPair>> slabs_;
@@ -412,7 +356,7 @@ class ThreadedEngine {
   std::uint64_t merge_requested_ = 0;  // guarded by merge_mu_
   std::uint64_t merge_completed_ = 0;  // guarded by merge_mu_
   bool merge_stop_ = false;            // guarded by merge_mu_
-  BoundaryResult boundary_result_;     // guarded by merge_mu_
+  SlabTally boundary_result_;          // guarded by merge_mu_
   /// Boundary-in-flight epoch between begin_boundary and
   /// finish_boundary (driver-only).
   std::uint64_t open_boundary_epoch_ = 0;

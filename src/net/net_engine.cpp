@@ -1,7 +1,6 @@
 #include "net/net_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 #include <utility>
 
@@ -14,32 +13,10 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "core/sharded_controller.h"
 #include "net/worker_main.h"
-#include "sketch/sketch_stats_window.h"
 
 namespace skewless {
-namespace {
-
-Micros steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Realized imbalance max|c_d - avg|/avg (same as the threaded engine).
-double max_theta_of(const std::vector<double>& worker_cost) {
-  double total = 0.0;
-  for (const double c : worker_cost) total += c;
-  if (total <= 0.0) return 0.0;
-  const double avg = total / static_cast<double>(worker_cost.size());
-  double worst = 0.0;
-  for (const double c : worker_cost) {
-    worst = std::max(worst, std::abs(c - avg) / avg);
-  }
-  return worst;
-}
-
-}  // namespace
 
 NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
                      std::unique_ptr<Controller> controller)
@@ -48,10 +25,10 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
       controller_(std::move(controller)) {
   SKW_EXPECTS(logic_ != nullptr);
   SKW_EXPECTS(controller_ != nullptr);
-  sketch_sink_ = controller_->slab_sink();
+  sketch_stats_ = controller_->slab_sink();
   // The boundary summary IS the serialized sketch slab; there is no
   // exact-mode wire format (it would be O(|K|) per worker per interval).
-  SKW_EXPECTS(sketch_sink_ != nullptr);
+  SKW_EXPECTS(sketch_stats_ != nullptr);
   num_workers_ = controller_->num_instances();
   SKW_EXPECTS(num_workers_ > 0);
   engine_epoch_us_ = steady_now_us();
@@ -64,7 +41,7 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   owed_install_acks_.assign(n, 0);
   fault_fired_.assign(config_.fault.events.size(), false);
   scratch_slab_ = std::make_unique<ShardedWorkerSlab>(
-      sketch_sink_->slab_config(), sketch_sink_->slab_shards());
+      sketch_stats_->slab_config(), sketch_stats_->slab_shards());
   spawn_workers();
   if (ok() && !handshake()) {
     SKW_ASSERT(!ok());  // handshake failure went through fail()
@@ -114,8 +91,8 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
     options.incarnation = workers_[w].incarnation;
     options.recovery = config_.recovery_enabled;
     options.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-    options.sketch = sketch_sink_->slab_config();
-    options.shards = static_cast<std::uint32_t>(sketch_sink_->slab_shards());
+    options.sketch = sketch_stats_->slab_config();
+    options.shards = static_cast<std::uint32_t>(sketch_stats_->slab_shards());
     options.engine_epoch_us = engine_epoch_us_;
     const int rc = run_net_worker(data_fds[1], ctrl_fds[1], options, *logic_);
     // _Exit: the child shares the parent's heap image; running static
@@ -585,8 +562,8 @@ std::size_t NetEngine::live_workers() const {
   return live;
 }
 
-NetIntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
-  NetIntervalReport report;
+IntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
+  IntervalReport report;
   report.interval = interval_;
   if (!ok() || stopped_) return report;
   if (!interval_open_) {
@@ -609,10 +586,8 @@ NetIntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
 }
 
 bool NetEngine::absorb_summaries(std::uint64_t epoch,
-                                 NetIntervalReport& report) {
-  double latency_sum = 0.0;
-  std::uint64_t latency_n = 0;
-  std::vector<double> worker_cost(workers_.size(), 0.0);
+                                 IntervalReport& report) {
+  SlabTally tally(workers_.size());
   std::vector<std::uint8_t> summary_buf;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
@@ -695,31 +670,15 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
       fail("corrupt boundary summary from worker " + std::to_string(w));
       return false;
     }
-    const WorkerSketchSlab::IntervalScalars& sc = scratch_slab_->scalars();
-    report.processed += sc.processed;
-    latency_sum += sc.latency_sum_us;
-    latency_n += sc.latency_samples;
-    worker_cost[w] = scratch_slab_->total_cost();
-    report.stats_memory_bytes += scratch_slab_->memory_bytes();
-    // Worker-index order — the same fixed absorb order as the threaded
-    // engine's boundary merge, and for the same reason: the merged
-    // window must be byte-identical no matter which worker's summary
-    // crossed the wire first. Worker w IS instance w (cold-residual
-    // attribution).
-    WallTimer merge_timer;
-    sketch_sink_->absorb_slab(*scratch_slab_, static_cast<InstanceId>(w));
-    report.merge_ms += merge_timer.elapsed_millis();
+    tally.absorb(*sketch_stats_, *scratch_slab_, w);
     summary_buf.clear();
   }
-  report.avg_latency_ms =
-      latency_n > 0 ? latency_sum / static_cast<double>(latency_n) / 1000.0
-                    : 0.0;
-  report.max_theta = max_theta_of(worker_cost);
+  tally.add_to(report);
   return true;
 }
 
 bool NetEngine::execute_migration(const RebalancePlan& plan,
-                                  NetIntervalReport& report) {
+                                  IntervalReport& report) {
   const auto n = static_cast<std::size_t>(num_workers_);
   std::vector<std::vector<KeyId>> by_source(n);
   for (const KeyMove& mv : plan.moves) {
@@ -867,7 +826,7 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
 }
 
 bool NetEngine::broadcast_heavy_set() {
-  last_heavy_keys_ = sketch_sink_->heavy_keys();
+  last_heavy_keys_ = sketch_stats_->heavy_keys();
   heavy_broadcast_done_ = true;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
@@ -903,7 +862,7 @@ bool NetEngine::broadcast_expire() {
   return true;
 }
 
-void NetEngine::finish_interval(NetIntervalReport& report) {
+void NetEngine::finish_interval(IntervalReport& report) {
   if (!ok() || stopped_) return;
   if (!interval_open_) {
     // finish without ingest: an empty interval still seals and rolls.
@@ -937,14 +896,9 @@ void NetEngine::finish_interval(NetIntervalReport& report) {
     }
   }
   if (!absorb_summaries(epoch, report)) return;
-  if (auto plan = controller_->end_interval()) {
-    report.migrated = true;
-    report.moves = plan->moves.size();
-    report.migration_bytes = plan->migration_bytes;
-    report.generation_micros = plan->generation_micros;
+  if (const auto plan = plan_boundary(*controller_, report)) {
     if (!execute_migration(*plan, report)) return;
   }
-  report.max_theta = controller_->last_observed_theta();
   report.stats_memory_bytes += controller_->stats_memory_bytes();
   // The roll just promoted/demoted: broadcast the post-roll heavy set so
   // the next interval's hot keys accumulate exactly in the worker slabs.
@@ -961,62 +915,34 @@ void NetEngine::finish_interval(NetIntervalReport& report) {
   }
   report.recoveries = recoveries_;
   report.degraded = degraded_;
-  const double seg = timer.elapsed_millis();
-  report.stall_ms = seg;
-  report.wall_ms = open_interval_wall_ms_ + seg;
-  report.throughput_tps = report.wall_ms > 0.0
-                              ? static_cast<double>(report.processed) /
-                                    (report.wall_ms / 1000.0)
-                              : 0.0;
+  close_interval(report, open_interval_wall_ms_, timer.elapsed_millis(),
+                 controller_.get());
   const std::uint64_t data_now = wire_bytes_data();
   const std::uint64_t ctrl_now = wire_bytes_ctrl();
   report.data_wire_bytes =
       data_now >= wire_mark_data_ ? data_now - wire_mark_data_ : 0;
   report.ctrl_wire_bytes =
       ctrl_now >= wire_mark_ctrl_ ? ctrl_now - wire_mark_ctrl_ : 0;
-  controller_->note_boundary(report.merge_ms, report.stall_ms);
   total_processed_ += report.processed;
   interval_open_ = false;
   open_interval_wall_ms_ = 0.0;
   ++interval_;
 }
 
-NetIntervalReport NetEngine::run_interval(const std::vector<Tuple>& tuples) {
-  NetIntervalReport report = ingest(tuples);
+IntervalReport NetEngine::run_interval(const std::vector<Tuple>& tuples) {
+  IntervalReport report = ingest(tuples);
   finish_interval(report);
   return report;
 }
 
-std::vector<NetIntervalReport> NetEngine::run(WorkloadSource& source,
-                                              int intervals,
-                                              std::uint64_t seed) {
-  std::vector<NetIntervalReport> reports;
+std::vector<IntervalReport> NetEngine::run(WorkloadSource& source,
+                                           int intervals, std::uint64_t seed) {
+  std::vector<IntervalReport> reports;
   reports.reserve(static_cast<std::size_t>(intervals));
   Xoshiro256 rng(seed);
-
-  // Identical expansion + shuffle to ThreadedEngine::run — the
-  // byte-identity contract starts with identical tuple sequences, so the
-  // RNG must be consumed in exactly the same order.
-  const auto expand = [&](std::vector<Tuple>& tuples) {
-    const IntervalWorkload load = source.next_interval();
-    tuples.clear();
-    tuples.reserve(static_cast<std::size_t>(load.total()));
-    for (std::size_t k = 0; k < load.counts.size(); ++k) {
-      for (std::uint64_t c = 0; c < load.counts[k]; ++c) {
-        Tuple t;
-        t.key = static_cast<KeyId>(k);
-        t.value = static_cast<std::int64_t>(c);
-        tuples.push_back(t);
-      }
-    }
-    for (std::size_t j = tuples.size(); j > 1; --j) {
-      std::swap(tuples[j - 1], tuples[rng.next_below(j)]);
-    }
-  };
-
   std::vector<Tuple> tuples;
   for (int i = 0; i < intervals && ok(); ++i) {
-    expand(tuples);
+    expand_interval(source, rng, tuples);
     reports.push_back(run_interval(tuples));
   }
   return reports;
@@ -1088,7 +1014,7 @@ void NetEngine::shutdown() {
       bool pending = false;
       for (const auto& b : pending_batches_) pending |= !b.empty();
       if (!pending) break;
-      NetIntervalReport tail;
+      IntervalReport tail;
       finish_interval(tail);
     }
   }

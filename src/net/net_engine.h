@@ -24,7 +24,7 @@
 //      the kSummary boundary payload (O(sketch), never O(|K|)), followed
 //      by a kCheckpoint snapshot of its key states when recovery is on;
 //   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
-//      controller's SketchStatsWindow — the same fixed order as the
+//      controller's ShardedSketchStats — the same fixed order as the
 //      in-process merge, which is what makes a net run byte-identical to
 //      a ThreadedEngine run on the same seed: identical plans, identical
 //      θ trajectory, identical state checksums;
@@ -64,6 +64,7 @@
 
 #include "common/types.h"
 #include "core/controller.h"
+#include "engine/interval.h"
 #include "engine/operator.h"
 #include "engine/tuple.h"
 #include "engine/workload_source.h"
@@ -72,8 +73,6 @@
 #include "net/recovery.h"
 #include "net/wire.h"
 #include "sketch/sharded_worker_slab.h"
-#include "sketch/slab_sink.h"
-#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 
@@ -114,39 +113,9 @@ struct NetConfig {
   std::size_t checkpoint_ring_capacity = 2;
 };
 
-/// Same shape as ThreadedIntervalReport, plus the wire-level byte
-/// counters only a socket engine has.
-struct NetIntervalReport {
-  IntervalId interval = 0;
-  std::uint64_t emitted = 0;
-  std::uint64_t processed = 0;
-  double wall_ms = 0.0;
-  double throughput_tps = 0.0;
-  double avg_latency_ms = 0.0;
-  double max_theta = 0.0;
-  bool migrated = false;
-  std::size_t moves = 0;
-  Bytes migration_bytes = 0.0;
-  /// Serialized state payload shipped during migration (every net
-  /// migration is serialized — the bytes are real here).
-  Bytes migration_wire_bytes = 0.0;
-  Micros generation_micros = 0;
-  std::size_t stats_memory_bytes = 0;
-  /// Driver-side time between the interval's last routed tuple and being
-  /// ready to route the next one (seal + summary wait + absorb + plan +
-  /// migration barrier).
-  double stall_ms = 0.0;
-  /// Time absorbing the workers' boundary summaries (decode + absorb).
-  double merge_ms = 0.0;
-  /// Bytes moved on the data / ctrl sockets during this interval (both
-  /// directions, including frame headers).
-  std::uint64_t data_wire_bytes = 0;
-  std::uint64_t ctrl_wire_bytes = 0;
-  /// Cumulative successful crash recoveries at this interval's close.
-  std::uint64_t recoveries = 0;
-  /// True once any worker has been retired (degraded mode).
-  bool degraded = false;
-};
+/// The net engine reports the shared IntervalReport; this name is kept
+/// for callers written against it.
+using NetIntervalReport = IntervalReport;
 
 class NetEngine {
  public:
@@ -165,22 +134,22 @@ class NetEngine {
   /// Expands + routes `intervals` intervals from `source` with the SAME
   /// deterministic expansion and shuffle as ThreadedEngine::run — the
   /// byte-identity contract starts with identical tuple sequences.
-  std::vector<NetIntervalReport> run(WorkloadSource& source, int intervals,
-                                     std::uint64_t seed = 1);
+  std::vector<IntervalReport> run(WorkloadSource& source, int intervals,
+                                  std::uint64_t seed = 1);
 
   /// Routes an explicit tuple sequence as one interval and completes the
   /// boundary before returning.
-  NetIntervalReport run_interval(const std::vector<Tuple>& tuples);
+  IntervalReport run_interval(const std::vector<Tuple>& tuples);
 
   /// Routes tuples into the open interval WITHOUT closing it (the bench
   /// uses this to saturate the data channel, then probes the control
   /// channel with broadcast_plan before finish_interval).
-  NetIntervalReport ingest(const std::vector<Tuple>& tuples);
+  IntervalReport ingest(const std::vector<Tuple>& tuples);
 
   /// Closes the open interval: seal, summaries, checkpoints, absorb,
   /// plan, migrate, heavy-set broadcast, expiry. Injected kKill faults
   /// scheduled for this epoch fire at entry.
-  void finish_interval(NetIntervalReport& report);
+  void finish_interval(IntervalReport& report);
 
   /// Broadcasts a sparse plan on every worker's CONTROL channel and
   /// waits for all acks. Returns the round-trip wall time in ms, or a
@@ -298,9 +267,9 @@ class NetEngine {
   [[nodiscard]] std::string ctrl_failure_reason(std::size_t w,
                                                 CtrlRecv rc) const;
   [[nodiscard]] bool absorb_summaries(std::uint64_t epoch,
-                                      NetIntervalReport& report);
+                                      IntervalReport& report);
   [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
-                                       NetIntervalReport& report);
+                                       IntervalReport& report);
   [[nodiscard]] bool broadcast_heavy_set();
   [[nodiscard]] bool broadcast_expire();
   [[nodiscard]] std::uint64_t wire_bytes_data() const;
@@ -309,7 +278,7 @@ class NetEngine {
   NetConfig config_;
   std::shared_ptr<OperatorLogic> logic_;
   std::unique_ptr<Controller> controller_;
-  SketchSlabSink* sketch_sink_ = nullptr;
+  ShardedSketchStats* sketch_stats_ = nullptr;
   InstanceId num_workers_ = 0;
   std::vector<Worker> workers_;
   std::vector<std::vector<Tuple>> pending_batches_;

@@ -1,30 +1,23 @@
 #include "net/worker_main.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/clock.h"
+#include "engine/interval.h"
 #include "engine/state.h"
 #include "net/channel.h"
 #include "net/poller.h"
 #include "net/recovery.h"
 #include "net/wire.h"
 #include "sketch/sharded_worker_slab.h"
-#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 namespace {
-
-Micros steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Sinks emissions into a plain counter (one thread per process — no
 /// atomics needed).
@@ -47,15 +40,8 @@ class NetWorker {
         logic_(logic),
         data_(data_fd),
         ctrl_(ctrl_fd),
-        slab_(options.sketch, std::max<std::uint32_t>(1, options.shards)),
-        collector_(outputs_) {
-    // Same initial bucket capacity as the threaded worker's per-batch
-    // scratch map. This is load-bearing for byte-identity: add_batch
-    // folds keys in the map's iteration order, which depends on the
-    // bucket history, so the two engines must grow their maps through
-    // identical rehash points.
-    local_.reserve(256);
-  }
+        slab_(options.sketch, options.shards),
+        collector_(outputs_) {}
 
   int run() {
     if (!handshake()) return kWorkerExitHandshake;
@@ -219,7 +205,7 @@ class NetWorker {
     cp.epoch = seal_epoch_;
     cp.processed = processed_;
     cp.outputs = outputs_;
-    cp.local_buckets = local_.bucket_count();
+    cp.local_buckets = fold_.per_key().bucket_count();
     cp.state_checksum = store_.checksum();
     cp.states.reserve(store_.size());
     for (const auto& [key, state] : store_.states()) {
@@ -260,9 +246,7 @@ class NetWorker {
     }
     processed_ = cp.processed;
     outputs_ = cp.outputs;
-    if (cp.local_buckets > local_.bucket_count()) {
-      local_.rehash(cp.local_buckets);
-    }
+    fold_.restore_buckets(cp.local_buckets);
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
@@ -419,39 +403,15 @@ class NetWorker {
     if (!decode_tuple_batch(in, batch_)) {
       return fail(kWorkerExitCorruptFrame, "decode", "corrupt Batch payload");
     }
-    process_batch();
+    // The same BatchFold as ThreadedEngine::worker_loop's BatchMsg path,
+    // so a net run's slab contents match the in-process run's batch for
+    // batch.
+    fold_.run(batch_, steady_now_us() - options_.engine_epoch_us, store_,
+              logic_, collector_);
+    fold_.add_to(slab_);
+    processed_ += batch_.size();
     ++epoch_batches_;
     return kKeepRunning;
-  }
-
-  /// Mirrors ThreadedEngine::worker_loop's BatchMsg path exactly — same
-  /// per-batch local aggregation, same slab fold — so a net run's slab
-  /// contents match the in-process run's batch for batch.
-  void process_batch() {
-    const Micros now = steady_now_us();
-    double latency_acc = 0.0;
-    std::uint64_t latency_n = 0;
-    local_.clear();
-    for (const Tuple& t : batch_) {
-      KeyState& state =
-          store_.get_or_create(t.key, [&] { return logic_.make_state(); });
-      const Bytes before = state.bytes();
-      const Cost cost = logic_.process(t, state, collector_);
-      const Bytes delta = std::max(0.0, state.bytes() - before);
-      auto& entry = local_[t.key];
-      entry.cost += cost;
-      entry.state_bytes += delta;
-      ++entry.frequency;
-      latency_acc +=
-          static_cast<double>(now - options_.engine_epoch_us - t.emit_micros);
-      ++latency_n;
-    }
-    processed_ += batch_.size();
-    slab_.add_batch(local_);
-    WorkerSketchSlab::IntervalScalars& sc = slab_.scalars();
-    sc.processed += batch_.size();
-    sc.latency_sum_us += latency_acc;
-    sc.latency_samples += latency_n;
   }
 
   int send_fin() {
@@ -477,7 +437,7 @@ class NetWorker {
   std::uint64_t outputs_ = 0;
   std::uint64_t processed_ = 0;
   CountingCollector collector_;
-  std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg> local_;
+  BatchFold fold_;
   std::vector<Tuple> batch_;
   std::vector<std::uint8_t> ctrl_payload_;
   std::vector<std::uint8_t> data_payload_;

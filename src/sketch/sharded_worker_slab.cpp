@@ -1,5 +1,7 @@
 #include "sketch/sharded_worker_slab.h"
 
+#include "common/assert.h"
+
 namespace skewless {
 
 SketchStatsConfig shard_config(const SketchStatsConfig& config,
@@ -15,10 +17,10 @@ SketchStatsConfig shard_config(const SketchStatsConfig& config,
 
 ShardedWorkerSlab::ShardedWorkerSlab(const SketchStatsConfig& config,
                                      std::size_t shards) {
-  const std::size_t count = shards == 0 ? 1 : shards;
-  const SketchStatsConfig section_config = shard_config(config, count);
-  sections_.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
+  SKW_EXPECTS(shards >= 1);
+  const SketchStatsConfig section_config = shard_config(config, shards);
+  sections_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
     sections_.emplace_back(section_config);
   }
 }

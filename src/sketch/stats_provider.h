@@ -3,14 +3,19 @@
 //
 //  * StatsWindow (core/stats_window.h) — exact, six dense O(|K|) vectors.
 //    Right for the figure benches (K ≤ a few hundred thousand).
-//  * SketchStatsWindow (sketch/sketch_stats_window.h) — approximate:
-//    exact stats only for tracked heavy-hitter keys, Count-Min-sketched
-//    aggregates for the cold tail. O(sketch + k) memory regardless of |K|,
-//    which is what makes million-key domains affordable.
+//  * ShardedSketchStats (core/sharded_controller.h) — approximate: S
+//    shard-local SketchStatsWindows (sketch/sketch_stats_window.h), each
+//    keeping exact stats only for its tracked heavy-hitter keys and
+//    Count-Min-sketched aggregates for its cold tail. O(sketch + k)
+//    memory regardless of |K|, which is what makes million-key domains
+//    affordable. S defaults to 1.
 //
-// Planners keep consuming a dense PartitionSnapshot either way: the
-// provider synthesizes the dense per-key view on demand (exact copy for
-// StatsWindow; heavy-exact + normalized cold estimates for the sketch).
+// The controller plans from a dense PartitionSnapshot in exact mode and
+// from a compact one in sketch mode (heavy entries plus per-instance cold
+// residuals, ShardedSketchStats::synthesize_compact). In sketch mode the
+// dense view (synthesize_dense: heavy keys exact, cold estimates
+// normalized) serves only the benches and tests that compare against
+// exact statistics.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +30,7 @@ namespace skewless {
 /// ThreadedConfig `stats_mode` switch).
 enum class StatsMode {
   kExact,   // dense per-key vectors (StatsWindow)
-  kSketch,  // heavy-hitter map + Count-Min sketches (SketchStatsWindow)
+  kSketch,  // heavy-hitter maps + Count-Min sketches (ShardedSketchStats)
 };
 
 /// Tuning knobs for the sketch-based provider.
@@ -88,11 +93,6 @@ class StatsProvider {
   virtual void record(KeyId key, Cost cost, Bytes state_bytes,
                       std::uint64_t frequency = 1,
                       InstanceId dest = kNilInstance) = 0;
-
-  /// Convenience: single-tuple observation.
-  void record_one(KeyId key, Cost cost, Bytes state_bytes) {
-    record(key, cost, state_bytes, 1);
-  }
 
   /// Closes the current interval (see StatsWindow::roll for semantics).
   virtual void roll() = 0;

@@ -17,6 +17,7 @@
 #include "core/plan.h"
 #include "core/planners.h"
 #include "core/controller.h"
+#include "core/sharded_controller.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
 #include "sketch/simd/sketch_kernels.h"
@@ -335,7 +336,7 @@ TEST(Determinism, ThreadedSketchStatsAreByteIdenticalAcrossRuns) {
                           /*num_workers_for_ring=*/4, /*ring_seed=*/3);
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     const auto heavy = sketch->heavy_keys();
@@ -386,7 +387,7 @@ TEST(Determinism, DoubleBufferedMergeMatchesInlineBaseline) {
                           /*ring_seed=*/3);
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -550,7 +551,7 @@ TEST(Determinism, AdversarialThreadedRunsAreByteIdentical) {
                           /*num_workers_for_ring=*/3, /*ring_seed=*/3);
     engine.run(source, 4, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -688,78 +689,9 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
   EXPECT_EQ(threaded.outputs, net.outputs);
 }
 
-// The sharded controller's headline contract, part 1: a shards=1 run is
-// BYTE-identical to the legacy single-window controller (shards=0) — the
-// ShardedSketchStats S=1 paths all short-circuit to the one window, the
-// ShardedWorkerSlab forwards to its single section's prefetch-pipelined
-// fold, so plan-history digest, θ bit patterns, state checksums and
-// output counts all match exactly. Same harness as the net-vs-threaded
-// byte-identity test above.
-TEST(Determinism, ShardedPlanMatchesSingleController) {
-  struct RunResult {
-    std::vector<double> thetas;
-    std::uint64_t plan_digest = 0;
-    std::size_t rebalances = 0;
-    std::uint64_t checksum = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t outputs = 0;
-  };
-  const InstanceId kWorkers = 3;
-  const int kIntervals = 4;
-  const auto run = [&](std::size_t shards) {
-    ZipfFluctuatingSource::Options opts;
-    opts.num_keys = 5'000;
-    opts.skew = 1.1;
-    opts.tuples_per_interval = 20'000;
-    opts.fluctuation = 0.5;
-    opts.seed = 77;
-    ZipfFluctuatingSource source(opts);
-
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = 0.08;
-    ccfg.stats_mode = StatsMode::kSketch;
-    ccfg.sketch.heavy_capacity = 256;
-    ccfg.shards = shards;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(kWorkers), 0),
-        std::make_unique<MixedPlanner>(), ccfg, source.num_keys());
-
-    ThreadedConfig tcfg;
-    tcfg.num_workers = kWorkers;
-    tcfg.batch_size = 64;
-    tcfg.stats_mode = StatsMode::kSketch;
-    tcfg.sketch.heavy_capacity = 256;
-    ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
-                          std::move(controller));
-    const auto reports = engine.run(source, kIntervals, /*seed=*/9);
-    RunResult result;
-    for (const auto& r : reports) result.thetas.push_back(r.max_theta);
-    result.plan_digest = engine.controller()->plan_history_digest();
-    result.rebalances = engine.controller()->rebalance_count();
-    engine.shutdown();
-    result.checksum = engine.state_checksum();
-    result.processed = engine.total_processed();
-    result.outputs = engine.total_output_tuples();
-    return result;
-  };
-
-  const RunResult single = run(0);
-  const RunResult sharded = run(1);
-  ASSERT_GT(single.rebalances, 0u);
-  EXPECT_EQ(single.rebalances, sharded.rebalances);
-  EXPECT_EQ(single.plan_digest, sharded.plan_digest);
-  ASSERT_EQ(single.thetas.size(), sharded.thetas.size());
-  // Bit-pattern equality, not EXPECT_DOUBLE_EQ — the contract is
-  // byte-identical.
-  EXPECT_EQ(0, std::memcmp(single.thetas.data(), sharded.thetas.data(),
-                           single.thetas.size() * sizeof(double)));
-  EXPECT_EQ(single.checksum, sharded.checksum);
-  EXPECT_EQ(single.processed, sharded.processed);
-  EXPECT_EQ(single.outputs, sharded.outputs);
-}
-
-// Part 2: shards ∈ {2, 4, 8} plan-EQUIVALENCE on identical streams, in
-// the regime where sharding is provably exact: zero state bytes (the
+// The sharded controller's headline contract: shards ∈ {2, 4, 8}
+// plan-EQUIVALENCE with shards = 1 on identical streams, in the regime
+// where sharding is provably exact: zero state bytes (the
 // windowed-state backfill is a Count-Min estimate whose value depends on
 // sketch width, which differs per shard count — zero mass estimates to
 // zero at every width), eviction-free candidate capacity (per-shard

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/planners.h"
-#include "sketch/sketch_stats_window.h"
+#include "core/sharded_controller.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -252,13 +252,13 @@ TEST(ThreadedEngine, SketchModeHashOnlyTracksHeavyKeysViaSlabs) {
     EXPECT_GT(report.stats_memory_bytes, 0u);
   }
   const auto* sketch =
-      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+      dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
   ASSERT_NE(sketch, nullptr);
   // The hottest keys were promoted out of the worker slabs' candidate
   // union, and their exact hot-tier stats match the true per-key cost
   // (WordCountLogic reports cost 1 per tuple).
-  EXPECT_GT(sketch->heavy_count(), 0u);
-  EXPECT_TRUE(sketch->is_heavy(0));
+  EXPECT_GT(sketch->heavy_keys().size(), 0u);
+  EXPECT_TRUE(sketch->shard(0).is_heavy(0));
   EXPECT_DOUBLE_EQ(sketch->last_cost_of(0), 2001.0);
   EXPECT_EQ(sketch->last_frequency_of(0), 2001u);
   engine.shutdown();
@@ -337,9 +337,9 @@ TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
     EXPECT_GE(report.merge_ms, 0.0);
   }
   const auto* sketch =
-      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+      dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
   ASSERT_NE(sketch, nullptr);
-  EXPECT_TRUE(sketch->is_heavy(0));
+  EXPECT_TRUE(sketch->shard(0).is_heavy(0));
   EXPECT_DOUBLE_EQ(sketch->last_cost_of(0), 1001.0);
   EXPECT_EQ(sketch->last_frequency_of(0), 1001u);
   engine.shutdown();

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/dkg.h"
 #include "baselines/readj.h"
@@ -52,9 +53,8 @@ struct Args {
   std::uint64_t seed = 7;
   StatsMode stats_mode = StatsMode::kExact;
   SketchStatsConfig sketch = {};
-  /// Sketch mode: key-domain shards for the sharded controller (0 =
-  /// legacy single window; 1 = sharded identity case, byte-identical).
-  std::size_t shards = 0;
+  /// Sketch mode: key-domain shards of the statistics provider (>= 1).
+  std::size_t shards = 1;
   /// Adversarial workload: which attack pattern to run.
   std::string attack = "rotating";
   int rotation_period = 3;
@@ -208,7 +208,7 @@ Args parse(int argc, char** argv) {
     }
   }
   if (args.instances < 1 || args.intervals < 1 || args.keys < 1 ||
-      args.window < 1 || args.batch < 1) {
+      args.window < 1 || args.batch < 1 || args.shards < 1) {
     usage(argv[0]);
   }
   if (args.sketch.heavy_capacity < 1 || args.sketch.epsilon <= 0.0 ||
@@ -288,8 +288,47 @@ PlannerPtr make_planner(const std::string& name) {
   return nullptr;
 }
 
-/// Real-thread run: one worker per instance, WordCount operator state,
-/// per-interval CSV from the ThreadedIntervalReport fields.
+ControllerConfig controller_config(const Args& args) {
+  ControllerConfig ccfg;
+  ccfg.planner.theta_max = args.theta;
+  ccfg.planner.max_table_entries = args.amax;
+  ccfg.window = args.window;
+  ccfg.stats_mode = args.stats_mode;
+  ccfg.sketch = args.sketch;
+  ccfg.shards = args.shards;
+  return ccfg;
+}
+
+/// Per-interval CSV shared by the threaded and net runs. `pinned` is the
+/// number of workers whose core pin took effect and `kernel` the
+/// dispatched SIMD tier — constant per run, carried per row so
+/// downstream CSV tooling keeps one schema. The net run appends the
+/// wire-byte columns only sockets have.
+void print_interval_csv(const std::vector<IntervalReport>& reports,
+                        int pinned, bool wire) {
+  std::printf(
+      "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
+      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
+      "kernel%s\n",
+      wire ? ",data_wire_bytes,ctrl_wire_bytes" : "");
+  for (const auto& r : reports) {
+    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s",
+                static_cast<long long>(r.interval), r.throughput_tps,
+                r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
+                r.migration_bytes,
+                static_cast<double>(r.generation_micros) / 1000.0,
+                r.stall_ms, r.merge_ms, r.stats_memory_bytes, pinned,
+                simd::active_kernels().name);
+    if (wire) {
+      std::printf(",%llu,%llu",
+                  static_cast<unsigned long long>(r.data_wire_bytes),
+                  static_cast<unsigned long long>(r.ctrl_wire_bytes));
+    }
+    std::printf("\n");
+  }
+}
+
+/// Real-thread run: one worker per instance, WordCount operator state.
 int run_threaded(const Args& args, char* argv0) {
   auto source = make_source(args);
   const std::size_t num_keys = source->num_keys();
@@ -319,39 +358,16 @@ int run_threaded(const Args& args, char* argv0) {
       std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
       usage(argv0);
     }
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = args.theta;
-    ccfg.planner.max_table_entries = args.amax;
-    ccfg.window = args.window;
-    ccfg.stats_mode = args.stats_mode;
-    ccfg.sketch = args.sketch;
-    ccfg.shards = args.shards;
     auto controller = std::make_unique<Controller>(
         AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
-        std::move(planner), ccfg, num_keys);
+        std::move(planner), controller_config(args), num_keys);
     engine =
         std::make_unique<ThreadedEngine>(tcfg, logic, std::move(controller));
   }
 
   const auto reports = engine->run(*source, args.intervals, args.seed);
-  // `pinned` is the number of workers whose core pin took effect (0 with
-  // --pin absent or on platforms without affinity support) and `kernel`
-  // the dispatched SIMD tier — constant per run, carried per-row so
-  // downstream CSV tooling keeps one schema.
-  std::printf(
-      "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
-      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel\n");
-  for (const auto& r : reports) {
-    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s\n",
-                static_cast<long long>(r.interval), r.throughput_tps,
-                r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
-                r.migration_bytes,
-                static_cast<double>(r.generation_micros) / 1000.0,
-                r.stall_ms, r.merge_ms, r.stats_memory_bytes,
-                static_cast<int>(engine->pinned_workers()),
-                simd::active_kernels().name);
-  }
+  print_interval_csv(reports, static_cast<int>(engine->pinned_workers()),
+                     /*wire=*/false);
   const auto* ctrl = engine->controller();
   double stall_total = 0.0;
   double merge_total = 0.0;
@@ -388,9 +404,8 @@ int run_threaded(const Args& args, char* argv0) {
   return 0;
 }
 
-/// Multi-process run: N forked workers over loopback sockets. Same CSV
-/// schema as the threaded engine (pinned is always 0 — processes are not
-/// pinned) plus the per-interval wire-byte columns only sockets have.
+/// Multi-process run: N forked workers over loopback sockets (pinned is
+/// always 0 — processes are not pinned).
 int run_net(const Args& args, char* argv0) {
   if (args.stats_mode != StatsMode::kSketch) {
     std::fprintf(stderr,
@@ -416,16 +431,9 @@ int run_net(const Args& args, char* argv0) {
   const InstanceId workers =
       args.workers_proc > 0 ? args.workers_proc : args.instances;
 
-  ControllerConfig ccfg;
-  ccfg.planner.theta_max = args.theta;
-  ccfg.planner.max_table_entries = args.amax;
-  ccfg.window = args.window;
-  ccfg.stats_mode = StatsMode::kSketch;
-  ccfg.sketch = args.sketch;
-  ccfg.shards = args.shards;
   auto controller = std::make_unique<Controller>(
       AssignmentFunction(ConsistentHashRing(workers), args.amax),
-      std::move(planner), ccfg, num_keys);
+      std::move(planner), controller_config(args), num_keys);
 
   NetConfig ncfg;
   ncfg.batch_size = args.batch;
@@ -442,21 +450,7 @@ int run_net(const Args& args, char* argv0) {
   NetEngine engine(ncfg, logic, std::move(controller));
 
   const auto reports = engine.run(*source, args.intervals, args.seed);
-  std::printf(
-      "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
-      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel,data_wire_bytes,ctrl_wire_bytes\n");
-  for (const auto& r : reports) {
-    std::printf(
-        "%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,0,%s,%llu,%llu\n",
-        static_cast<long long>(r.interval), r.throughput_tps,
-        r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
-        r.migration_bytes, static_cast<double>(r.generation_micros) / 1000.0,
-        r.stall_ms, r.merge_ms, r.stats_memory_bytes,
-        simd::active_kernels().name,
-        static_cast<unsigned long long>(r.data_wire_bytes),
-        static_cast<unsigned long long>(r.ctrl_wire_bytes));
-  }
+  print_interval_csv(reports, /*pinned=*/0, /*wire=*/true);
   const auto* ctrl = engine.controller();
   double stall_total = 0.0;
   double merge_total = 0.0;
@@ -536,16 +530,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
       usage(argv[0]);
     }
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = args.theta;
-    ccfg.planner.max_table_entries = args.amax;
-    ccfg.window = args.window;
-    ccfg.stats_mode = args.stats_mode;
-    ccfg.sketch = args.sketch;
-    ccfg.shards = args.shards;
     auto controller = std::make_unique<Controller>(
         AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
-        std::move(planner), ccfg, num_keys);
+        std::move(planner), controller_config(args), num_keys);
     engine = std::make_unique<SimEngine>(
         scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
         std::move(source), std::move(controller));
