@@ -111,6 +111,14 @@ class ByteReader {
     return true;
   }
 
+  /// Advances past `n` bytes without copying them, checked exactly like
+  /// read_into — how a validator walks opaque blobs it does not keep.
+  bool skip(std::size_t n) {
+    if (!require(n)) return false;
+    pos_ += n;
+    return true;
+  }
+
   /// Checked-mode guard for length-prefixed containers: true when
   /// `count` elements of at least `min_elem_bytes` serialized bytes each
   /// could possibly fit in the remaining input. Rejecting an impossible

@@ -75,7 +75,9 @@ void SlabTally::add_to(IntervalReport& report) const {
 
 std::optional<RebalancePlan> plan_boundary(Controller& controller,
                                            IntervalReport& report) {
+  WallTimer roll_timer;
   std::optional<RebalancePlan> plan = controller.end_interval();
+  report.roll_ms = roll_timer.elapsed_millis();
   if (plan) {
     report.migrated = true;
     report.moves = plan->moves.size();

@@ -57,6 +57,10 @@ struct IntervalReport {
   /// Time absorbing worker statistics into the provider (slab absorbs,
   /// or the exact-mode per-key replay under the drain locks).
   double merge_ms = 0.0;
+  /// Wall time of Controller::end_interval(): the statistics roll, the
+  /// snapshot, the trigger and the plan. Part of stall_ms; 0 without a
+  /// controller.
+  double roll_ms = 0.0;
   /// Net engine: data / ctrl socket bytes this interval (both
   /// directions, frame headers included), cumulative crash recoveries,
   /// and whether any worker has been retired.
@@ -137,8 +141,9 @@ struct SlabTally {
 
 /// Rolls and plans the closing interval (Controller::end_interval) and
 /// copies the decision into `report`: the plan's figures when a
-/// migration was decided, the observed imbalance either way. Returns the
-/// plan for the engine to execute.
+/// migration was decided, the observed imbalance either way, and the
+/// call's wall time as roll_ms. Returns the plan for the engine to
+/// execute.
 std::optional<RebalancePlan> plan_boundary(Controller& controller,
                                            IntervalReport& report);
 

@@ -4,6 +4,9 @@
 #include <unordered_map>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -117,6 +120,13 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
 void NetEngine::spawn_workers() {
   const auto n = static_cast<std::size_t>(num_workers_);
   workers_.resize(n);
+#if defined(__GLIBC__)
+  // Each worker starts as a copy of this process, with every resident
+  // page of the heap mapped — free chunks the allocator kept from
+  // earlier work included. Hand those back to the OS first so they are
+  // not part of every worker's resident set.
+  ::malloc_trim(0);
+#endif
   for (std::size_t w = 0; w < n; ++w) {
     std::string err;
     if (!spawn_one(w, err)) {
@@ -258,7 +268,13 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
 
 CheckpointPayload NetEngine::effective_checkpoint(std::size_t w) const {
   CheckpointPayload eff;
-  if (const CheckpointPayload* cp = checkpoints_[w].latest()) eff = *cp;
+  if (const CheckpointRing::Entry* cp = checkpoints_[w].latest()) {
+    // check_checkpoint accepted these bytes on receipt, so the trusted
+    // (aborting) reader can only succeed.
+    ByteReader in(cp->payload);
+    const bool decoded = decode_checkpoint(in, eff);
+    SKW_ASSERT(decoded && in.exhausted());
+  }
   if (!migrated_away_[w].empty()) {
     std::erase_if(eff.states, [&](const WireKeyState& s) {
       return migrated_away_[w].count(s.key) > 0;
@@ -588,21 +604,26 @@ IntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
 bool NetEngine::absorb_summaries(std::uint64_t epoch,
                                  IntervalReport& report) {
   SlabTally tally(workers_.size());
-  std::vector<std::uint8_t> summary_buf;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
     // With recovery on, the summary is only a CANDIDATE until the same
     // epoch's checkpoint lands: a worker that dies between the two is
     // replayed from its previous checkpoint, and absorbing its summary
-    // early would count the epoch twice. The buffered copy is absorbed
-    // the moment the checkpoint confirms the epoch completed durably.
+    // early would count the epoch twice. The buffered summary is
+    // absorbed the moment the checkpoint confirms the epoch completed
+    // durably.
     bool have_summary = false;
     bool have_checkpoint = !config_.recovery_enabled;
     while (!(have_summary && have_checkpoint)) {
       if (!ok()) return false;
       if (workers_[w].dead) break;  // degraded while waiting
+      // The summary lands in summary_buf_, what follows it (the
+      // checkpoint) in checkpoint_buf_: each buffer keeps the capacity
+      // of one payload kind, so no copy and no reallocation per frame.
+      std::vector<std::uint8_t>& buf =
+          have_summary ? checkpoint_buf_ : summary_buf_;
       FrameHeader header;
-      const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
+      const CtrlRecv rc = recv_ctrl_any(w, header, buf);
       if (rc != CtrlRecv::kFrame) {
         have_summary = false;  // a recovered worker re-seals from scratch
         if (!recover_worker(w, ctrl_failure_reason(w, rc))) {
@@ -622,13 +643,14 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
           }
           continue;
         }
-        summary_buf = recv_scratch_;  // overwrite a pre-crash duplicate
+        // A repeated summary replaces the first.
+        if (have_summary) summary_buf_.swap(checkpoint_buf_);
         have_summary = true;
       } else if (header.type == FrameType::kCheckpoint) {
-        ByteReader in(recv_scratch_, ByteReader::Untrusted{});
-        CheckpointPayload cp;
-        if (!have_summary || !decode_checkpoint(in, cp) || !in.exhausted() ||
-            cp.epoch != epoch) {
+        ByteReader in(buf, ByteReader::Untrusted{});
+        std::uint64_t cp_epoch = 0;
+        if (!have_summary || !check_checkpoint(in, cp_epoch) ||
+            !in.exhausted() || cp_epoch != epoch) {
           have_summary = false;
           if (!recover_worker(w, "bad Checkpoint at epoch " +
                                      std::to_string(epoch))) {
@@ -637,7 +659,10 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
           }
           continue;
         }
-        checkpoints_[w].push(std::move(cp));
+        // Kept as the validated bytes; the evicted checkpoint's buffer
+        // receives the next one.
+        checkpoint_buf_ =
+            checkpoints_[w].push(epoch, std::move(checkpoint_buf_));
         // The epoch is durable: its batches are reflected in the
         // checkpoint, migration bookkeeping older than it is stale, and
         // the worker proved forward progress (retry budget refills).
@@ -662,8 +687,7 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
       }
     }
     if (workers_[w].dead || !have_summary) continue;  // degraded mid-epoch
-    ByteReader in(summary_buf.empty() ? recv_scratch_ : summary_buf,
-                  ByteReader::Untrusted{});
+    ByteReader in(summary_buf_, ByteReader::Untrusted{});
     if (!scratch_slab_->deserialize_from(in) || !in.exhausted() ||
         scratch_slab_->epoch() != epoch) {
       // A post-seal worker produced this; not a crash we can replay.
@@ -671,7 +695,6 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
       return false;
     }
     tally.absorb(*sketch_stats_, *scratch_slab_, w);
-    summary_buf.clear();
   }
   tally.add_to(report);
   return true;

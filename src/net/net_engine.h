@@ -20,9 +20,13 @@
 //   2. at the boundary it sends each worker kSeal{epoch, batch count} on
 //      ctrl — the worker seals only after processing exactly that many
 //      batches, which re-establishes cross-channel ordering by content;
-//   3. each worker serializes its WorkerSketchSlab and ships it back as
-//      the kSummary boundary payload (O(sketch), never O(|K|)), followed
-//      by a kCheckpoint snapshot of its key states when recovery is on;
+//   3. each worker serializes its WorkerSketchSlab as the kSummary
+//      boundary payload (O(sketch), never O(|K|)) and, when recovery is
+//      on, encodes a kCheckpoint snapshot of its key states straight
+//      from its StateStore — both BEFORE sending either, so the workers
+//      encode in parallel while the driver reads summaries one worker at
+//      a time. The driver validates each checkpoint without decoding it
+//      and keeps the bytes (CheckpointRing);
 //   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
 //      controller's ShardedSketchStats — the same fixed order as the
 //      in-process merge, which is what makes a net run byte-identical to
@@ -243,7 +247,8 @@ class NetEngine {
   [[nodiscard]] bool recover_worker(std::size_t w, const std::string& why);
   [[nodiscard]] bool restore_worker(std::size_t w);
   /// Latest checkpoint minus keys migrated away since, plus states
-  /// installed since — the state worker `w` is responsible for.
+  /// installed since — the state worker `w` is responsible for. The
+  /// only place a ring payload is decoded (restore and degrade).
   [[nodiscard]] CheckpointPayload effective_checkpoint(std::size_t w) const;
   /// Retry budget exhausted: retire `w`, re-home its checkpointed
   /// states and replay tuples onto the survivors.
@@ -308,6 +313,13 @@ class NetEngine {
   std::unique_ptr<ShardedWorkerSlab> scratch_slab_;
   ByteWriter frame_scratch_;
   std::vector<std::uint8_t> recv_scratch_;
+  /// Boundary receive buffers: the worker summary being absorbed (held
+  /// until its checkpoint lands), and the checkpoint that follows it.
+  /// A validated checkpoint moves into the ring and the ring's evicted
+  /// buffer takes its place, so steady state allocates no multi-MB
+  /// buffer per boundary.
+  std::vector<std::uint8_t> summary_buf_;
+  std::vector<std::uint8_t> checkpoint_buf_;
 
   std::string error_;
   std::uint64_t total_processed_ = 0;

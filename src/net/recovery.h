@@ -8,9 +8,8 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "net/wire.h"
 
 namespace skewless {
 
@@ -29,20 +28,39 @@ inline constexpr int kWorkerExitFault = 5;  // injected fault (tests)
 [[nodiscard]] std::string describe_worker_exit(int wait_status);
 
 /// Bounded ring of per-epoch checkpoints for one worker, newest last.
+/// Each is kept as the kCheckpoint payload bytes the worker sent, which
+/// the driver validated on receipt (check_checkpoint) but never decoded:
+/// a checkpoint is decoded only when a restore or a degrade reads it, so
+/// the clean path pays one receive per epoch and nothing per key.
 /// Recovery only ever reinstalls latest(); the ring depth exists so a
 /// checkpoint that arrives corrupt can fall back one epoch without the
 /// driver holding O(epochs) state history.
 class CheckpointRing {
  public:
+  struct Entry {
+    std::uint64_t epoch = 0;
+    std::vector<std::uint8_t> payload;
+  };
+
   explicit CheckpointRing(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  void push(CheckpointPayload cp) {
-    ring_.push_back(std::move(cp));
-    while (ring_.size() > capacity_) ring_.pop_front();
+  /// Appends epoch `epoch`'s validated payload, evicting the oldest entry
+  /// past capacity. Returns the evicted payload's buffer (contents
+  /// unspecified; empty when nothing was evicted) so the caller can
+  /// receive the next frame into it instead of allocating.
+  std::vector<std::uint8_t> push(std::uint64_t epoch,
+                                 std::vector<std::uint8_t> payload) {
+    std::vector<std::uint8_t> spare;
+    if (ring_.size() >= capacity_) {
+      spare = std::move(ring_.front().payload);
+      ring_.pop_front();
+    }
+    ring_.push_back(Entry{epoch, std::move(payload)});
+    return spare;
   }
 
-  [[nodiscard]] const CheckpointPayload* latest() const {
+  [[nodiscard]] const Entry* latest() const {
     return ring_.empty() ? nullptr : &ring_.back();
   }
 
@@ -51,20 +69,16 @@ class CheckpointRing {
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Approximate resident bytes of the buffered state blobs (the bound
-  /// the ring test asserts never grows with run length).
+  /// Payload bytes held (the bound the ring test asserts never grows
+  /// with run length).
   [[nodiscard]] std::size_t memory_bytes() const {
     std::size_t total = 0;
-    for (const CheckpointPayload& cp : ring_) {
-      for (const WireKeyState& s : cp.states) {
-        total += sizeof(WireKeyState) + s.blob.size();
-      }
-    }
+    for (const Entry& e : ring_) total += e.payload.size();
     return total;
   }
 
  private:
-  std::deque<CheckpointPayload> ring_;
+  std::deque<Entry> ring_;
   std::size_t capacity_;
 };
 

@@ -1,11 +1,46 @@
 #include "net/wire.h"
 
+#include "engine/state.h"
+
 namespace skewless {
 
 namespace {
 
 /// Field-wise tuple size on the wire (the struct itself has padding).
 constexpr std::size_t kTupleWireBytes = 8 + 8 + 8 + 4;
+
+/// Smallest key-state list entry: key + blob length, empty blob.
+constexpr std::size_t kMinKeyStateBytes = 8 + 4;
+
+/// A key-state list over live states — any range of (KeyId,
+/// unique_ptr<KeyState>) pairs — serialized through one reused writer.
+template <typename States>
+void encode_live_states(ByteWriter& out, const States& states,
+                        ByteWriter& blob) {
+  out.u32(static_cast<std::uint32_t>(states.size()));
+  for (const auto& [key, state] : states) {
+    blob.clear();
+    state->serialize(blob);
+    encode_key_state(out, key, blob.bytes());
+  }
+}
+
+void encode_counters(ByteWriter& out, const CheckpointCounters& c) {
+  out.u64(c.epoch);
+  out.u64(c.processed);
+  out.u64(c.outputs);
+  out.u64(c.local_buckets);
+  out.u64(c.state_checksum);
+}
+
+bool decode_counters(ByteReader& in, CheckpointCounters& c) {
+  c.epoch = in.u64();
+  c.processed = in.u64();
+  c.outputs = in.u64();
+  c.local_buckets = in.u64();
+  c.state_checksum = in.u64();
+  return in.ok();
+}
 
 }  // namespace
 
@@ -69,20 +104,29 @@ bool decode_key_list(ByteReader& in, std::vector<KeyId>& keys) {
   return in.ok();
 }
 
+void encode_key_state(ByteWriter& out, KeyId key,
+                      const std::vector<std::uint8_t>& blob) {
+  out.u64(key);
+  out.u32(static_cast<std::uint32_t>(blob.size()));
+  out.append(blob.data(), blob.size());
+}
+
 void encode_key_states(ByteWriter& out,
                        const std::vector<WireKeyState>& states) {
   out.u32(static_cast<std::uint32_t>(states.size()));
-  for (const WireKeyState& s : states) {
-    out.u64(s.key);
-    out.u32(static_cast<std::uint32_t>(s.blob.size()));
-    out.append(s.blob.data(), s.blob.size());
-  }
+  for (const WireKeyState& s : states) encode_key_state(out, s.key, s.blob);
+}
+
+void encode_extracted_states(
+    ByteWriter& out,
+    const std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>>& states,
+    ByteWriter& blob) {
+  encode_live_states(out, states, blob);
 }
 
 bool decode_key_states(ByteReader& in, std::vector<WireKeyState>& states) {
   const std::uint32_t n = in.u32();
-  constexpr std::size_t kMinEntryBytes = 8 + 4;
-  if (!in.fits(n, kMinEntryBytes)) return false;
+  if (!in.fits(n, kMinKeyStateBytes)) return false;
   states.clear();
   states.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -143,22 +187,35 @@ bool decode_ack(ByteReader& in, AckPayload& ack) {
 }
 
 void encode_checkpoint(ByteWriter& out, const CheckpointPayload& cp) {
-  out.u64(cp.epoch);
-  out.u64(cp.processed);
-  out.u64(cp.outputs);
-  out.u64(cp.local_buckets);
-  out.u64(cp.state_checksum);
+  encode_counters(out, cp);
   encode_key_states(out, cp.states);
 }
 
+void encode_store_checkpoint(ByteWriter& out,
+                             const CheckpointCounters& counters,
+                             const StateStore& store, ByteWriter& blob) {
+  encode_counters(out, counters);
+  encode_live_states(out, store.states(), blob);
+}
+
 bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp) {
-  cp.epoch = in.u64();
-  cp.processed = in.u64();
-  cp.outputs = in.u64();
-  cp.local_buckets = in.u64();
-  cp.state_checksum = in.u64();
-  if (!in.ok()) return false;
+  if (!decode_counters(in, cp)) return false;
   return decode_key_states(in, cp.states);
+}
+
+bool check_checkpoint(ByteReader& in, std::uint64_t& epoch) {
+  CheckpointCounters counters;
+  const bool counters_ok = decode_counters(in, counters);
+  epoch = counters.epoch;
+  if (!counters_ok) return false;
+  // decode_key_states' checks, in its order, minus the copies.
+  const std::uint32_t n = in.u32();
+  if (!in.fits(n, kMinKeyStateBytes)) return false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    (void)in.u64();
+    if (!in.skip(in.u32())) return false;
+  }
+  return in.ok();
 }
 
 void encode_heartbeat(ByteWriter& out, const HeartbeatPayload& hb) {

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/serde.h"
@@ -17,6 +19,9 @@
 #include "engine/tuple.h"
 
 namespace skewless {
+
+class KeyState;
+class StateStore;
 
 // --- kBatch ---------------------------------------------------------------
 void encode_tuple_batch(ByteWriter& out, const std::vector<Tuple>& tuples);
@@ -56,9 +61,22 @@ struct WireKeyState {
   KeyId key = 0;
   std::vector<std::uint8_t> blob;
 };
+/// A key-state list is a u32 count followed by one entry per state: u64
+/// key, u32 blob length, blob bytes. Every list encoder below writes its
+/// entries through encode_key_state.
+void encode_key_state(ByteWriter& out, KeyId key,
+                      const std::vector<std::uint8_t>& blob);
 void encode_key_states(ByteWriter& out, const std::vector<WireKeyState>& states);
 [[nodiscard]] bool decode_key_states(ByteReader& in,
                                      std::vector<WireKeyState>& states);
+/// The worker's kMigrated reply, written straight from the extracted
+/// states: each is serialized through the reusable `blob` writer, so no
+/// per-key buffer is allocated once `blob` has grown. Same bytes as
+/// encode_key_states over the serialized states, in the given order.
+void encode_extracted_states(
+    ByteWriter& out,
+    const std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>>& states,
+    ByteWriter& blob);
 
 // --- kExpire --------------------------------------------------------------
 void encode_expire(ByteWriter& out, Micros watermark);
@@ -94,16 +112,33 @@ void encode_ack(ByteWriter& out, const AckPayload& ack);
 /// worker's per-batch scratch-map bucket count: fold order into the slab
 /// depends on that map's rehash history, so the restore re-establishes it
 /// before replaying (the byte-identity contract under recovery).
-struct CheckpointPayload {
+struct CheckpointCounters {
   std::uint64_t epoch = 0;
   std::uint64_t processed = 0;
   std::uint64_t outputs = 0;
   std::uint64_t local_buckets = 0;
   std::uint64_t state_checksum = 0;
+};
+struct CheckpointPayload : CheckpointCounters {
   std::vector<WireKeyState> states;
 };
 void encode_checkpoint(ByteWriter& out, const CheckpointPayload& cp);
+/// The worker's checkpoint encoder: the bytes encode_checkpoint writes for
+/// `counters` plus `store`'s states in the store's iteration order, but
+/// written straight from the store — each state is serialized through
+/// the reusable `blob` writer, with no per-key buffer and no
+/// CheckpointPayload copy.
+void encode_store_checkpoint(ByteWriter& out,
+                             const CheckpointCounters& counters,
+                             const StateStore& store, ByteWriter& blob);
 [[nodiscard]] bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp);
+/// Validates a kCheckpoint payload without materializing it: every check
+/// decode_checkpoint makes (counters present, a state count that fits,
+/// each blob length within the input), leaving the reader at the same
+/// position and returning the same verdict, but allocating nothing.
+/// `epoch` receives the checkpoint's epoch. The driver keeps accepted
+/// payloads as bytes and decodes one only to restore or re-home a worker.
+[[nodiscard]] bool check_checkpoint(ByteReader& in, std::uint64_t& epoch);
 
 // --- kHeartbeat -----------------------------------------------------------
 /// Epoch-progress liveness beat: how many batches of the open epoch the

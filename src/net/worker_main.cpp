@@ -176,13 +176,19 @@ class NetWorker {
   }
 
   /// Seals the epoch once every one of its batches has been processed:
-  /// stamps + serializes the slab as the boundary summary, ships it on
-  /// ctrl, and resets for the next epoch.
+  /// stamps + serializes the slab as the boundary summary, encodes the
+  /// post-seal checkpoint when recovery is on, ships both on ctrl, and
+  /// resets for the next epoch. Both are encoded BEFORE either is sent:
+  /// the summary outgrows the socket buffer, so its send blocks until
+  /// the driver reads it, and the driver reads workers in index order —
+  /// encoding the checkpoint after the send would queue every worker's
+  /// encode behind the previous workers' summary reads.
   int maybe_seal() {
     if (!seal_pending_ || epoch_batches_ != seal_target_) return kKeepRunning;
     slab_.set_epoch(seal_epoch_);
     scratch_.clear();
     slab_.serialize(scratch_);
+    if (options_.recovery) encode_sealed_checkpoint();
     if (!ctrl_.send(FrameType::kSummary, seal_epoch_, scratch_)) {
       return fail(kWorkerExitChannel, "send Summary",
                   ctrl_.last_error().c_str());
@@ -190,39 +196,27 @@ class NetWorker {
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
-    if (options_.recovery) {
-      const int rc = send_checkpoint();
-      if (rc >= 0) return rc;
-    }
-    return kKeepRunning;
-  }
-
-  /// Ships the post-seal durable snapshot: counters, the scratch map's
-  /// bucket count (its rehash trajectory is byte-identity relevant), the
-  /// state checksum, and every key state's serialized blob.
-  int send_checkpoint() {
-    CheckpointPayload cp;
-    cp.epoch = seal_epoch_;
-    cp.processed = processed_;
-    cp.outputs = outputs_;
-    cp.local_buckets = fold_.per_key().bucket_count();
-    cp.state_checksum = store_.checksum();
-    cp.states.reserve(store_.size());
-    for (const auto& [key, state] : store_.states()) {
-      WireKeyState wire;
-      wire.key = key;
-      ByteWriter blob;
-      state->serialize(blob);
-      wire.blob = blob.take();
-      cp.states.push_back(std::move(wire));
-    }
-    scratch_.clear();
-    encode_checkpoint(scratch_, cp);
-    if (!ctrl_.send(FrameType::kCheckpoint, cp.epoch, scratch_)) {
+    if (options_.recovery &&
+        !ctrl_.send(FrameType::kCheckpoint, seal_epoch_, checkpoint_)) {
       return fail(kWorkerExitChannel, "send Checkpoint",
                   ctrl_.last_error().c_str());
     }
     return kKeepRunning;
+  }
+
+  /// Encodes the post-seal durable snapshot into checkpoint_: counters,
+  /// the scratch map's bucket count (its rehash trajectory is
+  /// byte-identity relevant), the state checksum, and every key state's
+  /// serialized blob, straight from the store.
+  void encode_sealed_checkpoint() {
+    CheckpointCounters counters;
+    counters.epoch = seal_epoch_;
+    counters.processed = processed_;
+    counters.outputs = outputs_;
+    counters.local_buckets = fold_.per_key().bucket_count();
+    counters.state_checksum = store_.checksum();
+    checkpoint_.clear();
+    encode_store_checkpoint(checkpoint_, counters, store_, blob_);
   }
 
   /// Reinstalls a driver-held checkpoint after a respawn: replaces the
@@ -335,20 +329,15 @@ class NetWorker {
       return fail(kWorkerExitCorruptFrame, "decode",
                   "corrupt Extract payload");
     }
-    std::vector<WireKeyState> out;
-    out.reserve(keys.size());
+    std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>> extracted;
+    extracted.reserve(keys.size());
     for (const KeyId key : keys) {
       std::unique_ptr<KeyState> state = store_.extract(key);
       if (state == nullptr) continue;  // key had no state yet
-      WireKeyState wire;
-      wire.key = key;
-      ByteWriter blob;
-      state->serialize(blob);
-      wire.blob = blob.take();
-      out.push_back(std::move(wire));
+      extracted.emplace_back(key, std::move(state));
     }
     scratch_.clear();
-    encode_key_states(scratch_, out);
+    encode_extracted_states(scratch_, extracted, blob_);
     if (!ctrl_.send(FrameType::kMigrated, 0, scratch_)) {
       return fail(kWorkerExitChannel, "send Migrated",
                   ctrl_.last_error().c_str());
@@ -442,6 +431,11 @@ class NetWorker {
   std::vector<std::uint8_t> ctrl_payload_;
   std::vector<std::uint8_t> data_payload_;
   ByteWriter scratch_;
+  /// The sealed epoch's checkpoint, encoded before the summary is sent.
+  ByteWriter checkpoint_;
+  /// Per-state serialization scratch for the checkpoint and kMigrated
+  /// encoders; reused, so steady state allocates nothing per key.
+  ByteWriter blob_;
   bool seal_pending_ = false;
   std::uint64_t seal_epoch_ = 0;
   std::uint64_t seal_target_ = 0;

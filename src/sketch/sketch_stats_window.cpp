@@ -350,18 +350,25 @@ void SketchStatsWindow::truncate_decayed() {
   // candidates union merged in at the roll is non-truncating and in
   // threaded runs holds many times capacity; without this the tracker
   // would carry that whole union until the next boundary.
-  if (decayed_.size() <= config_.heavy_capacity) return;
-  std::vector<SpaceSaving::Entry> kept;
-  kept.reserve(config_.heavy_capacity);
-  double kept_weight = 0.0;
-  for (const SpaceSaving::Entry& e : decayed_.entries_by_count()) {
-    if (kept.size() >= config_.heavy_capacity) break;
-    if (e.count <= 0.0) break;  // sorted descending
-    if (heavy_.find(e.key) != heavy_.end()) continue;
-    kept.push_back(e);
-    kept_weight += e.count;
+  // Selecting the set needs no full sort: filter, partition the top
+  // heavy_capacity entries to the front and sort only those — the same
+  // entries, in the same order, as the prefix of a full sort, because
+  // count_order is a total order.
+  const std::size_t capacity = config_.heavy_capacity;
+  if (decayed_.size() <= capacity) return;
+  std::vector<SpaceSaving::Entry> kept = decayed_.entries_unsorted();
+  std::erase_if(kept, [&](const SpaceSaving::Entry& e) {
+    return e.count <= 0.0 || heavy_.find(e.key) != heavy_.end();
+  });
+  if (kept.size() > capacity) {
+    const auto cut = kept.begin() + static_cast<std::ptrdiff_t>(capacity);
+    std::nth_element(kept.begin(), cut, kept.end(), SpaceSaving::count_order);
+    kept.erase(cut, kept.end());
   }
-  decayed_ = SpaceSaving(config_.heavy_capacity);
+  std::sort(kept.begin(), kept.end(), SpaceSaving::count_order);
+  double kept_weight = 0.0;
+  for (const SpaceSaving::Entry& e : kept) kept_weight += e.count;
+  decayed_ = SpaceSaving(capacity);
   decayed_.merge(kept, kept_weight);
 }
 

@@ -26,10 +26,12 @@ void SpaceSaving::compact_heap() {
     heap_.push_back(HeapItem{entry.count, key});
   }
   std::make_heap(heap_.begin(), heap_.end(), heap_after);
+  heap_stale_ = false;
 }
 
 void SpaceSaving::add(KeyId key, double weight, InstanceId dest) {
   SKW_EXPECTS(weight >= 0.0);
+  if (heap_stale_) compact_heap();
   total_ += weight;
   if (auto it = map_.find(key); it != map_.end()) {
     it->second.count += weight;
@@ -59,30 +61,11 @@ void SpaceSaving::add(KeyId key, double weight, InstanceId dest) {
   if (heap_.size() > 8 * capacity_) compact_heap();
 }
 
-void SpaceSaving::merge(const SpaceSaving& other) {
-  merge(other.entries_by_count(), other.total_weight());
-}
-
-void SpaceSaving::merge(const std::vector<Entry>& entries,
-                        double total_weight) {
-  total_ += total_weight;
-  // Deterministic as long as `entries` is (entries_by_count() is).
-  // No truncation — see the header for why dropping entries here would
-  // break the heavy-hitter guarantee under chained merges.
-  for (const Entry& e : entries) {
-    if (auto it = map_.find(e.key); it != map_.end()) {
-      it->second.count += e.count;
-      it->second.error += e.error;
-      if (e.dest != kNilInstance) it->second.dest = e.dest;
-    } else {
-      map_.emplace(e.key, e);
-    }
-  }
-  compact_heap();
-}
-
-void SpaceSaving::merge_entry(const Entry& entry, double total_weight) {
-  total_ += total_weight;
+void SpaceSaving::union_entry(const Entry& entry) {
+  // Each key receives at most one addition per source, so the union is
+  // independent of the order entries arrive in. No truncation — see the
+  // header for why dropping entries here would break the heavy-hitter
+  // guarantee under chained merges.
   if (auto it = map_.find(entry.key); it != map_.end()) {
     it->second.count += entry.count;
     it->second.error += entry.error;
@@ -90,7 +73,24 @@ void SpaceSaving::merge_entry(const Entry& entry, double total_weight) {
   } else {
     map_.emplace(entry.key, entry);
   }
-  compact_heap();
+  heap_stale_ = true;
+}
+
+void SpaceSaving::merge(const SpaceSaving& other) {
+  SKW_EXPECTS(&other != this);
+  total_ += other.total_;
+  for (const auto& [key, entry] : other.map_) union_entry(entry);
+}
+
+void SpaceSaving::merge(const std::vector<Entry>& entries,
+                        double total_weight) {
+  total_ += total_weight;
+  for (const Entry& e : entries) union_entry(e);
+}
+
+void SpaceSaving::merge_entry(const Entry& entry, double total_weight) {
+  total_ += total_weight;
+  union_entry(entry);
 }
 
 const SpaceSaving::Entry* SpaceSaving::find(KeyId key) const {
@@ -99,13 +99,15 @@ const SpaceSaving::Entry* SpaceSaving::find(KeyId key) const {
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::entries_by_count() const {
+  std::vector<Entry> out = entries_unsorted();
+  std::sort(out.begin(), out.end(), count_order);
+  return out;
+}
+
+std::vector<SpaceSaving::Entry> SpaceSaving::entries_unsorted() const {
   std::vector<Entry> out;
   out.reserve(map_.size());
   for (const auto& [key, entry] : map_) out.push_back(entry);
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.key < b.key;
-  });
   return out;
 }
 
@@ -115,10 +117,7 @@ std::vector<SpaceSaving::Entry> SpaceSaving::entries_by_count_at_least(
   for (const auto& [key, entry] : map_) {
     if (entry.count >= min_count) out.push_back(entry);
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.key < b.key;
-  });
+  std::sort(out.begin(), out.end(), count_order);
   return out;
 }
 
@@ -143,6 +142,7 @@ std::size_t SpaceSaving::memory_bytes() const {
 void SpaceSaving::clear() {
   map_.clear();
   heap_.clear();
+  heap_stale_ = false;
   total_ = 0.0;
 }
 
@@ -189,14 +189,8 @@ const SpaceSaving::Entry* MisraGries::find(KeyId key) const {
 }
 
 std::vector<SpaceSaving::Entry> MisraGries::entries_by_count() const {
-  std::vector<SpaceSaving::Entry> out;
-  out.reserve(map_.size());
-  for (const auto& [key, entry] : map_) out.push_back(entry);
-  std::sort(out.begin(), out.end(),
-            [](const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.key < b.key;
-            });
+  std::vector<SpaceSaving::Entry> out = entries_unsorted();
+  std::sort(out.begin(), out.end(), SpaceSaving::count_order);
   return out;
 }
 

@@ -9,6 +9,11 @@
 //
 // Implementation: hash map + lazy min-heap of (count, key) snapshots.
 // Eviction picks the minimum (count, key) pair, so runs are deterministic.
+// The heap is lazy twice over: add() skips stale snapshots on pop, and
+// the unions (merge, merge_entry) only mark the heap stale — add(), its
+// one reader, rebuilds it before first use. A tracker that is only ever
+// merged into (the sketch window's decayed union) never pays for a heap,
+// and a union costs O(entries merged), not O(tracker size).
 #pragma once
 
 #include <cstddef>
@@ -81,9 +86,22 @@ class SpaceSaving {
   /// The tracked entry for `key`, or nullptr if untracked.
   [[nodiscard]] const Entry* find(KeyId key) const;
 
-  /// All tracked entries, sorted by count descending (key ascending on
-  /// ties) — deterministic.
+  /// The deterministic entry order every sorted view uses: count
+  /// descending, key ascending on ties — a total order, since keys are
+  /// unique within a tracker.
+  [[nodiscard]] static bool count_order(const Entry& a, const Entry& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return a.key < b.key;
+  }
+
+  /// All tracked entries, sorted by count_order — deterministic.
   [[nodiscard]] std::vector<Entry> entries_by_count() const;
+
+  /// All tracked entries in map-iteration order — NOT sorted. For
+  /// consumers that select by count_order themselves (the decayed
+  /// union's top-capacity truncation) and would otherwise sort the whole
+  /// tracker to read a prefix of it.
+  [[nodiscard]] std::vector<Entry> entries_unsorted() const;
 
   /// The entries with count ≥ min_count, sorted exactly like
   /// entries_by_count(). Equivalent to filtering that list — but a
@@ -120,11 +138,16 @@ class SpaceSaving {
 
   void push_heap_item(KeyId key, double count);
   void compact_heap();
+  /// Adds `entry` to the union without touching the heap.
+  void union_entry(const Entry& entry);
 
   std::size_t capacity_;
   double total_ = 0.0;
   std::unordered_map<KeyId, Entry> map_;
   std::vector<HeapItem> heap_;  // lazy: stale items skipped on pop
+  /// Set by the unions: the map changed without heap snapshots, so
+  /// add() must rebuild the heap before it can trust it.
+  bool heap_stale_ = false;
 };
 
 /// Misra-Gries / "frequent items" heavy-hitter summary (Misra & Gries

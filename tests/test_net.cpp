@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <sys/wait.h>
@@ -17,6 +18,7 @@
 #include "common/serde.h"
 #include "core/controller.h"
 #include "core/planners.h"
+#include "engine/state.h"
 #include "net/channel.h"
 #include "net/frame.h"
 #include "net/net_engine.h"
@@ -385,6 +387,89 @@ TEST(WirePayloads, KeyStatesRoundTripOpaqueBlobs) {
   }
 }
 
+/// A WordCount state with `tuples` buffered tuples; `expire` then drops
+/// them all, leaving the count but an empty window.
+std::unique_ptr<WordCountState> word_count_state(std::size_t tuples,
+                                                 bool expire) {
+  auto state = std::make_unique<WordCountState>();
+  for (std::size_t t = 0; t < tuples; ++t) {
+    state->add(static_cast<Micros>(t * 1000), static_cast<std::int64_t>(t));
+  }
+  if (expire) state->expire_before(std::numeric_limits<Micros>::max());
+  return state;
+}
+
+/// The WireKeyState form of `states`, serialized one blob per key — what
+/// the workers built before writing a key-state list.
+template <typename States>
+std::vector<WireKeyState> to_wire(const States& states) {
+  std::vector<WireKeyState> out;
+  for (const auto& [key, state] : states) {
+    WireKeyState wire;
+    wire.key = key;
+    ByteWriter blob;
+    state->serialize(blob);
+    wire.blob = blob.take();
+    out.push_back(std::move(wire));
+  }
+  return out;
+}
+
+// The worker encodes its checkpoint straight from its StateStore; the
+// bytes must equal encode_checkpoint of the equivalent CheckpointPayload
+// — for an empty store, and for stores holding states with an empty
+// window (never fed, or fully expired) — and decode back.
+TEST(WirePayloads, StoreCheckpointMatchesPayloadEncoding) {
+  ByteWriter blob;  // reused across encodes, as the worker reuses it
+  for (const std::size_t keys : {0u, 1u, 300u}) {
+    StateStore store;
+    for (std::size_t i = 0; i < keys; ++i) {
+      store.install(static_cast<KeyId>(i * 31 + 1),
+                    word_count_state(i % 7, /*expire=*/i % 5 == 0));
+    }
+    CheckpointCounters counters;
+    counters.epoch = 3 + keys;
+    counters.processed = 1'000 * keys;
+    counters.outputs = 990 * keys;
+    counters.local_buckets = 256;
+    counters.state_checksum = store.checksum();
+    ByteWriter direct;
+    encode_store_checkpoint(direct, counters, store, blob);
+
+    CheckpointPayload cp;
+    static_cast<CheckpointCounters&>(cp) = counters;
+    cp.states = to_wire(store.states());
+    ByteWriter via_payload;
+    encode_checkpoint(via_payload, cp);
+    EXPECT_EQ(direct.bytes(), via_payload.bytes()) << keys << " keys";
+
+    ByteReader r(direct.bytes(), ByteReader::Untrusted{});
+    CheckpointPayload back;
+    ASSERT_TRUE(decode_checkpoint(r, back));
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(back.epoch, counters.epoch);
+    EXPECT_EQ(back.states.size(), keys);
+  }
+}
+
+// The worker's kMigrated reply, written from the extracted states, must
+// equal encode_key_states of their serialized blobs.
+TEST(WirePayloads, ExtractedStatesMatchKeyStatesEncoding) {
+  ByteWriter blob;
+  for (const std::size_t keys : {0u, 6u}) {
+    std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>> extracted;
+    for (std::size_t i = 0; i < keys; ++i) {
+      extracted.emplace_back(static_cast<KeyId>(500 + i),
+                             word_count_state(i * 3, /*expire=*/i == 2));
+    }
+    ByteWriter direct;
+    encode_extracted_states(direct, extracted, blob);
+    ByteWriter via_wire;
+    encode_key_states(via_wire, to_wire(extracted));
+    EXPECT_EQ(direct.bytes(), via_wire.bytes()) << keys << " keys";
+  }
+}
+
 TEST(WirePayloads, PlanRoundTrip) {
   PlanPayload plan;
   plan.seq = 77;
@@ -532,6 +617,30 @@ TEST(NetEngine, RunsIntervalsAndShutsDownCleanly) {
   EXPECT_GT(engine.state_checksum(), 0u);
   EXPECT_GT(engine.total_state_entries(), 0u);
   EXPECT_EQ(engine.total_processed(), 30'000u);
+}
+
+TEST(NetEngine, RollTimeIsPartOfTheBoundaryStall) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  ZipfFluctuatingSource::Options opts;
+  opts.num_keys = 2'000;
+  opts.skew = 1.1;
+  opts.tuples_per_interval = 5'000;
+  opts.seed = 8;
+  ZipfFluctuatingSource source(opts);
+
+  NetConfig ncfg;
+  ncfg.batch_size = 64;
+  NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
+                   test_controller(3, source.num_keys()));
+  const auto reports = engine.run(source, 4, /*seed=*/3);
+  ASSERT_TRUE(engine.ok()) << engine.error();
+  ASSERT_EQ(reports.size(), 4u);
+  for (const auto& r : reports) {
+    EXPECT_GT(r.roll_ms, 0.0) << r.interval;
+    EXPECT_LE(r.roll_ms, r.stall_ms) << r.interval;
+  }
+  engine.shutdown();
+  ASSERT_TRUE(engine.ok()) << engine.error();
 }
 
 TEST(NetEngine, MigrationMovesStateBetweenProcesses) {

@@ -70,23 +70,38 @@ CheckpointPayload make_checkpoint(std::uint64_t epoch, std::size_t states,
   return cp;
 }
 
+/// The ring holds checkpoints as the encoded payloads workers send.
+std::vector<std::uint8_t> encoded_checkpoint(std::uint64_t epoch,
+                                             std::size_t states,
+                                             std::size_t blob_bytes) {
+  ByteWriter w;
+  encode_checkpoint(w, make_checkpoint(epoch, states, blob_bytes));
+  return w.take();
+}
+
 TEST(CheckpointRing, EvictsOldestAndBoundsMemory) {
   CheckpointRing ring(2);
   ASSERT_EQ(ring.capacity(), 2u);
   EXPECT_EQ(ring.latest(), nullptr);
 
+  const std::size_t payload_bytes = encoded_checkpoint(1, 4, 64).size();
   std::size_t high_water = 0;
   for (std::uint64_t epoch = 1; epoch <= 50; ++epoch) {
-    ring.push(make_checkpoint(epoch, /*states=*/4, /*blob_bytes=*/64));
+    const std::vector<std::uint8_t> spare = ring.push(
+        epoch, encoded_checkpoint(epoch, /*states=*/4, /*blob_bytes=*/64));
+    // Once full, every push hands back the evicted payload's buffer for
+    // the next receive.
+    EXPECT_EQ(spare.capacity() >= payload_bytes, epoch > 2) << epoch;
     ASSERT_LE(ring.size(), 2u);
     ASSERT_NE(ring.latest(), nullptr);
     EXPECT_EQ(ring.latest()->epoch, epoch);
+    EXPECT_EQ(ring.latest()->payload, encoded_checkpoint(epoch, 4, 64));
     high_water = std::max(high_water, ring.memory_bytes());
   }
   // The bound: memory after 50 epochs equals the 2-checkpoint high water,
   // not O(epochs).
   EXPECT_EQ(ring.memory_bytes(), high_water);
-  EXPECT_LE(ring.memory_bytes(), 2 * 4 * (sizeof(WireKeyState) + 64));
+  EXPECT_EQ(ring.memory_bytes(), 2 * payload_bytes);
 
   ring.clear();
   EXPECT_EQ(ring.size(), 0u);
@@ -96,8 +111,8 @@ TEST(CheckpointRing, EvictsOldestAndBoundsMemory) {
 TEST(CheckpointRing, ZeroCapacityClampsToOne) {
   CheckpointRing ring(0);
   EXPECT_EQ(ring.capacity(), 1u);
-  ring.push(make_checkpoint(1, 1, 8));
-  ring.push(make_checkpoint(2, 1, 8));
+  (void)ring.push(1, encoded_checkpoint(1, 1, 8));
+  (void)ring.push(2, encoded_checkpoint(2, 1, 8));
   ASSERT_EQ(ring.size(), 1u);
   EXPECT_EQ(ring.latest()->epoch, 2u);
 }

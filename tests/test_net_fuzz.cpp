@@ -237,6 +237,70 @@ TEST(NetFuzz, PureGarbageNeverAborts) {
   }
 }
 
+/// Runs check_checkpoint and decode_checkpoint over the same bytes: the
+/// driver's allocation-free check must give decode's verdict, stop at
+/// decode's position (so the exhaustion check agrees) and, on accepted
+/// input, report decode's epoch.
+void expect_check_agrees_with_decode(const std::vector<std::uint8_t>& bytes) {
+  ByteReader decode_in(bytes, ByteReader::Untrusted{});
+  CheckpointPayload cp;
+  const bool decoded = decode_checkpoint(decode_in, cp);
+  ByteReader check_in(bytes, ByteReader::Untrusted{});
+  std::uint64_t epoch = ~std::uint64_t{0};
+  const bool checked = check_checkpoint(check_in, epoch);
+  ASSERT_EQ(checked, decoded) << bytes.size() << " bytes";
+  EXPECT_EQ(check_in.ok(), decode_in.ok());
+  EXPECT_EQ(check_in.remaining(), decode_in.remaining());
+  EXPECT_EQ(check_in.exhausted(), decode_in.exhausted());
+  if (decoded) {
+    EXPECT_EQ(epoch, cp.epoch);
+  }
+}
+
+// check_checkpoint against decode_checkpoint on a valid checkpoint (one
+// state has an empty blob), every truncation of it, trailing junk after
+// it, and seeded byte flips of it — flips land in the counters, the
+// state count, the blob lengths and the blobs alike.
+TEST(NetFuzz, CheckpointCheckAgreesWithDecode) {
+  CheckpointPayload cp;
+  cp.epoch = 41;
+  cp.processed = 9'000;
+  cp.outputs = 8'700;
+  cp.local_buckets = 1024;
+  cp.state_checksum = 0x0123456789abcdefULL;
+  for (int i = 0; i < 7; ++i) {
+    WireKeyState s;
+    s.key = static_cast<KeyId>(i * 977);
+    s.blob.assign(static_cast<std::size_t>(i * 5), std::uint8_t(0x30 + i));
+    cp.states.push_back(std::move(s));
+  }
+  ByteWriter w;
+  encode_checkpoint(w, cp);
+  const std::vector<std::uint8_t> valid = w.bytes();
+
+  expect_check_agrees_with_decode(valid);
+  for (std::size_t keep = 0; keep < valid.size(); ++keep) {
+    expect_check_agrees_with_decode(
+        std::vector<std::uint8_t>(valid.begin(), valid.begin() + keep));
+  }
+  for (std::size_t extra = 1; extra <= 8; ++extra) {
+    std::vector<std::uint8_t> longer = valid;
+    longer.resize(valid.size() + extra, 0x5a);
+    expect_check_agrees_with_decode(longer);
+  }
+  std::mt19937_64 rng(0xc0ffee);
+  for (int round = 0; round < 2'000; ++round) {
+    std::vector<std::uint8_t> bytes = valid;
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      bytes[rng() % bytes.size()] ^=
+          static_cast<std::uint8_t>(1u << (rng() % 8));
+    }
+    expect_check_agrees_with_decode(bytes);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // Frame headers: every truncation and corruption of a valid header must
 // decode false with a non-empty reason — never abort, never accept a
 // payload size beyond the cap.

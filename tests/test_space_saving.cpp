@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -254,8 +255,8 @@ TEST(SpaceSavingMerge, MergeEmptyAndIntoEmptyAreNoOpsOnContent) {
 }
 
 TEST(SpaceSavingMerge, EvictionStillWorksOnOverCapacityUnion) {
-  // The lazy heap must be rebuilt by merge; a subsequent add that forces
-  // an eviction has to pick the true minimum of the merged entries.
+  // A merge leaves the lazy heap stale; the add that follows must rebuild
+  // it and evict the true minimum of the merged entries.
   SpaceSaving a(2), b(2);
   a.add(1, 50.0);
   a.add(2, 10.0);
@@ -272,6 +273,155 @@ TEST(SpaceSavingMerge, EvictionStillWorksOnOverCapacityUnion) {
   EXPECT_NE(a.find(1), nullptr);
   EXPECT_NE(a.find(3), nullptr);
   EXPECT_NE(a.find(4), nullptr);
+}
+
+/// Brute-force Space-Saving with the documented semantics: the unions
+/// add per key, and an insert into a full tracker evicts the minimum
+/// (count, key) found by a linear scan — no heap at all.
+class ReferenceSpaceSaving {
+ public:
+  using Entry = SpaceSaving::Entry;
+
+  explicit ReferenceSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(KeyId key, double weight, InstanceId dest) {
+    total_ += weight;
+    if (const auto it = map_.find(key); it != map_.end()) {
+      it->second.count += weight;
+      if (dest != kNilInstance) it->second.dest = dest;
+      return;
+    }
+    if (map_.size() < capacity_) {
+      map_.emplace(key, Entry{key, weight, 0.0, dest});
+      return;
+    }
+    auto victim = map_.begin();
+    for (auto it = map_.begin(); it != map_.end(); ++it) {
+      const Entry& e = it->second;
+      const Entry& v = victim->second;
+      if (e.count < v.count || (e.count == v.count && e.key < v.key)) {
+        victim = it;
+      }
+    }
+    const double floor = victim->second.count;
+    map_.erase(victim);
+    map_.emplace(key, Entry{key, floor + weight, floor, dest});
+  }
+
+  void merge(const std::vector<Entry>& entries, double total_weight) {
+    total_ += total_weight;
+    for (const Entry& e : entries) {
+      if (const auto it = map_.find(e.key); it != map_.end()) {
+        it->second.count += e.count;
+        it->second.error += e.error;
+        if (e.dest != kNilInstance) it->second.dest = e.dest;
+      } else {
+        map_.emplace(e.key, e);
+      }
+    }
+  }
+
+  void clear() {
+    map_.clear();
+    total_ = 0.0;
+  }
+
+  [[nodiscard]] std::vector<Entry> entries_by_count() const {
+    std::vector<Entry> out;
+    for (const auto& [key, e] : map_) out.push_back(e);
+    std::sort(out.begin(), out.end(), SpaceSaving::count_order);
+    return out;
+  }
+  [[nodiscard]] double total_weight() const { return total_; }
+
+ private:
+  std::size_t capacity_;
+  double total_ = 0.0;
+  std::unordered_map<KeyId, Entry> map_;
+};
+
+void expect_same_entries(const std::vector<SpaceSaving::Entry>& got,
+                         const std::vector<SpaceSaving::Entry>& want,
+                         int op) {
+  ASSERT_EQ(got.size(), want.size()) << "after op " << op;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << "op " << op << " rank " << i;
+    ASSERT_EQ(got[i].count, want[i].count) << "op " << op << " rank " << i;
+    ASSERT_EQ(got[i].error, want[i].error) << "op " << op << " rank " << i;
+    ASSERT_EQ(got[i].dest, want[i].dest) << "op " << op << " rank " << i;
+  }
+}
+
+// The lazy heap (unions only mark it stale; add rebuilds it before use)
+// against the brute-force reference: ~10k seeded operations interleaving
+// add, both merge overloads, merge_entry and clear over a small key range,
+// so evictions, over-capacity unions and re-merged keys collide
+// constantly. Integer weights keep every sum exact, so equality is exact.
+TEST(SpaceSavingMerge, LazyHeapMatchesBruteForceReference) {
+  for (const std::size_t capacity : {8u, 13u, 32u, 64u}) {
+    SpaceSaving sut(capacity);
+    ReferenceSpaceSaving ref(capacity);
+    Xoshiro256 rng(0x5eed + capacity);
+    const std::uint64_t key_range = 3 * capacity;
+    const auto weight = [&] { return static_cast<double>(rng.next_below(5)); };
+    const auto dest = [&] {
+      return static_cast<InstanceId>(rng.next_below(4)) - 1;  // -1 = nil
+    };
+    for (int op = 0; op < 2'500; ++op) {
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < 70) {
+        const KeyId key = rng.next_below(key_range);
+        const double w = weight();
+        const InstanceId d = dest();
+        sut.add(key, w, d);
+        ref.add(key, w, d);
+      } else if (kind < 80) {
+        // A tracker built by its own adds, then unioned in whole.
+        SpaceSaving other(capacity);
+        ReferenceSpaceSaving other_ref(capacity);
+        const int adds = 1 + static_cast<int>(rng.next_below(3 * capacity));
+        for (int i = 0; i < adds; ++i) {
+          const KeyId key = rng.next_below(key_range);
+          const double w = weight();
+          const InstanceId d = dest();
+          other.add(key, w, d);
+          other_ref.add(key, w, d);
+        }
+        sut.merge(other);
+        ref.merge(other_ref.entries_by_count(), other_ref.total_weight());
+      } else if (kind < 88) {
+        // A raw summary: distinct keys, count >= error >= 0.
+        std::vector<SpaceSaving::Entry> entries;
+        double total = 0.0;
+        for (KeyId key = 0; key < key_range; ++key) {
+          if (rng.next_below(4) != 0) continue;
+          SpaceSaving::Entry e;
+          e.key = key;
+          e.error = static_cast<double>(rng.next_below(3));
+          e.count = e.error + 1.0 + static_cast<double>(rng.next_below(6));
+          e.dest = dest();
+          entries.push_back(e);
+          total += e.count;
+        }
+        sut.merge(entries, total);
+        ref.merge(entries, total);
+      } else if (kind < 98) {
+        SpaceSaving::Entry e;
+        e.key = rng.next_below(key_range);
+        e.count = 1.0 + static_cast<double>(rng.next_below(8));
+        e.dest = dest();
+        const double w = static_cast<double>(rng.next_below(2)) * e.count;
+        sut.merge_entry(e, w);
+        ref.merge({e}, w);
+      } else {
+        sut.clear();
+        ref.clear();
+      }
+      expect_same_entries(sut.entries_by_count(), ref.entries_by_count(), op);
+      ASSERT_EQ(sut.total_weight(), ref.total_weight()) << "after op " << op;
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(MisraGries, ExactWhenDistinctKeysFitCapacity) {

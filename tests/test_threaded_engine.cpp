@@ -392,6 +392,27 @@ TEST(ThreadedEngine, AsyncAndInlineMergeAgreeUnderController) {
   EXPECT_EQ(sum_inline, sum_async);
 }
 
+TEST(ThreadedEngine, RollTimeIsPartOfTheBoundaryStall) {
+  // roll_ms times Controller::end_interval, which runs on the driver
+  // inside the boundary under either merge mode, so it is positive on
+  // every controller-mode interval and never exceeds the stall.
+  for (const bool async_merge : {false, true}) {
+    ThreadedConfig cfg;
+    cfg.async_merge = async_merge;
+    cfg.batch_size = 32;
+    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                          make_controller(4, 200, 0.02, StatsMode::kSketch));
+    for (int interval = 0; interval < 4; ++interval) {
+      const auto report =
+          engine.run_interval(make_tuples(5'000, 200, 17 + interval));
+      EXPECT_GT(report.roll_ms, 0.0) << async_merge << " " << interval;
+      EXPECT_LE(report.roll_ms, report.stall_ms)
+          << async_merge << " " << interval;
+    }
+    engine.shutdown();
+  }
+}
+
 TEST(ThreadedEngine, DoubleBufferAccountsBothSlabBuffers) {
   // async_merge doubles the worker-side slab footprint (active + sealed
   // buffer per worker); the end-to-end stats memory must say so rather

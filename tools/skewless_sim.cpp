@@ -302,14 +302,14 @@ ControllerConfig controller_config(const Args& args) {
 /// Per-interval CSV shared by the threaded and net runs. `pinned` is the
 /// number of workers whose core pin took effect and `kernel` the
 /// dispatched SIMD tier — constant per run, carried per row so
-/// downstream CSV tooling keeps one schema. The net run appends the
-/// wire-byte columns only sockets have.
+/// downstream CSV tooling keeps one schema. The net run adds the
+/// wire-byte columns only sockets have; roll_ms is always last.
 void print_interval_csv(const std::vector<IntervalReport>& reports,
                         int pinned, bool wire) {
   std::printf(
       "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
       "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel%s\n",
+      "kernel%s,roll_ms\n",
       wire ? ",data_wire_bytes,ctrl_wire_bytes" : "");
   for (const auto& r : reports) {
     std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s",
@@ -324,7 +324,7 @@ void print_interval_csv(const std::vector<IntervalReport>& reports,
                   static_cast<unsigned long long>(r.data_wire_bytes),
                   static_cast<unsigned long long>(r.ctrl_wire_bytes));
     }
-    std::printf("\n");
+    std::printf(",%.3f\n", r.roll_ms);
   }
 }
 
@@ -371,16 +371,18 @@ int run_threaded(const Args& args, char* argv0) {
   const auto* ctrl = engine->controller();
   double stall_total = 0.0;
   double merge_total = 0.0;
+  double roll_total = 0.0;
   for (const auto& r : reports) {
     stall_total += r.stall_ms;
     merge_total += r.merge_ms;
+    roll_total += r.roll_ms;
   }
   engine->shutdown();
   const CpuTopology& topo = cpu_topology();
   std::fprintf(stderr,
                "# engine=threaded stats=%s merge=%s stats_memory_bytes=%zu "
                "pinned=%d kernel=%s cores=%u smt_threads=%u numa=%s "
-               "total_stall_ms=%.3f total_merge_ms=%.3f\n",
+               "total_stall_ms=%.3f total_merge_ms=%.3f total_roll_ms=%.3f\n",
                args.stats_mode == StatsMode::kSketch ? "sketch" : "exact",
                args.async_merge ? "async" : "inline",
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
@@ -388,7 +390,7 @@ int run_threaded(const Args& args, char* argv0) {
                simd::active_kernels().name, topo.physical_cores,
                topo.smt ? topo.hardware_threads - topo.physical_cores : 0,
                numa_support_compiled() ? "on" : "off", stall_total,
-               merge_total);
+               merge_total, roll_total);
   if (ctrl != nullptr) {
     std::fprintf(stderr,
                  "# rebalances=%zu total_generation_micros=%lld "
@@ -454,10 +456,12 @@ int run_net(const Args& args, char* argv0) {
   const auto* ctrl = engine.controller();
   double stall_total = 0.0;
   double merge_total = 0.0;
+  double roll_total = 0.0;
   std::uint64_t wire_total = 0;
   for (const auto& r : reports) {
     stall_total += r.stall_ms;
     merge_total += r.merge_ms;
+    roll_total += r.roll_ms;
     wire_total += r.data_wire_bytes + r.ctrl_wire_bytes;
   }
   engine.shutdown();
@@ -470,7 +474,7 @@ int run_net(const Args& args, char* argv0) {
                "kernel=%s total_stall_ms=%.3f total_merge_ms=%.3f "
                "wire_bytes=%llu state_checksum=%016llx state_entries=%zu "
                "recoveries=%llu degraded=%d recovery_ms=%.3f "
-               "live_workers=%zu\n",
+               "live_workers=%zu total_roll_ms=%.3f\n",
                static_cast<int>(workers),
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
                simd::active_kernels().name, stall_total, merge_total,
@@ -479,7 +483,7 @@ int run_net(const Args& args, char* argv0) {
                engine.total_state_entries(),
                static_cast<unsigned long long>(engine.recoveries()),
                engine.degraded() ? 1 : 0, engine.total_recovery_ms(),
-               engine.live_workers());
+               engine.live_workers(), roll_total);
   if (ctrl != nullptr) {
     std::fprintf(stderr,
                  "# rebalances=%zu total_generation_micros=%lld "
