@@ -1,14 +1,13 @@
 #include "net/net_engine.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
 #include <utility>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +19,23 @@
 #include "net/worker_main.h"
 
 namespace skewless {
+namespace {
+
+/// Base respawn backoff: recovery attempt i sleeps kRespawnBackoffMs << i
+/// milliseconds.
+constexpr int kRespawnBackoffMs = 2;
+/// Byte budget of each worker's replay buffer (the open epoch's routed
+/// batches). Overflow makes a crash in that epoch fatal rather than
+/// silently unreplayable.
+constexpr std::size_t kReplayMaxBytes = 256u << 20;
+
+std::vector<std::size_t> every_worker(std::size_t n) {
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+}  // namespace
 
 NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
                      std::unique_ptr<Controller> controller)
@@ -37,8 +53,8 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   engine_epoch_us_ = steady_now_us();
   const auto n = static_cast<std::size_t>(num_workers_);
   pending_batches_.resize(n);
-  checkpoints_.assign(n, CheckpointRing(config_.checkpoint_ring_capacity));
-  replay_.assign(n, ReplayBuffer(config_.replay_max_bytes));
+  checkpoints_.resize(n);
+  replay_.assign(n, ReplayBuffer(kReplayMaxBytes));
   pending_installs_.resize(n);
   migrated_away_.resize(n);
   owed_install_acks_.assign(n, 0);
@@ -61,11 +77,6 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
     ::close(data_fds[0]);
     ::close(data_fds[1]);
     return false;
-  }
-  if (config_.data_sndbuf_bytes > 0) {
-    // Best-effort: the kernel clamps unprivileged requests to wmem_max.
-    const int v = config_.data_sndbuf_bytes;
-    (void)::setsockopt(data_fds[0], SOL_SOCKET, SO_SNDBUF, &v, sizeof(v));
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -142,49 +153,40 @@ bool NetEngine::handshake() {
   // version-mismatched peer is rejected by the frame decoder on either
   // side with a clear error.
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    HelloPayload hello;
-    hello.worker_id = static_cast<std::uint32_t>(w);
-    hello.num_workers = static_cast<std::uint32_t>(num_workers_);
-    frame_scratch_.clear();
-    encode_hello(frame_scratch_, hello);
-    if (!workers_[w].ctrl.send(FrameType::kHello, 0, frame_scratch_)) {
-      fail("handshake send to worker " + std::to_string(w) + ": " +
-           workers_[w].ctrl.last_error());
-      return false;
-    }
-  }
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    FrameHeader header;
-    if (!recv_ctrl(w, FrameType::kHello, header, recv_scratch_)) return false;
-    ByteReader in(recv_scratch_, ByteReader::Untrusted{});
-    HelloPayload echo;
-    if (!decode_hello(in, echo) ||
-        echo.worker_id != static_cast<std::uint32_t>(w)) {
-      fail("handshake: bad Hello echo from worker " + std::to_string(w));
+    std::string err;
+    if (!handshake_one(w, err)) {
+      fail("handshake with worker " + std::to_string(w) + ": " + err);
       return false;
     }
   }
   return true;
 }
 
-bool NetEngine::handshake_one(std::size_t w) {
+bool NetEngine::handshake_one(std::size_t w, std::string& err) {
   HelloPayload hello;
   hello.worker_id = static_cast<std::uint32_t>(w);
   hello.num_workers = static_cast<std::uint32_t>(num_workers_);
   frame_scratch_.clear();
   encode_hello(frame_scratch_, hello);
   if (!workers_[w].ctrl.send(FrameType::kHello, 0, frame_scratch_)) {
+    err = "Hello send failed: " + workers_[w].ctrl.last_error();
     return false;
   }
   FrameHeader header;
-  if (recv_ctrl_any(w, header, recv_scratch_) != CtrlRecv::kFrame) {
+  const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
+  if (rc != CtrlRecv::kFrame) {
+    err = ctrl_failure_reason(w, rc);
     return false;
   }
-  if (header.type != FrameType::kHello) return false;
   ByteReader in(recv_scratch_, ByteReader::Untrusted{});
   HelloPayload echo;
-  return decode_hello(in, echo) &&
-         echo.worker_id == static_cast<std::uint32_t>(w);
+  if (header.type != FrameType::kHello || !decode_hello(in, echo) ||
+      echo.worker_id != static_cast<std::uint32_t>(w)) {
+    err = std::string("bad Hello echo (") + frame_type_name(header.type) +
+          " frame)";
+    return false;
+  }
+  return true;
 }
 
 void NetEngine::fail(const std::string& what) {
@@ -241,7 +243,7 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
       degrade_worker(w);
       return false;
     }
-    const int backoff_ms = config_.respawn_backoff_ms << wk.recover_attempts;
+    const int backoff_ms = kRespawnBackoffMs << wk.recover_attempts;
     ++wk.recover_attempts;
     if (backoff_ms > 0) {
       ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
@@ -249,7 +251,7 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
     ++wk.incarnation;  // one-shot fault events stay disarmed
     std::string err;
     if (!spawn_one(w, err)) continue;
-    if (!handshake_one(w)) {
+    if (!handshake_one(w, err)) {
       reap_worker(w, "respawn handshake failed");
       continue;
     }
@@ -268,10 +270,10 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
 
 CheckpointPayload NetEngine::effective_checkpoint(std::size_t w) const {
   CheckpointPayload eff;
-  if (const CheckpointRing::Entry* cp = checkpoints_[w].latest()) {
+  if (!checkpoints_[w].payload.empty()) {
     // check_checkpoint accepted these bytes on receipt, so the trusted
     // (aborting) reader can only succeed.
-    ByteReader in(cp->payload);
+    ByteReader in(checkpoints_[w].payload);
     const bool decoded = decode_checkpoint(in, eff);
     SKW_ASSERT(decoded && in.exhausted());
   }
@@ -372,7 +374,7 @@ void NetEngine::degrade_worker(std::size_t w) {
       ++final_state_entries_;
     }
     replay_[w].clear();
-    checkpoints_[w].clear();
+    checkpoints_[w] = Checkpoint{};
     pending_installs_[w].clear();
     migrated_away_[w].clear();
     pending_batches_[w].clear();
@@ -395,23 +397,20 @@ void NetEngine::degrade_worker(std::size_t w) {
     by_dest[d].push_back(std::move(wire));
   }
   for (std::size_t d = 0; d < n; ++d) {
-    if (by_dest[d].empty()) continue;
-    if (workers_[d].dead) continue;  // can't happen post-resolve; belt
+    // A dead destination can't happen post-resolve; belt.
+    if (by_dest[d].empty() || workers_[d].dead) continue;
     for (const WireKeyState& s : by_dest[d]) {
       pending_installs_[d].push_back({epoch, s});
     }
     frame_scratch_.clear();
     encode_key_states(frame_scratch_, by_dest[d]);
-    if (!workers_[d].ctrl.send(FrameType::kInstall, epoch, frame_scratch_)) {
-      // The pending record above makes the restore deliver these states,
-      // so a failed (or degraded) destination loses nothing.
-      if (!recover_worker(d, "degrade re-home Install send: " +
-                                 workers_[d].ctrl.last_error())) {
-        if (!ok()) return;
-      }
-      continue;
+    // The pending record above makes a restore deliver these states, so
+    // a failed (or degraded) destination loses nothing.
+    if (send_ctrl(d, FrameType::kInstall, epoch)) {
+      ++owed_install_acks_[d];
+    } else if (!ok()) {
+      return;
     }
-    ++owed_install_acks_[d];
   }
   // Re-route the open epoch's recorded batches plus the unflushed batch
   // onto the survivors. They are NOT flushed here: they ride the next
@@ -434,7 +433,7 @@ void NetEngine::degrade_worker(std::size_t w) {
   }
   pending_batches_[w].clear();
   replay_[w].clear();
-  checkpoints_[w].clear();
+  checkpoints_[w] = Checkpoint{};
   pending_installs_[w].clear();
   migrated_away_[w].clear();
 }
@@ -499,23 +498,6 @@ NetEngine::CtrlRecv NetEngine::recv_ctrl_any(
     }
     return CtrlRecv::kFrame;
   }
-}
-
-bool NetEngine::recv_ctrl(std::size_t w, FrameType type, FrameHeader& header,
-                          std::vector<std::uint8_t>& payload) {
-  const CtrlRecv rc = recv_ctrl_any(w, header, payload);
-  if (rc != CtrlRecv::kFrame) {
-    fail("ctrl recv from worker " + std::to_string(w) + ": " +
-         ctrl_failure_reason(w, rc));
-    return false;
-  }
-  if (header.type != type) {
-    fail(std::string("protocol: expected ") + frame_type_name(type) +
-         " from worker " + std::to_string(w) + ", got " +
-         frame_type_name(header.type));
-    return false;
-  }
-  return true;
 }
 
 void NetEngine::route_tuple(const Tuple& tuple) {
@@ -624,66 +606,51 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
           have_summary ? checkpoint_buf_ : summary_buf_;
       FrameHeader header;
       const CtrlRecv rc = recv_ctrl_any(w, header, buf);
+      std::string why;
       if (rc != CtrlRecv::kFrame) {
-        have_summary = false;  // a recovered worker re-seals from scratch
-        if (!recover_worker(w, ctrl_failure_reason(w, rc))) {
-          if (!ok()) return false;
-          break;  // degraded
+        why = ctrl_failure_reason(w, rc);
+      } else if (header.type == FrameType::kSummary) {
+        if (header.epoch == epoch) {
+          // A repeated summary replaces the first.
+          if (have_summary) summary_buf_.swap(checkpoint_buf_);
+          have_summary = true;
+        } else {
+          why = "Summary for epoch " + std::to_string(header.epoch) +
+                ", expected " + std::to_string(epoch);
         }
-        continue;
-      }
-      if (header.type == FrameType::kSummary) {
-        if (header.epoch != epoch) {
-          have_summary = false;
-          if (!recover_worker(w, "Summary for epoch " +
-                                     std::to_string(header.epoch) +
-                                     ", expected " + std::to_string(epoch))) {
-            if (!ok()) return false;
-            break;
-          }
-          continue;
-        }
-        // A repeated summary replaces the first.
-        if (have_summary) summary_buf_.swap(checkpoint_buf_);
-        have_summary = true;
       } else if (header.type == FrameType::kCheckpoint) {
         ByteReader in(buf, ByteReader::Untrusted{});
         std::uint64_t cp_epoch = 0;
-        if (!have_summary || !check_checkpoint(in, cp_epoch) ||
-            !in.exhausted() || cp_epoch != epoch) {
-          have_summary = false;
-          if (!recover_worker(w, "bad Checkpoint at epoch " +
-                                     std::to_string(epoch))) {
-            if (!ok()) return false;
-            break;
-          }
-          continue;
+        if (have_summary && check_checkpoint(in, cp_epoch) &&
+            in.exhausted() && cp_epoch == epoch) {
+          // Kept as the validated bytes; the previous checkpoint's
+          // buffer receives the next one.
+          checkpoints_[w].epoch = epoch;
+          checkpoints_[w].payload.swap(checkpoint_buf_);
+          // The epoch is durable: its batches are reflected in the
+          // checkpoint, migration bookkeeping older than it is stale, and
+          // the worker proved forward progress (retry budget refills).
+          replay_[w].clear();
+          migrated_away_[w].clear();
+          std::erase_if(pending_installs_[w], [&](const PendingInstall& p) {
+            return p.epoch < epoch;
+          });
+          workers_[w].seal_sent = false;
+          workers_[w].batches_sent = 0;
+          workers_[w].recover_attempts = 0;
+          have_checkpoint = true;
+        } else {
+          why = "bad Checkpoint at epoch " + std::to_string(epoch);
         }
-        // Kept as the validated bytes; the evicted checkpoint's buffer
-        // receives the next one.
-        checkpoint_buf_ =
-            checkpoints_[w].push(epoch, std::move(checkpoint_buf_));
-        // The epoch is durable: its batches are reflected in the
-        // checkpoint, migration bookkeeping older than it is stale, and
-        // the worker proved forward progress (retry budget refills).
-        replay_[w].clear();
-        migrated_away_[w].clear();
-        std::erase_if(pending_installs_[w], [&](const PendingInstall& p) {
-          return p.epoch < epoch;
-        });
-        workers_[w].seal_sent = false;
-        workers_[w].batches_sent = 0;
-        workers_[w].recover_attempts = 0;
-        have_checkpoint = true;
       } else {
-        have_summary = false;
-        if (!recover_worker(w, std::string("unexpected ") +
-                                   frame_type_name(header.type) +
-                                   " while awaiting the boundary summary")) {
-          if (!ok()) return false;
-          break;
-        }
-        continue;
+        why = std::string("unexpected ") + frame_type_name(header.type) +
+              " while awaiting the boundary summary";
+      }
+      if (why.empty()) continue;
+      have_summary = false;  // a recovered worker re-seals from scratch
+      if (!recover_worker(w, why)) {
+        if (!ok()) return false;
+        break;  // degraded
       }
     }
     if (workers_[w].dead || !have_summary) continue;  // degraded mid-epoch
@@ -700,112 +667,136 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
   return true;
 }
 
+bool NetEngine::send_ctrl(std::size_t w, FrameType type,
+                          std::uint64_t epoch) {
+  if (workers_[w].ctrl.send(type, epoch, frame_scratch_)) return true;
+  (void)recover_worker(w, std::string(frame_type_name(type)) +
+                              " send failed: " + workers_[w].ctrl.last_error());
+  return false;
+}
+
+bool NetEngine::broadcast(FrameType type, std::uint64_t epoch,
+                          const EncodeFn& encode) {
+  for (std::size_t w = 0; w < workers_.size() && ok(); ++w) {
+    if (workers_[w].dead) continue;
+    // Re-encoded per worker: a recovery clobbers frame_scratch_.
+    frame_scratch_.clear();
+    encode(w);
+    (void)send_ctrl(w, type, epoch);
+  }
+  return ok();
+}
+
+bool NetEngine::round_trip(const std::vector<std::size_t>& targets,
+                           FrameType request, std::uint64_t epoch,
+                           const EncodeFn& encode, FrameType reply,
+                           bool resend, const AcceptFn& accept) {
+  const auto send = [&](std::size_t w) -> std::string {
+    frame_scratch_.clear();
+    encode(w);
+    if (workers_[w].ctrl.send(request, epoch, frame_scratch_)) return {};
+    return std::string(frame_type_name(request)) +
+           " send failed: " + workers_[w].ctrl.last_error();
+  };
+  // Every request goes out before any reply is read, so the workers
+  // serve it in parallel. A failed send is recovered below, in order.
+  std::vector<std::string> send_failure(workers_.size());
+  for (const std::size_t w : targets) {
+    if (!workers_[w].dead) send_failure[w] = send(w);
+  }
+  for (const std::size_t w : targets) {
+    std::string why = std::move(send_failure[w]);
+    while (ok() && !workers_[w].dead) {
+      if (why.empty()) {
+        FrameHeader header;
+        const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
+        if (rc != CtrlRecv::kFrame) {
+          why = ctrl_failure_reason(w, rc);
+        } else if (header.type != reply) {
+          why = std::string("unexpected ") + frame_type_name(header.type) +
+                " while awaiting " + frame_type_name(reply);
+        } else {
+          ByteReader in(recv_scratch_, ByteReader::Untrusted{});
+          const Reply verdict = accept(w, in);
+          if (verdict == Reply::kAccept) break;
+          if (verdict == Reply::kFail) {
+            SKW_ASSERT(!ok());  // accept recorded the breach
+            return false;
+          }
+          why = std::string("rejected ") + frame_type_name(reply) + " payload";
+        }
+      }
+      // Degraded (the loop ends) or failed (ok() is off).
+      if (!recover_worker(w, why) || !resend) break;
+      why = send(w);
+    }
+    if (!ok()) return false;
+  }
+  return true;
+}
+
 bool NetEngine::execute_migration(const RebalancePlan& plan,
                                   IntervalReport& report) {
   const auto n = static_cast<std::size_t>(num_workers_);
   std::vector<std::vector<KeyId>> by_source(n);
+  std::unordered_set<KeyId> planned;
+  planned.reserve(plan.moves.size());
   for (const KeyMove& mv : plan.moves) {
     by_source[static_cast<std::size_t>(mv.from)].push_back(mv.key);
+    planned.insert(mv.key);
   }
-  std::unordered_map<KeyId, InstanceId> dest_of;
-  dest_of.reserve(plan.moves.size());
-  for (const KeyMove& mv : plan.moves) dest_of.emplace(mv.key, mv.to);
-
-  const auto send_extract = [&](std::size_t w) -> bool {
-    frame_scratch_.clear();
-    encode_key_list(frame_scratch_, by_source[w]);
-    return workers_[w].ctrl.send(FrameType::kExtract, 0, frame_scratch_);
-  };
-
-  // Fan the extracts out first so the sources work in parallel; a failed
-  // send recovers the worker and defers the (re-)send to its collect
-  // loop below — the restored checkpoint still owns the keys, because
-  // migrated_away_ is only recorded on a decoded kMigrated.
-  std::vector<char> need_extract(n, 0);
+  std::vector<std::size_t> sources;
   for (std::size_t w = 0; w < n; ++w) {
-    if (by_source[w].empty() || workers_[w].dead) continue;
-    if (!send_extract(w)) {
-      if (!recover_worker(w, "Extract send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return false;
-        continue;  // degraded: its moves are moot
-      }
-      need_extract[w] = 1;
-    }
+    if (!by_source[w].empty()) sources.push_back(w);
   }
 
-  // Collect per source in ascending order and regroup by destination.
-  // The blobs stay opaque bytes end to end: the driver routes state, it
-  // never materializes it.
+  // Extract round. A recovered source is asked again: its restored
+  // checkpoint still owns the keys, because migrated_away_ is only
+  // recorded for an accepted kMigrated; a degraded source's keys were
+  // re-homed from its checkpoint. The blobs stay opaque bytes end to
+  // end: the driver routes state, it never materializes it.
   std::vector<WireKeyState> extracted;
-  std::vector<std::vector<WireKeyState>> by_dest(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    if (by_source[w].empty()) continue;
-    while (ok() && !workers_[w].dead) {
-      if (need_extract[w] != 0) {
-        if (!send_extract(w)) {
-          if (!recover_worker(w, "Extract re-send failed: " +
-                                     workers_[w].ctrl.last_error())) {
-            if (!ok()) return false;
-            break;
+  std::vector<WireKeyState> reply_states;
+  const bool all_extracted = round_trip(
+      sources, FrameType::kExtract, 0,
+      [&](std::size_t w) { encode_key_list(frame_scratch_, by_source[w]); },
+      FrameType::kMigrated, /*resend=*/true,
+      [&](std::size_t w, ByteReader& in) {
+        reply_states.clear();
+        if (!decode_key_states(in, reply_states) || !in.exhausted()) {
+          return Reply::kRecover;
+        }
+        for (WireKeyState& wire : reply_states) {
+          if (planned.count(wire.key) == 0) {
+            fail("Migrated key not in the plan from worker " +
+                 std::to_string(w));
+            return Reply::kFail;
           }
-          continue;
+          if (config_.recovery_enabled) {
+            // The source's checkpoint predates this extraction: a
+            // restore of the source must not resurrect the key.
+            migrated_away_[w].insert(wire.key);
+          }
+          report.migration_wire_bytes += static_cast<Bytes>(wire.blob.size());
+          extracted.push_back(std::move(wire));
         }
-        need_extract[w] = 0;
-      }
-      FrameHeader header;
-      const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
-      bool bad = rc != CtrlRecv::kFrame;
-      std::string why = bad ? ctrl_failure_reason(w, rc) : std::string();
-      if (!bad && header.type != FrameType::kMigrated) {
-        bad = true;
-        why = std::string("unexpected ") + frame_type_name(header.type) +
-              " while awaiting Migrated";
-      }
-      extracted.clear();
-      if (!bad) {
-        ByteReader in(recv_scratch_, ByteReader::Untrusted{});
-        if (!decode_key_states(in, extracted) || !in.exhausted()) {
-          bad = true;
-          why = "corrupt Migrated payload";
-        }
-      }
-      if (bad) {
-        if (!recover_worker(w, why)) {
-          if (!ok()) return false;
-          break;  // degraded: effective_checkpoint re-homed its keys
-        }
-        need_extract[w] = 1;
-        continue;
-      }
-      for (WireKeyState& wire : extracted) {
-        const auto it = dest_of.find(wire.key);
-        if (it == dest_of.end()) {
-          fail("Migrated key not in the plan from worker " +
-               std::to_string(w));
-          return false;
-        }
-        if (config_.recovery_enabled) {
-          // The source's checkpoint predates this extraction: a restore
-          // of the source must not resurrect the key...
-          migrated_away_[w].insert(wire.key);
-        }
-        report.migration_wire_bytes += static_cast<Bytes>(wire.blob.size());
-        // ...and the key's new owner comes from the live assignment (==
-        // the plan destination, unless that worker degraded meanwhile).
-        by_dest[static_cast<std::size_t>(
-                    controller_->assignment()(wire.key))]
-            .push_back(std::move(wire));
-      }
-      break;
-    }
-    if (!ok()) return false;
-  }
+        return Reply::kAccept;
+      });
+  if (!all_extracted) return false;
 
+  // Grouped only now, by the live assignment: a key's new owner is the
+  // plan destination unless that worker degraded during the round, and
+  // then its re-homed survivor.
   const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
-  std::vector<char> ack_pending(n, 0);
+  std::vector<std::vector<WireKeyState>> by_dest(n);
+  for (WireKeyState& wire : extracted) {
+    by_dest[static_cast<std::size_t>(controller_->assignment()(wire.key))]
+        .push_back(std::move(wire));
+  }
+  std::vector<std::size_t> dests;
   for (std::size_t w = 0; w < n; ++w) {
-    if (by_dest[w].empty() || workers_[w].dead) continue;
+    if (by_dest[w].empty()) continue;
+    dests.push_back(w);
     if (config_.recovery_enabled) {
       // Recorded before the send: until the NEXT checkpoint proves these
       // states durable, a restore of this destination re-delivers them.
@@ -813,76 +804,18 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
         pending_installs_[w].push_back({epoch, s});
       }
     }
-    frame_scratch_.clear();
-    encode_key_states(frame_scratch_, by_dest[w]);
-    if (!workers_[w].ctrl.send(FrameType::kInstall, epoch, frame_scratch_)) {
-      if (!recover_worker(w, "Install send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return false;
-      }
-      continue;  // the restore delivered the installs; no ack will come
-    }
-    ack_pending[w] = 1;
   }
   // The install barrier: no next-interval tuple is routed anywhere until
   // every destination acknowledged. Without it a tuple for a moved key
   // could reach its new owner ahead of the state and grow a fresh state
-  // the install would then collide with.
-  for (std::size_t w = 0; w < n; ++w) {
-    if (ack_pending[w] == 0 || workers_[w].dead) continue;
-    FrameHeader header;
-    const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
-    if (rc == CtrlRecv::kFrame && header.type == FrameType::kInstallAck) {
-      continue;
-    }
-    // Whatever went wrong, the recovery path re-delivers the pending
-    // installs during the restore, which doubles as the barrier.
-    if (!recover_worker(w, rc != CtrlRecv::kFrame
-                               ? ctrl_failure_reason(w, rc)
-                               : std::string("unexpected ") +
-                                     frame_type_name(header.type) +
-                                     " while awaiting InstallAck")) {
-      if (!ok()) return false;
-    }
-  }
-  return true;
-}
-
-bool NetEngine::broadcast_heavy_set() {
-  last_heavy_keys_ = sketch_stats_->heavy_keys();
-  heavy_broadcast_done_ = true;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
-    // Re-encoded per worker: a recovery inside this loop clobbers
-    // frame_scratch_ (the restore re-sends the heavy set on its own).
-    frame_scratch_.clear();
-    encode_key_list(frame_scratch_, last_heavy_keys_);
-    if (!workers_[w].ctrl.send(FrameType::kHeavySet, 0, frame_scratch_)) {
-      if (!recover_worker(w, "HeavySet send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool NetEngine::broadcast_expire() {
-  last_expire_watermark_ =
-      (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
-  expire_sent_ = true;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
-    frame_scratch_.clear();
-    encode_expire(frame_scratch_, last_expire_watermark_);
-    if (!workers_[w].ctrl.send(FrameType::kExpire, 0, frame_scratch_)) {
-      if (!recover_worker(w, "Expire send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return false;
-      }
-    }
-  }
-  return true;
+  // the install would then collide with. A recovered destination is not
+  // asked again: its restore re-delivered the pending installs, which
+  // doubles as the barrier.
+  return round_trip(
+      dests, FrameType::kInstall, epoch,
+      [&](std::size_t w) { encode_key_states(frame_scratch_, by_dest[w]); },
+      FrameType::kInstallAck, /*resend=*/false,
+      [](std::size_t, ByteReader&) { return Reply::kAccept; });
 }
 
 void NetEngine::finish_interval(IntervalReport& report) {
@@ -903,22 +836,14 @@ void NetEngine::finish_interval(IntervalReport& report) {
   // Seal on CTRL: even with the data sockets full to the brim, the seal
   // is written to an empty buffer and read with priority — control never
   // waits behind data.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
+  const bool sealed = broadcast(FrameType::kSeal, epoch, [&](std::size_t w) {
     // Marked before the send: if the send (or anything after it) kills
     // the worker, the restore re-arms the seal. Never re-sent here — a
     // double seal would arm a stale batch target.
     workers_[w].seal_sent = true;
-    frame_scratch_.clear();
     encode_seal(frame_scratch_, SealPayload{workers_[w].batches_sent});
-    if (!workers_[w].ctrl.send(FrameType::kSeal, epoch, frame_scratch_)) {
-      if (!recover_worker(w, "Seal send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return;
-      }
-    }
-  }
-  if (!absorb_summaries(epoch, report)) return;
+  });
+  if (!sealed || !absorb_summaries(epoch, report)) return;
   if (const auto plan = plan_boundary(*controller_, report)) {
     if (!execute_migration(*plan, report)) return;
   }
@@ -926,10 +851,24 @@ void NetEngine::finish_interval(IntervalReport& report) {
   // The roll just promoted/demoted: broadcast the post-roll heavy set so
   // the next interval's hot keys accumulate exactly in the worker slabs.
   // Written before any next-interval batch, drained by the workers
-  // before any next-interval batch (ctrl priority).
-  if (!broadcast_heavy_set()) return;
+  // before any next-interval batch (ctrl priority). A worker recovered
+  // here gets both from its restore.
+  last_heavy_keys_ = sketch_stats_->heavy_keys();
+  heavy_broadcast_done_ = true;
+  if (!broadcast(FrameType::kHeavySet, 0, [&](std::size_t) {
+        encode_key_list(frame_scratch_, last_heavy_keys_);
+      })) {
+    return;
+  }
   if (config_.expire_lag_intervals > 0) {
-    if (!broadcast_expire()) return;
+    last_expire_watermark_ =
+        (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
+    expire_sent_ = true;
+    if (!broadcast(FrameType::kExpire, 0, [&](std::size_t) {
+          encode_expire(frame_scratch_, last_expire_watermark_);
+        })) {
+      return;
+    }
   }
   if (!config_.recovery_enabled) {
     // With recovery on this reset happens per worker at checkpoint
@@ -978,52 +917,16 @@ double NetEngine::broadcast_plan(const RebalancePlan& plan,
   payload.seq = seq;
   payload.moves = plan.moves;
   WallTimer timer;
-  const auto send_plan = [&](std::size_t w) -> bool {
-    frame_scratch_.clear();
-    encode_plan(frame_scratch_, payload);
-    return workers_[w].ctrl.send(FrameType::kPlan, seq, frame_scratch_);
-  };
-  std::vector<char> need_send(workers_.size(), 0);
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
-    if (!send_plan(w)) {
-      if (!recover_worker(w, "Plan send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return -1.0;
-        continue;
-      }
-      need_send[w] = 1;
-    }
-  }
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
-    while (ok() && !workers_[w].dead) {
-      if (need_send[w] != 0) {
-        if (!send_plan(w)) {
-          if (!recover_worker(w, "Plan re-send failed")) {
-            if (!ok()) return -1.0;
-            break;
-          }
-          continue;
-        }
-        need_send[w] = 0;
-      }
-      FrameHeader header;
-      const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
-      if (rc == CtrlRecv::kFrame && header.type == FrameType::kPlanAck) {
-        ByteReader in(recv_scratch_, ByteReader::Untrusted{});
+  const bool acked = round_trip(
+      every_worker(workers_.size()), FrameType::kPlan, seq,
+      [&](std::size_t) { encode_plan(frame_scratch_, payload); },
+      FrameType::kPlanAck, /*resend=*/true,
+      [&](std::size_t, ByteReader& in) {
         AckPayload ack;
-        if (decode_ack(in, ack) && ack.seq == seq) break;
-      }
-      if (!recover_worker(w, "PlanAck missing or invalid")) {
-        if (!ok()) return -1.0;
-        break;
-      }
-      need_send[w] = 1;
-    }
-    if (!ok()) return -1.0;
-  }
-  return timer.elapsed_millis();
+        return decode_ack(in, ack) && ack.seq == seq ? Reply::kAccept
+                                                     : Reply::kRecover;
+      });
+  return acked ? timer.elapsed_millis() : -1.0;
 }
 
 void NetEngine::shutdown() {
@@ -1044,54 +947,23 @@ void NetEngine::shutdown() {
   stopped_ = true;
   if (ok()) {
     flush_batches();
-    for (std::size_t w = 0; w < workers_.size() && ok(); ++w) {
-      if (workers_[w].dead) continue;
-      frame_scratch_.clear();
-      if (!workers_[w].ctrl.send(FrameType::kStop, 0, frame_scratch_)) {
-        if (!recover_worker(w, "Stop send failed: " +
-                                   workers_[w].ctrl.last_error())) {
-          continue;  // degraded (folded by degrade_worker) or failed
-        }
-        frame_scratch_.clear();
-        if (!workers_[w].ctrl.send(FrameType::kStop, 0, frame_scratch_)) {
-          fail("Stop re-send to worker " + std::to_string(w) + ": " +
-               workers_[w].ctrl.last_error());
-        }
-      }
-    }
-    for (std::size_t w = 0; w < workers_.size() && ok(); ++w) {
-      if (workers_[w].dead) continue;
-      while (ok() && !workers_[w].dead) {
-        FrameHeader header;
-        const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
-        if (rc == CtrlRecv::kFrame && header.type == FrameType::kFin) {
-          ByteReader in(recv_scratch_, ByteReader::Untrusted{});
+    // A crash this late is still recoverable: the restored worker replays
+    // its open epoch, then gets a fresh Stop. A degraded worker's
+    // checkpoint was folded into the finals by degrade_worker.
+    (void)round_trip(
+        every_worker(workers_.size()), FrameType::kStop, 0,
+        [](std::size_t) {}, FrameType::kFin, /*resend=*/true,
+        [&](std::size_t w, ByteReader& in) {
           FinPayload fin;
           if (!decode_fin(in, fin)) {
             fail("corrupt Fin from worker " + std::to_string(w));
-            break;
+            return Reply::kFail;
           }
           final_checksum_ += fin.state_checksum;
           final_state_entries_ += fin.state_entries;
           total_outputs_ += fin.outputs;
-          break;
-        }
-        // A crash this late is still recoverable: the restored worker
-        // replays its open epoch, then needs a fresh Stop.
-        if (!recover_worker(w, rc != CtrlRecv::kFrame
-                                   ? ctrl_failure_reason(w, rc)
-                                   : std::string("unexpected ") +
-                                         frame_type_name(header.type) +
-                                         " while awaiting Fin")) {
-          break;  // degraded folded its checkpoint into the finals
-        }
-        frame_scratch_.clear();
-        if (!workers_[w].ctrl.send(FrameType::kStop, 0, frame_scratch_)) {
-          fail("Stop re-send to worker " + std::to_string(w) + ": " +
-               workers_[w].ctrl.last_error());
-        }
-      }
-    }
+          return Reply::kAccept;
+        });
   }
   // Whether the stop handshake succeeded or fail() already killed the
   // children, every pid must be reaped exactly once.

@@ -26,7 +26,7 @@
 //      from its StateStore — both BEFORE sending either, so the workers
 //      encode in parallel while the driver reads summaries one worker at
 //      a time. The driver validates each checkpoint without decoding it
-//      and keeps the bytes (CheckpointRing);
+//      and keeps each worker's latest checkpoint as bytes (Checkpoint);
 //   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
 //      controller's ShardedSketchStats — the same fixed order as the
 //      in-process merge, which is what makes a net run byte-identical to
@@ -47,10 +47,16 @@
 // Because the replayed bytes and control sequence are exactly the lost
 // worker's inputs, a recovered run is byte-identical to a crash-free
 // run: same plan-history digest, same θ bit patterns, same state
-// checksums. When the per-worker retry budget is exhausted the engine
-// degrades instead of failing: the dead worker's keys and checkpointed
-// states are reassigned to the survivors and the run finishes with
-// every tuple still counted exactly once.
+// checksums. Every control exchange follows one policy (round_trip,
+// broadcast): a failed send, a failed or mistyped receive or a rejected
+// reply recovers the worker, which is then either asked again or — when
+// the restore already re-delivers what the request carried — left to
+// the restore. When the per-worker retry budget is exhausted the worker
+// degrades instead, which ends its part of the exchange: its keys and
+// checkpointed states are reassigned to the survivors and the run
+// finishes with every tuple still counted exactly once. A protocol
+// breach no restore can mend (a migrated key the plan never moved, a
+// corrupt Fin) fails the engine.
 //
 // With recovery disabled the engine is fail-stop: any channel error,
 // protocol violation or corrupt frame records a reason (error()), kills
@@ -59,6 +65,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,10 +93,6 @@ struct NetConfig {
   std::size_t batch_size = 256;
   /// Window expiry watermark lag, in intervals (0 = no expiry frames).
   int expire_lag_intervals = 0;
-  /// Requested SO_SNDBUF for the data sockets, 0 = kernel default. The
-  /// kernel clamps unprivileged values (wmem_max); this is a knob for
-  /// benches that want a specific backlog depth, not a guarantee.
-  int data_sndbuf_bytes = 0;
 
   // --- fault tolerance ---
   /// Checkpoint + replay recovery of crashed workers. Off = the legacy
@@ -107,14 +110,6 @@ struct NetConfig {
   /// The budget resets whenever the worker completes an epoch
   /// (checkpoint received) — it bounds retries per wedge, not per run.
   int respawn_max_attempts = 3;
-  /// Base respawn backoff; attempt i sleeps backoff << i milliseconds.
-  int respawn_backoff_ms = 2;
-  /// Byte budget of the per-worker replay buffer (the open epoch's
-  /// routed batches). Overflow makes a crash in that epoch fatal rather
-  /// than silently unreplayable.
-  std::size_t replay_max_bytes = 256u << 20;
-  /// Checkpoints retained per worker (only latest() is ever restored).
-  std::size_t checkpoint_ring_capacity = 2;
 };
 
 /// The net engine reports the shared IntervalReport; this name is kept
@@ -202,7 +197,9 @@ class NetEngine {
     return total_recovery_ms_;
   }
   [[nodiscard]] std::size_t live_workers() const;
-  [[nodiscard]] const CheckpointRing& checkpoint_ring(std::size_t w) const {
+  /// Worker `w`'s latest checkpoint. The name stays because perfbench
+  /// reads memory_bytes() through it.
+  [[nodiscard]] const Checkpoint& checkpoint_ring(std::size_t w) const {
     return checkpoints_[w];
   }
 
@@ -231,10 +228,21 @@ class NetEngine {
     kBadFrame  // bytes arrived but the frame was rejected
   };
 
+  /// What a round trip's `accept` makes of one reply payload.
+  enum class Reply {
+    kAccept,   // the exchange with this worker is done
+    kRecover,  // rejected: recover the worker, as for a lost reply
+    kFail      // protocol breach; accept has already called fail()
+  };
+  /// Writes worker `w`'s request payload into frame_scratch_.
+  using EncodeFn = std::function<void(std::size_t w)>;
+  using AcceptFn = std::function<Reply(std::size_t w, ByteReader& payload)>;
+
   void spawn_workers();
   [[nodiscard]] bool spawn_one(std::size_t w, std::string& err);
+  /// Hello with every worker in turn; fail() names the worker and cause.
   [[nodiscard]] bool handshake();
-  [[nodiscard]] bool handshake_one(std::size_t w);
+  [[nodiscard]] bool handshake_one(std::size_t w, std::string& err);
   /// Records the failure, kills + reaps every worker. Every public
   /// method becomes a no-op afterwards.
   void fail(const std::string& what);
@@ -248,7 +256,7 @@ class NetEngine {
   [[nodiscard]] bool restore_worker(std::size_t w);
   /// Latest checkpoint minus keys migrated away since, plus states
   /// installed since — the state worker `w` is responsible for. The
-  /// only place a ring payload is decoded (restore and degrade).
+  /// only place a checkpoint payload is decoded (restore and degrade).
   [[nodiscard]] CheckpointPayload effective_checkpoint(std::size_t w) const;
   /// Retry budget exhausted: retire `w`, re-home its checkpointed
   /// states and replay tuples onto the survivors.
@@ -263,20 +271,31 @@ class NetEngine {
   /// fail() — callers decide between recovery and fail-stop.
   [[nodiscard]] CtrlRecv recv_ctrl_any(std::size_t w, FrameHeader& header,
                                        std::vector<std::uint8_t>& payload);
-  /// Fail-stop receive requiring `type` (handshake / recovery-disabled
-  /// paths): returns false after fail() on anything else.
-  [[nodiscard]] bool recv_ctrl(std::size_t w, FrameType type,
-                               FrameHeader& header,
-                               std::vector<std::uint8_t>& payload);
   /// Human-readable classification of a non-kFrame recv_ctrl_any outcome.
   [[nodiscard]] std::string ctrl_failure_reason(std::size_t w,
                                                 CtrlRecv rc) const;
+  /// Sends frame_scratch_ to worker `w`, recovering it if the send
+  /// fails. Returns true when the frame went out.
+  bool send_ctrl(std::size_t w, FrameType type, std::uint64_t epoch);
+  /// Sends `encode(w)` to every live worker; no reply is expected (a
+  /// recovered worker's restore re-delivers what it needs). Returns ok().
+  [[nodiscard]] bool broadcast(FrameType type, std::uint64_t epoch,
+                               const EncodeFn& encode);
+  /// The control plane's one request/reply exchange. Sends `encode(w)`
+  /// to every live target before reading any reply, then reads one
+  /// `reply` frame per target in order and hands its payload to
+  /// `accept`. A failed send or receive, a wrong frame type or a rejected
+  /// payload recovers the worker; the request then goes out again if
+  /// `resend`, else the restore stands in for it. A degraded worker ends
+  /// its part of the exchange. Returns false once !ok().
+  [[nodiscard]] bool round_trip(const std::vector<std::size_t>& targets,
+                                FrameType request, std::uint64_t epoch,
+                                const EncodeFn& encode, FrameType reply,
+                                bool resend, const AcceptFn& accept);
   [[nodiscard]] bool absorb_summaries(std::uint64_t epoch,
                                       IntervalReport& report);
   [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
                                        IntervalReport& report);
-  [[nodiscard]] bool broadcast_heavy_set();
-  [[nodiscard]] bool broadcast_expire();
   [[nodiscard]] std::uint64_t wire_bytes_data() const;
   [[nodiscard]] std::uint64_t wire_bytes_ctrl() const;
 
@@ -297,7 +316,7 @@ class NetEngine {
   };
 
   /// Per-worker recovery state, indexed like workers_.
-  std::vector<CheckpointRing> checkpoints_;
+  std::vector<Checkpoint> checkpoints_;
   std::vector<ReplayBuffer> replay_;
   std::vector<std::vector<PendingInstall>> pending_installs_;
   /// Keys kExtract-ed from the worker since its last checkpoint (a
@@ -315,9 +334,8 @@ class NetEngine {
   std::vector<std::uint8_t> recv_scratch_;
   /// Boundary receive buffers: the worker summary being absorbed (held
   /// until its checkpoint lands), and the checkpoint that follows it.
-  /// A validated checkpoint moves into the ring and the ring's evicted
-  /// buffer takes its place, so steady state allocates no multi-MB
-  /// buffer per boundary.
+  /// A validated checkpoint swaps buffers with the worker's previous
+  /// one, so steady state allocates no multi-MB buffer per boundary.
   std::vector<std::uint8_t> summary_buf_;
   std::vector<std::uint8_t> checkpoint_buf_;
 

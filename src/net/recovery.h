@@ -1,12 +1,12 @@
-// Driver-side recovery state for the socket engine: the bounded
-// per-worker checkpoint ring, the bounded replay buffer of the open
-// epoch's routed batches, and worker exit-status classification. These
-// are plain data structures (unit-tested directly); the recovery
-// PROTOCOL — detect, respawn, restore, replay — lives in NetEngine.
+// Driver-side recovery state for the socket engine: each worker's latest
+// checkpoint, the bounded replay buffer of the open epoch's routed
+// batches, and worker exit-status classification. These are plain data
+// structures; the recovery PROTOCOL — detect, respawn, restore, replay —
+// and the one recover-and-retry policy every control exchange follows
+// live in NetEngine.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,59 +27,19 @@ inline constexpr int kWorkerExitFault = 5;  // injected fault (tests)
 /// (named) or which signal ended the worker.
 [[nodiscard]] std::string describe_worker_exit(int wait_status);
 
-/// Bounded ring of per-epoch checkpoints for one worker, newest last.
-/// Each is kept as the kCheckpoint payload bytes the worker sent, which
-/// the driver validated on receipt (check_checkpoint) but never decoded:
-/// a checkpoint is decoded only when a restore or a degrade reads it, so
-/// the clean path pays one receive per epoch and nothing per key.
-/// Recovery only ever reinstalls latest(); the ring depth exists so a
-/// checkpoint that arrives corrupt can fall back one epoch without the
-/// driver holding O(epochs) state history.
-class CheckpointRing {
- public:
-  struct Entry {
-    std::uint64_t epoch = 0;
-    std::vector<std::uint8_t> payload;
-  };
+/// One worker's latest checkpoint: the kCheckpoint payload bytes it sent
+/// for `epoch`, validated on receipt (check_checkpoint) but never
+/// decoded — a checkpoint is decoded only when a restore or a degrade
+/// reads it, so the clean path pays one receive per epoch and nothing
+/// per key. A corrupt checkpoint is never stored (its worker is recovered
+/// instead), so one slot is all a restore can use. An empty payload
+/// means no checkpoint yet.
+struct Checkpoint {
+  std::uint64_t epoch = 0;
+  std::vector<std::uint8_t> payload;
 
-  explicit CheckpointRing(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Appends epoch `epoch`'s validated payload, evicting the oldest entry
-  /// past capacity. Returns the evicted payload's buffer (contents
-  /// unspecified; empty when nothing was evicted) so the caller can
-  /// receive the next frame into it instead of allocating.
-  std::vector<std::uint8_t> push(std::uint64_t epoch,
-                                 std::vector<std::uint8_t> payload) {
-    std::vector<std::uint8_t> spare;
-    if (ring_.size() >= capacity_) {
-      spare = std::move(ring_.front().payload);
-      ring_.pop_front();
-    }
-    ring_.push_back(Entry{epoch, std::move(payload)});
-    return spare;
-  }
-
-  [[nodiscard]] const Entry* latest() const {
-    return ring_.empty() ? nullptr : &ring_.back();
-  }
-
-  void clear() { ring_.clear(); }
-
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// Payload bytes held (the bound the ring test asserts never grows
-  /// with run length).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t total = 0;
-    for (const Entry& e : ring_) total += e.payload.size();
-    return total;
-  }
-
- private:
-  std::deque<Entry> ring_;
-  std::size_t capacity_;
+  /// Payload bytes held: one checkpoint, never O(epochs).
+  [[nodiscard]] std::size_t memory_bytes() const { return payload.size(); }
 };
 
 /// Bounded record of the open epoch's routed batches for one worker —

@@ -1,6 +1,6 @@
 // The socket engine's fault-tolerance layer: the recovery data
-// structures (checkpoint ring, replay buffer, exit classification, fault
-// plans) unit-tested directly, then the recovery PROTOCOL end to end —
+// structures (replay buffer, exit classification, fault plans)
+// unit-tested directly, then the recovery PROTOCOL end to end —
 // the headline contract being that a worker killed at ANY epoch yields a
 // run byte-identical to the crash-free one (same plan-history digest,
 // same θ bit patterns, same state checksums), and that a worker that
@@ -8,10 +8,14 @@
 // exactly once.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "net/fault_injector.h"
 #include "net/net_engine.h"
 #include "net/recovery.h"
+#include "net/wire.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -54,68 +59,6 @@ const ::testing::Environment* const kNoZombieEnv =
     ::testing::AddGlobalTestEnvironment(new NoZombieEnvironment);
 
 // --- recovery data structures ---------------------------------------------
-
-CheckpointPayload make_checkpoint(std::uint64_t epoch, std::size_t states,
-                                  std::size_t blob_bytes) {
-  CheckpointPayload cp;
-  cp.epoch = epoch;
-  cp.processed = epoch * 100;
-  cp.outputs = epoch * 50;
-  for (std::size_t i = 0; i < states; ++i) {
-    WireKeyState s;
-    s.key = static_cast<KeyId>(epoch * 1000 + i);
-    s.blob.assign(blob_bytes, static_cast<std::uint8_t>(epoch));
-    cp.states.push_back(std::move(s));
-  }
-  return cp;
-}
-
-/// The ring holds checkpoints as the encoded payloads workers send.
-std::vector<std::uint8_t> encoded_checkpoint(std::uint64_t epoch,
-                                             std::size_t states,
-                                             std::size_t blob_bytes) {
-  ByteWriter w;
-  encode_checkpoint(w, make_checkpoint(epoch, states, blob_bytes));
-  return w.take();
-}
-
-TEST(CheckpointRing, EvictsOldestAndBoundsMemory) {
-  CheckpointRing ring(2);
-  ASSERT_EQ(ring.capacity(), 2u);
-  EXPECT_EQ(ring.latest(), nullptr);
-
-  const std::size_t payload_bytes = encoded_checkpoint(1, 4, 64).size();
-  std::size_t high_water = 0;
-  for (std::uint64_t epoch = 1; epoch <= 50; ++epoch) {
-    const std::vector<std::uint8_t> spare = ring.push(
-        epoch, encoded_checkpoint(epoch, /*states=*/4, /*blob_bytes=*/64));
-    // Once full, every push hands back the evicted payload's buffer for
-    // the next receive.
-    EXPECT_EQ(spare.capacity() >= payload_bytes, epoch > 2) << epoch;
-    ASSERT_LE(ring.size(), 2u);
-    ASSERT_NE(ring.latest(), nullptr);
-    EXPECT_EQ(ring.latest()->epoch, epoch);
-    EXPECT_EQ(ring.latest()->payload, encoded_checkpoint(epoch, 4, 64));
-    high_water = std::max(high_water, ring.memory_bytes());
-  }
-  // The bound: memory after 50 epochs equals the 2-checkpoint high water,
-  // not O(epochs).
-  EXPECT_EQ(ring.memory_bytes(), high_water);
-  EXPECT_EQ(ring.memory_bytes(), 2 * payload_bytes);
-
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.latest(), nullptr);
-}
-
-TEST(CheckpointRing, ZeroCapacityClampsToOne) {
-  CheckpointRing ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-  (void)ring.push(1, encoded_checkpoint(1, 1, 8));
-  (void)ring.push(2, encoded_checkpoint(2, 1, 8));
-  ASSERT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.latest()->epoch, 2u);
-}
 
 TEST(ReplayBuffer, RecordsVerbatimAndOverflowIsSticky) {
   ReplayBuffer buf(/*max_bytes=*/100);
@@ -251,6 +194,7 @@ struct RunDigest {
   std::uint64_t processed = 0;
   std::uint64_t outputs = 0;
   std::vector<std::uint64_t> theta_bits;  // exact double bit patterns
+  std::size_t rebalances = 0;
   std::uint64_t recoveries = 0;
   bool degraded = false;
   bool ok = false;
@@ -260,8 +204,9 @@ struct RunDigest {
 constexpr InstanceId kWorkers = 3;
 constexpr int kIntervals = 3;
 
-RunDigest run_with_plan(const FaultPlan& fault, int timeout_ms = 2'000,
-                        int max_attempts = 3) {
+RunDigest run_with_plan(
+    const FaultPlan& fault, int timeout_ms = 2'000, int max_attempts = 3,
+    std::shared_ptr<OperatorLogic> logic = std::make_shared<WordCountLogic>()) {
   ZipfFluctuatingSource::Options opts;
   opts.num_keys = 1'500;
   opts.skew = 1.2;
@@ -276,7 +221,7 @@ RunDigest run_with_plan(const FaultPlan& fault, int timeout_ms = 2'000,
   ncfg.ctrl_timeout_ms = timeout_ms;
   ncfg.heartbeat_interval_ms = 50;
   ncfg.respawn_max_attempts = max_attempts;
-  NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
+  NetEngine engine(ncfg, std::move(logic),
                    fault_controller(kWorkers, source.num_keys()));
   const auto reports = engine.run(source, kIntervals, /*seed=*/11);
 
@@ -288,6 +233,7 @@ RunDigest run_with_plan(const FaultPlan& fault, int timeout_ms = 2'000,
     d.theta_bits.push_back(bits);
   }
   d.plan_digest = engine.controller()->plan_history_digest();
+  d.rebalances = engine.controller()->rebalance_count();
   engine.shutdown();
   d.ok = engine.ok();
   d.error = engine.error();
@@ -447,8 +393,9 @@ TEST(NetRecovery, RecoveryDisabledFailsStop) {
   expect_no_children();
 }
 
-// The checkpoint ring must stay bounded over a long run — depth
-// checkpoint_ring_capacity, not O(epochs).
+// Each worker keeps exactly its latest checkpoint: after 6 intervals it
+// is epoch 6's, it still validates, and it is all the memory held — the
+// bound does not grow with run length.
 TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
   ZipfFluctuatingSource::Options opts;
@@ -460,18 +407,78 @@ TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
 
   NetConfig ncfg;
   ncfg.batch_size = 64;
-  ncfg.checkpoint_ring_capacity = 2;
   NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
                    fault_controller(2, source.num_keys()));
   (void)engine.run(source, /*intervals=*/6, /*seed=*/7);
   ASSERT_TRUE(engine.ok()) << engine.error();
   for (std::size_t w = 0; w < 2; ++w) {
-    EXPECT_LE(engine.checkpoint_ring(w).size(), 2u) << w;
-    ASSERT_NE(engine.checkpoint_ring(w).latest(), nullptr) << w;
-    EXPECT_EQ(engine.checkpoint_ring(w).latest()->epoch, 6u) << w;
+    const Checkpoint& cp = engine.checkpoint_ring(w);
+    EXPECT_EQ(cp.epoch, 6u) << w;
+    ByteReader in(cp.payload, ByteReader::Untrusted{});
+    std::uint64_t cp_epoch = 0;
+    EXPECT_TRUE(check_checkpoint(in, cp_epoch) && in.exhausted()) << w;
+    EXPECT_EQ(cp_epoch, 6u) << w;
+    EXPECT_GT(cp.payload.size(), 0u) << w;
+    EXPECT_EQ(cp.memory_bytes(), cp.payload.size()) << w;
   }
   engine.shutdown();
   ASSERT_TRUE(engine.ok()) << engine.error();
+  expect_no_children();
+}
+
+/// WordCountLogic whose deserialize_state ends the calling worker process
+/// the first time it runs while `armed` is set. The flag lives in shared
+/// memory, so the first worker to deserialize disarms it for every
+/// process, its respawn included. In a recovery-free run the first call
+/// is a migration destination's kInstall.
+class CrashOnFirstDeserialize final : public OperatorLogic {
+ public:
+  explicit CrashOnFirstDeserialize(std::atomic<int>* armed) : armed_(armed) {}
+
+  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
+    return inner_.make_state();
+  }
+  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
+      ByteReader& in) const override {
+    if (armed_->exchange(0) != 0) std::_Exit(kWorkerExitFault);
+    return inner_.deserialize_state(in);
+  }
+  Cost process(const Tuple& tuple, KeyState& state,
+               Collector& out) const override {
+    return inner_.process(tuple, state, out);
+  }
+
+ private:
+  WordCountLogic inner_;
+  std::atomic<int>* armed_;
+};
+
+// A destination that dies while installing migrated state, before its
+// InstallAck: the restore re-delivers the pending installs in place of
+// the request, and the run stays byte-identical to the crash-free one.
+TEST(NetRecovery, CrashDuringInstallRoundIsByteIdentical) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  static_assert(std::atomic<int>::is_always_lock_free);
+  void* mem = ::mmap(nullptr, sizeof(std::atomic<int>),
+                     PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  const std::unique_ptr<void, void (*)(void*)> unmap(
+      mem, [](void* p) { ::munmap(p, sizeof(std::atomic<int>)); });
+  auto* armed = new (mem) std::atomic<int>(0);
+  const auto logic = std::make_shared<CrashOnFirstDeserialize>(armed);
+
+  const RunDigest clean = run_with_plan(FaultPlan{}, 2'000, 3, logic);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.recoveries, 0u);
+  ASSERT_GT(clean.rebalances, 0u);
+
+  armed->store(1);
+  const RunDigest got = run_with_plan(FaultPlan{}, 2'000, 3, logic);
+  EXPECT_EQ(armed->load(), 0) << "no worker installed migrated state";
+  expect_byte_identical(got, clean, "crash@install");
+  EXPECT_EQ(got.recoveries, 1u);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_GT(got.rebalances, 0u);
   expect_no_children();
 }
 
