@@ -11,7 +11,7 @@
 //   * sketch        — workers write double-buffered thread-local
 //                     WorkerSketchSlabs; a SealMsg swaps the buffers at
 //                     the boundary and a merge thread absorbs the sealed
-//                     epoch into the sketch monitor (ShardedSketchStats)
+//                     epoch into the sketch monitor (SketchStatsWindow)
 //                     while the next interval's tuples are generated (the
 //                     asynchronous boundary merge).
 //   * sketch-inline — same slabs, PR-3 inline boundary (full quiescence
@@ -48,7 +48,7 @@
 
 #include "bench_common.h"
 #include "engine/threaded_engine.h"
-#include "core/sharded_controller.h"
+#include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -143,7 +143,7 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
   res.merge_ms = merge_sum / static_cast<double>(reports.size());
   res.stats_memory_bytes = reports.back().stats_memory_bytes;
   if (const auto* sketch =
-          dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker())) {
+          dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker())) {
     res.heavy_keys = sketch->heavy_keys().size();
   }
   engine.shutdown();

@@ -38,12 +38,6 @@
 #       digest divergence vs the crash-free run (plan digest, state
 #       checksum, processed count), and mean time to repair stays within
 #       5x the crash-free run's per-boundary stall.
-#   bench_micro_shard    -> BENCH_shard.json
-#       sharded controller at a 10M-key domain: the boundary merge
-#       (absorb + roll) is >= 2x faster at 4 shards than the single
-#       window, masses conserved exactly across every shard count. On a
-#       single-core host the speedup gate reports SKIPPED (there is no
-#       parallelism to demonstrate); CI's multi-core runners enforce it.
 #   bench_micro_simd     -> BENCH_simd.json
 #       SIMD kernel layer: vectorized add_interleaved >= 2x scalar and
 #       batched probe generation >= 1.5x scalar on AVX2 hosts (speedup
@@ -62,7 +56,6 @@ BENCHES=(
   bench_micro_churn:BENCH_churn.json
   bench_micro_net:BENCH_net.json
   bench_micro_fault:BENCH_fault.json
-  bench_micro_shard:BENCH_shard.json
   bench_micro_simd:BENCH_simd.json
 )
 

@@ -5,7 +5,7 @@
 #include "common/assert.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "core/sharded_controller.h"
+#include "sketch/sketch_stats_window.h"
 
 namespace skewless {
 
@@ -15,33 +15,32 @@ Controller::Controller(AssignmentFunction assignment, PlannerPtr planner,
       planner_(std::move(planner)),
       config_(config),
       stats_(make_stats_provider(config.stats_mode, num_keys, config.window,
-                                 config.sketch, config.shards)) {
+                                 config.sketch)) {
   SKW_EXPECTS(planner_ != nullptr || !config_.enabled);
-  SKW_EXPECTS(config_.shards >= 1);
 }
 
-ShardedSketchStats* Controller::slab_sink() {
-  return dynamic_cast<ShardedSketchStats*>(stats_.get());
+SketchStatsWindow* Controller::slab_sink() {
+  return dynamic_cast<SketchStatsWindow*>(stats_.get());
 }
 
-const ShardedSketchStats* Controller::slab_sink() const {
-  return dynamic_cast<const ShardedSketchStats*>(stats_.get());
+const SketchStatsWindow* Controller::slab_sink() const {
+  return dynamic_cast<const SketchStatsWindow*>(stats_.get());
 }
 
 std::uint64_t Controller::heavy_promotions() const {
-  const ShardedSketchStats* sketch = slab_sink();
+  const SketchStatsWindow* sketch = slab_sink();
   return sketch ? sketch->total_promotions() : 0;
 }
 
 std::uint64_t Controller::heavy_demotions() const {
-  const ShardedSketchStats* sketch = slab_sink();
+  const SketchStatsWindow* sketch = slab_sink();
   return sketch ? sketch->total_demotions() : 0;
 }
 
 PartitionSnapshot Controller::build_snapshot() const {
   PartitionSnapshot snap;
   snap.num_instances = assignment_.num_instances();
-  if (const ShardedSketchStats* sketch = slab_sink()) {
+  if (const SketchStatsWindow* sketch = slab_sink()) {
     // Compact planning view: the heavy set as entries (exact values) plus
     // per-instance cold residual aggregates. O(k + N_D) work and memory —
     // nothing here scales with |K|, which is what lets planning keep up

@@ -25,7 +25,7 @@
 
 namespace skewless {
 
-class ShardedSketchStats;
+class SketchStatsWindow;
 
 struct ControllerConfig {
   PlannerConfig planner;
@@ -37,16 +37,10 @@ struct ControllerConfig {
   /// How per-key statistics are stored: kExact keeps dense O(|K|)
   /// vectors (StatsWindow); kSketch keeps exact stats only for tracked
   /// heavy hitters plus Count-Min aggregates for the cold tail
-  /// (ShardedSketchStats) — the million-key configuration.
+  /// (SketchStatsWindow) — the million-key configuration.
   StatsMode stats_mode = StatsMode::kExact;
   /// Tuning for stats_mode == kSketch.
   SketchStatsConfig sketch = {};
-  /// Key-domain shards of the sketch provider (ShardedSketchStats), >= 1:
-  /// S shard-local windows absorbing sealed worker slabs concurrently,
-  /// a thin global tier concatenating the per-shard compact snapshots
-  /// for planning. 1 is the single-window configuration. Ignored in
-  /// exact mode.
-  std::size_t shards = 1;
 };
 
 class Controller {
@@ -70,8 +64,8 @@ class Controller {
   /// The sketch provider when stats_mode == kSketch, nullptr in exact
   /// mode. The engines feed sealed worker slabs through it (instead of
   /// funnelling dense per-key maps through the shared record() path).
-  [[nodiscard]] ShardedSketchStats* slab_sink();
-  [[nodiscard]] const ShardedSketchStats* slab_sink() const;
+  [[nodiscard]] SketchStatsWindow* slab_sink();
+  [[nodiscard]] const SketchStatsWindow* slab_sink() const;
 
   /// Resident bytes of the statistics structures (the exact-vs-sketch
   /// trade-off number).

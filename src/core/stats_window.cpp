@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "core/sharded_controller.h"
+#include "sketch/sketch_stats_window.h"
 
 namespace skewless {
 
@@ -106,10 +106,9 @@ void StatsWindow::resize_keys(std::size_t num_keys) {
 
 std::unique_ptr<StatsProvider> make_stats_provider(
     StatsMode mode, std::size_t num_keys, int window,
-    const SketchStatsConfig& sketch, std::size_t shards) {
+    const SketchStatsConfig& sketch) {
   if (mode == StatsMode::kSketch) {
-    return std::make_unique<ShardedSketchStats>(num_keys, window, sketch,
-                                                shards);
+    return std::make_unique<SketchStatsWindow>(num_keys, window, sketch);
   }
   return std::make_unique<StatsWindow>(num_keys, window);
 }

@@ -7,7 +7,7 @@
 //
 // This is the *exact* StatsProvider: six dense O(|K|) vectors plus a
 // w-deep ring. Perfect fidelity, O(|K|) memory. For million-key domains
-// use the sketch provider, ShardedSketchStats (core/sharded_controller.h),
+// use the sketch provider, SketchStatsWindow (sketch/sketch_stats_window.h),
 // instead — the make_stats_provider factory below selects between them.
 #pragma once
 
@@ -97,10 +97,9 @@ class StatsWindow final : public StatsProvider {
 };
 
 /// Builds the statistics provider selected by `mode`: StatsWindow in
-/// exact mode, ShardedSketchStats with `shards` (>= 1) shard-local
-/// windows in sketch mode. Exact mode ignores `shards`.
+/// exact mode, SketchStatsWindow in sketch mode.
 [[nodiscard]] std::unique_ptr<StatsProvider> make_stats_provider(
     StatsMode mode, std::size_t num_keys, int window,
-    const SketchStatsConfig& sketch = {}, std::size_t shards = 1);
+    const SketchStatsConfig& sketch = {});
 
 }  // namespace skewless

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/clock.h"
-#include "core/sharded_controller.h"
 #include "core/snapshot.h"
+#include "sketch/sketch_stats_window.h"
 
 namespace skewless {
 
@@ -42,7 +42,7 @@ void BatchFold::add_scalars(WorkerSketchSlab::IntervalScalars& sc) const {
   sc.latency_samples += tuples_;
 }
 
-void BatchFold::add_to(ShardedWorkerSlab& slab) const {
+void BatchFold::add_to(WorkerSketchSlab& slab) const {
   slab.add_batch(per_key_);
   add_scalars(slab.scalars());
 }
@@ -53,13 +53,13 @@ void SlabTally::add(const WorkerSketchSlab::IntervalScalars& sc) {
   scalars.latency_samples += sc.latency_samples;
 }
 
-void SlabTally::absorb(ShardedSketchStats& stats,
-                       const ShardedWorkerSlab& slab, std::size_t w) {
+void SlabTally::absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
+                       std::size_t w) {
   add(slab.scalars());
   worker_cost[w] = slab.total_cost();
   memory_bytes += slab.memory_bytes();
   WallTimer merge_timer;
-  stats.absorb_slab(slab, static_cast<InstanceId>(w));
+  stats.absorb(slab, static_cast<InstanceId>(w));
   merge_ms += merge_timer.elapsed_millis();
 }
 

@@ -20,7 +20,6 @@
 #include "engine/state.h"
 #include "engine/tuple.h"
 #include "engine/workload_source.h"
-#include "sketch/sharded_worker_slab.h"
 #include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
@@ -71,7 +70,7 @@ struct IntervalReport {
 };
 
 /// Per-key aggregates of one batch, in the shape
-/// ShardedWorkerSlab::add_batch folds.
+/// WorkerSketchSlab::add_batch folds.
 using KeyAggMap = std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg>;
 
 /// A worker's per-batch operator fold: runs the operator over every tuple
@@ -92,7 +91,7 @@ class BatchFold {
   void add_scalars(WorkerSketchSlab::IntervalScalars& sc) const;
 
   /// Adds the last run to `slab`: the per-key aggregates plus the scalars.
-  void add_to(ShardedWorkerSlab& slab) const;
+  void add_to(WorkerSketchSlab& slab) const;
 
   /// Grows the scratch map to at least `buckets` buckets: a restored
   /// net worker resumes its predecessor's rehash trajectory, which its
@@ -126,7 +125,7 @@ struct SlabTally {
   /// planning view's per-instance cold residuals need. Absorbing in
   /// worker-index order keeps the merged statistics byte-identical
   /// whichever worker finished (or whose summary arrived) first.
-  void absorb(ShardedSketchStats& stats, const ShardedWorkerSlab& slab,
+  void absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
               std::size_t w);
 
   /// Adds the tally to `report`: processed, average latency, the

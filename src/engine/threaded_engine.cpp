@@ -7,7 +7,7 @@
 #include "common/cpu_topology.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "core/sharded_controller.h"
+#include "sketch/sketch_stats_window.h"
 
 #if defined(__linux__) && defined(_GNU_SOURCE)
 #include <pthread.h>
@@ -83,7 +83,7 @@ ThreadedEngine::ThreadedEngine(ThreadedConfig config,
   // The key domain is discovered from the stream; the monitor grows on
   // demand (the exact provider via resize_keys, the sketch natively).
   monitor_ = make_stats_provider(config_.stats_mode, 0, 1, config_.sketch);
-  sketch_stats_ = dynamic_cast<ShardedSketchStats*>(monitor_.get());
+  sketch_stats_ = dynamic_cast<SketchStatsWindow*>(monitor_.get());
   start_workers();
 }
 
@@ -115,11 +115,11 @@ void ThreadedEngine::start_workers() {
     slabs_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       auto pair = std::make_unique<SlabPair>();
-      pair->bufs[0] = std::make_unique<ShardedWorkerSlab>(
-          sketch_stats_->slab_config(), sketch_stats_->slab_shards());
+      pair->bufs[0] =
+          std::make_unique<WorkerSketchSlab>(sketch_stats_->config());
       if (config_.async_merge) {
-        pair->bufs[1] = std::make_unique<ShardedWorkerSlab>(
-            sketch_stats_->slab_config(), sketch_stats_->slab_shards());
+        pair->bufs[1] =
+            std::make_unique<WorkerSketchSlab>(sketch_stats_->config());
       }
       slabs_.push_back(std::move(pair));
     }
@@ -155,7 +155,7 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   WorkerStats& stats = *stats_[idx];
   // Sketch mode: the worker starts on buffer 0 of its pair and (async
   // merge only) alternates at every seal.
-  ShardedWorkerSlab* slab =
+  WorkerSketchSlab* slab =
       slabs_.empty() ? nullptr : slabs_[idx]->bufs[0].get();
   // First-touch NUMA placement: the slab buffers were mapped (untouched)
   // on the driver thread; this worker commits each buffer's pages the
@@ -315,7 +315,7 @@ void ThreadedEngine::drain_worker_stats(SlabTally& tally) {
     if (sketch_stats_ != nullptr) {
       // The quiescence wait in finish_boundary ordered all slab writes
       // before this read; no lock is needed (the scalars ride the slab).
-      ShardedWorkerSlab& slab = *slabs_[w]->bufs[0];
+      WorkerSketchSlab& slab = *slabs_[w]->bufs[0];
       tally.absorb(*sketch_stats_, slab, w);
       slab.clear();
       continue;
@@ -372,7 +372,7 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
       });
     }
     if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) return;
-    ShardedWorkerSlab& slab = *pair.bufs[(epoch - 1) & 1];
+    WorkerSketchSlab& slab = *pair.bufs[(epoch - 1) & 1];
     SKW_ASSERT(slab.epoch() == epoch);
     tally.absorb(*sketch_stats_, slab, w);
     slab.clear();
@@ -591,7 +591,7 @@ void ThreadedEngine::finish_boundary(IntervalReport& report) {
     // write.
     refresh_worker_heavy_sets();
   }
-  if (controller_ && config_.expire_lag_intervals > 0) {
+  if (config_.expire_lag_intervals > 0) {
     const Micros watermark =
         (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
     for (InstanceId d = 0; d < num_workers_; ++d) {

@@ -27,7 +27,7 @@
 //   * sketch mode — each worker owns thread-local WorkerSketchSlabs
 //     (Count-Min sketches + Misra-Gries candidates + exact hot-key map
 //     for the current heavy set) that are merged into the
-//     ShardedSketchStats at the interval boundary in worker-index order,
+//     SketchStatsWindow at the interval boundary in worker-index order,
 //     so results are byte-identical regardless of worker finish order.
 //     No per-key hash traffic crosses threads on the data path.
 //
@@ -71,7 +71,7 @@
 #include "engine/state.h"
 #include "engine/tuple.h"
 #include "engine/workload_source.h"
-#include "sketch/sharded_worker_slab.h"
+#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 
@@ -247,7 +247,7 @@ class ThreadedEngine {
   /// alternates), so neither side needs to share an index. With
   /// async_merge off only buffer 0 exists and is never sealed.
   struct SlabPair {
-    std::unique_ptr<ShardedWorkerSlab> bufs[2];
+    std::unique_ptr<WorkerSketchSlab> bufs[2];
     std::atomic<std::uint64_t> sealed_epoch{0};
   };
 
@@ -316,7 +316,7 @@ class ThreadedEngine {
   /// controller or by monitor_), null in exact mode. Non-null switches
   /// the worker↔driver statistics contract to thread-local slabs +
   /// boundary merge.
-  ShardedSketchStats* sketch_stats_ = nullptr;
+  SketchStatsWindow* sketch_stats_ = nullptr;
   /// One slab pair per worker (sketch mode only, else empty). Inline
   /// merge uses buffer 0 only.
   std::vector<std::unique_ptr<SlabPair>> slabs_;

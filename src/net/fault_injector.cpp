@@ -1,6 +1,7 @@
 #include "net/fault_injector.h"
 
 #include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -29,11 +30,15 @@ const FaultEvent* FaultPlan::match(std::uint32_t worker, std::uint64_t epoch,
 namespace {
 
 /// Parses a decimal run starting at `pos`; advances `pos` past it.
+/// Fails on a run whose value does not fit in a u64.
 bool parse_u64(const std::string& s, std::size_t& pos, std::uint64_t& out) {
   if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') return false;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   out = 0;
   while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(s[pos] - '0');
+    const auto digit = static_cast<std::uint64_t>(s[pos] - '0');
+    if (out > (kMax - digit) / 10) return false;
+    out = out * 10 + digit;
     ++pos;
   }
   return true;
@@ -65,7 +70,8 @@ bool parse_event(const std::string& part, FaultEvent& ev, std::string& error) {
     if (part.compare(pos, 2, "w=") == 0) {
       pos += 2;
       std::uint64_t v = 0;
-      if (!parse_u64(part, pos, v)) {
+      if (!parse_u64(part, pos, v) ||
+          v > std::numeric_limits<std::uint32_t>::max()) {
         error = "fault event '" + part + "': bad worker id";
         return false;
       }

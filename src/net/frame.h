@@ -29,8 +29,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 /// Bumped on ANY wire-visible change (header layout, frame types,
 /// payload encodings). Mismatched peers refuse each other at the
 /// handshake. v2: fault-tolerance frames (Checkpoint/Restore/RestoreAck/
-/// Heartbeat).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// Heartbeat). v3: the kSummary payload is one WorkerSketchSlab
+/// encoding, without v2's u32 section-count prefix.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
 /// summaries are a few MiB at most; anything bigger is a corrupt length

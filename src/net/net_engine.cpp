@@ -15,8 +15,8 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "core/sharded_controller.h"
 #include "net/worker_main.h"
+#include "sketch/sketch_stats_window.h"
 
 namespace skewless {
 namespace {
@@ -59,8 +59,7 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   migrated_away_.resize(n);
   owed_install_acks_.assign(n, 0);
   fault_fired_.assign(config_.fault.events.size(), false);
-  scratch_slab_ = std::make_unique<ShardedWorkerSlab>(
-      sketch_stats_->slab_config(), sketch_stats_->slab_shards());
+  scratch_slab_ = std::make_unique<WorkerSketchSlab>(sketch_stats_->config());
   spawn_workers();
   if (ok() && !handshake()) {
     SKW_ASSERT(!ok());  // handshake failure went through fail()
@@ -105,8 +104,7 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
     options.incarnation = workers_[w].incarnation;
     options.recovery = config_.recovery_enabled;
     options.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-    options.sketch = sketch_stats_->slab_config();
-    options.shards = static_cast<std::uint32_t>(sketch_stats_->slab_shards());
+    options.sketch = sketch_stats_->config();
     options.engine_epoch_us = engine_epoch_us_;
     const int rc = run_net_worker(data_fds[1], ctrl_fds[1], options, *logic_);
     // _Exit: the child shares the parent's heap image; running static

@@ -28,7 +28,7 @@
 //      a time. The driver validates each checkpoint without decoding it
 //      and keeps each worker's latest checkpoint as bytes (Checkpoint);
 //   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
-//      controller's ShardedSketchStats — the same fixed order as the
+//      controller's SketchStatsWindow — the same fixed order as the
 //      in-process merge, which is what makes a net run byte-identical to
 //      a ThreadedEngine run on the same seed: identical plans, identical
 //      θ trajectory, identical state checksums;
@@ -83,7 +83,7 @@
 #include "net/fault_injector.h"
 #include "net/recovery.h"
 #include "net/wire.h"
-#include "sketch/sharded_worker_slab.h"
+#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 
@@ -302,7 +302,7 @@ class NetEngine {
   NetConfig config_;
   std::shared_ptr<OperatorLogic> logic_;
   std::unique_ptr<Controller> controller_;
-  ShardedSketchStats* sketch_stats_ = nullptr;
+  SketchStatsWindow* sketch_stats_ = nullptr;
   InstanceId num_workers_ = 0;
   std::vector<Worker> workers_;
   std::vector<std::vector<Tuple>> pending_batches_;
@@ -329,7 +329,7 @@ class NetEngine {
   std::vector<bool> fault_fired_;
   /// Reusable decode target for boundary summaries (same geometry as
   /// every worker slab).
-  std::unique_ptr<ShardedWorkerSlab> scratch_slab_;
+  std::unique_ptr<WorkerSketchSlab> scratch_slab_;
   ByteWriter frame_scratch_;
   std::vector<std::uint8_t> recv_scratch_;
   /// Boundary receive buffers: the worker summary being absorbed (held

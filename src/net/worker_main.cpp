@@ -14,7 +14,7 @@
 #include "net/poller.h"
 #include "net/recovery.h"
 #include "net/wire.h"
-#include "sketch/sharded_worker_slab.h"
+#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 namespace {
@@ -40,7 +40,7 @@ class NetWorker {
         logic_(logic),
         data_(data_fd),
         ctrl_(ctrl_fd),
-        slab_(options.sketch, options.shards),
+        slab_(options.sketch),
         collector_(outputs_) {}
 
   int run() {
@@ -422,7 +422,7 @@ class NetWorker {
   FrameChannel data_;
   FrameChannel ctrl_;
   StateStore store_;
-  ShardedWorkerSlab slab_;
+  WorkerSketchSlab slab_;
   std::uint64_t outputs_ = 0;
   std::uint64_t processed_ = 0;
   CountingCollector collector_;

@@ -36,14 +36,10 @@ struct NetWorkerOptions {
   /// Heartbeat period (only meaningful with recovery on). Must be well
   /// under the driver's ctrl receive deadline.
   int heartbeat_interval_ms = 250;
-  /// Must equal the driver-side provider's GLOBAL config: the slab
-  /// replicates the shard windows' Count-Min geometry (via the shared
-  /// shard_config derivation), and the summary decode on the driver
+  /// Must equal the driver-side window's config: the slab replicates the
+  /// window's Count-Min geometry, and the summary decode on the driver
   /// rejects a mismatch.
   SketchStatsConfig sketch = {};
-  /// Key-domain shard count of the driver-side provider (>= 1): the worker
-  /// sections its slab identically so section s lands in shard s.
-  std::uint32_t shards = 1;
   /// The driver's engine epoch (set before fork), so worker-side latency
   /// accounting shares the tuples' emit_micros time base.
   Micros engine_epoch_us = 0;

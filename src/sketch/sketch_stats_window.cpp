@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "sketch/sharded_worker_slab.h"
 #include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
@@ -599,29 +598,18 @@ void SketchStatsWindow::synthesize_dense(std::vector<Cost>& cost,
                                          std::vector<Bytes>& state) const {
   cost.assign(num_keys_, 0.0);
   state.assign(num_keys_, 0.0);
-  synthesize_dense_shard(cost, state, 0, 1);
-}
-
-void SketchStatsWindow::synthesize_dense_shard(std::vector<Cost>& cost,
-                                               std::vector<Bytes>& state,
-                                               std::size_t shard,
-                                               std::size_t shard_count) const {
-  SKW_EXPECTS(cost.size() >= num_keys_ && state.size() >= num_keys_);
-  const bool filtered = shard_count > 1;
 
   std::vector<char> is_heavy_key(num_keys_, 0);
   for (const auto& [key, e] : heavy_) {
     if (key < num_keys_) is_heavy_key[static_cast<std::size_t>(key)] = 1;
   }
 
-  // Pass 1: raw upper-bound estimates for the cold tail (this shard's
-  // lane only — other shards' keys never touched).
+  // Pass 1: raw upper-bound estimates for the cold tail.
   double raw_cost_sum = 0.0;
   double raw_state_sum = 0.0;
   for (std::size_t k = 0; k < num_keys_; ++k) {
     if (is_heavy_key[k]) continue;
     const auto key = static_cast<KeyId>(k);
-    if (filtered && shard_of_key(key, shard_count) != shard) continue;
     cost[k] = cost_last_.estimate(key);
     state[k] = state_window_.estimate(key);
     raw_cost_sum += cost[k];
@@ -637,15 +625,11 @@ void SketchStatsWindow::synthesize_dense_shard(std::vector<Cost>& cost,
       raw_state_sum > 0.0 ? cold_state_window_ / raw_state_sum : 0.0;
   for (std::size_t k = 0; k < num_keys_; ++k) {
     if (is_heavy_key[k]) continue;
-    if (filtered && shard_of_key(static_cast<KeyId>(k), shard_count) != shard) {
-      continue;
-    }
     cost[k] *= cost_scale;
     state[k] *= state_scale;
   }
 
-  // Pass 3: exact values for the hot tier (a sharded window only ever
-  // holds its own shard's keys, so no filter is needed here).
+  // Pass 3: exact values for the hot tier.
   for (const auto& [key, e] : heavy_) {
     if (key >= num_keys_) continue;
     cost[static_cast<std::size_t>(key)] = e.last_cost;

@@ -1,9 +1,8 @@
 // SketchStatsWindow — approximate per-key statistics matching the
 // StatsWindow rolling-interval contract in O(sketch + heavy_capacity)
-// memory, independent of the key-domain size |K|. The controller and the
-// engines reach it through ShardedSketchStats (core/sharded_controller.h),
-// which owns one window per key-domain shard; the unit tests also use it
-// directly as the single-window reference.
+// memory, independent of the key-domain size |K|. It is the sketch-mode
+// StatsProvider: make_stats_provider builds it, the controller plans from
+// its compact view, and the engines absorb their worker slabs into it.
 //
 // Two-tier design (DKG's sketch+heavy-hitters idea, DEBS'15, carried into
 // the rolling-window setting):
@@ -117,17 +116,6 @@ class SketchStatsWindow final : public StatsProvider {
   [[nodiscard]] Bytes total_windowed_state() const override;
   void synthesize_dense(std::vector<Cost>& cost,
                         std::vector<Bytes>& state) const override;
-
-  /// One shard's lane of the dense view: writes cost[k]/state[k] ONLY for
-  /// keys with shard_of_key(k, shard_count) == shard (every key when
-  /// shard_count ≤ 1), using this window's heavy tier and cold-tail
-  /// normalization. The caller sizes and zero-fills the vectors once;
-  /// shard lanes are disjoint, so S windows can fill one vector pair
-  /// concurrently. synthesize_dense() is exactly the (shard=0,
-  /// shard_count=1) call — same passes, filter compiled out.
-  void synthesize_dense_shard(std::vector<Cost>& cost,
-                              std::vector<Bytes>& state, std::size_t shard,
-                              std::size_t shard_count) const;
 
   /// The compact planner view — the O(k + N_D) alternative to
   /// synthesize_dense that allocates nothing proportional to |K|:

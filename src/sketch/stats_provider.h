@@ -3,16 +3,15 @@
 //
 //  * StatsWindow (core/stats_window.h) — exact, six dense O(|K|) vectors.
 //    Right for the figure benches (K ≤ a few hundred thousand).
-//  * ShardedSketchStats (core/sharded_controller.h) — approximate: S
-//    shard-local SketchStatsWindows (sketch/sketch_stats_window.h), each
-//    keeping exact stats only for its tracked heavy-hitter keys and
-//    Count-Min-sketched aggregates for its cold tail. O(sketch + k)
+//  * SketchStatsWindow (sketch/sketch_stats_window.h) — approximate:
+//    exact stats only for the tracked heavy-hitter keys and
+//    Count-Min-sketched aggregates for the cold tail. O(sketch + k)
 //    memory regardless of |K|, which is what makes million-key domains
-//    affordable. S defaults to 1.
+//    affordable.
 //
 // The controller plans from a dense PartitionSnapshot in exact mode and
 // from a compact one in sketch mode (heavy entries plus per-instance cold
-// residuals, ShardedSketchStats::synthesize_compact). In sketch mode the
+// residuals, SketchStatsWindow::synthesize_compact). In sketch mode the
 // dense view (synthesize_dense: heavy keys exact, cold estimates
 // normalized) serves only the benches and tests that compare against
 // exact statistics.
@@ -30,7 +29,7 @@ namespace skewless {
 /// ThreadedConfig `stats_mode` switch).
 enum class StatsMode {
   kExact,   // dense per-key vectors (StatsWindow)
-  kSketch,  // heavy-hitter maps + Count-Min sketches (ShardedSketchStats)
+  kSketch,  // heavy-hitter maps + Count-Min sketches (SketchStatsWindow)
 };
 
 /// Tuning knobs for the sketch-based provider.

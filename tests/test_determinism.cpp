@@ -17,7 +17,6 @@
 #include "core/plan.h"
 #include "core/planners.h"
 #include "core/controller.h"
-#include "core/sharded_controller.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
 #include "sketch/simd/sketch_kernels.h"
@@ -336,7 +335,7 @@ TEST(Determinism, ThreadedSketchStatsAreByteIdenticalAcrossRuns) {
                           /*num_workers_for_ring=*/4, /*ring_seed=*/3);
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     const auto heavy = sketch->heavy_keys();
@@ -387,7 +386,7 @@ TEST(Determinism, DoubleBufferedMergeMatchesInlineBaseline) {
                           /*ring_seed=*/3);
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -551,7 +550,7 @@ TEST(Determinism, AdversarialThreadedRunsAreByteIdentical) {
                           /*num_workers_for_ring=*/3, /*ring_seed=*/3);
     engine.run(source, 4, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -687,72 +686,6 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
   EXPECT_EQ(threaded.entries, net.entries);
   EXPECT_EQ(threaded.processed, net.processed);
   EXPECT_EQ(threaded.outputs, net.outputs);
-}
-
-// The sharded controller's headline contract: shards ∈ {2, 4, 8}
-// plan-EQUIVALENCE with shards = 1 on identical streams, in the regime
-// where sharding is provably exact: zero state bytes (the
-// windowed-state backfill is a Count-Min estimate whose value depends on
-// sketch width, which differs per shard count — zero mass estimates to
-// zero at every width), eviction-free candidate capacity (per-shard
-// Space-Saving never evicts, so counts are exact and promotion backfills
-// the exact recorded mass), a promotion threshold low enough that every
-// observed key promotes regardless of the per-shard vs global decayed
-// total, and integer costs (sums of small integers are exact doubles in
-// ANY accumulation order, so the shard-order residual summation cannot
-// drift). Under those conditions every shard count must produce the same
-// plan history — same digests, same θ bits.
-TEST(Determinism, ShardedPlanEquivalenceAcrossShardCounts) {
-  struct RunResult {
-    std::vector<double> thetas;
-    std::uint64_t plan_digest = 0;
-    std::size_t rebalances = 0;
-  };
-  constexpr std::size_t kKeys = 512;
-  constexpr int kIntervals = 6;
-  constexpr int kTuplesPerInterval = 20'000;
-  const auto run = [&](std::size_t shards) {
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = 0.05;
-    ccfg.stats_mode = StatsMode::kSketch;
-    // Eviction-free at every shard count: ⌈4096/8⌉ = 512 ≥ the whole
-    // domain, so no shard's tracker can ever evict.
-    ccfg.sketch.heavy_capacity = 4096;
-    ccfg.sketch.promote_fraction = 1e-9;
-    ccfg.shards = shards;
-    Controller controller(AssignmentFunction(ConsistentHashRing(4), 0),
-                          std::make_unique<MixedPlanner>(), ccfg, kKeys);
-
-    ZipfDistribution zipf(kKeys, 1.3, true, 5);
-    Xoshiro256 rng(123);
-    RunResult result;
-    for (int interval = 0; interval < kIntervals; ++interval) {
-      for (int t = 0; t < kTuplesPerInterval; ++t) {
-        const KeyId key = static_cast<KeyId>(zipf.sample(rng));
-        const InstanceId dest = controller.assignment()(key);
-        controller.record(key, /*cost=*/1.0, /*state_bytes=*/0.0,
-                          /*frequency=*/1, dest);
-      }
-      (void)controller.end_interval();
-      result.thetas.push_back(controller.last_observed_theta());
-    }
-    result.plan_digest = controller.plan_history_digest();
-    result.rebalances = controller.rebalance_count();
-    return result;
-  };
-
-  const RunResult base = run(1);
-  ASSERT_GT(base.rebalances, 0u);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
-                                   std::size_t{8}}) {
-    const RunResult sharded = run(shards);
-    EXPECT_EQ(base.rebalances, sharded.rebalances) << "shards=" << shards;
-    EXPECT_EQ(base.plan_digest, sharded.plan_digest) << "shards=" << shards;
-    ASSERT_EQ(base.thetas.size(), sharded.thetas.size());
-    EXPECT_EQ(0, std::memcmp(base.thetas.data(), sharded.thetas.data(),
-                             base.thetas.size() * sizeof(double)))
-        << "shards=" << shards;
-  }
 }
 
 // The SIMD dispatch must be INVISIBLE in every deterministic output: a

@@ -131,7 +131,8 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "kill", "explode:w=0,epoch=1", "kill:w=0", "kill:epoch=1",
         "kill:w=x,epoch=1", "kill:w=0,epoch=0", "kill:w=0,epoch=1,bogus",
-        "kill:w=0 epoch=1"}) {
+        "kill:w=0 epoch=1", "kill:w=4294967297,epoch=2",
+        "kill:w=0,epoch=18446744073709551617"}) {
     error.clear();
     EXPECT_FALSE(parse_fault_plan(bad, plan, error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;

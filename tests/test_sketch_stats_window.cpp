@@ -9,9 +9,7 @@
 #include "common/zipf.h"
 #include "core/controller.h"
 #include "core/planners.h"
-#include "core/sharded_controller.h"
 #include "core/stats_window.h"
-#include "sketch/sharded_worker_slab.h"
 #include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
@@ -544,104 +542,6 @@ TEST(SketchStatsWindow, NoDecayIgnoresDecayKnobs) {
 TEST(SketchStatsWindowDeath, NegativeCostRejected) {
   SketchStatsWindow w(10, 1);
   EXPECT_DEATH(w.record(0, -1.0, 1.0), "precondition");
-}
-
-// Sharded boundary absorb conserves mass: feeding one stream through
-// per-shard slab sections into S shard-local windows (the sharded
-// controller's merge path) keeps every EXACT aggregate equal to a single
-// window fed the same stream directly — total cost/state scalars, the
-// per-instance cold residual vectors of the compact view, and the hot
-// tier's exact per-key values. Sketch estimates may differ (each shard
-// has its own Count-Min geometry); the exactly-tracked mass must not.
-TEST(SketchStatsWindow, ShardedAbsorbConservesMass) {
-  constexpr std::size_t kShards = 4;
-  constexpr InstanceId kWorkers = 3;
-  // Eviction-free capacity: 256 globally, ceil(256/4)=64 per shard, both
-  // comfortably above the ~150 distinct keys (~37 per shard). Every
-  // observed key promotes on both sides, so the heavy sets — and the
-  // promotion backfill debited from the cold residuals — are identical,
-  // and the per-entry equality assertions below are exact.
-  const auto cfg = tiny_config(256);
-  SketchStatsWindow direct(200, 2, cfg);  // single-window reference
-  ShardedSketchStats sharded(200, 2, cfg, kShards);
-
-  // Warm-up: promote key 7 everywhere so the hot path is exercised.
-  direct.record(7, 500.0, 64.0, 10);
-  direct.roll();
-  sharded.record(7, 500.0, 64.0, 10);
-  sharded.roll();
-  ASSERT_TRUE(direct.is_heavy(7));
-  ASSERT_EQ(sharded.heavy_keys(), std::vector<KeyId>{7});
-
-  std::vector<ShardedWorkerSlab> slabs;
-  slabs.reserve(static_cast<std::size_t>(kWorkers));
-  for (int w = 0; w < kWorkers; ++w) slabs.emplace_back(cfg, kShards);
-  const auto heavy = sharded.heavy_keys();
-  for (auto& slab : slabs) slab.set_heavy_keys(heavy);
-
-  Xoshiro256 rng(11);
-  double cold_mass = 0.0;
-  for (int i = 0; i < 3000; ++i) {
-    KeyId key = rng.next_below(150);
-    if (key == 7) key = 8;
-    // Integer costs/states: exact in any summation order, so "conserved"
-    // can be asserted with EXPECT_DOUBLE_EQ, not a tolerance.
-    const Cost c = 1.0 + static_cast<double>(rng.next_below(8));
-    const Bytes b = static_cast<double>(rng.next_below(32));
-    const auto w = static_cast<InstanceId>(key % kWorkers);
-    direct.record(key, c, b, 1, w);
-    slabs[static_cast<std::size_t>(w)].add(key, c, b, 1);
-    cold_mass += c;
-  }
-  for (InstanceId w = 0; w < kWorkers; ++w) {
-    slabs[static_cast<std::size_t>(w)].add(7, 100.0, 16.0, 5);
-    direct.record(7, 100.0, 16.0, 5, w);
-  }
-
-  for (InstanceId w = 0; w < kWorkers; ++w) {
-    sharded.absorb_slab(slabs[static_cast<std::size_t>(w)], w);
-  }
-  direct.roll();
-  sharded.roll();
-
-  EXPECT_EQ(sharded.num_keys(), direct.num_keys());
-  EXPECT_DOUBLE_EQ(sharded.total_windowed_state(),
-                   direct.total_windowed_state());
-  // Hot tier: exact regardless of the shard partition.
-  EXPECT_DOUBLE_EQ(sharded.last_cost_of(7), direct.last_cost_of(7));
-  EXPECT_DOUBLE_EQ(sharded.last_cost_of(7), 300.0);
-  EXPECT_EQ(sharded.last_frequency_of(7), 15u);
-  EXPECT_DOUBLE_EQ(sharded.windowed_state_of(7), direct.windowed_state_of(7));
-
-  // Compact view: the concatenated entries and the shard-summed
-  // per-instance cold residuals must equal the single window's, and the
-  // residual total must be exactly the recorded cold mass (minus any
-  // promotion backfill, which both sides debit identically).
-  std::vector<KeyId> keys_d, keys_s;
-  std::vector<Cost> cost_d, cost_s, cc_d, cc_s;
-  std::vector<Bytes> state_d, state_s, cs_d, cs_s;
-  direct.synthesize_compact(kWorkers, keys_d, cost_d, state_d, cc_d, cs_d);
-  sharded.synthesize_compact(kWorkers, keys_s, cost_s, state_s, cc_s, cs_s);
-  EXPECT_EQ(keys_d, keys_s);
-  ASSERT_EQ(cc_d.size(), cc_s.size());
-  const double cold_d = std::accumulate(cc_d.begin(), cc_d.end(), 0.0);
-  const double cold_s = std::accumulate(cc_s.begin(), cc_s.end(), 0.0);
-  EXPECT_DOUBLE_EQ(cold_s, cold_d);
-  for (std::size_t d = 0; d < cc_d.size(); ++d) {
-    EXPECT_DOUBLE_EQ(cc_s[d], cc_d[d]) << "instance " << d;
-    EXPECT_DOUBLE_EQ(cs_s[d], cs_d[d]) << "instance " << d;
-  }
-  // Dense synthesis conserves the same aggregate mass.
-  std::vector<Cost> dense_cost_d, dense_cost_s;
-  std::vector<Bytes> dense_state_d, dense_state_s;
-  direct.synthesize_dense(dense_cost_d, dense_state_d);
-  sharded.synthesize_dense(dense_cost_s, dense_state_s);
-  const double mass_d =
-      std::accumulate(dense_cost_d.begin(), dense_cost_d.end(), 0.0);
-  const double mass_s =
-      std::accumulate(dense_cost_s.begin(), dense_cost_s.end(), 0.0);
-  EXPECT_NEAR(mass_s, mass_d, 1e-9 * mass_d);
-  (void)cold_mass;
 }
 
 }  // namespace

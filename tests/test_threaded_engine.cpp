@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/planners.h"
-#include "core/sharded_controller.h"
+#include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -181,19 +181,30 @@ TEST(ThreadedEngine, RunWithSourceExpandsCounts) {
 }
 
 TEST(ThreadedEngine, ExpiryMessagesShrinkWindows) {
-  ThreadedConfig cfg;
-  cfg.expire_lag_intervals = 1;
-  ThreadedEngine engine(cfg, std::make_shared<SelfJoinLogic>(1.0, 0.01, 1 << 20),
-                        make_controller(2, 4, 0.9));
-  // Tuples with old timestamps: after the interval, the expiry watermark
-  // passes them and the window shrinks.
-  std::vector<Tuple> tuples(500, Tuple{1, 7, 0, 0});
-  engine.run_interval(tuples);
-  engine.run_interval({});  // watermark advances past the tuples
-  engine.run_interval({});
-  engine.shutdown();
-  // State entry still exists but its window emptied.
-  EXPECT_EQ(engine.total_state_entries(), 1u);
+  // Both constructors: expiry is an operator concern, so the hash-only
+  // engine must advance the watermark exactly like the controller one.
+  for (const bool with_controller : {true, false}) {
+    ThreadedConfig cfg;
+    cfg.expire_lag_intervals = 1;
+    const auto logic = std::make_shared<SelfJoinLogic>(1.0, 0.01, 1 << 20);
+    auto engine =
+        with_controller
+            ? std::make_unique<ThreadedEngine>(cfg, logic,
+                                               make_controller(2, 4, 0.9))
+            : std::make_unique<ThreadedEngine>(cfg, logic, InstanceId{2}, 11);
+    // Tuples with old timestamps: after the interval, the expiry watermark
+    // passes them and the window shrinks.
+    std::vector<Tuple> tuples(500, Tuple{1, 7, 0, 0});
+    engine->run_interval(tuples);
+    engine->run_interval({});  // watermark advances past the tuples
+    engine->run_interval({});
+    engine->shutdown();
+    // State entry still exists but its window emptied: an empty SelfJoin
+    // window checksums to 0, so the store reads mix64(key ^ 0).
+    EXPECT_EQ(engine->total_state_entries(), 1u);
+    EXPECT_EQ(engine->state_checksum(), mix64(1))
+        << "with_controller=" << with_controller;
+  }
 }
 
 TEST(ThreadedEngine, SerializedMigrationPreservesState) {
@@ -252,13 +263,13 @@ TEST(ThreadedEngine, SketchModeHashOnlyTracksHeavyKeysViaSlabs) {
     EXPECT_GT(report.stats_memory_bytes, 0u);
   }
   const auto* sketch =
-      dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
   ASSERT_NE(sketch, nullptr);
   // The hottest keys were promoted out of the worker slabs' candidate
   // union, and their exact hot-tier stats match the true per-key cost
   // (WordCountLogic reports cost 1 per tuple).
   EXPECT_GT(sketch->heavy_keys().size(), 0u);
-  EXPECT_TRUE(sketch->shard(0).is_heavy(0));
+  EXPECT_TRUE(sketch->is_heavy(0));
   EXPECT_DOUBLE_EQ(sketch->last_cost_of(0), 2001.0);
   EXPECT_EQ(sketch->last_frequency_of(0), 2001u);
   engine.shutdown();
@@ -337,9 +348,9 @@ TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
     EXPECT_GE(report.merge_ms, 0.0);
   }
   const auto* sketch =
-      dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
   ASSERT_NE(sketch, nullptr);
-  EXPECT_TRUE(sketch->shard(0).is_heavy(0));
+  EXPECT_TRUE(sketch->is_heavy(0));
   EXPECT_DOUBLE_EQ(sketch->last_cost_of(0), 1001.0);
   EXPECT_EQ(sketch->last_frequency_of(0), 1001u);
   engine.shutdown();

@@ -44,8 +44,6 @@ import sys
 THROUGHPUT_KEYS = {
     "throughput_ratio",
     "stall_reduction",
-    "merge_speedup_4x",
-    "merge_speedup_8x",
     "speedup",     # BENCH_plan: compact vs dense planning path
     "reduction",   # BENCH_churn: decayed vs no-decay heavy-set churn
     "interleaved_speedup",  # BENCH_simd: vectorized add_interleaved

@@ -53,8 +53,6 @@ struct Args {
   std::uint64_t seed = 7;
   StatsMode stats_mode = StatsMode::kExact;
   SketchStatsConfig sketch = {};
-  /// Sketch mode: key-domain shards of the statistics provider (>= 1).
-  std::size_t shards = 1;
   /// Adversarial workload: which attack pattern to run.
   std::string attack = "rotating";
   int rotation_period = 3;
@@ -94,7 +92,7 @@ struct Args {
       "          [--skew Z] [--fluctuation F] [--fluctuate-every N]\n"
       "          [--amax N] [--window W] [--tuples N] [--cost US]\n"
       "          [--seed N] [--stats exact|sketch] [--sketch-eps X]\n"
-      "          [--sketch-delta X] [--heavy N] [--shards S]\n"
+      "          [--sketch-delta X] [--heavy N]\n"
       "          [--no-decay] [--decay-beta B] [--demote-fraction X]\n"
       "          [--attack rotating|skew-flip|pareto|churn|collision]\n"
       "          [--rotation-period N]\n"
@@ -155,8 +153,6 @@ Args parse(int argc, char** argv) {
         std::fprintf(stderr, "unknown stats mode: %s\n", mode.c_str());
         usage(argv[0]);
       }
-    } else if (flag == "--shards") {
-      args.shards = std::strtoull(need_value(), nullptr, 10);
     } else if (flag == "--sketch-eps") {
       args.sketch.epsilon = std::atof(need_value());
     } else if (flag == "--sketch-delta") {
@@ -208,7 +204,7 @@ Args parse(int argc, char** argv) {
     }
   }
   if (args.instances < 1 || args.intervals < 1 || args.keys < 1 ||
-      args.window < 1 || args.batch < 1 || args.shards < 1) {
+      args.window < 1 || args.batch < 1) {
     usage(argv[0]);
   }
   if (args.sketch.heavy_capacity < 1 || args.sketch.epsilon <= 0.0 ||
@@ -295,7 +291,6 @@ ControllerConfig controller_config(const Args& args) {
   ccfg.window = args.window;
   ccfg.stats_mode = args.stats_mode;
   ccfg.sketch = args.sketch;
-  ccfg.shards = args.shards;
   return ccfg;
 }
 
@@ -446,6 +441,15 @@ int run_net(const Args& args, char* argv0) {
     if (!parse_fault_plan(args.fault, ncfg.fault, err)) {
       std::fprintf(stderr, "bad --fault spec: %s\n", err.c_str());
       usage(argv0);
+    }
+    for (const FaultEvent& ev : ncfg.fault.events) {
+      if (ev.worker >= static_cast<std::uint32_t>(workers)) {
+        std::fprintf(stderr,
+                     "bad --fault spec: worker %u does not exist (the run "
+                     "has %d workers)\n",
+                     static_cast<unsigned>(ev.worker), workers);
+        usage(argv0);
+      }
     }
   }
   auto logic = std::make_shared<WordCountLogic>(args.tuple_cost_us);
