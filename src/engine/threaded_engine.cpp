@@ -18,6 +18,10 @@
 namespace skewless {
 namespace {
 
+/// Batches a worker queue holds before the driver blocks (backpressure);
+/// the header's "Queue bound" note gives the reason for 8.
+constexpr std::size_t kQueueBatches = 8;
+
 /// Worker-side collector: counts emissions (downstream wiring is handled
 /// by pipelines at a higher level; the single-operator engine sinks them).
 class CountingCollector final : public Collector {
@@ -101,7 +105,7 @@ void ThreadedEngine::start_workers() {
   pushed_msgs_.resize(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     queues_.push_back(
-        std::make_unique<BoundedMpmcQueue<WorkerMsg>>(config_.queue_capacity));
+        std::make_unique<BoundedMpmcQueue<WorkerMsg>>(kQueueBatches));
     stores_.push_back(std::make_unique<StateStore>());
     stats_.push_back(std::make_unique<WorkerStats>());
     stats_.back()->per_key.reserve(256);
@@ -377,8 +381,10 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
     tally.absorb(*sketch_stats_, slab, w);
     slab.clear();
     // The worker's active peer cannot be measured while it accumulates;
-    // the just-cleared buffer (same capacities, empty contents) stands
-    // in for it so the double-buffer footprint is still accounted.
+    // the just-cleared buffer stands in for it so the double-buffer
+    // footprint is still accounted. A cleared slab keeps its cells and
+    // hot maps but not its candidate tracker's table, so the stand-in
+    // counts the peer's fixed footprint, not its candidates.
     tally.memory_bytes += slab.memory_bytes();
   }
 }

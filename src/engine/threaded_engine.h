@@ -19,6 +19,14 @@
 //      FIFO queue, so it can never observe a missing state.
 // Keys not involved in ∆(F, F') keep flowing the whole time.
 //
+// Queue bound: each worker queue holds 8 batches (kQueueBatches in the
+// .cpp) before the driver blocks. The driver routes a batch several
+// times faster than a worker processes one, so under load every queue
+// sits full: its depth is the backlog a boundary waits for the workers to
+// drain, and by Little's law most of a tuple's latency. Eight 256-tuple
+// batches are still milliseconds of operator work per worker, far longer
+// than the driver needs to refill a slot, so the workers do not starve.
+//
 // Statistics contract (worker ↔ driver):
 //   * exact mode — workers aggregate per batch into a private map, merge
 //     it into a mutex-guarded shared map, and the driver swaps those out
@@ -79,8 +87,6 @@ struct ThreadedConfig {
   InstanceId num_workers = 4;
   /// Tuples per Batch message (amortizes queue locking).
   std::size_t batch_size = 256;
-  /// Batches a worker queue holds before the driver blocks (backpressure).
-  std::size_t queue_capacity = 64;
   /// Window expiry watermark lag, in intervals (0 = no expiry messages).
   int expire_lag_intervals = 0;
   /// If true, migrated states round-trip through the byte codec

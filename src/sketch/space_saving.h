@@ -7,23 +7,157 @@
 //   * every key with true weight > W / m is tracked (guaranteed heavy
 //     hitters — the property the sketch stats window's promotion relies on)
 //
-// Implementation: hash map + lazy min-heap of (count, key) snapshots.
-// Eviction picks the minimum (count, key) pair, so runs are deterministic.
-// The heap is lazy twice over: add() skips stale snapshots on pop, and
-// the unions (merge, merge_entry) only mark the heap stale — add(), its
-// one reader, rebuilds it before first use. A tracker that is only ever
-// merged into (the sketch window's decayed union) never pays for a heap,
-// and a union costs O(entries merged), not O(tracker size).
+// Implementation: a FlatEntryTable (below) + lazy min-heap of (count,
+// key) snapshots. Eviction picks the minimum (count, key) pair, so runs
+// are deterministic. The heap is lazy twice over: add() skips stale
+// snapshots on pop, and the unions (merge, merge_entry) only mark the
+// heap stale — add(), its one reader, rebuilds it before first use. A
+// tracker that is only ever merged into (the sketch window's decayed
+// union) never pays for a heap, and a union costs O(entries merged), not
+// O(tracker size).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace skewless {
+
+/// Key → entry table of both trackers below. Entries live densely in one
+/// vector (scans are sequential and no entry is a separate heap node); a
+/// power-of-two slot array holds entry index + 1 (0 = empty), probed
+/// linearly from mix64(key) at load ≤ 3/4. erase() closes its probe run
+/// by backward shift (no tombstones) and moves the last entry into the
+/// freed position, so any insert or erase may move entries and reorders
+/// entries(). No tracker output depends on that order: unions add per
+/// key, every sorted view uses a total order, and pruning cuts by value.
+template <typename Entry>
+class FlatEntryTable {
+ public:
+  [[nodiscard]] Entry* find(KeyId key) {
+    if (slots_.empty()) return nullptr;
+    for (std::size_t s = home(key); slots_[s] != 0; s = next(s)) {
+      Entry& e = entries_[slots_[s] - 1];
+      if (e.key == key) return &e;
+    }
+    return nullptr;
+  }
+  [[nodiscard]] const Entry* find(KeyId key) const {
+    return const_cast<FlatEntryTable*>(this)->find(key);
+  }
+
+  /// Inserts `entry` unless its key is present. Returns the key's entry
+  /// and whether it was inserted (false leaves the table unchanged).
+  std::pair<Entry*, bool> insert(const Entry& entry) {
+    std::size_t s = 0;
+    if (!slots_.empty()) {
+      for (s = home(entry.key); slots_[s] != 0; s = next(s)) {
+        Entry& e = entries_[slots_[s] - 1];
+        if (e.key == entry.key) return {&e, false};
+      }
+    }
+    if (4 * (entries_.size() + 1) > 3 * slots_.size()) {
+      rehash(std::max<std::size_t>(kMinSlots, 2 * slots_.size()));
+      s = free_slot(entry.key);
+    }
+    entries_.push_back(entry);
+    slots_[s] = static_cast<std::uint32_t>(entries_.size());
+    return {&entries_.back(), true};
+  }
+
+  /// Sizes the table for `n` entries without further rehashing. The
+  /// bulk unions call it with an upper bound: growing by doubling would
+  /// re-probe every entry once per doubling.
+  void reserve(std::size_t n) {
+    entries_.reserve(n);
+    std::size_t slot_count = std::max(kMinSlots, slots_.size());
+    while (4 * n > 3 * slot_count) slot_count *= 2;
+    if (slot_count > slots_.size()) rehash(slot_count);
+  }
+
+  /// Removes `key`'s entry; false if it was absent.
+  bool erase(KeyId key) {
+    if (slots_.empty()) return false;
+    std::size_t hole = home(key);
+    while (slots_[hole] != 0 && entries_[slots_[hole] - 1].key != key) {
+      hole = next(hole);
+    }
+    if (slots_[hole] == 0) return false;
+    const std::size_t index = slots_[hole] - 1;
+    // Backward shift: a later member of the probe run moves into the
+    // hole unless its home lies strictly after the hole.
+    for (std::size_t s = next(hole); slots_[s] != 0; s = next(s)) {
+      const std::size_t from_home = (s - home(entries_[slots_[s] - 1].key)) &
+                                    (slots_.size() - 1);
+      if (from_home >= ((s - hole) & (slots_.size() - 1))) {
+        slots_[hole] = slots_[s];
+        hole = s;
+      }
+    }
+    slots_[hole] = 0;
+    const std::size_t last = entries_.size() - 1;
+    if (index != last) {
+      entries_[index] = entries_[last];
+      std::size_t s = home(entries_[index].key);
+      while (slots_[s] != last + 1) s = next(s);
+      slots_[s] = static_cast<std::uint32_t>(index + 1);
+    }
+    entries_.pop_back();
+    return true;
+  }
+
+  /// Removes every entry matching `pred` in one compaction and re-index.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    std::erase_if(entries_, pred);
+    rehash(slots_.size());
+  }
+
+  /// Empties the table and hands its memory back.
+  void clear() {
+    std::vector<Entry>().swap(entries_);
+    std::vector<std::uint32_t>().swap(slots_);
+  }
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return entries_.capacity() * sizeof(Entry) +
+           slots_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  static constexpr std::size_t kMinSlots = 16;
+
+  [[nodiscard]] std::size_t home(KeyId key) const {
+    return static_cast<std::size_t>(mix64(key)) & (slots_.size() - 1);
+  }
+  [[nodiscard]] std::size_t next(std::size_t s) const {
+    return (s + 1) & (slots_.size() - 1);
+  }
+  [[nodiscard]] std::size_t free_slot(KeyId key) const {
+    std::size_t s = home(key);
+    while (slots_[s] != 0) s = next(s);
+    return s;
+  }
+  /// Rebuilds the slot array at `slot_count` (a power of two) from the
+  /// dense entries.
+  void rehash(std::size_t slot_count) {
+    slots_.assign(slot_count, 0);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      slots_[free_slot(entries_[i].key)] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;
+};
 
 class SpaceSaving {
  public:
@@ -97,11 +231,13 @@ class SpaceSaving {
   /// All tracked entries, sorted by count_order — deterministic.
   [[nodiscard]] std::vector<Entry> entries_by_count() const;
 
-  /// All tracked entries in map-iteration order — NOT sorted. For
-  /// consumers that select by count_order themselves (the decayed
-  /// union's top-capacity truncation) and would otherwise sort the whole
-  /// tracker to read a prefix of it.
-  [[nodiscard]] std::vector<Entry> entries_unsorted() const;
+  /// All tracked entries in table order — NOT sorted. For consumers
+  /// that select by count_order themselves (the decayed union's
+  /// top-capacity truncation) and would otherwise sort the whole tracker
+  /// to read a prefix of it.
+  [[nodiscard]] const std::vector<Entry>& entries_unsorted() const {
+    return table_.entries();
+  }
 
   /// The entries with count ≥ min_count, sorted exactly like
   /// entries_by_count(). Equivalent to filtering that list — but a
@@ -119,10 +255,11 @@ class SpaceSaving {
   [[nodiscard]] std::vector<Entry> guaranteed(double threshold) const;
 
   [[nodiscard]] double total_weight() const { return total_; }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t memory_bytes() const;
 
+  /// Empties the tracker; the entry table hands its memory back.
   void clear();
 
  private:
@@ -143,9 +280,9 @@ class SpaceSaving {
 
   std::size_t capacity_;
   double total_ = 0.0;
-  std::unordered_map<KeyId, Entry> map_;
+  FlatEntryTable<Entry> table_;
   std::vector<HeapItem> heap_;  // lazy: stale items skipped on pop
-  /// Set by the unions: the map changed without heap snapshots, so
+  /// Set by the unions: the table changed without heap snapshots, so
   /// add() must rebuild the heap before it can trust it.
   bool heap_stale_ = false;
 };
@@ -157,12 +294,13 @@ class SpaceSaving {
 /// WorkerSketchSlab data path, where SpaceSaving's eviction (heap pop +
 /// push per new cold key) measurably dominated per-tuple cost.
 ///
-/// Design: a plain hash map plus a scalar `offset`. An untracked key
-/// inserts with count = offset + weight, error = offset. When the map
+/// Design: a FlatEntryTable plus a scalar `offset`. An untracked key
+/// inserts with count = offset + weight, error = offset. When the table
 /// exceeds 2×capacity, one O(size) prune finds the (capacity+1)-th
-/// largest count, drops every entry ≤ it (a value threshold — ties drop
-/// together, so the surviving set is deterministic) and raises `offset`
-/// to the cutoff. No heap, no per-add eviction.
+/// largest count, drops every entry ≤ it in one compaction (a value
+/// threshold — ties drop together, so the surviving set is
+/// deterministic) and raises `offset` to the cutoff. No heap, no per-add
+/// eviction.
 ///
 /// Invariants over a stream of total weight W (same Entry semantics as
 /// SpaceSaving, so summaries union via SpaceSaving::merge):
@@ -193,23 +331,29 @@ class MisraGries {
   /// Entry invariants over a stream of weight `total_weight` with
   /// untracked-mass bound `offset` — i.e. be the output of another
   /// tracker of the same capacity, which is what the slab codec ships.
-  void restore(const std::vector<SpaceSaving::Entry>& entries,
-               double total_weight, double offset);
+  /// Returns false, leaving the tracker cleared, when a key repeats: no
+  /// tracker emits such a summary, so it is corruption.
+  [[nodiscard]] bool restore(const std::vector<SpaceSaving::Entry>& entries,
+                             double total_weight, double offset);
 
-  /// All tracked entries in map-iteration order — NOT sorted. For
-  /// consumers whose results are order-independent (SpaceSaving::merge
-  /// accumulates per key and every observable output of the union is
-  /// defined by a total order), skipping the sort removes the dominant
-  /// cost of summarizing a full tracker on the boundary-merge path.
-  [[nodiscard]] std::vector<SpaceSaving::Entry> entries_unsorted() const;
+  /// All tracked entries in table order — NOT sorted. For consumers
+  /// whose results are order-independent (SpaceSaving::merge accumulates
+  /// per key and every observable output of the union is defined by a
+  /// total order), skipping the sort removes the dominant cost of
+  /// summarizing a full tracker on the boundary-merge path.
+  [[nodiscard]] const std::vector<SpaceSaving::Entry>& entries_unsorted()
+      const {
+    return table_.entries();
+  }
 
   [[nodiscard]] double total_weight() const { return total_; }
   /// Upper bound on any untracked key's true weight.
   [[nodiscard]] double offset() const { return offset_; }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t memory_bytes() const;
 
+  /// Empties the tracker; the entry table hands its memory back.
   void clear();
 
  private:
@@ -218,7 +362,7 @@ class MisraGries {
   std::size_t capacity_;
   double total_ = 0.0;
   double offset_ = 0.0;
-  std::unordered_map<KeyId, SpaceSaving::Entry> map_;
+  FlatEntryTable<SpaceSaving::Entry> table_;
   std::vector<double> prune_scratch_;
 };
 

@@ -252,7 +252,10 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
     entries.push_back(e);
   }
   if (!in.ok()) return false;
-  candidates_.restore(entries, cand_total, cand_offset);
+  if (!candidates_.restore(entries, cand_total, cand_offset)) {
+    in.fail();  // repeated candidate key: not a serialize() output
+    return false;
+  }
 
   return in.read_into(cells_.data(), cells_.size() * sizeof(FusedCell));
 }

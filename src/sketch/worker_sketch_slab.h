@@ -33,7 +33,8 @@
 // At the interval boundary the merge path calls SketchStatsWindow::absorb
 // on each slab in worker-index order — a fixed order, so the merged result
 // is byte-identical regardless of which worker finished first — and then
-// clear()s the slab for the next interval (allocations are retained).
+// clear()s the slab for the next interval (cells and hot maps keep their
+// allocations; the candidate tracker hands its table back).
 //
 // Double-buffered operation (ThreadedConfig::async_merge): each worker
 // owns a PAIR of slabs. A SealMsg at the interval boundary stamps the
@@ -120,8 +121,9 @@ class WorkerSketchSlab {
   /// while the worker is quiescent.
   void set_heavy_keys(const std::vector<KeyId>& keys);
 
-  /// Resets the interval-local contents (keeps the heavy set and every
-  /// allocation: fused cells are zeroed, hash maps keep their buckets).
+  /// Resets the interval-local contents (keeps the heavy set; fused
+  /// cells are zeroed in place, hash maps keep their buckets, and the
+  /// candidate tracker releases its table).
   void clear();
 
   [[nodiscard]] const std::unordered_map<KeyId, KeyAgg>& hot() const {

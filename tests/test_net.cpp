@@ -573,6 +573,34 @@ TEST(SlabWire, RejectsTruncation) {
   }
 }
 
+TEST(SlabWire, RejectsDuplicateCandidateKey) {
+  SketchStatsConfig cfg;
+  cfg.heavy_capacity = 64;
+  const WorkerSketchSlab slab = make_filled_slab(cfg, 17);
+  ByteWriter w;
+  slab.serialize(w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+  // Summary layout: 96 bytes of scalars, a u32 hot count, 32 bytes per
+  // hot entry, then f64 total, f64 offset and a u32 count, then 24 bytes
+  // per candidate (u64 key first).
+  const auto read_u32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  const std::size_t hot_n = read_u32(96);
+  const std::size_t count_at = 96 + 4 + 32 * hot_n + 16;
+  ASSERT_GE(read_u32(count_at), 2u);
+  const std::size_t first_key = count_at + 4;
+  std::memcpy(bytes.data() + first_key + 24, bytes.data() + first_key,
+              sizeof(KeyId));
+
+  WorkerSketchSlab target(cfg);
+  ByteReader r(bytes, ByteReader::Untrusted{});
+  EXPECT_FALSE(target.deserialize_from(r));
+  EXPECT_FALSE(r.ok());
+}
+
 // --- the engine end to end ------------------------------------------------
 
 std::unique_ptr<Controller> test_controller(InstanceId workers,

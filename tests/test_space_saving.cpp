@@ -424,6 +424,92 @@ TEST(SpaceSavingMerge, LazyHeapMatchesBruteForceReference) {
   }
 }
 
+// The flat table against std::unordered_map: seeded insert / find /
+// erase / erase_if / clear sequences. Phase 1 stays at the table's first
+// 16 slots (≤ 12 entries, load ≤ 3/4) over keys whose homes cluster on
+// the last two slots and the first two, so probe runs wrap past the end
+// and backward-shift erase must pull entries back across the wrap. Phase
+// 2 lets the table grow and shrink over a wide key range.
+TEST(FlatEntryTable, MatchesUnorderedMapReference) {
+  using Entry = SpaceSaving::Entry;
+  constexpr std::size_t kSlots = 16;
+  std::vector<KeyId> wrap_pool;
+  for (const std::size_t want : {15u, 15u, 15u, 15u, 15u, 14u, 14u, 14u, 14u,
+                                 0u, 0u, 0u, 1u, 1u, 1u, 13u}) {
+    KeyId key = wrap_pool.empty() ? 0 : wrap_pool.back() + 1;
+    while ((mix64(key) & (kSlots - 1)) != want ||
+           std::find(wrap_pool.begin(), wrap_pool.end(), key) !=
+               wrap_pool.end()) {
+      ++key;
+    }
+    wrap_pool.push_back(key);
+  }
+
+  for (const bool wrap_phase : {true, false}) {
+    FlatEntryTable<Entry> sut;
+    std::unordered_map<KeyId, Entry> ref;
+    Xoshiro256 rng(wrap_phase ? 0xf1a7 : 0xf1a8);
+    const auto draw_key = [&]() -> KeyId {
+      return wrap_phase ? wrap_pool[rng.next_below(wrap_pool.size())]
+                        : rng.next_below(400);
+    };
+    const auto check = [&](int op) {
+      ASSERT_EQ(sut.size(), ref.size()) << "op " << op;
+      if (wrap_phase && sut.size() > 0) {
+        ASSERT_EQ(sut.slot_count(), kSlots) << "op " << op;
+      }
+      std::vector<KeyId> got;
+      for (const Entry& e : sut.entries()) got.push_back(e.key);
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+          << "op " << op;
+      for (const auto& [key, want] : ref) {
+        const Entry* e = sut.find(key);
+        ASSERT_NE(e, nullptr) << "op " << op << " key " << key;
+        ASSERT_EQ(e->key, key);
+        ASSERT_EQ(e->count, want.count) << "op " << op << " key " << key;
+        ASSERT_EQ(e->error, want.error) << "op " << op << " key " << key;
+      }
+      for (const KeyId key : wrap_pool) {
+        ASSERT_EQ(sut.find(key) != nullptr, ref.count(key) == 1)
+            << "op " << op << " key " << key;
+      }
+    };
+    for (int op = 0; op < 20'000; ++op) {
+      const std::uint64_t kind = rng.next_below(100);
+      const KeyId key = draw_key();
+      const bool full = wrap_phase && ref.size() >= 12 && !ref.count(key);
+      if (kind < 45 && !full) {
+        const Entry entry{key, static_cast<double>(rng.next_below(9)),
+                          static_cast<double>(op), kNilInstance};
+        const auto [e, inserted] = sut.insert(entry);
+        const auto [it, ref_inserted] = ref.emplace(key, entry);
+        ASSERT_EQ(inserted, ref_inserted) << "op " << op;
+        ASSERT_EQ(e->key, key);
+        // Write through the returned entry, as the tracker unions do.
+        e->count += 1.0;
+        it->second.count += 1.0;
+      } else if (kind < 55) {
+        const Entry* e = sut.find(key);
+        ASSERT_EQ(e != nullptr, ref.count(key) == 1) << "op " << op;
+      } else if (kind < 93 || full) {
+        ASSERT_EQ(sut.erase(key), ref.erase(key) == 1) << "op " << op;
+      } else if (kind < 99) {
+        const double cut = static_cast<double>(rng.next_below(10));
+        const auto pred = [cut](const Entry& e) { return e.count <= cut; };
+        sut.erase_if(pred);
+        std::erase_if(ref, [&](const auto& kv) { return pred(kv.second); });
+      } else {
+        sut.clear();
+        ref.clear();
+        ASSERT_EQ(sut.memory_bytes(), 0u);
+      }
+      check(op);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 TEST(MisraGries, ExactWhenDistinctKeysFitCapacity) {
   MisraGries mg(16);
   Xoshiro256 rng(3);
