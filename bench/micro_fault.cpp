@@ -1,7 +1,7 @@
 // micro_fault — the fault-tolerance layer's acceptance harness.
 //
 // Two claims are gated, both against a crash-free run of the SAME
-// recovery-enabled engine:
+// engine (recovery is always on):
 //
 //   1. ZERO DIGEST DIVERGENCE — a worker SIGKILLed at an interval
 //      boundary is respawned, restored from its checkpoint and replayed
@@ -80,7 +80,6 @@ RunResult run_one(const Scenario& sc, const FaultPlan& fault) {
 
   NetConfig cfg;
   cfg.batch_size = sc.batch;
-  cfg.recovery_enabled = true;
   cfg.fault = fault;
   NetEngine engine(cfg, std::make_shared<WordCountLogic>(),
                    make_controller(sc));

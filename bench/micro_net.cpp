@@ -8,7 +8,11 @@
 //      throughput of the same run through ThreadedEngine's in-process
 //      worker threads. (Half is the honest bar: every tuple is
 //      serialized, crosses two kernel socket buffers and is decoded —
-//      work the in-process engine never does.)
+//      work the in-process engine never does. The net run also pays
+//      for crash recovery, which is always on: a checkpoint of every
+//      worker's state per boundary and a replay record of every batch,
+//      so the ratio is the deployed engine's cost, not the raw
+//      transport's.)
 //   2. CONTROL LATENCY — with the DATA channel saturated (a deliberately
 //      slow operator leaves the kernel socket buffers full of undrained
 //      batches), a sparse plan broadcast on the CONTROL channel
@@ -115,7 +119,6 @@ ModeResult run_threaded(const Scenario& sc) {
   cfg.num_workers = sc.workers;
   cfg.batch_size = sc.batch;
   cfg.stats_mode = StatsMode::kSketch;
-  cfg.sketch = sc.sketch;
   ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
                         make_controller(sc));
   const auto reports = engine.run(source, sc.intervals, /*seed=*/1);
@@ -131,9 +134,6 @@ ModeResult run_net(const Scenario& sc) {
   auto source = make_source(sc);
   NetConfig cfg;
   cfg.batch_size = sc.batch;
-  // This bench gates the raw engine-vs-engine ratio; the per-epoch
-  // checkpoint and replay-recording overhead is micro_fault's subject.
-  cfg.recovery_enabled = false;
   NetEngine engine(cfg, std::make_shared<WordCountLogic>(),
                    make_controller(sc));
   const auto reports = engine.run(source, sc.intervals, /*seed=*/1);
@@ -201,7 +201,6 @@ ControlProbe run_control_probe() {
 
   NetConfig cfg;
   cfg.batch_size = 64;
-  cfg.recovery_enabled = false;
   NetEngine engine(cfg, std::make_shared<SpinWordCountLogic>(/*spin_us=*/20.0),
                    make_controller(sc));
 

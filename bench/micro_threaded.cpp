@@ -1,8 +1,10 @@
 // micro_threaded — the threaded-engine statistics-contract harness.
 //
 // Scenario: a 1M-key Zipf(1.2) stream through REAL worker threads (the
-// ROADMAP's "threaded engine at 1M keys" item), run through the
-// hash-only ThreadedEngine once per configuration:
+// ROADMAP's "threaded engine at 1M keys" item), run through a
+// ThreadedEngine whose controller has no planner (hash routing, the
+// statistics still kept and rolled every interval) once per
+// configuration:
 //
 //   * exact         — workers merge per-batch maps into mutex-guarded
 //                     shared per-key maps; the driver swaps them out at
@@ -11,11 +13,11 @@
 //   * sketch        — workers write double-buffered thread-local
 //                     WorkerSketchSlabs; a SealMsg swaps the buffers at
 //                     the boundary and a merge thread absorbs the sealed
-//                     epoch into the sketch monitor (SketchStatsWindow)
-//                     while the next interval's tuples are generated (the
-//                     asynchronous boundary merge).
-//   * sketch-inline — same slabs, PR-3 inline boundary (full quiescence
-//                     wait + driver-side absorb). Byte-identical
+//                     epoch into the controller's SketchStatsWindow and
+//                     rolls it while the next interval's tuples are
+//                     generated (the asynchronous boundary merge).
+//   * sketch-inline — same slabs, inline boundary (full quiescence wait,
+//                     then absorb and roll on the driver). Byte-identical
 //                     statistics; exists here as the stall A/B baseline.
 //
 // Measured:
@@ -30,7 +32,7 @@
 //                   (1..N-2; interval 0 is warm-up, the final boundary
 //                   has no next interval to overlap with) — identical
 //                   work each boundary, so spread is scheduler noise;
-//   4. FIDELITY   — the sketch monitor's heavy tier must have picked up
+//   4. FIDELITY   — the sketch provider's heavy tier must have picked up
 //                   hot keys, and every mode must process every tuple.
 //
 // Output: human-readable summary on stderr, machine-readable JSON on
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/controller.h"
 #include "engine/threaded_engine.h"
 #include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
@@ -89,12 +92,15 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
 
   ThreadedConfig cfg;
   cfg.batch_size = sc.batch;
-  cfg.stats_mode = mode;
-  cfg.sketch = sc.sketch;
   cfg.async_merge = async_merge;
-  ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                        /*num_workers_for_ring=*/sc.workers,
-                        /*ring_seed=*/11);
+  ControllerConfig ccfg;
+  ccfg.stats_mode = mode;
+  ccfg.sketch = sc.sketch;
+  ThreadedEngine engine(
+      cfg, std::make_shared<WordCountLogic>(),
+      std::make_unique<Controller>(
+          AssignmentFunction(ConsistentHashRing(sc.workers, 128, 11), 0),
+          nullptr, ccfg, sc.num_keys));
   const auto reports = engine.run(source, sc.intervals, /*seed=*/1);
 
   ModeResult res;
@@ -142,8 +148,8 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
   }
   res.merge_ms = merge_sum / static_cast<double>(reports.size());
   res.stats_memory_bytes = reports.back().stats_memory_bytes;
-  if (const auto* sketch =
-          dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker())) {
+  if (const auto* sketch = dynamic_cast<const SketchStatsWindow*>(
+          &engine.controller()->stats())) {
     res.heavy_keys = sketch->heavy_keys().size();
   }
   engine.shutdown();

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
 
   // 3. The engine: one router/controller thread (this one) plus `workers`
   //    stateful worker threads running the word-count logic.
-  ThreadedEngine engine(ThreadedConfig{.num_workers = workers},
-                        std::make_shared<WordCountLogic>(),
+  ThreadedEngine engine(ThreadedConfig{}, std::make_shared<WordCountLogic>(),
                         std::move(controller));
 
   std::printf("interval  processed  throughput(k/s)  latency(ms)  theta  migrated\n");

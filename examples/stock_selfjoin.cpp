@@ -43,25 +43,20 @@ RunSummary run(bool balanced, InstanceId workers, int intervals) {
   auto feed = make_feed();
   auto logic = std::make_shared<SelfJoinLogic>(1.0, 0.005, 8192);
 
-  std::unique_ptr<ThreadedEngine> engine;
-  if (balanced) {
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = 0.10;
-    ccfg.planner.max_table_entries = 0;
-    ccfg.window = 3;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(workers), 0),
-        std::make_unique<MixedPlanner>(), ccfg, feed.num_keys());
-    engine = std::make_unique<ThreadedEngine>(
-        ThreadedConfig{.num_workers = workers}, logic, std::move(controller));
-  } else {
-    engine = std::make_unique<ThreadedEngine>(
-        ThreadedConfig{.num_workers = workers}, logic, workers,
-        /*ring_seed=*/0x5eed);
-  }
+  // The unbalanced run is the same controller without a planner: the
+  // same hash ring and statistics, but it never rebalances.
+  ControllerConfig ccfg;
+  ccfg.planner.theta_max = 0.10;
+  ccfg.planner.max_table_entries = 0;
+  ccfg.window = 3;
+  auto controller = std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(workers), 0),
+      balanced ? std::make_unique<MixedPlanner>() : nullptr, ccfg,
+      feed.num_keys());
+  ThreadedEngine engine(ThreadedConfig{}, logic, std::move(controller));
 
   RunSummary summary;
-  const auto reports = engine->run(feed, intervals);
+  const auto reports = engine.run(feed, intervals);
   for (const auto& r : reports) {
     summary.mean_theta += r.max_theta;
     summary.mean_throughput += r.throughput_tps;
@@ -69,8 +64,8 @@ RunSummary run(bool balanced, InstanceId workers, int intervals) {
   }
   summary.mean_theta /= static_cast<double>(reports.size());
   summary.mean_throughput /= static_cast<double>(reports.size());
-  engine->shutdown();
-  summary.matches = engine->total_output_tuples();
+  engine.shutdown();
+  summary.matches = engine.total_output_tuples();
   return summary;
 }
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/assert.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "sketch/sketch_stats_window.h"
@@ -15,9 +14,7 @@ Controller::Controller(AssignmentFunction assignment, PlannerPtr planner,
       planner_(std::move(planner)),
       config_(config),
       stats_(make_stats_provider(config.stats_mode, num_keys, config.window,
-                                 config.sketch)) {
-  SKW_EXPECTS(planner_ != nullptr || !config_.enabled);
-}
+                                 config.sketch)) {}
 
 SketchStatsWindow* Controller::slab_sink() {
   return dynamic_cast<SketchStatsWindow*>(stats_.get());
@@ -82,11 +79,11 @@ PartitionSnapshot Controller::build_snapshot() const {
 
 std::optional<RebalancePlan> Controller::end_interval() {
   stats_->roll();
+  if (!planner_) return std::nullopt;
   last_snapshot_ = build_snapshot();
   const auto loads = last_snapshot_.current_loads();
   last_observed_theta_ = PartitionSnapshot::max_theta(loads);
 
-  if (!config_.enabled) return std::nullopt;
   if (last_observed_theta_ <= config_.planner.theta_max) return std::nullopt;
 
   RebalancePlan plan = planner_->plan(last_snapshot_, config_.planner);

@@ -8,6 +8,12 @@
 //      (pause -> migrate -> resume), and installs F' into the live
 //      AssignmentFunction.
 //
+// A controller built with a null planner is the no-rebalance baseline (the
+// paper's "Storm" consistent hashing): it keeps the same statistics and
+// routes by the same AssignmentFunction, but end_interval() only rolls the
+// statistics — no snapshot, no trigger, no plan — so the routing table
+// stays empty and keys stay on their hash destinations.
+//
 // Scale-out support: add_instance() grows the hash ring but pins every
 // key to its previous destination with explicit entries, so state never
 // moves implicitly; the next rebalance then shifts load onto the new
@@ -31,9 +37,6 @@ struct ControllerConfig {
   PlannerConfig planner;
   /// w — sliding window length in intervals.
   int window = 1;
-  /// If false, the controller reports imbalance but never migrates
-  /// (the "Storm" baseline behaviour).
-  bool enabled = true;
   /// How per-key statistics are stored: kExact keeps dense O(|K|)
   /// vectors (StatsWindow); kSketch keeps exact stats only for tracked
   /// heavy hitters plus Count-Min aggregates for the cold tail
@@ -45,8 +48,11 @@ struct ControllerConfig {
 
 class Controller {
  public:
+  /// A null `planner` makes the no-rebalance controller (see above).
   Controller(AssignmentFunction assignment, PlannerPtr planner,
              ControllerConfig config, std::size_t num_keys);
+
+  [[nodiscard]] bool has_planner() const { return planner_ != nullptr; }
 
   /// Load reporting (step 1 of Fig. 5): the engine records each key's cost
   /// and state growth as it processes tuples. `dest` — the instance the
@@ -82,7 +88,9 @@ class Controller {
 
   /// Interval boundary: closes the stats interval, checks the trigger and
   /// plans + installs a new assignment if needed. Returns the plan when a
-  /// migration was decided, nullopt otherwise.
+  /// migration was decided, nullopt otherwise. Without a planner it only
+  /// rolls the statistics and returns nullopt: no snapshot is built, so
+  /// last_snapshot() stays empty and last_observed_theta() stays 0.
   std::optional<RebalancePlan> end_interval();
 
   /// Live assignment function evaluated by the upstream router.

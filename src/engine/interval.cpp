@@ -63,18 +63,15 @@ void SlabTally::absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
   merge_ms += merge_timer.elapsed_millis();
 }
 
-void SlabTally::add_to(IntervalReport& report) const {
-  report.processed += scalars.processed;
-  const auto samples = static_cast<double>(scalars.latency_samples);
+std::optional<RebalancePlan> close_statistics(Controller& controller,
+                                              const SlabTally& tally,
+                                              IntervalReport& report) {
+  report.processed += tally.scalars.processed;
+  const auto samples = static_cast<double>(tally.scalars.latency_samples);
   report.avg_latency_ms =
-      samples > 0.0 ? scalars.latency_sum_us / samples / 1000.0 : 0.0;
-  report.max_theta = PartitionSnapshot::max_theta(worker_cost);
-  report.merge_ms += merge_ms;
-  report.stats_memory_bytes += memory_bytes;
-}
-
-std::optional<RebalancePlan> plan_boundary(Controller& controller,
-                                           IntervalReport& report) {
+      samples > 0.0 ? tally.scalars.latency_sum_us / samples / 1000.0 : 0.0;
+  report.merge_ms += tally.merge_ms;
+  report.stats_memory_bytes += tally.memory_bytes;
   WallTimer roll_timer;
   std::optional<RebalancePlan> plan = controller.end_interval();
   report.roll_ms = roll_timer.elapsed_millis();
@@ -84,21 +81,24 @@ std::optional<RebalancePlan> plan_boundary(Controller& controller,
     report.migration_bytes = plan->migration_bytes;
     report.generation_micros = plan->generation_micros;
   }
-  report.max_theta = controller.last_observed_theta();
+  // A planner-less controller observes no imbalance: report the
+  // realized one over the per-worker costs.
+  report.max_theta = controller.has_planner()
+                         ? controller.last_observed_theta()
+                         : PartitionSnapshot::max_theta(tally.worker_cost);
+  report.stats_memory_bytes += controller.stats_memory_bytes();
   return plan;
 }
 
 void close_interval(IntervalReport& report, double routed_ms,
-                    double stall_ms, Controller* controller) {
+                    double stall_ms, Controller& controller) {
   report.stall_ms = stall_ms;
   report.wall_ms = routed_ms + stall_ms;
   report.throughput_tps = report.wall_ms > 0.0
                               ? static_cast<double>(report.processed) /
                                     (report.wall_ms / 1000.0)
                               : 0.0;
-  if (controller != nullptr) {
-    controller->note_boundary(report.merge_ms, report.stall_ms);
-  }
+  controller.note_boundary(report.merge_ms, report.stall_ms);
 }
 
 void expand_interval(WorkloadSource& source, Xoshiro256& rng,

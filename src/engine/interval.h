@@ -1,10 +1,10 @@
 // Interval-level steps the threaded and the net engine share: the
 // per-interval report, a worker's per-batch operator fold, the boundary
-// tally of sealed worker slabs, the plan fields, the closing timing
-// arithmetic, and the expansion of a source interval into a shuffled
-// tuple sequence. The net ≡ threaded byte-identity contract rests on
-// these being one copy: both engines fold, tally and expand through the
-// same code.
+// tally of sealed worker slabs, the statistics close (roll, plan, plan
+// fields, memory), the closing timing arithmetic, and the expansion of a
+// source interval into a shuffled tuple sequence. The net ≡ threaded
+// byte-identity contract rests on these being one copy: both engines
+// fold, tally, close and expand through the same code.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,8 @@
 namespace skewless {
 
 /// One closed interval, reported by ThreadedEngine and NetEngine alike.
-/// The wire and recovery fields read 0 on the threaded engine.
+/// The wire, migration-wire and recovery fields read 0 on the threaded
+/// engine.
 struct IntervalReport {
   IntervalId interval = 0;
   std::uint64_t emitted = 0;
@@ -37,8 +38,8 @@ struct IntervalReport {
   bool migrated = false;
   std::size_t moves = 0;
   Bytes migration_bytes = 0.0;
-  /// Serialized state payload shipped during migration (threaded: only
-  /// with ThreadedConfig::serialize_migration).
+  /// Serialized state payload shipped during migration (net engine; the
+  /// threaded engine moves state objects and reports 0).
   Bytes migration_wire_bytes = 0.0;
   Micros generation_micros = 0;
   /// Resident bytes of ALL statistics structures: the provider plus the
@@ -56,9 +57,11 @@ struct IntervalReport {
   /// Time absorbing worker statistics into the provider (slab absorbs,
   /// or the exact-mode per-key replay under the drain locks).
   double merge_ms = 0.0;
-  /// Wall time of Controller::end_interval(): the statistics roll, the
-  /// snapshot, the trigger and the plan. Part of stall_ms; 0 without a
-  /// controller.
+  /// Wall time of Controller::end_interval(): the statistics roll, plus
+  /// the snapshot, the trigger and the plan when the controller has a
+  /// planner. Set by every engine. Part of stall_ms under run_interval();
+  /// under ThreadedEngine::run() the merge thread's roll can overlap the
+  /// next interval's expansion, which stall_ms excludes.
   double roll_ms = 0.0;
   /// Net engine: data / ctrl socket bytes this interval (both
   /// directions, frame headers included), cumulative crash recoveries,
@@ -128,29 +131,29 @@ struct SlabTally {
   void absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
               std::size_t w);
 
-  /// Adds the tally to `report`: processed, average latency, the
-  /// realized imbalance over the per-worker costs, merge time, memory.
-  void add_to(IntervalReport& report) const;
-
   WorkerSketchSlab::IntervalScalars scalars;
   std::vector<double> worker_cost;
   double merge_ms = 0.0;
   std::size_t memory_bytes = 0;
 };
 
-/// Rolls and plans the closing interval (Controller::end_interval) and
-/// copies the decision into `report`: the plan's figures when a
-/// migration was decided, the observed imbalance either way, and the
-/// call's wall time as roll_ms. Returns the plan for the engine to
-/// execute.
-std::optional<RebalancePlan> plan_boundary(Controller& controller,
-                                           IntervalReport& report);
+/// Closes the interval's statistics, in this order: adds `tally` to
+/// `report` (processed, average latency, merge time, memory), rolls and
+/// plans (Controller::end_interval, timed as roll_ms), copies the plan's
+/// figures when a migration was decided, and adds the provider's
+/// post-roll memory. max_theta is the controller's observed imbalance,
+/// or — for a planner-less controller, which observes none — the
+/// realized one over the tally's per-worker costs. Returns the plan for
+/// the engine to execute.
+std::optional<RebalancePlan> close_statistics(Controller& controller,
+                                              const SlabTally& tally,
+                                              IntervalReport& report);
 
 /// Closes the report's timing: wall = routing time + boundary stall,
 /// throughput = processed / wall. The boundary's merge and stall times
-/// also go to `controller` when there is one.
+/// also go to `controller`.
 void close_interval(IntervalReport& report, double routed_ms,
-                    double stall_ms, Controller* controller);
+                    double stall_ms, Controller& controller);
 
 /// Expands `source`'s next interval into one tuple per count (key k's
 /// c-th tuple carries value c) and shuffles it with `rng` so hot keys

@@ -71,6 +71,7 @@ class StateStore {
 
   /// Installs a migrated state. The key must not already be present —
   /// the pause protocol guarantees the destination never created one.
+  /// The threaded engine's migrations use this strict form.
   void install(KeyId key, std::unique_ptr<KeyState> state) {
     SKW_EXPECTS(state != nullptr);
     const auto [it, inserted] = states_.emplace(key, std::move(state));
@@ -78,10 +79,14 @@ class StateStore {
     (void)it;
   }
 
-  /// Installs a state, replacing any existing one. Only the net worker's
-  /// checkpoint-restore path uses this: a restore payload is peer input,
-  /// and reinstalling over a half-built store must not abort. Migration
-  /// installs keep the strict install() contract.
+  /// Installs a state, replacing any existing one. The net worker has two
+  /// callers, and this is its only install path:
+  ///   * kRestore — a checkpoint payload is peer input, and reinstalling
+  ///     over a half-built store must not abort;
+  ///   * kInstall — every migration install, because the degraded-mode
+  ///     re-homes that share this frame are barrier-free: the driver may
+  ///     route a re-homed key's tuples before the install lands, so the
+  ///     worker may already hold a fresh state for it.
   void install_or_replace(KeyId key, std::unique_ptr<KeyState> state) {
     SKW_EXPECTS(state != nullptr);
     states_[key] = std::move(state);

@@ -1,6 +1,7 @@
 #include "engine/threaded_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/clock.h"
@@ -68,26 +69,7 @@ ThreadedEngine::ThreadedEngine(ThreadedConfig config,
       num_workers_(controller_->num_instances()),
       migration_mailbox_(1 << 20) {
   SKW_EXPECTS(logic_ != nullptr);
-  // No separate monitor in controller mode: the controller's provider
-  // already sees every drained observation, and doubling it would
-  // double exactly the stats memory the sketch mode exists to shrink.
   sketch_stats_ = controller_->slab_sink();
-  start_workers();
-}
-
-ThreadedEngine::ThreadedEngine(ThreadedConfig config,
-                               std::shared_ptr<OperatorLogic> logic,
-                               InstanceId num_workers, std::uint64_t ring_seed)
-    : config_(config),
-      logic_(std::move(logic)),
-      num_workers_(num_workers),
-      migration_mailbox_(1 << 20) {
-  SKW_EXPECTS(logic_ != nullptr);
-  hash_ring_.emplace(num_workers, 128, ring_seed);
-  // The key domain is discovered from the stream; the monitor grows on
-  // demand (the exact provider via resize_keys, the sketch natively).
-  monitor_ = make_stats_provider(config_.stats_mode, 0, 1, config_.sketch);
-  sketch_stats_ = dynamic_cast<SketchStatsWindow*>(monitor_.get());
   start_workers();
 }
 
@@ -276,12 +258,8 @@ void ThreadedEngine::route_chunk(const Tuple* tuples, std::size_t n) {
   route_keys_.resize(n);
   route_dests_.resize(n);
   for (std::size_t j = 0; j < n; ++j) route_keys_[j] = tuples[j].key;
-  if (controller_) {
-    controller_->assignment().route_batch(route_keys_.data(), n,
-                                          route_dests_.data());
-  } else {
-    hash_ring_->owner_batch(route_keys_.data(), n, route_dests_.data());
-  }
+  controller_->assignment().route_batch(route_keys_.data(), n,
+                                        route_dests_.data());
   for (std::size_t j = 0; j < n; ++j) {
     const InstanceId d = route_dests_[j];
     auto& batch = pending_batches_[static_cast<std::size_t>(d)];
@@ -340,14 +318,10 @@ void ThreadedEngine::drain_worker_stats(SlabTally& tally) {
     tally.memory_bytes +=
         drained.size() * (sizeof(KeyAggMap::value_type) + kNodeOverhead) +
         (drained.bucket_count() + ws.per_key.bucket_count()) * sizeof(void*);
-    StatsProvider& provider = controller_ ? controller_->stats() : *monitor_;
+    StatsProvider& provider = controller_->stats();
     WallTimer merge_timer;
     for (const auto& [key, cb] : drained) {
       tally.worker_cost[w] += cb.cost;
-      // The hash-only monitor discovers its key domain from the stream.
-      if (monitor_ && key >= monitor_->num_keys()) {
-        monitor_->resize_keys(static_cast<std::size_t>(key) + 1);
-      }
       provider.record(key, cb.cost, cb.state_bytes, cb.frequency,
                       static_cast<InstanceId>(w));
     }
@@ -398,26 +372,27 @@ void ThreadedEngine::merge_loop() {
   bind_current_thread_to_node_of_cpu(driver_cpu_);
   std::uint64_t epoch = 1;
   while (true) {
+    IntervalReport* report = nullptr;
     {
       std::unique_lock lock(merge_mu_);
       merge_cv_.wait(lock,
                      [&] { return merge_requested_ >= epoch || merge_stop_; });
       if (merge_requested_ < epoch) return;  // stopping, nothing pending
+      report = merge_report_;
     }
     SlabTally tally(slabs_.size());
     merge_sealed_slabs(epoch, tally);
     if (stopping_.load(std::memory_order_acquire)) return;
-    if (!controller_) {
-      // Hash-only mode: the merge thread owns the monitor's roll and the
-      // heavy-set publication — the sealed workers resume as soon as the
-      // roll lands, with no driver involvement at all.
-      monitor_->roll();
-      tally.memory_bytes += monitor_->memory_bytes();
-      publish_heavy_set(epoch);
-    }
+    // The whole statistics close runs here, off the driver's path: roll
+    // and plan over the fully-merged epoch, then publish the heavy set,
+    // which resumes the sealed workers before the driver pushes any
+    // migration message they must reach.
+    std::optional<RebalancePlan> plan =
+        close_statistics(*controller_, tally, *report);
+    publish_heavy_set(epoch);
     {
       std::lock_guard lock(merge_mu_);
-      boundary_result_ = std::move(tally);
+      boundary_plan_ = std::move(plan);
       merge_completed_ = epoch;
     }
     merge_cv_.notify_all();
@@ -440,7 +415,7 @@ void ThreadedEngine::publish_heavy_set(std::uint64_t epoch) {
   heavy_cv_.notify_all();
 }
 
-Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
+void ThreadedEngine::execute_migration(const RebalancePlan& plan) {
   // Group the moves by source worker and extract.
   std::vector<std::vector<KeyId>> by_source(
       static_cast<std::size_t>(num_workers_));
@@ -463,28 +438,13 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
 
   std::vector<std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>>>
       by_dest(static_cast<std::size_t>(num_workers_));
-  Bytes wire_bytes = 0.0;
   for (std::size_t i = 0; i < expected; ++i) {
     auto extracted = migration_mailbox_.pop();
     SKW_ASSERT(extracted.has_value());
     if (extracted->state == nullptr) continue;  // key had no state yet
-    std::unique_ptr<KeyState> state = std::move(extracted->state);
-    if (config_.serialize_migration) {
-      // Round-trip through the byte codec, exactly as a cross-node
-      // migration would ship it.
-      ByteWriter writer;
-      state->serialize(writer);
-      wire_bytes += static_cast<Bytes>(writer.size());
-      const auto payload = writer.take();
-      ByteReader reader(payload);
-      auto restored = logic_->deserialize_state(reader);
-      SKW_ASSERT(reader.exhausted());
-      SKW_ASSERT(restored->checksum() == state->checksum());
-      state = std::move(restored);
-    }
     const InstanceId to = dest_of.at(extracted->key);
     by_dest[static_cast<std::size_t>(to)].emplace_back(
-        extracted->key, std::move(state));
+        extracted->key, std::move(extracted->state));
   }
 
   // Install at the destinations; tuples routed after this call sit behind
@@ -494,7 +454,6 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
     if (states.empty()) continue;
     push_counted(d, InstallMsg{std::move(states)});
   }
-  return wire_bytes;
 }
 
 IntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
@@ -515,14 +474,14 @@ IntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
   return report;
 }
 
-void ThreadedEngine::begin_boundary() {
+void ThreadedEngine::begin_boundary(IntervalReport& report) {
   WallTimer timer;
   if (async_merge_on()) {
     // Seal the epoch: one lightweight message per worker (FIFO puts it
     // behind every batch of the closing interval), then hand the epoch
-    // to the merge thread. Ingestion is free to continue immediately —
-    // next-interval batches queue behind the seals and land in the
-    // workers' swapped-in buffers.
+    // and the open report to the merge thread. Ingestion is free to
+    // continue immediately — next-interval batches queue behind the
+    // seals and land in the workers' swapped-in buffers.
     const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
     open_boundary_epoch_ = epoch;
     for (InstanceId d = 0; d < num_workers_; ++d) {
@@ -538,6 +497,7 @@ void ThreadedEngine::begin_boundary() {
     {
       std::lock_guard lock(merge_mu_);
       merge_requested_ = epoch;
+      merge_report_ = &report;
     }
     merge_cv_.notify_all();
   }
@@ -547,24 +507,16 @@ void ThreadedEngine::begin_boundary() {
 void ThreadedEngine::finish_boundary(IntervalReport& report) {
   WallTimer timer;
   if (async_merge_on()) {
-    const std::uint64_t epoch =
-        open_boundary_epoch_ != 0
-            ? open_boundary_epoch_
-            : static_cast<std::uint64_t>(interval_) + 1;
+    // The merge thread closed the statistics into `report` and published
+    // the heavy set; only the migration it planned is left.
+    std::optional<RebalancePlan> plan;
     {
       std::unique_lock lock(merge_mu_);
-      merge_cv_.wait(lock, [&] { return merge_completed_ >= epoch; });
-      boundary_result_.add_to(report);
+      merge_cv_.wait(lock,
+                     [&] { return merge_completed_ >= open_boundary_epoch_; });
+      plan = std::exchange(boundary_plan_, std::nullopt);
     }
-    if (controller_) {
-      // The controller rolls and plans over the fully-merged epoch; the
-      // heavy set is published (unblocking the sealed workers) before
-      // any migration messages need processing.
-      const auto plan = plan_boundary(*controller_, report);
-      publish_heavy_set(epoch);
-      if (plan) report.migration_wire_bytes = execute_migration(*plan);
-      report.stats_memory_bytes += controller_->stats_memory_bytes();
-    }
+    if (plan) execute_migration(*plan);
   } else {
     // Inline boundary: wait for every pushed message to be fully
     // processed so the interval's statistics are complete before
@@ -580,15 +532,8 @@ void ThreadedEngine::finish_boundary(IntervalReport& report) {
     }
     SlabTally tally(stats_.size());
     drain_worker_stats(tally);
-    tally.add_to(report);
-    if (monitor_) monitor_->roll();
-    report.stats_memory_bytes += controller_
-                                     ? controller_->stats_memory_bytes()
-                                     : monitor_->memory_bytes();
-    if (controller_) {
-      if (const auto plan = plan_boundary(*controller_, report)) {
-        report.migration_wire_bytes = execute_migration(*plan);
-      }
+    if (const auto plan = close_statistics(*controller_, tally, report)) {
+      execute_migration(*plan);
     }
     // The roll just promoted/demoted: re-broadcast the heavy set so next
     // interval's hot keys accumulate exactly in the worker slabs.
@@ -606,7 +551,7 @@ void ThreadedEngine::finish_boundary(IntervalReport& report) {
   }
   close_interval(report, report.wall_ms,
                  open_boundary_stall_ms_ + timer.elapsed_millis(),
-                 controller_.get());
+                 *controller_);
   open_boundary_epoch_ = 0;
   open_boundary_stall_ms_ = 0.0;
   ++interval_;
@@ -614,7 +559,7 @@ void ThreadedEngine::finish_boundary(IntervalReport& report) {
 
 IntervalReport ThreadedEngine::run_interval(const std::vector<Tuple>& tuples) {
   IntervalReport report = ingest(tuples);
-  begin_boundary();
+  begin_boundary(report);
   finish_boundary(report);
   return report;
 }
@@ -630,14 +575,14 @@ std::vector<IntervalReport> ThreadedEngine::run(WorkloadSource& source,
   if (intervals > 0) expand_interval(source, rng, tuples);
   for (int i = 0; i < intervals; ++i) {
     IntervalReport report = ingest(tuples);
-    begin_boundary();
+    begin_boundary(report);
     // Overlap window: generate (expand + shuffle) the NEXT interval's
-    // tuples while the merge thread absorbs this interval's sealed
-    // slabs. The tuple source keeps flowing through the boundary — the
-    // wall/stall accounting in begin/finish deliberately excludes this
-    // segment, because the driver is doing next-interval source work,
-    // not waiting. Without the async merge this is a plain sequential
-    // expansion (begin_boundary was a no-op).
+    // tuples while the merge thread absorbs, rolls and plans this
+    // interval's sealed slabs. The tuple source keeps flowing through
+    // the boundary — the wall/stall accounting in begin/finish
+    // deliberately excludes this segment, because the driver is doing
+    // next-interval source work, not waiting. Without the async merge
+    // this is a plain sequential expansion (begin_boundary was a no-op).
     if (i + 1 < intervals) expand_interval(source, rng, next);
     finish_boundary(report);
     reports.push_back(report);

@@ -27,7 +27,10 @@
 // batches are still milliseconds of operator work per worker, far longer
 // than the driver needs to refill a slot, so the workers do not starve.
 //
-// Statistics contract (worker ↔ driver):
+// Statistics contract (worker ↔ driver): the controller's provider is
+// the one statistics store, configured by ControllerConfig. The engine
+// always runs a controller; the hash-only baseline is a controller built
+// without a planner, which keeps the same statistics and never plans.
 //   * exact mode — workers aggregate per batch into a private map, merge
 //     it into a mutex-guarded shared map, and the driver swaps those out
 //     at interval boundaries and replays them into the provider. O(|K|)
@@ -47,17 +50,20 @@
 // SealMsg (FIFO: after every batch of the closing epoch), stamps the
 // active slab with the epoch, release-publishes it through
 // SlabPair::sealed_epoch, swaps onto the other buffer, and then waits for
-// the NEW heavy set (epoch-stamped, published after the merge path rolls
-// the window) before touching the next epoch's batches — which is what
-// keeps double-buffered runs byte-identical to the inline merge: every
-// slab accumulates under exactly the heavy set the inline schedule would
-// have installed. A driver-side merge thread absorbs the sealed slabs in
-// worker-index order while the next interval's tuples are generated and
-// queued; the merge input is exactly the sealed epoch regardless of
-// scheduling, so the merged window state is schedule-independent too.
-// With async_merge off the PR-3 inline protocol (gap-free quiescence
-// wait + driver-side absorb) runs unchanged and is the determinism
-// baseline the double-buffer path is tested against.
+// the NEW heavy set (epoch-stamped, published after the merge thread
+// rolls the window) before touching the next epoch's batches — which is
+// what keeps double-buffered runs byte-identical to the inline merge:
+// every slab accumulates under exactly the heavy set the inline schedule
+// would have installed. A driver-side merge thread owns the whole
+// statistics close: it absorbs the sealed slabs in worker-index order,
+// rolls and plans (close_statistics), and publishes the heavy set, while
+// the next interval's tuples are generated; the driver's finish_boundary
+// only waits for it and executes the migration it planned. The merge
+// input is exactly the sealed epoch regardless of scheduling, so the
+// merged window state and the plan are schedule-independent too. With
+// async_merge off the inline protocol (gap-free quiescence wait, then
+// absorb, roll and plan on the driver) runs instead and is the
+// determinism baseline the double-buffer path is tested against.
 #pragma once
 
 #include <atomic>
@@ -70,7 +76,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/consistent_hash.h"
 #include "common/queue.h"
 #include "common/types.h"
 #include "core/controller.h"
@@ -84,29 +89,23 @@
 namespace skewless {
 
 struct ThreadedConfig {
+  /// Ignored: the controller's assignment fixes the worker count. Kept
+  /// because existing callers still set it.
   InstanceId num_workers = 4;
   /// Tuples per Batch message (amortizes queue locking).
   std::size_t batch_size = 256;
   /// Window expiry watermark lag, in intervals (0 = no expiry messages).
   int expire_lag_intervals = 0;
-  /// If true, migrated states round-trip through the byte codec
-  /// (KeyState::serialize -> OperatorLogic::deserialize_state), as a
-  /// distributed deployment would ship them. Costs CPU, proves fidelity,
-  /// and fills IntervalReport::migration_wire_bytes.
-  bool serialize_migration = false;
-  /// Storage for the engine-side statistics monitor that hash-only mode
-  /// keeps (there is no controller to hold one). In controller mode the
-  /// controller's provider — configured via ControllerConfig — is the
-  /// single statistics store and this field is unused.
+  /// Ignored: ControllerConfig::stats_mode picks the statistics store.
+  /// Kept because existing callers still set it.
   StatsMode stats_mode = StatsMode::kExact;
-  /// Tuning for stats_mode == kSketch.
-  SketchStatsConfig sketch = {};
   /// Sketch mode only: double-buffer each worker's slab and absorb the
-  /// sealed buffers on a merge thread that overlaps the next interval's
-  /// tuple flow (see the seal protocol in the header comment). Off =
-  /// the inline boundary merge (full quiescence wait + driver-side
-  /// absorb), kept as the byte-identical determinism baseline and the
-  /// stall_ms A/B reference. Exact mode ignores this flag.
+  /// sealed buffers, roll and plan on a merge thread that overlaps the
+  /// next interval's tuple flow (see the seal protocol in the header
+  /// comment). Off = the inline boundary (full quiescence wait, then
+  /// absorb, roll and plan on the driver), kept as the byte-identical
+  /// determinism baseline and the stall_ms A/B reference. Exact mode
+  /// ignores this flag.
   bool async_merge = true;
   /// Pin worker w to the w-th CPU of the topology-aware pin order (one
   /// CPU per distinct physical core first, SMT siblings only after every
@@ -122,15 +121,12 @@ struct ThreadedConfig {
 
 class ThreadedEngine {
  public:
-  /// Controller mode: the controller's AssignmentFunction routes tuples
-  /// and its planner rebalances at interval boundaries.
+  /// The controller's AssignmentFunction routes tuples, its provider
+  /// holds the statistics, and its planner (if any) rebalances at
+  /// interval boundaries. A planner-less controller is the hash-only
+  /// baseline: consistent hashing, no migration.
   ThreadedEngine(ThreadedConfig config, std::shared_ptr<OperatorLogic> logic,
                  std::unique_ptr<Controller> controller);
-
-  /// Hash-only mode (the "Storm" baseline): consistent hashing, no
-  /// controller, no migration.
-  ThreadedEngine(ThreadedConfig config, std::shared_ptr<OperatorLogic> logic,
-                 InstanceId num_workers_for_ring, std::uint64_t ring_seed);
 
   ~ThreadedEngine();
 
@@ -163,13 +159,6 @@ class ThreadedEngine {
   [[nodiscard]] std::size_t total_state_entries() const;
 
   [[nodiscard]] Controller* controller() { return controller_.get(); }
-
-  /// The per-key statistics view: the controller's provider in
-  /// controller mode, the engine-side monitor (rolled once per
-  /// interval, per ThreadedConfig::stats_mode) in hash-only mode.
-  [[nodiscard]] const StatsProvider& state_tracker() const {
-    return controller_ ? controller_->stats() : *monitor_;
-  }
 
   /// Number of workers whose core pin (ThreadedConfig::pin_workers) took
   /// effect — 0 when pinning is off or unsupported on this platform.
@@ -268,8 +257,7 @@ class ThreadedEngine {
   void flush_batch(InstanceId d);
   /// Pushes `msg` to worker d's queue and counts it in pushed_msgs_.
   void push_counted(InstanceId d, WorkerMsg msg);
-  /// Returns the serialized payload size (0 when serialization is off).
-  Bytes execute_migration(const RebalancePlan& plan);
+  void execute_migration(const RebalancePlan& plan);
   /// Inline boundary: tallies every (quiescent) worker's interval
   /// statistics in worker-index order — absorbing the slabs in sketch
   /// mode, replaying the per-key maps into the provider in exact mode.
@@ -288,13 +276,14 @@ class ThreadedEngine {
   /// the routing segment only).
   IntervalReport ingest(const std::vector<Tuple>& tuples);
   /// Starts the interval boundary: async merge pushes the seals and
-  /// hands the epoch to the merge thread; inline/exact modes do nothing
-  /// yet. Between begin and finish the caller may overlap driver-side
-  /// work (run() expands the next interval's tuples there) — but must
-  /// not route tuples or touch statistics.
-  void begin_boundary();
-  /// Completes the boundary: harvests the merge (waiting if it has not
-  /// caught up), rolls/plans/migrates, publishes the heavy set, and
+  /// hands the epoch and the open `report` to the merge thread, which
+  /// closes the statistics into it; inline/exact modes do nothing yet.
+  /// Between begin and finish the caller may overlap driver-side work
+  /// (run() expands the next interval's tuples there) — but must not
+  /// route tuples or touch the controller or `report`.
+  void begin_boundary(IntervalReport& report);
+  /// Completes the boundary: waits for the merge thread (async) or
+  /// absorbs, rolls and plans inline, executes the plan's migration, and
   /// finalizes the report's wall/stall/throughput numbers.
   void finish_boundary(IntervalReport& report);
   [[nodiscard]] bool async_merge_on() const {
@@ -304,7 +293,6 @@ class ThreadedEngine {
   ThreadedConfig config_;
   std::shared_ptr<OperatorLogic> logic_;
   std::unique_ptr<Controller> controller_;
-  std::optional<ConsistentHashRing> hash_ring_;  // hash-only mode
   InstanceId num_workers_;
 
   std::vector<std::unique_ptr<BoundedMpmcQueue<WorkerMsg>>> queues_;
@@ -317,11 +305,9 @@ class ThreadedEngine {
   /// Driver-side scratch maps swapped against WorkerStats::per_key at
   /// each drain (cleared with buckets retained — no per-interval rebuild).
   std::vector<KeyAggMap> drain_scratch_;
-  std::unique_ptr<StatsProvider> monitor_;  // hash-only mode, else null
-  /// The sketch provider when stats_mode == kSketch (owned by the
-  /// controller or by monitor_), null in exact mode. Non-null switches
-  /// the worker↔driver statistics contract to thread-local slabs +
-  /// boundary merge.
+  /// The controller's sketch provider in sketch mode, null in exact
+  /// mode. Non-null switches the worker↔driver statistics contract to
+  /// thread-local slabs + boundary merge.
   SketchStatsWindow* sketch_stats_ = nullptr;
   /// One slab pair per worker (sketch mode only, else empty). Inline
   /// merge uses buffer 0 only.
@@ -337,10 +323,10 @@ class ThreadedEngine {
   int driver_cpu_ = -1;
 
   // --- Seal/merge protocol state (sketch mode + async_merge only) ---
-  /// The post-roll heavy set of epoch heavy_epoch_. Written by whoever
-  /// completes the roll (merge thread in hash-only mode, driver in
-  /// controller mode) BEFORE the release-store of heavy_epoch_; workers
-  /// read it after their acquire-load, so the handoff is race-free.
+  /// The post-roll heavy set of epoch heavy_epoch_. Written by the merge
+  /// thread after its roll, BEFORE the release-store of heavy_epoch_;
+  /// workers read it after their acquire-load, so the handoff is
+  /// race-free.
   /// Both barrier waits below use condition variables, NOT yield spins:
   /// on a loaded (or single-core) machine a spinning waiter keeps
   /// burning scheduler slices the merge path needs, which is exactly the
@@ -362,7 +348,11 @@ class ThreadedEngine {
   std::uint64_t merge_requested_ = 0;  // guarded by merge_mu_
   std::uint64_t merge_completed_ = 0;  // guarded by merge_mu_
   bool merge_stop_ = false;            // guarded by merge_mu_
-  SlabTally boundary_result_;          // guarded by merge_mu_
+  /// The open boundary's report, handed to the merge thread by
+  /// begin_boundary; the driver does not touch it until the merge
+  /// completes.
+  IntervalReport* merge_report_ = nullptr;       // guarded by merge_mu_
+  std::optional<RebalancePlan> boundary_plan_;   // guarded by merge_mu_
   /// Boundary-in-flight epoch between begin_boundary and
   /// finish_boundary (driver-only).
   std::uint64_t open_boundary_epoch_ = 0;

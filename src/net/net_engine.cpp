@@ -102,7 +102,6 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
     options.num_workers = static_cast<std::uint32_t>(num_workers_);
     options.fault = config_.fault;
     options.incarnation = workers_[w].incarnation;
-    options.recovery = config_.recovery_enabled;
     options.heartbeat_interval_ms = config_.heartbeat_interval_ms;
     options.sketch = sketch_stats_->config();
     options.engine_epoch_us = engine_epoch_us_;
@@ -117,12 +116,10 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
   workers_[w].data = FrameChannel(data_fds[0]);
   workers_[w].ctrl = FrameChannel(ctrl_fds[0]);
   workers_[w].pid = pid;
-  if (config_.recovery_enabled) {
-    // Crash detection needs every channel operation to be bounded: a
-    // send into a dead worker's full buffer must fail, not hang.
-    workers_[w].data.set_io_timeout_ms(config_.ctrl_timeout_ms);
-    workers_[w].ctrl.set_io_timeout_ms(config_.ctrl_timeout_ms);
-  }
+  // Crash detection needs every channel operation to be bounded: a send
+  // into a dead worker's full buffer must fail, not hang.
+  workers_[w].data.set_io_timeout_ms(config_.ctrl_timeout_ms);
+  workers_[w].ctrl.set_io_timeout_ms(config_.ctrl_timeout_ms);
   return true;
 }
 
@@ -221,10 +218,6 @@ void NetEngine::reap_worker(std::size_t w, const char* why) {
 
 bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
   if (!ok()) return false;
-  if (!config_.recovery_enabled) {
-    fail("worker " + std::to_string(w) + ": " + why);
-    return false;
-  }
   SKW_LOG_INFO("net worker %zu failed (%s): recovering", w, why.c_str());
   WallTimer timer;
   reap_worker(w, why.c_str());
@@ -387,7 +380,7 @@ void NetEngine::degrade_worker(std::size_t w) {
   // Re-home the checkpointed states through the normal install path,
   // grouped by the post-retirement assignment. Barrier-free: the ack is
   // consumed transparently later (owed_install_acks_), and the worker's
-  // recovery-mode install tolerates a racing fresh state.
+  // install replaces a racing fresh state.
   std::vector<std::vector<WireKeyState>> by_dest(n);
   for (WireKeyState& wire : eff.states) {
     const auto d =
@@ -471,8 +464,7 @@ std::string NetEngine::ctrl_failure_reason(std::size_t w, CtrlRecv rc) const {
 NetEngine::CtrlRecv NetEngine::recv_ctrl_any(
     std::size_t w, FrameHeader& header, std::vector<std::uint8_t>& payload) {
   Worker& wk = workers_[w];
-  const int timeout =
-      config_.recovery_enabled ? std::max(1, config_.ctrl_timeout_ms) : -1;
+  const int timeout = std::max(1, config_.ctrl_timeout_ms);
   while (true) {
     const int r = wk.ctrl.wait_readable(timeout);
     if (r == 0) return CtrlRecv::kTimeout;
@@ -513,13 +505,11 @@ void NetEngine::flush_batch(InstanceId d) {
   encode_tuple_batch(frame_scratch_, batch);
   batch.clear();
   const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
-  if (config_.recovery_enabled) {
-    // Recorded BEFORE the send and counted regardless of its outcome: a
-    // failed send triggers a recovery whose replay delivers exactly this
-    // frame, so the seal's batch count must include it either way.
-    (void)replay_[di].record(epoch, frame_scratch_.bytes().data(),
-                             frame_scratch_.size());
-  }
+  // Recorded BEFORE the send and counted regardless of its outcome: a
+  // failed send triggers a recovery whose replay delivers exactly this
+  // frame, so the seal's batch count must include it either way.
+  (void)replay_[di].record(epoch, frame_scratch_.bytes().data(),
+                           frame_scratch_.size());
   ++workers_[di].batches_sent;
   if (!workers_[di].data.send(FrameType::kBatch, epoch, frame_scratch_)) {
     if (!recover_worker(di, "data send failed: " +
@@ -581,19 +571,16 @@ IntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
   return report;
 }
 
-bool NetEngine::absorb_summaries(std::uint64_t epoch,
-                                 IntervalReport& report) {
-  SlabTally tally(workers_.size());
+bool NetEngine::absorb_summaries(std::uint64_t epoch, SlabTally& tally) {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
-    // With recovery on, the summary is only a CANDIDATE until the same
-    // epoch's checkpoint lands: a worker that dies between the two is
-    // replayed from its previous checkpoint, and absorbing its summary
-    // early would count the epoch twice. The buffered summary is
-    // absorbed the moment the checkpoint confirms the epoch completed
-    // durably.
+    // The summary is only a CANDIDATE until the same epoch's checkpoint
+    // lands: a worker that dies between the two is replayed from its
+    // previous checkpoint, and absorbing its summary early would count
+    // the epoch twice. The buffered summary is absorbed the moment the
+    // checkpoint confirms the epoch completed durably.
     bool have_summary = false;
-    bool have_checkpoint = !config_.recovery_enabled;
+    bool have_checkpoint = false;
     while (!(have_summary && have_checkpoint)) {
       if (!ok()) return false;
       if (workers_[w].dead) break;  // degraded while waiting
@@ -661,7 +648,6 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
     }
     tally.absorb(*sketch_stats_, *scratch_slab_, w);
   }
-  tally.add_to(report);
   return true;
 }
 
@@ -770,11 +756,9 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
                  std::to_string(w));
             return Reply::kFail;
           }
-          if (config_.recovery_enabled) {
-            // The source's checkpoint predates this extraction: a
-            // restore of the source must not resurrect the key.
-            migrated_away_[w].insert(wire.key);
-          }
+          // The source's checkpoint predates this extraction: a restore
+          // of the source must not resurrect the key.
+          migrated_away_[w].insert(wire.key);
           report.migration_wire_bytes += static_cast<Bytes>(wire.blob.size());
           extracted.push_back(std::move(wire));
         }
@@ -795,12 +779,10 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
   for (std::size_t w = 0; w < n; ++w) {
     if (by_dest[w].empty()) continue;
     dests.push_back(w);
-    if (config_.recovery_enabled) {
-      // Recorded before the send: until the NEXT checkpoint proves these
-      // states durable, a restore of this destination re-delivers them.
-      for (const WireKeyState& s : by_dest[w]) {
-        pending_installs_[w].push_back({epoch, s});
-      }
+    // Recorded before the send: until the NEXT checkpoint proves these
+    // states durable, a restore of this destination re-delivers them.
+    for (const WireKeyState& s : by_dest[w]) {
+      pending_installs_[w].push_back({epoch, s});
     }
   }
   // The install barrier: no next-interval tuple is routed anywhere until
@@ -841,11 +823,11 @@ void NetEngine::finish_interval(IntervalReport& report) {
     workers_[w].seal_sent = true;
     encode_seal(frame_scratch_, SealPayload{workers_[w].batches_sent});
   });
-  if (!sealed || !absorb_summaries(epoch, report)) return;
-  if (const auto plan = plan_boundary(*controller_, report)) {
+  SlabTally tally(workers_.size());
+  if (!sealed || !absorb_summaries(epoch, tally)) return;
+  if (const auto plan = close_statistics(*controller_, tally, report)) {
     if (!execute_migration(*plan, report)) return;
   }
-  report.stats_memory_bytes += controller_->stats_memory_bytes();
   // The roll just promoted/demoted: broadcast the post-roll heavy set so
   // the next interval's hot keys accumulate exactly in the worker slabs.
   // Written before any next-interval batch, drained by the workers
@@ -868,15 +850,10 @@ void NetEngine::finish_interval(IntervalReport& report) {
       return;
     }
   }
-  if (!config_.recovery_enabled) {
-    // With recovery on this reset happens per worker at checkpoint
-    // receipt, which is the moment the count stops being replay-relevant.
-    for (Worker& worker : workers_) worker.batches_sent = 0;
-  }
   report.recoveries = recoveries_;
   report.degraded = degraded_;
   close_interval(report, open_interval_wall_ms_, timer.elapsed_millis(),
-                 controller_.get());
+                 *controller_);
   const std::uint64_t data_now = wire_bytes_data();
   const std::uint64_t ctrl_now = wire_bytes_ctrl();
   report.data_wire_bytes =

@@ -21,24 +21,25 @@
 //      ctrl — the worker seals only after processing exactly that many
 //      batches, which re-establishes cross-channel ordering by content;
 //   3. each worker serializes its WorkerSketchSlab as the kSummary
-//      boundary payload (O(sketch), never O(|K|)) and, when recovery is
-//      on, encodes a kCheckpoint snapshot of its key states straight
-//      from its StateStore — both BEFORE sending either, so the workers
-//      encode in parallel while the driver reads summaries one worker at
-//      a time. The driver validates each checkpoint without decoding it
-//      and keeps each worker's latest checkpoint as bytes (Checkpoint);
+//      boundary payload (O(sketch), never O(|K|)) and encodes a
+//      kCheckpoint snapshot of its key states straight from its
+//      StateStore — both BEFORE sending either, so the workers encode in
+//      parallel while the driver reads summaries one worker at a time.
+//      The driver validates each checkpoint without decoding it and
+//      keeps each worker's latest checkpoint as bytes (Checkpoint);
 //   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
 //      controller's SketchStatsWindow — the same fixed order as the
 //      in-process merge, which is what makes a net run byte-identical to
 //      a ThreadedEngine run on the same seed: identical plans, identical
 //      θ trajectory, identical state checksums;
-//   5. rolls/plans via Controller::end_interval, migrates state with
+//   5. rolls/plans via close_statistics (Controller::end_interval, the
+//      same step the threaded engine runs), migrates state with
 //      kExtract / kMigrated / kInstall / kInstallAck (the driver forwards
 //      serialized state blobs without materializing them), broadcasts the
 //      post-roll heavy set, and only then routes the next interval.
 //
-// Failure model (recovery_enabled, the default): a worker crash, wedge
-// or corrupt frame is detected by deadline-bounded control receives
+// Failure model (recovery is always on): a worker crash, wedge or
+// corrupt frame is detected by deadline-bounded control receives
 // (heartbeats extend the deadline; EOF/POLLHUP classifies a crash, a
 // timeout classifies a wedge). The driver then respawns the worker with
 // exponential backoff, reinstalls its last checkpoint (adjusted for any
@@ -56,12 +57,10 @@
 // checkpointed states are reassigned to the survivors and the run
 // finishes with every tuple still counted exactly once. A protocol
 // breach no restore can mend (a migrated key the plan never moved, a
-// corrupt Fin) fails the engine.
-//
-// With recovery disabled the engine is fail-stop: any channel error,
-// protocol violation or corrupt frame records a reason (error()), kills
-// and reaps every worker, and makes further engine calls no-ops — the
-// driver process never aborts on bytes a peer sent.
+// corrupt Fin, a crash after the replay buffer overflowed) fails the
+// engine: it records a reason (error()), kills and reaps every worker,
+// and makes further engine calls no-ops — the driver process never
+// aborts on bytes a peer sent.
 #pragma once
 
 #include <cstdint>
@@ -94,10 +93,7 @@ struct NetConfig {
   /// Window expiry watermark lag, in intervals (0 = no expiry frames).
   int expire_lag_intervals = 0;
 
-  // --- fault tolerance ---
-  /// Checkpoint + replay recovery of crashed workers. Off = the legacy
-  /// fail-stop engine (no checkpoints, no heartbeats, unbounded waits).
-  bool recovery_enabled = true;
+  // --- fault tolerance (checkpoint + replay recovery, always on) ---
   /// Deterministic fault schedule (tests / skewless_sim --fault).
   FaultPlan fault = {};
   /// Deadline for any control-channel receive (and for channel I/O via
@@ -268,7 +264,8 @@ class NetEngine {
   void flush_batches();
   /// One bounded ctrl receive from worker `w`. Skips heartbeat frames
   /// (each restarts the deadline and marks liveness). Never calls
-  /// fail() — callers decide between recovery and fail-stop.
+  /// fail() — callers decide between recovering the worker and failing
+  /// the engine.
   [[nodiscard]] CtrlRecv recv_ctrl_any(std::size_t w, FrameHeader& header,
                                        std::vector<std::uint8_t>& payload);
   /// Human-readable classification of a non-kFrame recv_ctrl_any outcome.
@@ -292,8 +289,9 @@ class NetEngine {
                                 FrameType request, std::uint64_t epoch,
                                 const EncodeFn& encode, FrameType reply,
                                 bool resend, const AcceptFn& accept);
-  [[nodiscard]] bool absorb_summaries(std::uint64_t epoch,
-                                      IntervalReport& report);
+  /// Receives every live worker's summary and checkpoint for `epoch`
+  /// and absorbs the summaries into `tally` in worker-index order.
+  [[nodiscard]] bool absorb_summaries(std::uint64_t epoch, SlabTally& tally);
   [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
                                        IntervalReport& report);
   [[nodiscard]] std::uint64_t wire_bytes_data() const;

@@ -49,12 +49,10 @@ class NetWorker {
     poller.add(ctrl_.fd(), kCtrl);
     poller.add(data_.fd(), kData);
     std::vector<int> ready;
-    // With recovery on, the poll wakes at the heartbeat period even when
-    // both channels are idle, so liveness beats keep flowing while the
-    // driver is busy elsewhere.
-    const int poll_timeout = options_.recovery
-                                 ? std::max(1, options_.heartbeat_interval_ms)
-                                 : -1;
+    // The poll wakes at the heartbeat period even when both channels are
+    // idle, so liveness beats keep flowing while the driver is busy
+    // elsewhere.
+    const int poll_timeout = std::max(1, options_.heartbeat_interval_ms);
     while (true) {
       const int rc = maybe_seal();
       if (rc >= 0) return rc;
@@ -129,9 +127,8 @@ class NetWorker {
   }
 
   /// Emits an epoch-progress liveness beat on ctrl when the heartbeat
-  /// period has elapsed (recovery mode only).
+  /// period has elapsed.
   int maybe_heartbeat() {
-    if (!options_.recovery) return kKeepRunning;
     const Micros now = steady_now_us();
     const Micros period =
         static_cast<Micros>(options_.heartbeat_interval_ms) * 1000;
@@ -177,7 +174,7 @@ class NetWorker {
 
   /// Seals the epoch once every one of its batches has been processed:
   /// stamps + serializes the slab as the boundary summary, encodes the
-  /// post-seal checkpoint when recovery is on, ships both on ctrl, and
+  /// post-seal checkpoint, ships both on ctrl, and
   /// resets for the next epoch. Both are encoded BEFORE either is sent:
   /// the summary outgrows the socket buffer, so its send blocks until
   /// the driver reads it, and the driver reads workers in index order —
@@ -188,7 +185,7 @@ class NetWorker {
     slab_.set_epoch(seal_epoch_);
     scratch_.clear();
     slab_.serialize(scratch_);
-    if (options_.recovery) encode_sealed_checkpoint();
+    encode_sealed_checkpoint();
     if (!ctrl_.send(FrameType::kSummary, seal_epoch_, scratch_)) {
       return fail(kWorkerExitChannel, "send Summary",
                   ctrl_.last_error().c_str());
@@ -196,8 +193,7 @@ class NetWorker {
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
-    if (options_.recovery &&
-        !ctrl_.send(FrameType::kCheckpoint, seal_epoch_, checkpoint_)) {
+    if (!ctrl_.send(FrameType::kCheckpoint, seal_epoch_, checkpoint_)) {
       return fail(kWorkerExitChannel, "send Checkpoint",
                   ctrl_.last_error().c_str());
     }
@@ -358,14 +354,10 @@ class NetWorker {
         return fail(kWorkerExitCorruptFrame, "decode",
                     "corrupt migrated state blob");
       }
-      if (options_.recovery) {
-        // Degraded-mode re-home installs are barrier-free (the driver
-        // may still be re-routing tuples while this frame is in flight),
-        // so a fresh state created a moment earlier must be replaceable.
-        store_.install_or_replace(wire.key, std::move(state));
-      } else {
-        store_.install(wire.key, std::move(state));
-      }
+      // Degraded-mode re-home installs are barrier-free (the driver may
+      // still be re-routing tuples while this frame is in flight), so a
+      // fresh state created a moment earlier must be replaceable.
+      store_.install_or_replace(wire.key, std::move(state));
     }
     // The ack closes the migration barrier: the driver routes no
     // next-interval tuple to ANY worker until every destination has

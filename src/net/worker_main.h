@@ -9,7 +9,10 @@
 // Cross-channel epoch ordering is re-established by content, not by
 // arrival: the kSeal payload says how many batches the epoch carried,
 // and the worker defers sealing (serializing + shipping its slab as the
-// boundary summary) until it has processed exactly that many.
+// boundary summary, followed by a checkpoint of its key states) until
+// it has processed exactly that many. Recovery support is always on:
+// every seal ships the checkpoint, the worker heartbeats on ctrl, and a
+// kRestore frame reinstalls a checkpoint into a respawned worker.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +33,8 @@ struct NetWorkerOptions {
   /// 0 for the first spawn, incremented by the driver on every respawn;
   /// one-shot fault events arm only for incarnation 0.
   std::uint32_t incarnation = 0;
-  /// When true the worker ships a post-seal checkpoint frame and emits
-  /// periodic epoch-progress heartbeats on ctrl.
-  bool recovery = false;
-  /// Heartbeat period (only meaningful with recovery on). Must be well
-  /// under the driver's ctrl receive deadline.
+  /// Period of the epoch-progress heartbeats the worker emits on ctrl.
+  /// Must be well under the driver's ctrl receive deadline.
   int heartbeat_interval_ms = 250;
   /// Must equal the driver-side window's config: the slab replicates the
   /// window's Count-Min geometry, and the summary decode on the driver

@@ -9,14 +9,14 @@ namespace {
 
 Controller make_controller(InstanceId nd, std::size_t num_keys,
                            double theta_max, int window = 1,
-                           bool enabled = true) {
+                           bool with_planner = true) {
   ControllerConfig cfg;
   cfg.planner.theta_max = theta_max;
   cfg.planner.max_table_entries = 0;
   cfg.window = window;
-  cfg.enabled = enabled;
   return Controller(AssignmentFunction(ConsistentHashRing(nd, 128, 9), 0),
-                    std::make_unique<MixedPlanner>(), cfg, num_keys);
+                    with_planner ? std::make_unique<MixedPlanner>() : nullptr,
+                    cfg, num_keys);
 }
 
 TEST(Controller, NoTriggerWhenBalanced) {
@@ -52,16 +52,25 @@ TEST(Controller, TriggersAndInstallsOnImbalance) {
   EXPECT_EQ(ctrl.assignment()(moved), plan->moves.front().to);
 }
 
-TEST(Controller, DisabledControllerNeverPlans) {
-  auto ctrl = make_controller(2, 10, 0.08, 1, /*enabled=*/false);
+TEST(Controller, PlannerlessControllerOnlyRolls) {
+  auto ctrl = make_controller(2, 10, 0.08, 1, /*with_planner=*/false);
+  EXPECT_FALSE(ctrl.has_planner());
   const InstanceId hot = ctrl.assignment()(0);
   ctrl.record(0, 10.0, 1.0);
   KeyId other = 1;
   while (ctrl.assignment()(other) != hot) ++other;
   ctrl.record(other, 10.0, 1.0);
+  // The same imbalance makes the planning controller rebalance (see
+  // TriggersAndInstallsOnImbalance); this one only rolls its statistics.
   EXPECT_FALSE(ctrl.end_interval().has_value());
-  EXPECT_GT(ctrl.last_observed_theta(), 0.5);  // imbalance observed
   EXPECT_EQ(ctrl.rebalance_count(), 0u);
+  EXPECT_EQ(ctrl.assignment().table().size(), 0u);
+  EXPECT_EQ(ctrl.stats().closed_intervals(), 1);
+  EXPECT_DOUBLE_EQ(ctrl.stats().last_cost_of(0), 10.0);
+  EXPECT_DOUBLE_EQ(ctrl.stats().last_cost_of(other), 10.0);
+  // No snapshot is built, so no imbalance is observed.
+  EXPECT_EQ(ctrl.last_observed_theta(), 0.0);
+  EXPECT_EQ(ctrl.last_snapshot().num_instances, 0);
 }
 
 TEST(Controller, RepeatedIntervalsConverge) {

@@ -54,6 +54,18 @@ std::string plan_bytes(const RebalancePlan& plan) {
   return out;
 }
 
+/// The hash-only baseline: a planner-less sketch-mode controller.
+std::unique_ptr<Controller> hash_only_controller(
+    InstanceId workers, std::uint64_t ring_seed, std::size_t num_keys,
+    const SketchStatsConfig& sketch) {
+  ControllerConfig cfg;
+  cfg.stats_mode = StatsMode::kSketch;
+  cfg.sketch = sketch;
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(workers, 128, ring_seed), 0),
+      nullptr, cfg, num_keys);
+}
+
 PlannerPtr make_planner(const std::string& which) {
   if (which == "mintable") return std::make_unique<MinTablePlanner>();
   if (which == "minmig") return std::make_unique<MinMigPlanner>();
@@ -328,14 +340,14 @@ TEST(Determinism, ThreadedSketchStatsAreByteIdenticalAcrossRuns) {
     opts.seed = 77;
     ZipfFluctuatingSource source(opts);
 
-    ThreadedConfig cfg;
-    cfg.stats_mode = StatsMode::kSketch;
-    cfg.sketch.heavy_capacity = 256;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          /*num_workers_for_ring=*/4, /*ring_seed=*/3);
+    SketchStatsConfig sketch_cfg;
+    sketch_cfg.heavy_capacity = 256;
+    ThreadedEngine engine(
+        ThreadedConfig{}, std::make_shared<WordCountLogic>(),
+        hash_only_controller(4, 3, opts.num_keys, sketch_cfg));
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     const auto heavy = sketch->heavy_keys();
@@ -378,15 +390,16 @@ TEST(Determinism, DoubleBufferedMergeMatchesInlineBaseline) {
     ZipfFluctuatingSource source(opts);
 
     ThreadedConfig cfg;
-    cfg.stats_mode = StatsMode::kSketch;
-    cfg.sketch.heavy_capacity = 128;
     cfg.batch_size = batch;
     cfg.async_merge = async_merge;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(), workers,
-                          /*ring_seed=*/3);
+    SketchStatsConfig sketch_cfg;
+    sketch_cfg.heavy_capacity = 128;
+    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                          hash_only_controller(workers, 3, opts.num_keys,
+                                               sketch_cfg));
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -540,17 +553,18 @@ TEST(Determinism, AdversarialThreadedRunsAreByteIdentical) {
     AdversarialSource source(opts);
 
     ThreadedConfig cfg;
-    cfg.stats_mode = StatsMode::kSketch;
-    cfg.sketch.heavy_capacity = 128;
-    cfg.sketch.decay = true;
-    cfg.sketch.decay_beta = 0.8;
     cfg.batch_size = 32;
     cfg.async_merge = async_merge;
+    SketchStatsConfig sketch_cfg;
+    sketch_cfg.heavy_capacity = 128;
+    sketch_cfg.decay = true;
+    sketch_cfg.decay_beta = 0.8;
     ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          /*num_workers_for_ring=*/3, /*ring_seed=*/3);
+                          hash_only_controller(3, 3, opts.num_keys,
+                                               sketch_cfg));
     engine.run(source, 4, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -640,7 +654,6 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
     tcfg.num_workers = kWorkers;
     tcfg.batch_size = 64;
     tcfg.stats_mode = StatsMode::kSketch;
-    tcfg.sketch.heavy_capacity = 256;
     ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
                           make_controller(source.num_keys()));
     const auto reports = engine.run(source, kIntervals, /*seed=*/9);
@@ -732,7 +745,6 @@ TEST(Determinism, SimdScalarMatchesDefaultDispatch) {
     tcfg.num_workers = kWorkers;
     tcfg.batch_size = 64;
     tcfg.stats_mode = StatsMode::kSketch;
-    tcfg.sketch.heavy_capacity = 256;
     ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
                           std::move(controller));
     const auto reports = engine.run(source, kIntervals, /*seed=*/9);

@@ -217,7 +217,6 @@ RunDigest run_with_plan(
 
   NetConfig ncfg;
   ncfg.batch_size = 64;
-  ncfg.recovery_enabled = true;
   ncfg.fault = fault;
   ncfg.ctrl_timeout_ms = timeout_ms;
   ncfg.heartbeat_interval_ms = 50;
@@ -363,34 +362,6 @@ TEST(NetRecovery, StickyWedgeExhaustsBudgetAndDegrades) {
   EXPECT_EQ(got.processed, std::uint64_t(kIntervals) * 8'000u);
   EXPECT_EQ(got.outputs, std::uint64_t(kIntervals) * 8'000u);
   EXPECT_GT(got.state_entries, 0u);
-  expect_no_children();
-}
-
-// With recovery off the engine is the legacy fail-stop one: the same kill
-// must surface as an engine error, not a recovery.
-TEST(NetRecovery, RecoveryDisabledFailsStop) {
-  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
-  ZipfFluctuatingSource::Options opts;
-  opts.num_keys = 1'500;
-  opts.skew = 1.2;
-  opts.tuples_per_interval = 8'000;
-  opts.seed = 5;
-  ZipfFluctuatingSource source(opts);
-
-  NetConfig ncfg;
-  ncfg.batch_size = 64;
-  ncfg.recovery_enabled = false;
-  FaultPlan plan;
-  plan.events.push_back(FaultEvent{FaultKind::kKill, 1, 1, false});
-  ncfg.fault = plan;
-  NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
-                   fault_controller(kWorkers, source.num_keys()));
-  (void)engine.run(source, kIntervals, /*seed=*/11);
-  EXPECT_FALSE(engine.ok());
-  EXPECT_FALSE(engine.error().empty());
-  engine.shutdown();
-  EXPECT_FALSE(engine.ok());
-  EXPECT_EQ(engine.recoveries(), 0u);
   expect_no_children();
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/planners.h"
+#include "core/snapshot.h"
 #include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
@@ -21,6 +22,19 @@ std::unique_ptr<Controller> make_controller(
   return std::make_unique<Controller>(
       AssignmentFunction(ConsistentHashRing(nd, 128, 11), 0),
       std::make_unique<MixedPlanner>(), cfg, num_keys);
+}
+
+/// The hash-only baseline: a planner-less controller on the given ring.
+std::unique_ptr<Controller> hash_only_controller(
+    InstanceId nd, std::uint64_t ring_seed, std::size_t num_keys,
+    StatsMode stats_mode = StatsMode::kExact,
+    SketchStatsConfig sketch = {}) {
+  ControllerConfig cfg;
+  cfg.stats_mode = stats_mode;
+  cfg.sketch = sketch;
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(nd, 128, ring_seed), 0), nullptr,
+      cfg, num_keys);
 }
 
 std::vector<Tuple> make_tuples(std::size_t n, std::size_t num_keys,
@@ -62,7 +76,7 @@ TEST(ThreadedEngine, WordCountStateMatchesInput) {
 
 TEST(ThreadedEngine, HashOnlyModeWorksWithoutController) {
   ThreadedEngine engine(ThreadedConfig{}, std::make_shared<WordCountLogic>(),
-                        /*num_workers_for_ring=*/4, /*ring_seed=*/7);
+                        hash_only_controller(4, 7, 64));
   const auto tuples = make_tuples(5'000, 64, 2);
   const auto report = engine.run_interval(tuples);
   EXPECT_EQ(report.processed, 5'000u);
@@ -114,7 +128,7 @@ TEST(ThreadedEngine, MigrationPreservesStateExactly) {
   {
     ThreadedEngine engine(ThreadedConfig{},
                           std::make_shared<WordCountLogic>(),
-                          /*num_workers_for_ring=*/4, /*ring_seed=*/11);
+                          hash_only_controller(4, 11, num_keys));
     for (int interval = 0; interval < 5; ++interval) {
       engine.run_interval(make_input(interval));
     }
@@ -181,17 +195,17 @@ TEST(ThreadedEngine, RunWithSourceExpandsCounts) {
 }
 
 TEST(ThreadedEngine, ExpiryMessagesShrinkWindows) {
-  // Both constructors: expiry is an operator concern, so the hash-only
-  // engine must advance the watermark exactly like the controller one.
+  // With and without a planner: expiry is an operator concern, so the
+  // hash-only engine must advance the watermark exactly like the
+  // rebalancing one.
   for (const bool with_controller : {true, false}) {
     ThreadedConfig cfg;
     cfg.expire_lag_intervals = 1;
     const auto logic = std::make_shared<SelfJoinLogic>(1.0, 0.01, 1 << 20);
-    auto engine =
-        with_controller
-            ? std::make_unique<ThreadedEngine>(cfg, logic,
-                                               make_controller(2, 4, 0.9))
-            : std::make_unique<ThreadedEngine>(cfg, logic, InstanceId{2}, 11);
+    auto engine = std::make_unique<ThreadedEngine>(
+        cfg, logic,
+        with_controller ? make_controller(2, 4, 0.9)
+                        : hash_only_controller(2, 11, 4));
     // Tuples with old timestamps: after the interval, the expiry watermark
     // passes them and the window shrinks.
     std::vector<Tuple> tuples(500, Tuple{1, 7, 0, 0});
@@ -207,47 +221,12 @@ TEST(ThreadedEngine, ExpiryMessagesShrinkWindows) {
   }
 }
 
-TEST(ThreadedEngine, SerializedMigrationPreservesState) {
-  // Same workload with in-process pointer moves vs full byte round-trips:
-  // identical final state.
-  const auto run_with = [](bool serialize) {
-    ThreadedConfig cfg;
-    cfg.serialize_migration = serialize;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          make_controller(4, 100, 0.02));
-    Bytes wire = 0.0;
-    std::uint64_t migrations = 0;
-    for (int interval = 0; interval < 4; ++interval) {
-      std::vector<Tuple> tuples;
-      for (KeyId k = 0; k < 100; ++k) {
-        const int n = static_cast<int>(500 / (k + 1) + 1);
-        for (int i = 0; i < n; ++i) {
-          tuples.push_back(
-              Tuple{k, static_cast<std::int64_t>(interval * 7 + i), 0, 0});
-        }
-      }
-      const auto report = engine.run_interval(tuples);
-      wire += report.migration_wire_bytes;
-      migrations += report.migrated ? 1 : 0;
-    }
-    engine.shutdown();
-    return std::make_tuple(engine.state_checksum(), wire, migrations);
-  };
-
-  const auto [sum_plain, wire_plain, mig_plain] = run_with(false);
-  const auto [sum_serde, wire_serde, mig_serde] = run_with(true);
-  EXPECT_EQ(sum_plain, sum_serde);
-  EXPECT_EQ(wire_plain, 0.0);
-  EXPECT_GT(mig_serde, 0u);
-  EXPECT_GT(wire_serde, 0.0);  // real bytes crossed the codec
-}
-
 TEST(ThreadedEngine, SketchModeHashOnlyTracksHeavyKeysViaSlabs) {
-  ThreadedConfig cfg;
-  cfg.stats_mode = StatsMode::kSketch;
-  cfg.sketch.heavy_capacity = 64;
-  ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                        /*num_workers_for_ring=*/4, /*ring_seed=*/7);
+  SketchStatsConfig sketch_cfg;
+  sketch_cfg.heavy_capacity = 64;
+  ThreadedEngine engine(ThreadedConfig{}, std::make_shared<WordCountLogic>(),
+                        hash_only_controller(4, 7, 500, StatsMode::kSketch,
+                                             sketch_cfg));
   // Two intervals of heavy skew: key k carries ~2000/(k+1) tuples.
   std::uint64_t expected = 0;
   for (int interval = 0; interval < 2; ++interval) {
@@ -263,7 +242,7 @@ TEST(ThreadedEngine, SketchModeHashOnlyTracksHeavyKeysViaSlabs) {
     EXPECT_GT(report.stats_memory_bytes, 0u);
   }
   const auto* sketch =
-      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+      dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
   ASSERT_NE(sketch, nullptr);
   // The hottest keys were promoted out of the worker slabs' candidate
   // union, and their exact hot-tier stats match the true per-key cost
@@ -324,12 +303,13 @@ TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
   // exact across the buffer alternation (epoch 1 seals buffer 0, epoch 2
   // buffer 1, epoch 3 buffer 0 again).
   ThreadedConfig cfg;
-  cfg.stats_mode = StatsMode::kSketch;
-  cfg.sketch.heavy_capacity = 64;
   cfg.batch_size = 8;  // many in-flight messages per boundary
   cfg.async_merge = true;
+  SketchStatsConfig sketch_cfg;
+  sketch_cfg.heavy_capacity = 64;
   ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                        /*num_workers_for_ring=*/4, /*ring_seed=*/7);
+                        hash_only_controller(4, 7, 200, StatsMode::kSketch,
+                                             sketch_cfg));
   for (int interval = 0; interval < 3; ++interval) {
     std::vector<Tuple> tuples;
     for (KeyId k = 0; k < 200; ++k) {
@@ -348,7 +328,7 @@ TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
     EXPECT_GE(report.merge_ms, 0.0);
   }
   const auto* sketch =
-      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+      dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
   ASSERT_NE(sketch, nullptr);
   EXPECT_TRUE(sketch->is_heavy(0));
   EXPECT_DOUBLE_EQ(sketch->last_cost_of(0), 1001.0);
@@ -404,9 +384,10 @@ TEST(ThreadedEngine, AsyncAndInlineMergeAgreeUnderController) {
 }
 
 TEST(ThreadedEngine, RollTimeIsPartOfTheBoundaryStall) {
-  // roll_ms times Controller::end_interval, which runs on the driver
-  // inside the boundary under either merge mode, so it is positive on
-  // every controller-mode interval and never exceeds the stall.
+  // roll_ms times Controller::end_interval, which run_interval waits for
+  // inside the boundary under either merge mode (on the driver inline, on
+  // the merge thread async), so it is positive on every interval and
+  // never exceeds the stall.
   for (const bool async_merge : {false, true}) {
     ThreadedConfig cfg;
     cfg.async_merge = async_merge;
@@ -424,16 +405,61 @@ TEST(ThreadedEngine, RollTimeIsPartOfTheBoundaryStall) {
   }
 }
 
+TEST(ThreadedEngine, HashOnlyReportsRealizedImbalanceAndRollTime) {
+  // A planner-less controller observes no imbalance of its own, so the
+  // report must carry the realized per-worker θ. WordCount costs 1 per
+  // tuple, so that is max θ over the tuple count of each ring owner, and
+  // both sides sum integers exactly. The roll is still timed.
+  const InstanceId workers = 3;
+  // The domain is wider than the keys the tuples touch, so even the
+  // exact window's roll takes measurable time.
+  const std::size_t num_keys = 50'000;
+  std::vector<Tuple> tuples;
+  for (KeyId k = 0; k < 300; ++k) {
+    const int n = static_cast<int>(3000 / (k + 1) + 1);
+    for (int i = 0; i < n; ++i) tuples.push_back(Tuple{k, i, 0, 0});
+  }
+  const ConsistentHashRing ring(workers, 128, 11);
+  std::vector<Cost> per_owner(workers, 0.0);
+  for (const Tuple& t : tuples) {
+    per_owner[static_cast<std::size_t>(ring.owner(t.key))] += 1.0;
+  }
+  const double realized = PartitionSnapshot::max_theta(per_owner);
+  ASSERT_GT(realized, 0.0);
+
+  struct Mode {
+    StatsMode stats;
+    bool async_merge;
+    const char* name;
+  };
+  for (const Mode& mode : {Mode{StatsMode::kExact, true, "exact"},
+                           Mode{StatsMode::kSketch, false, "sketch-inline"},
+                           Mode{StatsMode::kSketch, true, "sketch-async"}}) {
+    ThreadedConfig cfg;
+    cfg.async_merge = mode.async_merge;
+    cfg.batch_size = 32;
+    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                          hash_only_controller(workers, 11, num_keys,
+                                               mode.stats));
+    const auto report = engine.run_interval(tuples);
+    EXPECT_EQ(report.processed, tuples.size()) << mode.name;
+    EXPECT_DOUBLE_EQ(report.max_theta, realized) << mode.name;
+    EXPECT_GT(report.roll_ms, 0.0) << mode.name;
+    EXPECT_FALSE(report.migrated) << mode.name;
+    EXPECT_EQ(report.moves, 0u) << mode.name;
+    engine.shutdown();
+  }
+}
+
 TEST(ThreadedEngine, DoubleBufferAccountsBothSlabBuffers) {
   // async_merge doubles the worker-side slab footprint (active + sealed
   // buffer per worker); the end-to-end stats memory must say so rather
   // than hide the cost of the overlap.
   const auto stats_bytes = [](bool async_merge) {
     ThreadedConfig cfg;
-    cfg.stats_mode = StatsMode::kSketch;
     cfg.async_merge = async_merge;
     ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          /*num_workers_for_ring=*/2, /*ring_seed=*/7);
+                          hash_only_controller(2, 7, 512, StatsMode::kSketch));
     const auto tuples = make_tuples(5'000, 512, 2);
     const auto report = engine.run_interval(tuples);
     engine.shutdown();
@@ -450,7 +476,7 @@ TEST(ThreadedEngine, PinWorkersReportsEffectivePins) {
   ThreadedConfig cfg;
   cfg.pin_workers = true;
   ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                        /*num_workers_for_ring=*/2, /*ring_seed=*/7);
+                        hash_only_controller(2, 7, 64));
   const auto tuples = make_tuples(2'000, 64, 3);
   const auto report = engine.run_interval(tuples);
   EXPECT_EQ(report.processed, 2'000u);

@@ -66,9 +66,6 @@ struct Args {
   /// Net engine: deterministic fault schedule, e.g.
   /// "kill:w=1,epoch=3;wedge:w=0,epoch=5,sticky" (empty = none).
   std::string fault;
-  /// Net engine: checkpoint/replay crash recovery (--no-recovery turns
-  /// the engine fail-stop, the pre-fault-tolerance behaviour).
-  bool net_recovery = true;
   /// Net engine: control receive deadline / channel I/O timeout.
   int net_timeout_ms = 30'000;
   /// Threaded engine only: pin worker w to core w mod hw_concurrency
@@ -98,7 +95,7 @@ struct Args {
       "          [--rotation-period N]\n"
       "          [--engine sim|threaded|net] [--batch N] [--pin]\n"
       "          [--inline-merge] [--workers-proc N] [--no-simd]\n"
-      "          [--fault SPEC] [--no-recovery] [--net-timeout-ms N]\n"
+      "          [--fault SPEC] [--net-timeout-ms N]\n"
       "fault spec: kind:w=W,epoch=E[,sticky][;...] with kind one of\n"
       "          kill|wedge|garble|drop (net engine only)\n"
       "planners: mixed mintable minmig mixedbf compact readj dkg\n"
@@ -185,8 +182,6 @@ Args parse(int argc, char** argv) {
       if (args.workers_proc < 1) usage(argv[0]);
     } else if (flag == "--fault") {
       args.fault = need_value();
-    } else if (flag == "--no-recovery") {
-      args.net_recovery = false;
     } else if (flag == "--net-timeout-ms") {
       args.net_timeout_ms = std::atoi(need_value());
       if (args.net_timeout_ms < 1) usage(argv[0]);
@@ -205,6 +200,14 @@ Args parse(int argc, char** argv) {
   }
   if (args.instances < 1 || args.intervals < 1 || args.keys < 1 ||
       args.window < 1 || args.batch < 1) {
+    usage(argv[0]);
+  }
+  // !(x >= 0) also rejects NaN, which every ordered comparison fails.
+  if (!(args.skew >= 0.0) || !(args.fluctuation >= 0.0) ||
+      args.fluctuate_every < 1) {
+    std::fprintf(stderr,
+                 "invalid workload shape: need --skew >= 0, --fluctuation "
+                 ">= 0 and --fluctuate-every >= 1\n");
     usage(argv[0]);
   }
   if (args.sketch.heavy_capacity < 1 || args.sketch.epsilon <= 0.0 ||
@@ -329,41 +332,39 @@ int run_threaded(const Args& args, char* argv0) {
   const std::size_t num_keys = source->num_keys();
 
   ThreadedConfig tcfg;
-  tcfg.num_workers = args.instances;
   tcfg.batch_size = args.batch;
-  tcfg.stats_mode = args.stats_mode;
-  tcfg.sketch = args.sketch;
   tcfg.pin_workers = args.pin;
   tcfg.async_merge = args.async_merge;
 
-  // WordCount state with the requested per-tuple cost, so --cost means
-  // the same thing it does on the sim engine.
-  auto logic = std::make_shared<WordCountLogic>(args.tuple_cost_us);
-  std::unique_ptr<ThreadedEngine> engine;
-  if (args.planner == "hash") {
-    engine =
-        std::make_unique<ThreadedEngine>(tcfg, logic, args.instances, args.seed);
-  } else if (args.planner == "shuffle" || args.planner == "pkg") {
+  // "hash" is the no-rebalance baseline: a controller without a planner,
+  // on a ring seeded by --seed.
+  const bool hash_only = args.planner == "hash";
+  if (args.planner == "shuffle" || args.planner == "pkg") {
     std::fprintf(stderr, "planner %s needs the sim engine (keyless routing)\n",
                  args.planner.c_str());
     usage(argv0);
-  } else {
-    auto planner = make_planner(args.planner);
-    if (planner == nullptr) {
-      std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
-      usage(argv0);
-    }
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
-        std::move(planner), controller_config(args), num_keys);
-    engine =
-        std::make_unique<ThreadedEngine>(tcfg, logic, std::move(controller));
   }
+  PlannerPtr planner = make_planner(args.planner);
+  if (planner == nullptr && !hash_only) {
+    std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
+    usage(argv0);
+  }
+  ConsistentHashRing ring =
+      hash_only ? ConsistentHashRing(args.instances, 128, args.seed)
+                : ConsistentHashRing(args.instances);
+  auto controller = std::make_unique<Controller>(
+      AssignmentFunction(std::move(ring), args.amax), std::move(planner),
+      controller_config(args), num_keys);
+  // WordCount state with the requested per-tuple cost, so --cost means
+  // the same thing it does on the sim engine.
+  ThreadedEngine engine(tcfg,
+                        std::make_shared<WordCountLogic>(args.tuple_cost_us),
+                        std::move(controller));
 
-  const auto reports = engine->run(*source, args.intervals, args.seed);
-  print_interval_csv(reports, static_cast<int>(engine->pinned_workers()),
+  const auto reports = engine.run(*source, args.intervals, args.seed);
+  print_interval_csv(reports, static_cast<int>(engine.pinned_workers()),
                      /*wire=*/false);
-  const auto* ctrl = engine->controller();
+  const Controller& ctrl = *engine.controller();
   double stall_total = 0.0;
   double merge_total = 0.0;
   double roll_total = 0.0;
@@ -372,7 +373,7 @@ int run_threaded(const Args& args, char* argv0) {
     merge_total += r.merge_ms;
     roll_total += r.roll_ms;
   }
-  engine->shutdown();
+  engine.shutdown();
   const CpuTopology& topo = cpu_topology();
   std::fprintf(stderr,
                "# engine=threaded stats=%s merge=%s stats_memory_bytes=%zu "
@@ -381,23 +382,21 @@ int run_threaded(const Args& args, char* argv0) {
                args.stats_mode == StatsMode::kSketch ? "sketch" : "exact",
                args.async_merge ? "async" : "inline",
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
-               static_cast<int>(engine->pinned_workers()),
+               static_cast<int>(engine.pinned_workers()),
                simd::active_kernels().name, topo.physical_cores,
                topo.smt ? topo.hardware_threads - topo.physical_cores : 0,
                numa_support_compiled() ? "on" : "off", stall_total,
                merge_total, roll_total);
-  if (ctrl != nullptr) {
-    std::fprintf(stderr,
-                 "# rebalances=%zu total_generation_micros=%lld "
-                 "total_migrated_bytes=%.0f controller_merge_ms=%.3f "
-                 "controller_stall_ms=%.3f promotions=%llu demotions=%llu\n",
-                 ctrl->rebalance_count(),
-                 static_cast<long long>(ctrl->total_generation_micros()),
-                 ctrl->total_migrated_bytes(), ctrl->total_merge_ms(),
-                 ctrl->total_stall_ms(),
-                 static_cast<unsigned long long>(ctrl->heavy_promotions()),
-                 static_cast<unsigned long long>(ctrl->heavy_demotions()));
-  }
+  std::fprintf(stderr,
+               "# rebalances=%zu total_generation_micros=%lld "
+               "total_migrated_bytes=%.0f controller_merge_ms=%.3f "
+               "controller_stall_ms=%.3f promotions=%llu demotions=%llu\n",
+               ctrl.rebalance_count(),
+               static_cast<long long>(ctrl.total_generation_micros()),
+               ctrl.total_migrated_bytes(), ctrl.total_merge_ms(),
+               ctrl.total_stall_ms(),
+               static_cast<unsigned long long>(ctrl.heavy_promotions()),
+               static_cast<unsigned long long>(ctrl.heavy_demotions()));
   return 0;
 }
 
@@ -434,7 +433,6 @@ int run_net(const Args& args, char* argv0) {
 
   NetConfig ncfg;
   ncfg.batch_size = args.batch;
-  ncfg.recovery_enabled = args.net_recovery;
   ncfg.ctrl_timeout_ms = args.net_timeout_ms;
   if (!args.fault.empty()) {
     std::string err;
