@@ -5,18 +5,12 @@
 
 #include "common/consistent_hash.h"
 #include "common/hash.h"
-#include "sketch/simd/sketch_kernels.h"
 
 namespace skewless::bench {
 
 std::string env_json() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::string out = "  \"hardware_threads\": ";
-  out += std::to_string(hw);
-  out += ",\n  \"kernel_tier\": \"";
-  out += simd::active_kernels().name;
-  out += "\",\n";
-  return out;
+  return "  \"hardware_threads\": " + std::to_string(hw) + ",\n";
 }
 
 DriverResult drive_planner(WorkloadSource& source, PlannerPtr planner,

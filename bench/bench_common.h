@@ -86,10 +86,9 @@ double mean_of(const std::vector<IntervalMetrics>& ms,
                double (*extract)(const IntervalMetrics&), int skip = 2);
 
 /// The environment stanza every BENCH_*.json carries — the host's
-/// hardware thread count and the SIMD kernel tier the run dispatched to
-/// (tools/check_bench_regression.py refuses to compare numbers produced
-/// under different tiers or thread counts). Returns
-///   "  \"hardware_threads\": N,\n  \"kernel_tier\": \"avx2\",\n"
+/// hardware thread count (tools/check_bench_regression.py refuses to
+/// compare numbers produced under different thread counts). Returns
+///   "  \"hardware_threads\": N,\n"
 /// ready to splice into a printf JSON template via %s.
 std::string env_json();
 

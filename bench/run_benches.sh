@@ -38,12 +38,6 @@
 #       digest divergence vs the crash-free run (plan digest, state
 #       checksum, processed count), and mean time to repair stays within
 #       5x the crash-free run's per-boundary stall.
-#   bench_micro_simd     -> BENCH_simd.json
-#       SIMD kernel layer: vectorized add_interleaved >= 2x scalar and
-#       batched probe generation >= 1.5x scalar on AVX2 hosts (speedup
-#       gates SKIPPED, and recorded as such, when the host lacks AVX2 or
-#       has a single hardware thread); the scalar-vs-vector bit-identity
-#       digest gates are enforced on EVERY host, never skipped.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,7 +50,6 @@ BENCHES=(
   bench_micro_churn:BENCH_churn.json
   bench_micro_net:BENCH_net.json
   bench_micro_fault:BENCH_fault.json
-  bench_micro_simd:BENCH_simd.json
 )
 
 status=0

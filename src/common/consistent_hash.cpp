@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "common/hash.h"
-#include "sketch/simd/sketch_kernels.h"
 
 namespace skewless {
 
@@ -39,28 +38,6 @@ InstanceId ConsistentHashRing::owner(KeyId key) const {
       });
   if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
   return it->instance;
-}
-
-void ConsistentHashRing::owner_batch(const KeyId* keys, std::size_t n,
-                                     InstanceId* out) const {
-  SKW_EXPECTS(!ring_.empty());
-  thread_local std::vector<std::uint64_t> hashes;
-  hashes.resize(n);
-  // KeyId IS uint64_t (common/types.h), so the key array feeds the
-  // batched hash kernel directly; the per-key ring search then runs over
-  // hot hashes with no hash latency on its critical path.
-  simd::active_kernels().hash64_batch(keys, n, seed_ ^ 0xabcdef12345ULL,
-                                      hashes.data());
-  const auto begin = ring_.begin();
-  const auto end = ring_.end();
-  for (std::size_t i = 0; i < n; ++i) {
-    auto it = std::lower_bound(begin, end, RingPoint{hashes[i], -1},
-                               [](const RingPoint& a, const RingPoint& b) {
-                                 return a.position < b.position;
-                               });
-    if (it == end) it = begin;  // wrap around the ring
-    out[i] = it->instance;
-  }
 }
 
 void ConsistentHashRing::add_instance() {

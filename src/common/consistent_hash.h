@@ -28,12 +28,6 @@ class ConsistentHashRing {
   /// Maps a key to its owning instance. O(log(N * virtual_nodes)).
   [[nodiscard]] InstanceId owner(KeyId key) const;
 
-  /// Batched owner(): hashes every key in one vectorized pass
-  /// (SketchKernels::hash64_batch) before the per-key ring searches, so
-  /// the router's expand loop amortizes the hash latency across a chunk.
-  /// out[i] == owner(keys[i]) exactly.
-  void owner_batch(const KeyId* keys, std::size_t n, InstanceId* out) const;
-
   /// Adds one instance (id = current num_instances()). O(V log(NV)).
   void add_instance();
 

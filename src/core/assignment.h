@@ -31,12 +31,6 @@ class AssignmentFunction {
     return resolve(ring_.owner(key), key);
   }
 
-  /// Batched F(k) over a chunk of keys: table lookups first, then ONE
-  /// vectorized hash pass (ConsistentHashRing::owner_batch) over the
-  /// misses. out[i] == (*this)(keys[i]) exactly — the router's expand
-  /// loop uses this to amortize hashing across a chunk of tuples.
-  void route_batch(const KeyId* keys, std::size_t n, InstanceId* out) const;
-
   /// The hash default h(k) regardless of table contents.
   [[nodiscard]] InstanceId hash_dest(KeyId key) const {
     return ring_.owner(key);

@@ -26,17 +26,6 @@ class RoutingTable {
     return it->second;
   }
 
-  /// Batched lookup for the router's expand loop: out[i] gets the entry
-  /// for keys[i], or kNilInstance for keys the table does not hold (the
-  /// caller resolves those through the hash default — see
-  /// AssignmentFunction::route_batch).
-  void lookup_batch(const KeyId* keys, std::size_t n, InstanceId* out) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto it = entries_.find(keys[i]);
-      out[i] = it == entries_.end() ? kNilInstance : it->second;
-    }
-  }
-
   /// Inserts or updates an entry. Returns false (no-op) if inserting a new
   /// key would exceed the bound.
   bool set(KeyId key, InstanceId dest);

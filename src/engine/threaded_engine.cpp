@@ -1,6 +1,5 @@
 #include "engine/threaded_engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.h"
@@ -174,8 +173,8 @@ void ThreadedEngine::worker_loop(InstanceId id) {
         // Sketch mode: fold the batch into this worker's thread-local
         // slab — no lock anywhere, scalars included (they ride the slab
         // and are published by the seal / quiescence protocol). The
-        // batched fold vector-hashes all cold probes in one call and
-        // prefetches a few entries ahead (see add_batch).
+        // batched fold prefetches the cold cells a few entries ahead
+        // (see add_batch).
         if (!prefaulted[active_buf]) {
           slab->prefault();
           prefaulted[active_buf] = true;
@@ -249,24 +248,12 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   }
 }
 
-void ThreadedEngine::route_chunk(const Tuple* tuples, std::size_t n) {
-  // One batched F(k) evaluation per chunk: the routing-table lookups run
-  // tight, and the table misses' ring hashes go through the vectorized
-  // hash kernel in a single pass (AssignmentFunction::route_batch /
-  // ConsistentHashRing::owner_batch) instead of one scalar mix64 per
-  // tuple on the expand loop's critical path.
-  route_keys_.resize(n);
-  route_dests_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) route_keys_[j] = tuples[j].key;
-  controller_->assignment().route_batch(route_keys_.data(), n,
-                                        route_dests_.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    const InstanceId d = route_dests_[j];
-    auto& batch = pending_batches_[static_cast<std::size_t>(d)];
-    batch.push_back(tuples[j]);
-    batch.back().emit_micros = steady_now_us() - engine_epoch_us_;
-    if (batch.size() >= config_.batch_size) flush_batch(d);
-  }
+void ThreadedEngine::route_tuple(const Tuple& tuple) {
+  const InstanceId d = controller_->assignment()(tuple.key);
+  auto& batch = pending_batches_[static_cast<std::size_t>(d)];
+  batch.push_back(tuple);
+  batch.back().emit_micros = steady_now_us() - engine_epoch_us_;
+  if (batch.size() >= config_.batch_size) flush_batch(d);
 }
 
 void ThreadedEngine::flush_batch(InstanceId d) {
@@ -462,11 +449,7 @@ IntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
   IntervalReport report;
   report.interval = interval_;
   WallTimer timer;
-  constexpr std::size_t kRouteChunk = 1024;
-  for (std::size_t base = 0; base < tuples.size(); base += kRouteChunk) {
-    route_chunk(tuples.data() + base,
-                std::min(kRouteChunk, tuples.size() - base));
-  }
+  for (const Tuple& t : tuples) route_tuple(t);
   report.emitted = tuples.size();
   flush_batches();
   total_emitted_ += report.emitted;

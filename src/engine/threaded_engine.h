@@ -249,10 +249,9 @@ class ThreadedEngine {
   void start_workers();
   void worker_loop(InstanceId id);
   void merge_loop();
-  /// Routes a chunk of tuples with ONE batched assignment evaluation
-  /// (vectorized hash over the routing-table misses) and stamps each
-  /// tuple's emit time as it lands in its pending batch.
-  void route_chunk(const Tuple* tuples, std::size_t n);
+  /// Routes one tuple through F(k), stamps its emit time as it lands in
+  /// its pending batch, and flushes that batch once it is full.
+  void route_tuple(const Tuple& tuple);
   void flush_batches();
   void flush_batch(InstanceId d);
   /// Pushes `msg` to worker d's queue and counts it in pushed_msgs_.
@@ -315,9 +314,6 @@ class ThreadedEngine {
   BoundedMpmcQueue<ExtractedState> migration_mailbox_;
   std::vector<std::thread> workers_;
   std::vector<std::vector<Tuple>> pending_batches_;
-  /// route_chunk scratch (driver-only; retained across chunks).
-  std::vector<KeyId> route_keys_;
-  std::vector<InstanceId> route_dests_;
   /// CPU the driver ran start_workers() on (-1 if unknown); the merge
   /// thread prefers allocations from this CPU's NUMA node.
   int driver_cpu_ = -1;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "sketch/simd/sketch_kernels.h"
 
 namespace skewless {
 namespace {
@@ -45,9 +44,7 @@ void CountMinSketch::add(double amount, const KeyProbe& p) {
 
 void CountMinSketch::add_conservative(double amount, const KeyProbe& p) {
   SKW_EXPECTS(amount >= 0.0);
-  const double est = simd::active_kernels().estimate_min(
-      cells_.data(), width_, width_ - 1, depth_, p.h1, p.h2);
-  const double target = est + amount;
+  const double target = row_min(p) + amount;
   for (std::size_t row = 0; row < depth_; ++row) {
     double& cell = cells_[row * width_ + cell_index(p, row)];
     cell = std::max(cell, target);
@@ -56,16 +53,23 @@ void CountMinSketch::add_conservative(double amount, const KeyProbe& p) {
 }
 
 double CountMinSketch::estimate(KeyId key) const {
-  const KeyProbe p = probe(key);
-  return simd::active_kernels().estimate_min(cells_.data(), width_,
-                                             width_ - 1, depth_, p.h1, p.h2);
+  return row_min(probe(key));
+}
+
+double CountMinSketch::row_min(const KeyProbe& p) const {
+  double est = cells_[cell_index(p, 0)];
+  for (std::size_t row = 1; row < depth_; ++row) {
+    est = std::min(est, cells_[row * width_ + cell_index(p, row)]);
+  }
+  return est;
 }
 
 void CountMinSketch::add_sketch(const CountMinSketch& other) {
   SKW_EXPECTS(other.width_ == width_ && other.depth_ == depth_ &&
               other.seed_ == seed_);
-  simd::active_kernels().add_cells(cells_.data(), other.cells_.data(),
-                                   cells_.size());
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    cells_[i] += other.cells_[i];
+  }
   total_ += other.total_;
 }
 
@@ -74,20 +78,30 @@ void CountMinSketch::add_interleaved(const double* cells, std::size_t stride,
                                      double total) {
   SKW_EXPECTS(width == width_ && depth == depth_);
   // The boundary-merge inner loop, run once per quantity per sealed
-  // slab: dst streams sequentially, the interleaved source is gathered
-  // (AVX2) with a one-stripe-ahead read prefetch inside the kernel.
-  simd::active_kernels().add_strided(cells_.data(), cells, stride,
-                                     cells_.size());
+  // slab: dst streams sequentially, and the strided source is
+  // read-prefetched one stripe of kAhead cells ahead.
+  constexpr std::size_t kAhead = 64;
+  const std::size_t n = cells_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+    if (i + kAhead < n) {
+      __builtin_prefetch(cells + (i + kAhead) * stride, /*rw=*/0,
+                         /*locality=*/2);
+    }
+#endif
+    cells_[i] += cells[i * stride];
+  }
   total_ += total;
 }
 
 void CountMinSketch::subtract_sketch(const CountMinSketch& other) {
   SKW_EXPECTS(other.width_ == width_ && other.depth_ == depth_ &&
               other.seed_ == seed_);
-  // Kernel clamps tiny float residue at 0.0; cells are sums of
-  // non-negative amounts.
-  simd::active_kernels().sub_cells_clamped(cells_.data(),
-                                           other.cells_.data(), cells_.size());
+  // Clamps tiny float residue at 0.0; cells are sums of non-negative
+  // amounts.
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    cells_[i] = std::max(0.0, cells_[i] - other.cells_[i]);
+  }
   total_ = std::max(0.0, total_ - other.total_);
 }
 

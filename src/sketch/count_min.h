@@ -130,6 +130,9 @@ class CountMinSketch {
                                        std::size_t row) const {
     return probe_index(p, row, width_ - 1);
   }
+  /// Minimum over the rows' cells for `p`: the point estimate, and the
+  /// conservative update's raise target.
+  [[nodiscard]] double row_min(const KeyProbe& p) const;
 
   std::size_t width_;   // power of two
   std::size_t depth_;

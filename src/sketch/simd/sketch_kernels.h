@@ -1,135 +1,18 @@
-// SketchKernels — the vectorized sketch hot-path layer with runtime CPU
-// dispatch. One function-pointer table per ISA tier (scalar baseline,
-// SSE2, AVX2), resolved ONCE at first use from `__builtin_cpu_supports`,
-// overridable by the SKEWLESS_FORCE_SCALAR environment variable and at
-// runtime by set_active_tier()/force_scalar() (the `--no-simd` flag and
-// the bit-identity tests force tiers through that API).
-//
-// Every kernel is BIT-IDENTICAL to the scalar loop it replaces. This is
-// not an accident of the workload but a property of the operations:
-//
-//  * probe generation / hashing is exact integer arithmetic — lane order
-//    cannot change a result;
-//  * the cell-wise merge loops (add_cells / sub_cells_clamped /
-//    add_strided) perform exactly ONE floating-point add per cell per
-//    call, and a vector lane computes the same `dst[i] + src[i]` the
-//    scalar iteration would — there is no re-association anywhere;
-//  * estimate_min reduces with min over finite non-negative doubles
-//    (cells are sums of non-negative amounts: never NaN, never -0.0),
-//    which is order-independent;
-//  * fold_fused_rows adds one (cost, freq, state) triple to `depth`
-//    fused cells — per-cell adds again, with the vector path adding
-//    +0.0 to the pad lane (bit-preserving: the pad is always +0.0).
-//
-// The AVX2 translation unit is compiled with -mavx2 ONLY (never -mfma:
-// a fused multiply-add would change double results and break the
-// bit-identity contract — there are no FP multiplies in these kernels,
-// but the flag stays off on principle). ISA flags are confined to the
-// kernel TUs; this header and the dispatch TU build with the project
-// baseline so the library keeps running on any x86-64 (or non-x86)
-// host, with unsupported tiers simply unavailable.
+// Compatibility shim for perfbench's detail line, which prints the
+// name of the sketch kernel set. The sketch and routing loops have one
+// scalar implementation each, so the name is always "scalar". Nothing in
+// src/, bench/, tools/ or tests/ includes this header.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
 
 namespace skewless::simd {
 
-/// Dispatch tiers, ordered: a tier is selectable iff the CPU supports it
-/// AND the build produced its kernels. SSE2 is baseline on x86-64, so in
-/// practice the runtime choice is scalar vs sse2 vs avx2.
-enum class KernelTier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// The kernel vtable. All geometry contracts mirror CountMinSketch:
-/// `width` is a power of two, `mask == width - 1`, rows probe
-/// `(h1 + row * h2) & mask` (Kirsch–Mitzenmacher double hashing with h2
-/// forced odd).
 struct SketchKernels {
-  /// Tier name for reports: "scalar" | "sse2" | "avx2".
   const char* name;
-  KernelTier tier;
-
-  /// Batched K–M probe generation (structure-of-arrays):
-  ///   h1[i] = hash64(keys[i], seed)
-  ///   h2[i] = hash64(keys[i], seed ^ 0x9e3779b97f4a7c15) | 1
-  /// — exactly CountMinSketch::make_probe, over a whole batch.
-  void (*make_probes)(const std::uint64_t* keys, std::size_t n,
-                      std::uint64_t seed, std::uint64_t* h1,
-                      std::uint64_t* h2);
-
-  /// out[i] = hash64(keys[i], seed) — the routing path's batched hash
-  /// (consistent-hash ring lookups).
-  void (*hash64_batch)(const std::uint64_t* keys, std::size_t n,
-                       std::uint64_t seed, std::uint64_t* out);
-
-  /// dst[i] += src[i] (CountMinSketch::add_sketch).
-  void (*add_cells)(double* dst, const double* src, std::size_t n);
-
-  /// dst[i] = max(0.0, dst[i] - src[i]) (subtract_sketch's clamped
-  /// unmerge; max semantics match std::max(0.0, d) bit-for-bit,
-  /// including d == ±0.0 and NaN).
-  void (*sub_cells_clamped)(double* dst, const double* src, std::size_t n);
-
-  /// dst[i] += src[i * stride] — the boundary merge's interleaved cell
-  /// unpack (CountMinSketch::add_interleaved). Kernels prefetch the
-  /// strided source one stripe ahead (read intent; dst streams
-  /// sequentially and needs no hint).
-  void (*add_strided)(double* dst, const double* src, std::size_t stride,
-                      std::size_t n);
-
-  /// min over rows of cells[row * width + ((h1 + row*h2) & mask)] —
-  /// CountMinSketch::estimate / the conservative update's row minimum
-  /// (AVX2: one gather over up to 4 rows at a time).
-  double (*estimate_min)(const double* cells, std::size_t width,
-                         std::size_t mask, std::size_t depth,
-                         std::uint64_t h1, std::uint64_t h2);
-
-  /// WorkerSketchSlab's fused fold: for each row, the 32-byte fused cell
-  /// at `cells4 + 4 * (row * width + ((h1 + row*h2) & mask))` gets
-  /// {cost, freq, state, +0.0} added lane-wise ({cost, freq, state, pad}
-  /// layout; the pad add is bit-preserving because pad is always +0.0).
-  void (*fold_fused_rows)(double* cells4, std::size_t width,
-                          std::size_t mask, std::size_t depth,
-                          std::uint64_t h1, std::uint64_t h2, double cost,
-                          double freq, double state);
 };
 
-/// The scalar reference kernels (always available; the bit-identity
-/// anchor every vector tier is fuzzed against).
-[[nodiscard]] const SketchKernels& scalar_kernels();
-
-/// The SSE2 / AVX2 tables, or nullptr when the build (or architecture)
-/// does not provide them. Returning a table does NOT mean the CPU can
-/// run it — that is max_supported_tier()'s job; call these directly only
-/// from tests that already checked support.
-[[nodiscard]] const SketchKernels* sse2_kernels();
-[[nodiscard]] const SketchKernels* avx2_kernels();
-
-/// Best tier this build AND this CPU support (runtime
-/// __builtin_cpu_supports probe, cached).
-[[nodiscard]] KernelTier max_supported_tier();
-
-/// The tier first-use dispatch resolves to: max_supported_tier(), unless
-/// the SKEWLESS_FORCE_SCALAR environment variable is set to anything
-/// non-empty other than "0".
-[[nodiscard]] KernelTier default_tier();
-
-/// The kernels for `tier`, clamped down to the best supported tier.
-[[nodiscard]] const SketchKernels& kernels_for(KernelTier tier);
-
-/// The active dispatch table. Resolved once (default_tier()) on first
-/// call; every sketch hot path loads this pointer per operation, so a
-/// set_active_tier() takes effect immediately for subsequent calls.
-[[nodiscard]] const SketchKernels& active_kernels();
-
-/// Runtime override (clamped to supported). Not synchronized with
-/// concurrent sketch operations — switch tiers only while no engine is
-/// running (flag parsing, test setup).
-void set_active_tier(KernelTier tier);
-
-/// set_active_tier(kScalar) — the `--no-simd` flag.
-void force_scalar();
-
-[[nodiscard]] const char* tier_name(KernelTier tier);
+inline const SketchKernels& active_kernels() {
+  static constexpr SketchKernels kScalar{"scalar"};
+  return kScalar;
+}
 
 }  // namespace skewless::simd

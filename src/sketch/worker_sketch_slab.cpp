@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "sketch/simd/sketch_kernels.h"
 #include "sketch/sketch_stats_window.h"
 
 namespace skewless {
@@ -38,11 +37,17 @@ void WorkerSketchSlab::add_hot(KeyId key, const KeyAgg& agg) {
 void WorkerSketchSlab::add_cold(KeyId key, const KeyAgg& agg,
                                 const CountMinSketch::KeyProbe& probe) {
   // One probe, `depth_` fused cells: all three quantities ride the same
-  // cache lines (the point of the fused layout). The kernel adds the
-  // whole 32-byte cell in one vector op where the ISA allows.
-  simd::active_kernels().fold_fused_rows(
-      &cells_.data()->cost, width_, width_ - 1, depth_, probe.h1, probe.h2,
-      agg.cost, static_cast<double>(agg.frequency), agg.state_bytes);
+  // cache lines (the point of the fused layout). The pad is never
+  // written: it stays +0.0, and it is part of the serialized cell bytes.
+  const double freq = static_cast<double>(agg.frequency);
+  const std::size_t mask = width_ - 1;
+  for (std::size_t row = 0; row < depth_; ++row) {
+    FusedCell& cell =
+        cells_[row * width_ + CountMinSketch::probe_index(probe, row, mask)];
+    cell.cost += agg.cost;
+    cell.freq += freq;
+    cell.state += agg.state_bytes;
+  }
   candidates_.add(key, agg.cost);
   cold_cost_ += agg.cost;
   cold_freq_ += agg.frequency;
@@ -71,7 +76,7 @@ void WorkerSketchSlab::add_batch(
   // to add() per entry (key_bound_ is a max, order-free).
   hot_scratch_.clear();
   cold_scratch_.clear();
-  cold_keys_.clear();
+  probes_.clear();
   for (const auto& entry : batch) {
     SKW_EXPECTS(entry.second.cost >= 0.0 && entry.second.state_bytes >= 0.0);
     key_bound_ =
@@ -79,37 +84,28 @@ void WorkerSketchSlab::add_batch(
     if (heavy_.find(entry.first) != heavy_.end()) {
       hot_scratch_.push_back(&entry);
     } else {
-      cold_scratch_.push_back(&entry.second);
-      cold_keys_.push_back(static_cast<std::uint64_t>(entry.first));
+      cold_scratch_.push_back(&entry);
+      probes_.push_back(CountMinSketch::make_probe(entry.first, seed_));
     }
   }
   for (const auto* entry : hot_scratch_) add_hot(entry->first, entry->second);
-  if (cold_keys_.empty()) return;
 
-  // Pass 2 — ONE batched vector-hash call generates every cold key's K–M
-  // probe, then the flush pipelines: the fused cell rows of the entry a
-  // few slots ahead are prefetched while the current entry updates, so
+  // Pass 2 — the cold flush pipelines: the fused cell rows of the entry
+  // a few slots ahead are prefetched while the current entry updates, so
   // its cache misses overlap work instead of serializing behind it.
-  const std::size_t n = cold_keys_.size();
-  probe_h1_.resize(n);
-  probe_h2_.resize(n);
-  const simd::SketchKernels& kernels = simd::active_kernels();
-  kernels.make_probes(cold_keys_.data(), n, seed_, probe_h1_.data(),
-                      probe_h2_.data());
   constexpr std::size_t kAhead = 4;
+  const std::size_t n = cold_scratch_.size();
   const std::size_t mask = width_ - 1;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t ahead = i + kAhead;
-    if (ahead < n) {
-      const CountMinSketch::KeyProbe p{probe_h1_[ahead], probe_h2_[ahead]};
+    if (i + kAhead < n) {
+      const CountMinSketch::KeyProbe& next = probes_[i + kAhead];
       for (std::size_t row = 0; row < depth_; ++row) {
         CountMinSketch::prefetch_cell(
-            &cells_[row * width_ + CountMinSketch::probe_index(p, row, mask)]
+            &cells_[row * width_ + CountMinSketch::probe_index(next, row, mask)]
                  .cost);
       }
     }
-    add_cold(static_cast<KeyId>(cold_keys_[i]), *cold_scratch_[i],
-             CountMinSketch::KeyProbe{probe_h1_[i], probe_h2_[i]});
+    add_cold(cold_scratch_[i]->first, cold_scratch_[i]->second, probes_[i]);
   }
 }
 

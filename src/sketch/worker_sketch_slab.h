@@ -100,14 +100,13 @@ class WorkerSketchSlab {
   void add(KeyId key, Cost cost, Bytes state_bytes, std::uint64_t frequency);
 
   /// Folds one batch's per-key aggregation in two passes: pass 1
-  /// classifies every entry against the heavy set and collects the cold
-  /// keys; their Kirsch–Mitzenmacher probes are then generated in ONE
-  /// batched vector-hash call (SketchKernels::make_probes), and the cold
-  /// flush runs with a software-pipelined prefetch a few entries ahead —
-  /// each key's fused cell rows are already in flight when its update
-  /// executes. Byte-identical to add() per entry in iteration order: hot
-  /// and cold entries touch disjoint accumulators, and each class is
-  /// flushed in its original order.
+  /// classifies every entry against the heavy set and computes each cold
+  /// key's Kirsch–Mitzenmacher probe; pass 2 flushes the cold entries
+  /// with a software-pipelined prefetch a few entries ahead — each key's
+  /// fused cell rows are already in flight when its update executes.
+  /// Byte-identical to add() per entry in iteration order: hot and cold
+  /// entries touch disjoint accumulators, and each class is flushed in
+  /// its original order.
   void add_batch(const std::unordered_map<KeyId, KeyAgg>& batch);
 
   /// Commits the fused cell pages from the CALLING thread (first-touch
@@ -196,10 +195,8 @@ class WorkerSketchSlab {
   // add_batch scratch (retained across calls; the slab is single-writer
   // so plain members are safe where thread_local would be wasteful).
   std::vector<const std::pair<const KeyId, KeyAgg>*> hot_scratch_;
-  std::vector<const KeyAgg*> cold_scratch_;
-  std::vector<std::uint64_t> cold_keys_;
-  std::vector<std::uint64_t> probe_h1_;
-  std::vector<std::uint64_t> probe_h2_;
+  std::vector<const std::pair<const KeyId, KeyAgg>*> cold_scratch_;
+  std::vector<CountMinSketch::KeyProbe> probes_;  // one per cold entry
   Cost cold_cost_ = 0.0;
   Cost hot_cost_ = 0.0;
   std::uint64_t cold_freq_ = 0;

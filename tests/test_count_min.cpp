@@ -103,6 +103,42 @@ TEST(CountMin, AddSubtractSketchMaintainsWindow) {
   EXPECT_NEAR(window.total(), i2.total(), 1e-6);
 }
 
+TEST(CountMin, AddInterleavedEqualsClassicAdds) {
+  // An external stride-3 accumulator written with classic updates at
+  // the sketch's own probe placement (lane 0), merged cell-wise, must
+  // equal the sketch built by add() on the same stream. Lanes 1 and 2
+  // hold other values that the merge must skip.
+  const auto params = small_params(1e-2, 0.01, 9);
+  CountMinSketch classic(params);
+  const std::size_t width = classic.width();
+  const std::size_t depth = classic.depth();
+  constexpr std::size_t kStride = 3;
+  std::vector<double> buf(width * depth * kStride, 0.0);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    if (i % kStride != 0) buf[i] = 1e9 + static_cast<double>(i);
+  }
+  Xoshiro256 rng(31);
+  double total = 0.0;
+  for (int i = 0; i < 2000; ++i) {
+    const KeyId key = rng.next_below(700);
+    const double amount = 0.25 * static_cast<double>(1 + rng.next_below(8));
+    classic.add(key, amount);
+    const auto probe = CountMinSketch::make_probe(key, classic.seed());
+    for (std::size_t row = 0; row < depth; ++row) {
+      const std::size_t cell =
+          row * width + CountMinSketch::probe_index(probe, row, width - 1);
+      buf[cell * kStride] += amount;
+    }
+    total += amount;
+  }
+  CountMinSketch merged(params);
+  merged.add_interleaved(buf.data(), kStride, width, depth, total);
+  for (KeyId key = 0; key < 700; ++key) {
+    ASSERT_EQ(merged.estimate(key), classic.estimate(key)) << key;
+  }
+  ASSERT_EQ(merged.total(), classic.total());
+}
+
 TEST(CountMin, ClearZeroesEverything) {
   CountMinSketch cms(small_params());
   cms.add(1, 10.0);

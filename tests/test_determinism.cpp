@@ -19,7 +19,6 @@
 #include "core/controller.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
-#include "sketch/simd/sketch_kernels.h"
 #include "sketch/sketch_stats_window.h"
 #include "sketch/worker_sketch_slab.h"
 #include "test_util.h"
@@ -699,83 +698,6 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
   EXPECT_EQ(threaded.entries, net.entries);
   EXPECT_EQ(threaded.processed, net.processed);
   EXPECT_EQ(threaded.outputs, net.outputs);
-}
-
-// The SIMD dispatch must be INVISIBLE in every deterministic output: a
-// full threaded controller run under the default (best-supported) kernel
-// tier must match a forced-scalar run bit for bit — plan history digest,
-// θ bit patterns, state checksums, output counts. This is the end-to-end
-// closure of the per-kernel bit-identity fuzz in test_simd_kernels: if
-// any vector kernel re-associated a floating-point sum or perturbed a
-// hash, it would surface here as a digest split. On hosts whose best
-// tier IS scalar the two runs are trivially equal and the test still
-// passes (it proves dispatch stability, not vectorization).
-TEST(Determinism, SimdScalarMatchesDefaultDispatch) {
-  struct RunResult {
-    std::vector<double> thetas;
-    std::uint64_t plan_digest = 0;
-    std::size_t rebalances = 0;
-    std::uint64_t checksum = 0;
-    std::size_t entries = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t outputs = 0;
-  };
-
-  const InstanceId kWorkers = 3;
-  const int kIntervals = 4;
-  const auto run = [&](simd::KernelTier tier) {
-    simd::set_active_tier(tier);
-    ZipfFluctuatingSource::Options opts;
-    opts.num_keys = 5'000;
-    opts.skew = 1.1;
-    opts.tuples_per_interval = 20'000;
-    opts.fluctuation = 0.5;
-    opts.seed = 77;
-    ZipfFluctuatingSource source(opts);
-
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = 0.08;
-    ccfg.stats_mode = StatsMode::kSketch;
-    ccfg.sketch.heavy_capacity = 256;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(kWorkers), 0),
-        std::make_unique<MixedPlanner>(), ccfg, source.num_keys());
-
-    ThreadedConfig tcfg;
-    tcfg.num_workers = kWorkers;
-    tcfg.batch_size = 64;
-    tcfg.stats_mode = StatsMode::kSketch;
-    ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
-                          std::move(controller));
-    const auto reports = engine.run(source, kIntervals, /*seed=*/9);
-    RunResult result;
-    for (const auto& r : reports) result.thetas.push_back(r.max_theta);
-    result.plan_digest = engine.controller()->plan_history_digest();
-    result.rebalances = engine.controller()->rebalance_count();
-    engine.shutdown();
-    result.checksum = engine.state_checksum();
-    result.entries = engine.total_state_entries();
-    result.processed = engine.total_processed();
-    result.outputs = engine.total_output_tuples();
-    return result;
-  };
-
-  const RunResult vector = run(simd::max_supported_tier());
-  const RunResult scalar = run(simd::KernelTier::kScalar);
-  simd::set_active_tier(simd::default_tier());
-
-  ASSERT_GT(vector.rebalances, 0u);
-  EXPECT_EQ(scalar.rebalances, vector.rebalances);
-  EXPECT_EQ(scalar.plan_digest, vector.plan_digest);
-  ASSERT_EQ(scalar.thetas.size(), vector.thetas.size());
-  // Bit-pattern equality, not EXPECT_DOUBLE_EQ: the contract is
-  // byte-identical, and θ is a quotient of sketch-derived sums.
-  EXPECT_EQ(0, std::memcmp(scalar.thetas.data(), vector.thetas.data(),
-                           scalar.thetas.size() * sizeof(double)));
-  EXPECT_EQ(scalar.checksum, vector.checksum);
-  EXPECT_EQ(scalar.entries, vector.entries);
-  EXPECT_EQ(scalar.processed, vector.processed);
-  EXPECT_EQ(scalar.outputs, vector.outputs);
 }
 
 TEST(Determinism, SeededZipfSamplesAreIdentical) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serde.h"
 #include "common/zipf.h"
 #include "core/controller.h"
 #include "core/planners.h"
@@ -537,6 +539,38 @@ TEST(SketchStatsWindow, NoDecayIgnoresDecayKnobs) {
   run(0.9, 0.7, cost_b, state_b);
   EXPECT_EQ(cost_a, cost_b);
   EXPECT_EQ(state_a, state_b);
+}
+
+TEST(WorkerSketchSlab, AddBatchMatchesPerEntryAdd) {
+  // add_batch's contract: byte-identical to add() per entry in the
+  // map's iteration order, hot and cold entries alike.
+  const SketchStatsConfig cfg = tiny_config();
+  const std::vector<KeyId> heavy = {3, 17, 42};
+  WorkerSketchSlab batched(cfg);
+  WorkerSketchSlab per_entry(cfg);
+  batched.set_heavy_keys(heavy);
+  per_entry.set_heavy_keys(heavy);
+  Xoshiro256 rng(0xba7c4ULL);
+  for (int b = 0; b < 6; ++b) {
+    std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg> batch;
+    for (int t = 0; t < 300; ++t) {
+      const KeyId key = t % 10 == 0 ? heavy[static_cast<std::size_t>(t) % 3]
+                                    : rng.next_below(1000);
+      auto& agg = batch[key];
+      agg.cost += static_cast<double>(1 + rng.next_below(4));
+      agg.state_bytes += 8.0;
+      agg.frequency += 1;
+    }
+    batched.add_batch(batch);
+    for (const auto& [key, agg] : batch) {
+      per_entry.add(key, agg.cost, agg.state_bytes, agg.frequency);
+    }
+  }
+  ByteWriter batched_bytes;
+  ByteWriter per_entry_bytes;
+  batched.serialize(batched_bytes);
+  per_entry.serialize(per_entry_bytes);
+  EXPECT_EQ(batched_bytes.take(), per_entry_bytes.take());
 }
 
 TEST(SketchStatsWindowDeath, NegativeCostRejected) {

@@ -24,11 +24,12 @@ move with the runner hardware; the gated quantities are ratios and
 within-run throughput numbers whose baselines came from the same class
 of runner.
 
-Every bench records the environment it ran under ("hardware_threads"
-and the dispatched SIMD "kernel_tier"). When both sides carry one of
-those fields and they DIFFER, the file is skipped with a note instead of
-compared: a scalar-vs-avx2 or 2-thread-vs-32-thread comparison measures
-the machines, not the code. Same-tier baselines remain fully enforced.
+Every bench records the environment it ran under ("hardware_threads").
+When both sides carry that field and it DIFFERS, the file is skipped
+with a note instead of compared: a 2-thread-vs-32-thread comparison
+measures the machines, not the code. Same-class baselines remain fully
+enforced. Committed baselines may still carry an older "kernel_tier"
+field; it is not compared.
 
 Exit status: 0 when no metric regressed, 1 otherwise. Stdlib only.
 """
@@ -46,14 +47,12 @@ THROUGHPUT_KEYS = {
     "stall_reduction",
     "speedup",     # BENCH_plan: compact vs dense planning path
     "reduction",   # BENCH_churn: decayed vs no-decay heavy-set churn
-    "interleaved_speedup",  # BENCH_simd: vectorized add_interleaved
-    "probe_speedup",        # BENCH_simd: batched K-M probe generation
     "mttr_headroom",  # BENCH_fault: 5x boundary stall / mean time to repair
 }
 
 # Environment fields stamped into every bench JSON; a mismatch between
 # baseline and fresh run means the numbers are not comparable.
-ENV_KEYS = ("kernel_tier", "hardware_threads")
+ENV_KEYS = ("hardware_threads",)
 MEMORY_RATIO_KEYS = {"memory_ratio", "ratio"}
 THROUGHPUT_TOLERANCE = 0.20
 MEMORY_TOLERANCE = 0.10

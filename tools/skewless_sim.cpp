@@ -9,6 +9,7 @@
 //             dkg | hash | shuffle | pkg
 // Workloads:  zipf (Table II generator) | social | stock |
 //             adversarial (--attack rotating|skew-flip|pareto|churn|collision)
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +26,6 @@
 #include "engine/sim_engine.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
-#include "sketch/simd/sketch_kernels.h"
 #include "workload/adversarial.h"
 #include "workload/operators.h"
 #include "workload/social.h"
@@ -75,10 +75,6 @@ struct Args {
   /// Threaded sketch mode: double-buffered slabs + asynchronous
   /// boundary merge (default) vs the inline quiesce-and-merge baseline.
   bool async_merge = true;
-  /// Force the scalar sketch kernels (skip the SIMD dispatch). The run
-  /// is bit-identical either way — this flag exists for A/B timing and
-  /// for proving exactly that.
-  bool no_simd = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -94,7 +90,7 @@ struct Args {
       "          [--attack rotating|skew-flip|pareto|churn|collision]\n"
       "          [--rotation-period N]\n"
       "          [--engine sim|threaded|net] [--batch N] [--pin]\n"
-      "          [--inline-merge] [--workers-proc N] [--no-simd]\n"
+      "          [--inline-merge] [--workers-proc N]\n"
       "          [--fault SPEC] [--net-timeout-ms N]\n"
       "fault spec: kind:w=W,epoch=E[,sticky][;...] with kind one of\n"
       "          kill|wedge|garble|drop (net engine only)\n"
@@ -191,8 +187,6 @@ Args parse(int argc, char** argv) {
       args.pin = true;
     } else if (flag == "--inline-merge") {
       args.async_merge = false;
-    } else if (flag == "--no-simd") {
-      args.no_simd = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       usage(argv[0]);
@@ -203,6 +197,14 @@ Args parse(int argc, char** argv) {
     usage(argv[0]);
   }
   // !(x >= 0) also rejects NaN, which every ordered comparison fails.
+  // --theta inf stays valid: it means "never rebalance".
+  if (!(std::isfinite(args.tuple_cost_us) && args.tuple_cost_us >= 0.0) ||
+      !(args.theta >= 0.0)) {
+    std::fprintf(stderr,
+                 "invalid --cost/--theta: need a finite --cost >= 0 and "
+                 "--theta >= 0 (inf: never rebalance)\n");
+    usage(argv[0]);
+  }
   if (!(args.skew >= 0.0) || !(args.fluctuation >= 0.0) ||
       args.fluctuate_every < 1) {
     std::fprintf(stderr,
@@ -298,25 +300,24 @@ ControllerConfig controller_config(const Args& args) {
 }
 
 /// Per-interval CSV shared by the threaded and net runs. `pinned` is the
-/// number of workers whose core pin took effect and `kernel` the
-/// dispatched SIMD tier — constant per run, carried per row so
-/// downstream CSV tooling keeps one schema. The net run adds the
-/// wire-byte columns only sockets have; roll_ms is always last.
+/// number of workers whose core pin took effect — constant per run,
+/// carried per row so downstream CSV tooling keeps one schema. The net
+/// run adds the wire-byte columns only sockets have; roll_ms is always
+/// last.
 void print_interval_csv(const std::vector<IntervalReport>& reports,
                         int pinned, bool wire) {
   std::printf(
       "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
-      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel%s,roll_ms\n",
+      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned"
+      "%s,roll_ms\n",
       wire ? ",data_wire_bytes,ctrl_wire_bytes" : "");
   for (const auto& r : reports) {
-    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s",
+    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d",
                 static_cast<long long>(r.interval), r.throughput_tps,
                 r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
                 r.migration_bytes,
                 static_cast<double>(r.generation_micros) / 1000.0,
-                r.stall_ms, r.merge_ms, r.stats_memory_bytes, pinned,
-                simd::active_kernels().name);
+                r.stall_ms, r.merge_ms, r.stats_memory_bytes, pinned);
     if (wire) {
       std::printf(",%llu,%llu",
                   static_cast<unsigned long long>(r.data_wire_bytes),
@@ -377,13 +378,12 @@ int run_threaded(const Args& args, char* argv0) {
   const CpuTopology& topo = cpu_topology();
   std::fprintf(stderr,
                "# engine=threaded stats=%s merge=%s stats_memory_bytes=%zu "
-               "pinned=%d kernel=%s cores=%u smt_threads=%u numa=%s "
+               "pinned=%d cores=%u smt_threads=%u numa=%s "
                "total_stall_ms=%.3f total_merge_ms=%.3f total_roll_ms=%.3f\n",
                args.stats_mode == StatsMode::kSketch ? "sketch" : "exact",
                args.async_merge ? "async" : "inline",
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
-               static_cast<int>(engine.pinned_workers()),
-               simd::active_kernels().name, topo.physical_cores,
+               static_cast<int>(engine.pinned_workers()), topo.physical_cores,
                topo.smt ? topo.hardware_threads - topo.physical_cores : 0,
                numa_support_compiled() ? "on" : "off", stall_total,
                merge_total, roll_total);
@@ -473,13 +473,13 @@ int run_net(const Args& args, char* argv0) {
   }
   std::fprintf(stderr,
                "# engine=net workers=%d stats=sketch stats_memory_bytes=%zu "
-               "kernel=%s total_stall_ms=%.3f total_merge_ms=%.3f "
+               "total_stall_ms=%.3f total_merge_ms=%.3f "
                "wire_bytes=%llu state_checksum=%016llx state_entries=%zu "
                "recoveries=%llu degraded=%d recovery_ms=%.3f "
                "live_workers=%zu total_roll_ms=%.3f\n",
                static_cast<int>(workers),
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
-               simd::active_kernels().name, stall_total, merge_total,
+               stall_total, merge_total,
                static_cast<unsigned long long>(wire_total),
                static_cast<unsigned long long>(engine.state_checksum()),
                engine.total_state_entries(),
@@ -505,7 +505,6 @@ int run_net(const Args& args, char* argv0) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  if (args.no_simd) simd::force_scalar();
   if (args.engine == "threaded") return run_threaded(args, argv[0]);
   if (args.engine == "net") return run_net(args, argv[0]);
   auto source = make_source(args);
