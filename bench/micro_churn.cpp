@@ -1,6 +1,5 @@
 // micro_churn — heavy-set churn under adversarial workloads, decayed vs
-// single-interval promotion (the --no-decay A/B anchor, mirroring the
-// --inline-merge pattern of the boundary-merge bench).
+// single-interval promotion (the --no-decay A/B anchor).
 //
 // For every attack in the adversarial catalog the same stream drives
 // three controllers:

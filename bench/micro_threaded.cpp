@@ -6,19 +6,22 @@
 // statistics still kept and rolled every interval) once per
 // configuration:
 //
-//   * exact         — workers merge per-batch maps into mutex-guarded
-//                     shared per-key maps; the driver swaps them out at
-//                     the interval boundary and replays every key into a
-//                     dense StatsWindow.
-//   * sketch        — workers write double-buffered thread-local
-//                     WorkerSketchSlabs; a SealMsg swaps the buffers at
-//                     the boundary and a merge thread absorbs the sealed
-//                     epoch into the controller's SketchStatsWindow and
-//                     rolls it while the next interval's tuples are
-//                     generated (the asynchronous boundary merge).
-//   * sketch-inline — same slabs, inline boundary (full quiescence wait,
-//                     then absorb and roll on the driver). Byte-identical
-//                     statistics; exists here as the stall A/B baseline.
+//   * exact          — workers fold each batch into double-buffered
+//                      per-key maps; a SealMsg swaps the buffers at the
+//                      boundary and a merge thread replays every key of
+//                      the sealed maps into a dense StatsWindow.
+//   * sketch         — workers write double-buffered thread-local
+//                      WorkerSketchSlabs; a SealMsg swaps the buffers at
+//                      the boundary and a merge thread absorbs the sealed
+//                      epoch into the controller's SketchStatsWindow and
+//                      rolls it while the next interval's tuples are
+//                      generated (the overlap ThreadedEngine::run gives).
+//   * sketch-stepped — the same engine driven one run_interval() at a
+//                      time: expand_interval, then run_interval, so
+//                      nothing overlaps the merge and the driver waits
+//                      for the workers to drain, the absorb and the roll.
+//                      Byte-identical statistics; exists here as the
+//                      stall A/B baseline.
 //
 // Measured:
 //   1. MEMORY     — end-to-end statistics bytes (provider + per-worker
@@ -39,8 +42,8 @@
 // stdout (bench/run_benches.sh redirects it into BENCH_threaded.json).
 // Exit status is non-zero if the acceptance gates fail (sketch stats
 // memory >= 8x smaller than exact; sketch throughput >= 0.97x exact;
-// boundary stall >= 5x smaller than the inline-merge baseline), so CI
-// can run it as a check.
+// boundary stall >= 5x smaller than the stepped baseline), so CI can run
+// it as a check.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +53,7 @@
 
 #include "bench_common.h"
 #include "core/controller.h"
+#include "engine/interval.h"
 #include "engine/threaded_engine.h"
 #include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
@@ -80,7 +84,7 @@ struct Scenario {
   SketchStatsConfig sketch;
 };
 
-ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
+ModeResult run_mode(const Scenario& sc, StatsMode mode, bool stepped) {
   ZipfFluctuatingSource::Options opts;
   opts.num_keys = sc.num_keys;
   opts.skew = 1.2;
@@ -92,7 +96,6 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
 
   ThreadedConfig cfg;
   cfg.batch_size = sc.batch;
-  cfg.async_merge = async_merge;
   ControllerConfig ccfg;
   ccfg.stats_mode = mode;
   ccfg.sketch = sc.sketch;
@@ -101,7 +104,19 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
       std::make_unique<Controller>(
           AssignmentFunction(ConsistentHashRing(sc.workers, 128, 11), 0),
           nullptr, ccfg, sc.num_keys));
-  const auto reports = engine.run(source, sc.intervals, /*seed=*/1);
+  std::vector<IntervalReport> reports;
+  if (stepped) {
+    // run()'s expansion, without its overlap: each boundary completes
+    // before the next interval's tuples are generated.
+    Xoshiro256 rng(/*seed=*/1);
+    std::vector<Tuple> tuples;
+    for (int i = 0; i < sc.intervals; ++i) {
+      expand_interval(source, rng, tuples);
+      reports.push_back(engine.run_interval(tuples));
+    }
+  } else {
+    reports = engine.run(source, sc.intervals, /*seed=*/1);
+  }
 
   ModeResult res;
   double steady_wall_ms = 0.0;
@@ -126,7 +141,7 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
     // Steady overlapped boundaries only: interval 0 is warm-up and the
     // final boundary has no next interval to overlap with, so both are
     // excluded from the stall statistic in EVERY configuration (the
-    // inline baseline has no overlap either way — same window keeps the
+    // stepped baseline has no overlap either way — same window keeps the
     // comparison apples-to-apples).
     if (r.interval > 0 && r.interval < sc.intervals - 1) {
       stalls.push_back(r.stall_ms);
@@ -141,7 +156,7 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
   // interval, so variation across boundaries is scheduler interference,
   // which only ever ADDS stall — the minimum is the cleanest
   // observation of the protocol's intrinsic boundary cost, for the
-  // async path and the inline baseline symmetrically. The worst steady
+  // overlapped run and the stepped baseline symmetrically. The worst steady
   // boundary is still reported as max_stall_ms.
   if (!stalls.empty()) {
     res.steady_stall_ms = *std::min_element(stalls.begin(), stalls.end());
@@ -225,7 +240,7 @@ int main(int argc, char** argv) {
   // a genuine regression stays below the gates no matter how many
   // rounds run. Bounded so a real regression fails in finite time.
   constexpr int kMaxRounds = 8;
-  ModeResult exact, sketch, inline_sketch;
+  ModeResult exact, sketch, stepped_sketch;
   double tput_ratio = 0.0;
   double stall_reduction = 0.0;
   double global_best_e = 0.0;
@@ -235,11 +250,11 @@ int main(int argc, char** argv) {
       break;
     }
     std::fprintf(stderr, "round %d: exact mode...\n", round);
-    const ModeResult e = run_mode(sc, StatsMode::kExact, /*async=*/true);
-    std::fprintf(stderr, "round %d: sketch mode (async merge)...\n", round);
-    const ModeResult s = run_mode(sc, StatsMode::kSketch, /*async=*/true);
-    std::fprintf(stderr, "round %d: sketch mode (inline merge)...\n", round);
-    const ModeResult b = run_mode(sc, StatsMode::kSketch, /*async=*/false);
+    const ModeResult e = run_mode(sc, StatsMode::kExact, /*stepped=*/false);
+    std::fprintf(stderr, "round %d: sketch mode (overlapped)...\n", round);
+    const ModeResult s = run_mode(sc, StatsMode::kSketch, /*stepped=*/false);
+    std::fprintf(stderr, "round %d: sketch mode (stepped)...\n", round);
+    const ModeResult b = run_mode(sc, StatsMode::kSketch, /*stepped=*/true);
     // Within-round throughput ratio on the best steady interval of each
     // mode (the aggregate mean is dominated by background load; the
     // best interval is the demonstrated capability).
@@ -252,9 +267,9 @@ int main(int argc, char** argv) {
     if (global_best_e > 0.0) {
       tput_ratio = std::max(tput_ratio, global_best_s / global_best_e);
     }
-    // Within-round boundary-stall reduction, async vs inline baseline,
-    // both the minimum over the steady overlapped boundaries. A
-    // sub-resolution async stall counts as the full reduction.
+    // Within-round boundary-stall reduction, overlapped vs stepped
+    // baseline, both the minimum over the steady overlapped boundaries.
+    // A sub-resolution overlapped stall counts as the full reduction.
     stall_reduction = std::max(
         stall_reduction,
         s.steady_stall_ms > 0.0
@@ -262,8 +277,8 @@ int main(int argc, char** argv) {
             : (b.steady_stall_ms > 0.0 ? 1e9 : 0.0));
     if (round == 0 || e.steady_tps > exact.steady_tps) exact = e;
     if (round == 0 || s.steady_tps > sketch.steady_tps) sketch = s;
-    if (round == 0 || b.steady_tps > inline_sketch.steady_tps) {
-      inline_sketch = b;
+    if (round == 0 || b.steady_tps > stepped_sketch.steady_tps) {
+      stepped_sketch = b;
     }
   }
 
@@ -282,7 +297,7 @@ int main(int argc, char** argv) {
       sc.tuples_per_interval * static_cast<std::uint64_t>(sc.intervals);
   const bool pass_processed = exact.processed == expected &&
                               sketch.processed == expected &&
-                              inline_sketch.processed == expected;
+                              stepped_sketch.processed == expected;
   const bool pass_memory = memory_ratio >= 8.0;
   const bool pass_tput = tput_ratio >= 0.97;
   const bool pass_heavy = sketch.heavy_keys > 0;
@@ -296,19 +311,19 @@ int main(int argc, char** argv) {
                "%-28s %15.0f %15.0f %15.0f\n"
                "%-28s %15.3f %15.3f %15.3f\n"
                "%-28s %15.3f %15.3f %15.3f\n",
-               "", "exact", "sketch", "sketch-inline",
+               "", "exact", "sketch", "sketch-stepped",
                "stats memory (bytes)", exact.stats_memory_bytes,
-               sketch.stats_memory_bytes, inline_sketch.stats_memory_bytes,
+               sketch.stats_memory_bytes, stepped_sketch.stats_memory_bytes,
                "steady throughput (t/s)", exact.steady_tps, sketch.steady_tps,
-               inline_sketch.steady_tps,
+               stepped_sketch.steady_tps,
                "best interval (t/s)", exact.best_interval_tps,
-               sketch.best_interval_tps, inline_sketch.best_interval_tps,
+               sketch.best_interval_tps, stepped_sketch.best_interval_tps,
                "total wall (ms)", exact.total_wall_ms, sketch.total_wall_ms,
-               inline_sketch.total_wall_ms,
+               stepped_sketch.total_wall_ms,
                "steady stall (ms)", exact.steady_stall_ms,
-               sketch.steady_stall_ms, inline_sketch.steady_stall_ms,
+               sketch.steady_stall_ms, stepped_sketch.steady_stall_ms,
                "mean merge (ms)", exact.merge_ms, sketch.merge_ms,
-               inline_sketch.merge_ms);
+               stepped_sketch.merge_ms);
   std::fprintf(stderr,
                "memory ratio %.1fx (gate >= 8x: %s), throughput ratio %.3f "
                "(gate >= 0.97: %s), stall reduction %.1fx (gate >= 5x: %s), "
@@ -332,7 +347,7 @@ int main(int argc, char** argv) {
       "\"best_interval_tps\": %.0f, \"wall_ms\": %.1f, \"processed\": %llu, "
       "\"heavy_keys\": %zu, \"stall_ms\": %.3f, \"max_stall_ms\": %.3f, "
       "\"merge_ms\": %.3f},\n"
-      "  \"sketch_inline\": {\"steady_tps\": %.0f, \"wall_ms\": %.1f, "
+      "  \"sketch_stepped\": {\"steady_tps\": %.0f, \"wall_ms\": %.1f, "
       "\"stall_ms\": %.3f, \"max_stall_ms\": %.3f, \"merge_ms\": %.3f},\n"
       "  \"memory_ratio\": %.2f,\n"
       "  \"throughput_ratio\": %.3f,\n"
@@ -351,9 +366,9 @@ int main(int argc, char** argv) {
       sketch.best_interval_tps, sketch.total_wall_ms,
       static_cast<unsigned long long>(sketch.processed), sketch.heavy_keys,
       sketch.steady_stall_ms, sketch.max_stall_ms, sketch.merge_ms,
-      inline_sketch.steady_tps, inline_sketch.total_wall_ms,
-      inline_sketch.steady_stall_ms, inline_sketch.max_stall_ms,
-      inline_sketch.merge_ms, memory_ratio, tput_ratio, stall_reduction,
+      stepped_sketch.steady_tps, stepped_sketch.total_wall_ms,
+      stepped_sketch.steady_stall_ms, stepped_sketch.max_stall_ms,
+      stepped_sketch.merge_ms, memory_ratio, tput_ratio, stall_reduction,
       pass_memory ? "true" : "false", pass_tput ? "true" : "false",
       pass_stall ? "true" : "false", pass_heavy ? "true" : "false",
       pass_processed ? "true" : "false");

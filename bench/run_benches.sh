@@ -13,11 +13,11 @@
 #       within tolerance of the exact plan.
 #   bench_micro_threaded -> BENCH_threaded.json
 #       real-thread 1M-key run: sketch-mode stats memory >= 8x smaller
-#       than exact, throughput >= 0.97x the exact mutex-drain path, and
-#       the asynchronous boundary merge's ingestion stall >= 5x smaller
-#       than the inline-merge baseline (per-boundary stall_ms is in the
-#       JSON; a stall regression past the gate fails the bench, and with
-#       it this script and CI).
+#       than exact, throughput >= 0.97x exact mode, and the ingestion
+#       stall of run()'s overlapped boundary >= 5x smaller than the
+#       stepped baseline, one run_interval() at a time (per-boundary
+#       stall_ms is in the JSON; a stall regression past the gate fails
+#       the bench, and with it this script and CI).
 #   bench_micro_plan     -> BENCH_plan.json
 #       compact planning path at 1M keys / 4096 heavy: snapshot + plan
 #       generation >= 20x faster than the dense path, no O(|K|)

@@ -6,10 +6,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(SKEWLESS_HAVE_NUMA)
-#include <numa.h>
-#endif
-
 namespace skewless {
 namespace {
 
@@ -78,31 +74,6 @@ CpuTopology probe_topology() {
 const CpuTopology& cpu_topology() {
   static const CpuTopology topo = probe_topology();
   return topo;
-}
-
-bool bind_current_thread_to_node_of_cpu(int cpu) {
-#if defined(SKEWLESS_HAVE_NUMA)
-  if (numa_available() < 0 || cpu < 0) return false;
-  if (numa_max_node() <= 0) return false;  // single node: nothing to place
-  const int node = numa_node_of_cpu(cpu);
-  if (node < 0) return false;
-  // Prefer allocations from `node` for this thread; keeps the merge
-  // thread's window memory near the driver without hard-failing when
-  // the node fills up.
-  numa_set_preferred(node);
-  return true;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
-bool numa_support_compiled() {
-#if defined(SKEWLESS_HAVE_NUMA)
-  return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace skewless

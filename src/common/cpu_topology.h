@@ -1,7 +1,6 @@
 // CPU topology for pinning: which logical CPUs are distinct physical
-// cores vs SMT siblings, and (with libnuma) which node a CPU's memory
-// lives on. Parsed once from /sys; falls back to the identity order
-// when sysfs is unavailable so --pin never breaks.
+// cores vs SMT siblings. Parsed once from /sys; falls back to the
+// identity order when sysfs is unavailable so --pin never breaks.
 #pragma once
 
 #include <cstddef>
@@ -25,13 +24,5 @@ struct CpuTopology {
 
 /// The host topology, probed once (thread-safe static init).
 [[nodiscard]] const CpuTopology& cpu_topology();
-
-/// Bind the calling thread's memory-allocation preference to the NUMA
-/// node owning `cpu`. No-op (returns false) when the build lacks
-/// libnuma, the host has a single node, or `cpu` is invalid.
-bool bind_current_thread_to_node_of_cpu(int cpu);
-
-/// True when this binary was built with libnuma support.
-[[nodiscard]] bool numa_support_compiled();
 
 }  // namespace skewless

@@ -63,6 +63,23 @@ void SlabTally::absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
   merge_ms += merge_timer.elapsed_millis();
 }
 
+void SlabTally::replay(StatsProvider& stats, const KeyAggMap& per_key,
+                       const WorkerSketchSlab::IntervalScalars& sc,
+                       std::size_t w) {
+  add(sc);
+  constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
+  memory_bytes +=
+      per_key.size() * (sizeof(KeyAggMap::value_type) + kNodeOverhead) +
+      per_key.bucket_count() * sizeof(void*);
+  WallTimer merge_timer;
+  for (const auto& [key, cb] : per_key) {
+    worker_cost[w] += cb.cost;
+    stats.record(key, cb.cost, cb.state_bytes, cb.frequency,
+                 static_cast<InstanceId>(w));
+  }
+  merge_ms += merge_timer.elapsed_millis();
+}
+
 std::optional<RebalancePlan> close_statistics(Controller& controller,
                                               const SlabTally& tally,
                                               IntervalReport& report) {

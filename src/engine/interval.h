@@ -1,6 +1,6 @@
 // Interval-level steps the threaded and the net engine share: the
 // per-interval report, a worker's per-batch operator fold, the boundary
-// tally of sealed worker slabs, the statistics close (roll, plan, plan
+// tally of sealed worker buffers, the statistics close (roll, plan, plan
 // fields, memory), the closing timing arithmetic, and the expansion of a
 // source interval into a shuffled tuple sequence. The net ≡ threaded
 // byte-identity contract rests on these being one copy: both engines
@@ -43,19 +43,20 @@ struct IntervalReport {
   Bytes migration_wire_bytes = 0.0;
   Micros generation_micros = 0;
   /// Resident bytes of ALL statistics structures: the provider plus the
-  /// per-worker accumulators (sketch slabs — both buffers of each pair
-  /// under the async merge — or, in exact mode, the shared per-key maps
-  /// and drain scratch). The end-to-end number of the exact-vs-sketch
-  /// memory trade-off.
+  /// per-worker accumulators (on the threaded engine both epoch buffers
+  /// of every worker: two slabs in sketch mode, two per-key maps in exact
+  /// mode). The end-to-end number of the exact-vs-sketch memory
+  /// trade-off.
   std::size_t stats_memory_bytes = 0;
   /// Time the driver's ingestion was blocked by this interval's boundary,
   /// from the interval's last tuple until it could route the next one,
   /// excluding ThreadedEngine::run's overlapped generation of the next
-  /// interval. The async merge leaves only the seal pushes plus whatever
-  /// merge/plan work had not finished by harvest time.
+  /// interval. On the threaded engine that is the seal pushes plus
+  /// whatever merge/plan work had not finished when the driver waited for
+  /// it, plus the migration.
   double stall_ms = 0.0;
   /// Time absorbing worker statistics into the provider (slab absorbs,
-  /// or the exact-mode per-key replay under the drain locks).
+  /// or the exact-mode per-key replay).
   double merge_ms = 0.0;
   /// Wall time of Controller::end_interval(): the statistics roll, plus
   /// the snapshot, the trigger and the plan when the controller has a
@@ -114,8 +115,8 @@ class BatchFold {
 /// The boundary's per-worker tally, filled in worker-index order:
 /// processed tuples, latency, per-worker cost, statistics memory and
 /// merge time. Sketch mode fills it from sealed slabs through absorb();
-/// the threaded engine's exact-mode drain fills the same fields from its
-/// per-key maps.
+/// the threaded engine's exact mode fills the same fields from its
+/// sealed per-key maps through replay().
 struct SlabTally {
   explicit SlabTally(std::size_t workers = 0) : worker_cost(workers, 0.0) {}
 
@@ -130,6 +131,12 @@ struct SlabTally {
   /// whichever worker finished (or whose summary arrived) first.
   void absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
               std::size_t w);
+
+  /// Exact mode's absorb(): tallies worker `w`'s scalars, its map at its
+  /// fullest and its cost, and replays every key of `per_key` into
+  /// `stats`, timing the replay as merge time.
+  void replay(StatsProvider& stats, const KeyAggMap& per_key,
+              const WorkerSketchSlab::IntervalScalars& sc, std::size_t w);
 
   WorkerSketchSlab::IntervalScalars scalars;
   std::vector<double> worker_cost;

@@ -80,41 +80,28 @@ void ThreadedEngine::start_workers() {
   const auto n = static_cast<std::size_t>(num_workers_);
   queues_.reserve(n);
   stores_.reserve(n);
-  stats_.reserve(n);
+  slabs_.reserve(n);
   pending_batches_.resize(n);
-  drain_scratch_.resize(n);
-  pushed_msgs_.resize(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     queues_.push_back(
         std::make_unique<BoundedMpmcQueue<WorkerMsg>>(kQueueBatches));
     stores_.push_back(std::make_unique<StateStore>());
-    stats_.push_back(std::make_unique<WorkerStats>());
-    stats_.back()->per_key.reserve(256);
-    drain_scratch_[i].reserve(256);
-  }
-  if (sketch_stats_ != nullptr) {
-    // Sketch mode: thread-local slabs per worker, built against the
-    // provider's own config so the Count-Min families match cell-for-cell.
-    // The second buffer of each pair exists only under the asynchronous
-    // merge — the inline path never seals, so it never swaps.
-    slabs_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto pair = std::make_unique<SlabPair>();
-      pair->bufs[0] =
-          std::make_unique<WorkerSketchSlab>(sketch_stats_->config());
-      if (config_.async_merge) {
-        pair->bufs[1] =
-            std::make_unique<WorkerSketchSlab>(sketch_stats_->config());
+    auto pair = std::make_unique<SlabPair>();
+    for (EpochBuffer& buf : pair->bufs) {
+      if (sketch_stats_ != nullptr) {
+        // Built against the provider's own config so the Count-Min
+        // families match cell-for-cell.
+        buf.slab = std::make_unique<WorkerSketchSlab>(sketch_stats_->config());
+      } else {
+        // The replay walks each map in its iteration order, which
+        // depends on its bucket history, and sums the realized
+        // per-worker cost in that order. clear() keeps the buckets, so
+        // steady state allocates nothing.
+        buf.per_key.reserve(256);
       }
-      slabs_.push_back(std::move(pair));
     }
+    slabs_.push_back(std::move(pair));
   }
-#if defined(SKEWLESS_HAS_THREAD_AFFINITY)
-  // Where the driver runs now — the merge thread binds its allocations
-  // near this CPU's NUMA node, since the window it merges into was
-  // allocated by the driver.
-  driver_cpu_ = sched_getcpu();
-#endif
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back(
@@ -124,73 +111,58 @@ void ThreadedEngine::start_workers() {
       ++pinned_workers_;
     }
   }
-  if (async_merge_on()) {
-    merge_thread_ = std::thread([this] { merge_loop(); });
-    if (config_.pin_workers) {
-      // The slot after the workers: the next free physical core, or the
-      // first SMT sibling once the cores are full.
-      pin_thread_to_slot(merge_thread_, static_cast<unsigned>(n));
-    }
+  merge_thread_ = std::thread([this] { merge_loop(); });
+  if (config_.pin_workers) {
+    // The slot after the workers: the next free physical core, or the
+    // first SMT sibling once the cores are full.
+    pin_thread_to_slot(merge_thread_, static_cast<unsigned>(n));
   }
 }
 
 void ThreadedEngine::worker_loop(InstanceId id) {
   const auto idx = static_cast<std::size_t>(id);
   StateStore& store = *stores_[idx];
-  WorkerStats& stats = *stats_[idx];
-  // Sketch mode: the worker starts on buffer 0 of its pair and (async
-  // merge only) alternates at every seal.
-  WorkerSketchSlab* slab =
-      slabs_.empty() ? nullptr : slabs_[idx]->bufs[0].get();
-  // First-touch NUMA placement: the slab buffers were mapped (untouched)
-  // on the driver thread; this worker commits each buffer's pages the
-  // first time it is about to write it, so they land on the worker's
-  // node. Done INSIDE message processing — never at loop top — so the
-  // done_msgs release/acquire protocol orders the prefault writes before
-  // any driver/merge read of the cells.
-  bool prefaulted[2] = {false, false};
+  SlabPair& pair = *slabs_[idx];
+  // The worker starts on buffer 0 of its pair and alternates at every
+  // seal.
   std::size_t active_buf = 0;
+  EpochBuffer* buf = &pair.bufs[0];
+  // First-touch placement: the slab cells were mapped (untouched) on the
+  // driver thread; this worker commits each buffer's pages the first
+  // time it is about to write it, so they land near the worker. Done
+  // INSIDE batch processing — the seal's release/acquire then orders the
+  // prefault writes before any merge-thread read of the cells.
+  bool prefaulted[2] = {false, false};
   CountingCollector collector(total_outputs_);
   BatchFold fold;
 
   while (true) {
     auto msg = queues_[idx]->pop();
     if (!msg.has_value()) return;  // queue closed
-    // Publish completion only after every effect of the message is done
-    // — the release pairs with the driver's acquire in its quiescence
-    // wait, ordering all slab/state writes before any driver read.
-    struct DoneGuard {
-      std::atomic<std::uint64_t>& counter;
-      ~DoneGuard() { counter.fetch_add(1, std::memory_order_release); }
-    } done_guard{stats.done_msgs};
 
     if (auto* batch = std::get_if<BatchMsg>(&*msg)) {
       fold.run(batch->tuples, steady_now_us() - engine_epoch_us_, store,
                *logic_, collector);
       total_processed_.fetch_add(batch->tuples.size(),
                                  std::memory_order_relaxed);
-      if (slab != nullptr) {
-        // Sketch mode: fold the batch into this worker's thread-local
-        // slab — no lock anywhere, scalars included (they ride the slab
-        // and are published by the seal / quiescence protocol). The
-        // batched fold prefetches the cold cells a few entries ahead
+      // Fold the batch into the active buffer — no lock anywhere, scalars
+      // included: the seal publishes the whole buffer.
+      if (buf->slab != nullptr) {
+        // The batched fold prefetches the cold cells a few entries ahead
         // (see add_batch).
         if (!prefaulted[active_buf]) {
-          slab->prefault();
+          buf->slab->prefault();
           prefaulted[active_buf] = true;
         }
-        fold.add_to(*slab);
+        fold.add_to(*buf->slab);
       } else {
-        // Exact mode — one lock per batch: the merge and every counter
-        // update share a single critical section.
-        std::lock_guard lock(stats.mu);
         for (const auto& [key, cb] : fold.per_key()) {
-          auto& entry = stats.per_key[key];
+          auto& entry = buf->per_key[key];
           entry.cost += cb.cost;
           entry.state_bytes += cb.state_bytes;
           entry.frequency += cb.frequency;
         }
-        fold.add_scalars(stats.scalars);
+        fold.add_scalars(buf->scalars);
       }
     } else if (auto* extract = std::get_if<ExtractMsg>(&*msg)) {
       for (const KeyId key : extract->keys) {
@@ -208,16 +180,14 @@ void ThreadedEngine::worker_loop(InstanceId id) {
     } else if (auto* expire = std::get_if<ExpireMsg>(&*msg)) {
       store.expire_before(expire->watermark);
     } else if (auto* seal = std::get_if<SealMsg>(&*msg)) {
-      // Epoch boundary (async merge): stamp + release-publish the active
+      // Epoch boundary: stamp (sketch mode) + release-publish the active
       // buffer, swap onto the peer (cleared by the merge path before the
       // previous epoch's heavy set was published, which we waited for),
       // and install the closing epoch's post-roll heavy set before any
       // next-epoch batch — the acquire on heavy_epoch_ pairs with the
       // publisher's release, ordering the merge path's writes (peer
       // clear, heavy_published_) before ours.
-      SKW_ASSERT(slab != nullptr);
-      SlabPair& pair = *slabs_[idx];
-      slab->set_epoch(seal->epoch);
+      if (buf->slab != nullptr) buf->slab->set_epoch(seal->epoch);
       pair.sealed_epoch.store(seal->epoch, std::memory_order_release);
       {
         // Pair the store with the merge thread's wait: the empty
@@ -227,7 +197,7 @@ void ThreadedEngine::worker_loop(InstanceId id) {
       }
       seal_cv_.notify_all();
       active_buf = static_cast<std::size_t>(seal->epoch & 1);
-      slab = pair.bufs[active_buf].get();
+      buf = &pair.bufs[active_buf];
       if (heavy_epoch_.load(std::memory_order_acquire) < seal->epoch) {
         // Sleep (never spin — the merge path needs the cycles) until the
         // closing epoch's roll publishes the new heavy set.
@@ -238,8 +208,9 @@ void ThreadedEngine::worker_loop(InstanceId id) {
                  stopping_.load(std::memory_order_acquire);
         });
       }
-      if (heavy_epoch_.load(std::memory_order_acquire) >= seal->epoch) {
-        slab->set_heavy_keys(heavy_published_);
+      if (buf->slab != nullptr &&
+          heavy_epoch_.load(std::memory_order_acquire) >= seal->epoch) {
+        buf->slab->set_heavy_keys(heavy_published_);
       }
     } else {
       SKW_ASSERT(std::holds_alternative<StopMsg>(*msg));
@@ -262,61 +233,16 @@ void ThreadedEngine::flush_batch(InstanceId d) {
   BatchMsg msg;
   msg.tuples = std::move(batch);
   batch.clear();
-  push_counted(d, std::move(msg));
+  push(d, std::move(msg));
 }
 
-void ThreadedEngine::push_counted(InstanceId d, WorkerMsg msg) {
-  const auto di = static_cast<std::size_t>(d);
-  // A dropped-but-counted message would deadlock the quiescence wait;
-  // push only fails after close(), which cannot happen while running.
-  const bool ok = queues_[di]->push(std::move(msg));
+void ThreadedEngine::push(InstanceId d, WorkerMsg msg) {
+  const bool ok = queues_[static_cast<std::size_t>(d)]->push(std::move(msg));
   SKW_ASSERT(ok);
-  ++pushed_msgs_[di];
 }
 
 void ThreadedEngine::flush_batches() {
   for (InstanceId d = 0; d < num_workers_; ++d) flush_batch(d);
-}
-
-void ThreadedEngine::drain_worker_stats(SlabTally& tally) {
-  for (std::size_t w = 0; w < stats_.size(); ++w) {
-    WorkerStats& ws = *stats_[w];
-    if (sketch_stats_ != nullptr) {
-      // The quiescence wait in finish_boundary ordered all slab writes
-      // before this read; no lock is needed (the scalars ride the slab).
-      WorkerSketchSlab& slab = *slabs_[w]->bufs[0];
-      tally.absorb(*sketch_stats_, slab, w);
-      slab.clear();
-      continue;
-    }
-    auto& drained = drain_scratch_[w];
-    {
-      // Single short critical section per worker: grab every scalar
-      // counter and swap out the per-key map, handing back last
-      // interval's cleared, pre-bucketed map.
-      std::lock_guard lock(ws.mu);
-      drained.swap(ws.per_key);
-      tally.add(ws.scalars);
-      ws.scalars = {};
-    }
-    // Exact mode: account the worker-side map at its fullest (nodes are
-    // freed by the clear below), then replay it into the provider.
-    constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
-    tally.memory_bytes +=
-        drained.size() * (sizeof(KeyAggMap::value_type) + kNodeOverhead) +
-        (drained.bucket_count() + ws.per_key.bucket_count()) * sizeof(void*);
-    StatsProvider& provider = controller_->stats();
-    WallTimer merge_timer;
-    for (const auto& [key, cb] : drained) {
-      tally.worker_cost[w] += cb.cost;
-      provider.record(key, cb.cost, cb.state_bytes, cb.frequency,
-                      static_cast<InstanceId>(w));
-    }
-    tally.merge_ms += merge_timer.elapsed_millis();
-    // clear() keeps the bucket array; the next swap hands it back to the
-    // worker so steady-state intervals do no hash-table allocation.
-    drained.clear();
-  }
 }
 
 void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
@@ -337,26 +263,30 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
       });
     }
     if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) return;
-    WorkerSketchSlab& slab = *pair.bufs[(epoch - 1) & 1];
-    SKW_ASSERT(slab.epoch() == epoch);
-    tally.absorb(*sketch_stats_, slab, w);
-    slab.clear();
+    EpochBuffer& buf = pair.bufs[(epoch - 1) & 1];
     // The worker's active peer cannot be measured while it accumulates;
     // the just-cleared buffer stands in for it so the double-buffer
-    // footprint is still accounted. A cleared slab keeps its cells and
-    // hot maps but not its candidate tracker's table, so the stand-in
-    // counts the peer's fixed footprint, not its candidates.
-    tally.memory_bytes += slab.memory_bytes();
+    // footprint is still accounted.
+    if (buf.slab != nullptr) {
+      WorkerSketchSlab& slab = *buf.slab;
+      SKW_ASSERT(slab.epoch() == epoch);
+      tally.absorb(*sketch_stats_, slab, w);
+      slab.clear();
+      // A cleared slab keeps its cells and hot maps but not its
+      // candidate tracker's table, so the stand-in counts the peer's
+      // fixed footprint, not its candidates.
+      tally.memory_bytes += slab.memory_bytes();
+    } else {
+      tally.replay(controller_->stats(), buf.per_key, buf.scalars, w);
+      // clear() keeps the bucket array, which stands in for the peer's.
+      buf.per_key.clear();
+      buf.scalars = {};
+      tally.memory_bytes += buf.per_key.bucket_count() * sizeof(void*);
+    }
   }
 }
 
 void ThreadedEngine::merge_loop() {
-  // Prefer allocations near the driver's NUMA node: the window this
-  // thread absorbs into (and everything it grows) was allocated by the
-  // driver, so keeping the merge path's memory on that node avoids
-  // remote-node traffic on every absorb. Graceful no-op without libnuma
-  // or on single-node hosts.
-  bind_current_thread_to_node_of_cpu(driver_cpu_);
   std::uint64_t epoch = 1;
   while (true) {
     IntervalReport* report = nullptr;
@@ -387,14 +317,8 @@ void ThreadedEngine::merge_loop() {
   }
 }
 
-void ThreadedEngine::refresh_worker_heavy_sets() {
-  if (sketch_stats_ == nullptr) return;
-  const std::vector<KeyId> keys = sketch_stats_->heavy_keys();
-  for (auto& pair : slabs_) pair->bufs[0]->set_heavy_keys(keys);
-}
-
 void ThreadedEngine::publish_heavy_set(std::uint64_t epoch) {
-  heavy_published_ = sketch_stats_->heavy_keys();
+  if (sketch_stats_ != nullptr) heavy_published_ = sketch_stats_->heavy_keys();
   heavy_epoch_.store(epoch, std::memory_order_release);
   {
     std::lock_guard lock(heavy_mu_);
@@ -414,7 +338,7 @@ void ThreadedEngine::execute_migration(const RebalancePlan& plan) {
     auto& keys = by_source[static_cast<std::size_t>(d)];
     if (keys.empty()) continue;
     expected += keys.size();
-    push_counted(d, ExtractMsg{std::move(keys)});
+    push(d, ExtractMsg{std::move(keys)});
   }
 
   // Collect the extracted states (workers reach the Extract message after
@@ -439,7 +363,7 @@ void ThreadedEngine::execute_migration(const RebalancePlan& plan) {
   for (InstanceId d = 0; d < num_workers_; ++d) {
     auto& states = by_dest[static_cast<std::size_t>(d)];
     if (states.empty()) continue;
-    push_counted(d, InstallMsg{std::move(states)});
+    push(d, InstallMsg{std::move(states)});
   }
 }
 
@@ -459,77 +383,47 @@ IntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
 
 void ThreadedEngine::begin_boundary(IntervalReport& report) {
   WallTimer timer;
-  if (async_merge_on()) {
-    // Seal the epoch: one lightweight message per worker (FIFO puts it
-    // behind every batch of the closing interval), then hand the epoch
-    // and the open report to the merge thread. Ingestion is free to
-    // continue immediately — next-interval batches queue behind the
-    // seals and land in the workers' swapped-in buffers.
-    const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
-    open_boundary_epoch_ = epoch;
-    for (InstanceId d = 0; d < num_workers_; ++d) {
-      const auto di = static_cast<std::size_t>(d);
-      // force_push: the seal is a control message — blocking behind a
-      // full data queue here would BE the boundary stall this protocol
-      // removes (the driver runs ahead of the workers, so the queues are
-      // routinely at capacity when the interval closes).
-      const bool ok = queues_[di]->force_push(WorkerMsg(SealMsg{epoch}));
-      SKW_ASSERT(ok);
-      ++pushed_msgs_[di];
-    }
-    {
-      std::lock_guard lock(merge_mu_);
-      merge_requested_ = epoch;
-      merge_report_ = &report;
-    }
-    merge_cv_.notify_all();
+  // Seal the epoch: one lightweight message per worker (FIFO puts it
+  // behind every batch of the closing interval), then hand the epoch and
+  // the open report to the merge thread. Ingestion is free to continue
+  // immediately — next-interval batches queue behind the seals and land
+  // in the workers' swapped-in buffers.
+  const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
+  open_boundary_epoch_ = epoch;
+  for (auto& queue : queues_) {
+    // force_push: the seal is a control message — blocking behind a full
+    // data queue here would BE the boundary stall this protocol removes
+    // (the driver runs ahead of the workers, so the queues are routinely
+    // at capacity when the interval closes).
+    const bool ok = queue->force_push(WorkerMsg(SealMsg{epoch}));
+    SKW_ASSERT(ok);
   }
+  {
+    std::lock_guard lock(merge_mu_);
+    merge_requested_ = epoch;
+    merge_report_ = &report;
+  }
+  merge_cv_.notify_all();
   open_boundary_stall_ms_ = timer.elapsed_millis();
 }
 
 void ThreadedEngine::finish_boundary(IntervalReport& report) {
   WallTimer timer;
-  if (async_merge_on()) {
-    // The merge thread closed the statistics into `report` and published
-    // the heavy set; only the migration it planned is left.
-    std::optional<RebalancePlan> plan;
-    {
-      std::unique_lock lock(merge_mu_);
-      merge_cv_.wait(lock,
-                     [&] { return merge_completed_ >= open_boundary_epoch_; });
-      plan = std::exchange(boundary_plan_, std::nullopt);
-    }
-    if (plan) execute_migration(*plan);
-  } else {
-    // Inline boundary: wait for every pushed message to be fully
-    // processed so the interval's statistics are complete before
-    // planning. Counting completions instead of polling queue emptiness
-    // is what makes this gap-free: a message a worker has popped but not
-    // finished keeps done_msgs behind pushed_msgs_.
-    for (InstanceId d = 0; d < num_workers_; ++d) {
-      const auto di = static_cast<std::size_t>(d);
-      while (stats_[di]->done_msgs.load(std::memory_order_acquire) !=
-             pushed_msgs_[di]) {
-        std::this_thread::yield();
-      }
-    }
-    SlabTally tally(stats_.size());
-    drain_worker_stats(tally);
-    if (const auto plan = close_statistics(*controller_, tally, report)) {
-      execute_migration(*plan);
-    }
-    // The roll just promoted/demoted: re-broadcast the heavy set so next
-    // interval's hot keys accumulate exactly in the worker slabs.
-    // Workers only read the heavy set while processing a Batch message,
-    // and the next batch is pushed (queue-synchronized) after this
-    // write.
-    refresh_worker_heavy_sets();
+  // The merge thread closed the statistics into `report` and published
+  // the heavy set; only the migration it planned is left.
+  std::optional<RebalancePlan> plan;
+  {
+    std::unique_lock lock(merge_mu_);
+    merge_cv_.wait(lock,
+                   [&] { return merge_completed_ >= open_boundary_epoch_; });
+    plan = std::exchange(boundary_plan_, std::nullopt);
   }
+  if (plan) execute_migration(*plan);
   if (config_.expire_lag_intervals > 0) {
     const Micros watermark =
         (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
     for (InstanceId d = 0; d < num_workers_; ++d) {
-      push_counted(d, ExpireMsg{watermark});
+      push(d, ExpireMsg{watermark});
     }
   }
   close_interval(report, report.wall_ms,
@@ -561,11 +455,10 @@ std::vector<IntervalReport> ThreadedEngine::run(WorkloadSource& source,
     begin_boundary(report);
     // Overlap window: generate (expand + shuffle) the NEXT interval's
     // tuples while the merge thread absorbs, rolls and plans this
-    // interval's sealed slabs. The tuple source keeps flowing through
+    // interval's sealed buffers. The tuple source keeps flowing through
     // the boundary — the wall/stall accounting in begin/finish
     // deliberately excludes this segment, because the driver is doing
-    // next-interval source work, not waiting. Without the async merge
-    // this is a plain sequential expansion (begin_boundary was a no-op).
+    // next-interval source work, not waiting.
     if (i + 1 < intervals) expand_interval(source, rng, next);
     finish_boundary(report);
     reports.push_back(report);

@@ -31,39 +31,36 @@
 // the one statistics store, configured by ControllerConfig. The engine
 // always runs a controller; the hash-only baseline is a controller built
 // without a planner, which keeps the same statistics and never plans.
-//   * exact mode — workers aggregate per batch into a private map, merge
-//     it into a mutex-guarded shared map, and the driver swaps those out
-//     at interval boundaries and replays them into the provider. O(|K|)
-//     hash traffic crosses threads each interval.
-//   * sketch mode — each worker owns thread-local WorkerSketchSlabs
-//     (Count-Min sketches + Misra-Gries candidates + exact hot-key map
-//     for the current heavy set) that are merged into the
-//     SketchStatsWindow at the interval boundary in worker-index order,
-//     so results are byte-identical regardless of worker finish order.
-//     No per-key hash traffic crosses threads on the data path.
+// Each worker writes its own epoch buffer with no lock, in either mode:
+//   * exact mode — a per-key map plus the interval scalars; the merge
+//     thread replays every sealed map into the provider in worker-index
+//     order, so O(|K|) keys cross threads each interval, but only at the
+//     boundary and never under a lock.
+//   * sketch mode — a WorkerSketchSlab (Count-Min sketches + Misra-Gries
+//     candidates + exact hot-key map for the current heavy set) that the
+//     merge thread absorbs into the SketchStatsWindow in worker-index
+//     order. No per-key hash traffic crosses threads.
+// Either way the merged statistics are byte-identical regardless of
+// worker finish order.
 //
-// Seal protocol (sketch mode, ThreadedConfig::async_merge — the
-// asynchronous boundary merge): each worker owns a PAIR of slabs. At the
-// boundary the driver pushes one lightweight SealMsg per worker and
-// immediately returns to ingesting — the stall shrinks from the full
-// quiesce-and-merge to the seal pushes. Each worker, on reaching its
-// SealMsg (FIFO: after every batch of the closing epoch), stamps the
-// active slab with the epoch, release-publishes it through
-// SlabPair::sealed_epoch, swaps onto the other buffer, and then waits for
-// the NEW heavy set (epoch-stamped, published after the merge thread
-// rolls the window) before touching the next epoch's batches — which is
-// what keeps double-buffered runs byte-identical to the inline merge:
-// every slab accumulates under exactly the heavy set the inline schedule
-// would have installed. A driver-side merge thread owns the whole
-// statistics close: it absorbs the sealed slabs in worker-index order,
-// rolls and plans (close_statistics), and publishes the heavy set, while
-// the next interval's tuples are generated; the driver's finish_boundary
-// only waits for it and executes the migration it planned. The merge
-// input is exactly the sealed epoch regardless of scheduling, so the
-// merged window state and the plan are schedule-independent too. With
-// async_merge off the inline protocol (gap-free quiescence wait, then
-// absorb, roll and plan on the driver) runs instead and is the
-// determinism baseline the double-buffer path is tested against.
+// Seal protocol (every boundary, both modes): each worker owns a PAIR of
+// epoch buffers. At the boundary the driver pushes one lightweight
+// SealMsg per worker and immediately returns to ingesting — the stall is
+// the seal pushes plus whatever merge work has not finished when the
+// driver next needs the controller. Each worker, on reaching its SealMsg
+// (FIFO: after every batch of the closing epoch), release-publishes its
+// active buffer through SlabPair::sealed_epoch, swaps onto the other
+// buffer, and then waits for the NEW heavy set (epoch-stamped, published
+// after the merge thread rolls the window; empty in exact mode) before
+// touching the next epoch's batches — so every slab accumulates under
+// exactly the heavy set a sequential run would have installed. A
+// driver-side merge thread owns the whole statistics close: it absorbs
+// the sealed buffers in worker-index order, rolls and plans
+// (close_statistics), and publishes the heavy set, while the next
+// interval's tuples are generated; the driver's finish_boundary only
+// waits for it and executes the migration it planned. The merge input is
+// exactly the sealed epoch regardless of scheduling, so the merged window
+// state and the plan are schedule-independent too.
 #pragma once
 
 #include <atomic>
@@ -99,14 +96,6 @@ struct ThreadedConfig {
   /// Ignored: ControllerConfig::stats_mode picks the statistics store.
   /// Kept because existing callers still set it.
   StatsMode stats_mode = StatsMode::kExact;
-  /// Sketch mode only: double-buffer each worker's slab and absorb the
-  /// sealed buffers, roll and plan on a merge thread that overlaps the
-  /// next interval's tuple flow (see the seal protocol in the header
-  /// comment). Off = the inline boundary (full quiescence wait, then
-  /// absorb, roll and plan on the driver), kept as the byte-identical
-  /// determinism baseline and the stall_ms A/B reference. Exact mode
-  /// ignores this flag.
-  bool async_merge = true;
   /// Pin worker w to the w-th CPU of the topology-aware pin order (one
   /// CPU per distinct physical core first, SMT siblings only after every
   /// core carries a worker — see cpu_topology()) where the platform
@@ -134,17 +123,16 @@ class ThreadedEngine {
   ThreadedEngine& operator=(const ThreadedEngine&) = delete;
 
   /// Processes `intervals` intervals from `source` (counts are expanded
-  /// into a deterministic shuffled tuple sequence with `seed`). With the
-  /// asynchronous boundary merge enabled, the next interval's tuple
-  /// expansion overlaps the previous boundary's slab merge — the
-  /// pipelining run_interval's one-shot API cannot express.
+  /// into a deterministic shuffled tuple sequence with `seed`). The next
+  /// interval's tuple expansion overlaps the previous boundary's merge —
+  /// the pipelining run_interval's one-shot API cannot express.
   std::vector<IntervalReport> run(WorkloadSource& source, int intervals,
                                   std::uint64_t seed = 1);
 
   /// Processes an explicit tuple sequence as one interval. Uses the same
   /// seal/merge protocol as run() but completes the boundary before
   /// returning (no overlap window), so the merged statistics are fully
-  /// visible to the caller — and byte-identical to the inline merge.
+  /// visible to the caller.
   IntervalReport run_interval(const std::vector<Tuple>& tuples);
 
   /// Stops and joins the workers; further run() calls are invalid.
@@ -187,11 +175,11 @@ class ThreadedEngine {
   struct ExpireMsg {
     Micros watermark;
   };
-  /// Interval-boundary seal (sketch mode, async_merge): the worker
-  /// stamps + publishes its active slab as `epoch`'s sealed buffer,
-  /// swaps onto the other one, and installs the epoch's new heavy set
-  /// before processing anything that follows. FIFO ordering guarantees
-  /// every batch of the closing epoch is ahead of the seal.
+  /// Interval-boundary seal: the worker publishes its active epoch
+  /// buffer as `epoch`'s sealed buffer, swaps onto the other one, and
+  /// installs the epoch's new heavy set before processing anything that
+  /// follows. FIFO ordering guarantees every batch of the closing epoch
+  /// is ahead of the seal.
   struct SealMsg {
     std::uint64_t epoch;
   };
@@ -205,44 +193,23 @@ class ThreadedEngine {
     std::unique_ptr<KeyState> state;  // nullptr if the key had no state yet
   };
 
-  /// Per-worker statistics shared with the driver. The channel depends
-  /// on the stats mode:
-  ///
-  ///  * EXACT — the per_key map AND the scalar counters, merged under
-  ///    the mutex per batch (one uncontended lock) and swapped out by
-  ///    the driver at interval boundaries against a cleared scratch map
-  ///    that keeps its buckets, so steady-state intervals do no
-  ///    hash-table allocation on the hot path.
-  ///  * SKETCH — the worker writes its WorkerSketchSlab (per-key AND
-  ///    scalar counters — see WorkerSketchSlab::IntervalScalars) with NO
-  ///    lock at all: the merge path only reads a slab after it was
-  ///    published — by the quiescence wait (inline merge: done_msgs
-  ///    observed equal, with acquire ordering, to the driver's push
-  ///    count) or by the seal (async merge: sealed_epoch acquired) —
-  ///    which orders every worker write before the read. No per-key
-  ///    hash traffic and no lock on the data path.
-  struct WorkerStats {
-    std::mutex mu;
+  /// One worker's statistics for one epoch: the slab in sketch mode, the
+  /// per-key map plus the interval scalars in exact mode (the slab
+  /// carries its own scalars). Only the owning worker writes it, with no
+  /// lock; the merge thread reads it only after the seal published it.
+  struct EpochBuffer {
+    std::unique_ptr<WorkerSketchSlab> slab;
     KeyAggMap per_key;
     WorkerSketchSlab::IntervalScalars scalars;
-    /// Messages fully handled by the worker, incremented with release
-    /// ordering only AFTER all the message's effects (state mutations,
-    /// slab writes, stats updates) are complete. The driver is the only
-    /// producer, so `done_msgs == pushed_msgs_[w]` observed with acquire
-    /// is gap-free quiescence: a popped-but-unfinished message keeps the
-    /// counts unequal. (A busy *flag* set after pop() would leave a
-    /// window where the queue is empty and the flag not yet raised.)
-    std::atomic<std::uint64_t> done_msgs{0};
   };
 
-  /// Double-buffered slab pair (sketch mode). The worker writes the
-  /// active buffer exclusively; sealed_epoch release-publishes the other
-  /// one to the merge path. Which buffer is sealed at epoch e is a pure
-  /// function of e (buffer (e-1)&1 — the worker starts on buffer 0 and
-  /// alternates), so neither side needs to share an index. With
-  /// async_merge off only buffer 0 exists and is never sealed.
+  /// Double-buffered epoch pair. The worker writes the active buffer
+  /// exclusively; sealed_epoch release-publishes the other one to the
+  /// merge path. Which buffer is sealed at epoch e is a pure function of
+  /// e (buffer (e-1)&1 — the worker starts on buffer 0 and alternates),
+  /// so neither side needs to share an index.
   struct SlabPair {
-    std::unique_ptr<WorkerSketchSlab> bufs[2];
+    EpochBuffer bufs[2];
     std::atomic<std::uint64_t> sealed_epoch{0};
   };
 
@@ -254,40 +221,32 @@ class ThreadedEngine {
   void route_tuple(const Tuple& tuple);
   void flush_batches();
   void flush_batch(InstanceId d);
-  /// Pushes `msg` to worker d's queue and counts it in pushed_msgs_.
-  void push_counted(InstanceId d, WorkerMsg msg);
+  /// Pushes `msg` to worker d's queue (a push only fails after close(),
+  /// which cannot happen while the engine runs).
+  void push(InstanceId d, WorkerMsg msg);
   void execute_migration(const RebalancePlan& plan);
-  /// Inline boundary: tallies every (quiescent) worker's interval
-  /// statistics in worker-index order — absorbing the slabs in sketch
-  /// mode, replaying the per-key maps into the provider in exact mode.
-  void drain_worker_stats(SlabTally& tally);
-  /// Absorbs every worker's sealed slab for `epoch` in worker-index
-  /// order (waiting for stragglers to seal), filling `tally`. Runs on
-  /// the merge thread.
+  /// Tallies every worker's sealed buffer for `epoch` in worker-index
+  /// order (waiting for stragglers to seal): absorbs the slabs in sketch
+  /// mode, replays the per-key maps into the provider in exact mode. Runs
+  /// on the merge thread.
   void merge_sealed_slabs(std::uint64_t epoch, SlabTally& tally);
-  /// Pushes the sketch provider's post-roll heavy set into every worker
-  /// slab (inline merge only; workers must be quiescent).
-  void refresh_worker_heavy_sets();
-  /// Epoch-stamped release-publish of the post-roll heavy set; sealed
-  /// workers waiting at their SealMsg barrier install it and resume.
+  /// Epoch-stamped release-publish of the post-roll heavy set (empty in
+  /// exact mode); sealed workers waiting at their SealMsg barrier install
+  /// it and resume.
   void publish_heavy_set(std::uint64_t epoch);
   /// Routes `tuples` as the open interval's stream (wall_ms accumulates
   /// the routing segment only).
   IntervalReport ingest(const std::vector<Tuple>& tuples);
-  /// Starts the interval boundary: async merge pushes the seals and
-  /// hands the epoch and the open `report` to the merge thread, which
-  /// closes the statistics into it; inline/exact modes do nothing yet.
-  /// Between begin and finish the caller may overlap driver-side work
-  /// (run() expands the next interval's tuples there) — but must not
-  /// route tuples or touch the controller or `report`.
+  /// Starts the interval boundary: pushes the seals and hands the epoch
+  /// and the open `report` to the merge thread, which closes the
+  /// statistics into it. Between begin and finish the caller may overlap
+  /// driver-side work (run() expands the next interval's tuples there) —
+  /// but must not route tuples or touch the controller or `report`.
   void begin_boundary(IntervalReport& report);
-  /// Completes the boundary: waits for the merge thread (async) or
-  /// absorbs, rolls and plans inline, executes the plan's migration, and
-  /// finalizes the report's wall/stall/throughput numbers.
+  /// Completes the boundary: waits for the merge thread, executes the
+  /// plan's migration, and finalizes the report's wall/stall/throughput
+  /// numbers.
   void finish_boundary(IntervalReport& report);
-  [[nodiscard]] bool async_merge_on() const {
-    return sketch_stats_ != nullptr && config_.async_merge;
-  }
 
   ThreadedConfig config_;
   std::shared_ptr<OperatorLogic> logic_;
@@ -296,29 +255,16 @@ class ThreadedEngine {
 
   std::vector<std::unique_ptr<BoundedMpmcQueue<WorkerMsg>>> queues_;
   std::vector<std::unique_ptr<StateStore>> stores_;
-  std::vector<std::unique_ptr<WorkerStats>> stats_;
-  /// Messages the driver has pushed to each worker (driver-owned; the
-  /// quiescence wait compares it against WorkerStats::done_msgs).
-  /// StopMsg is deliberately uncounted — nothing waits after shutdown.
-  std::vector<std::uint64_t> pushed_msgs_;
-  /// Driver-side scratch maps swapped against WorkerStats::per_key at
-  /// each drain (cleared with buckets retained — no per-interval rebuild).
-  std::vector<KeyAggMap> drain_scratch_;
   /// The controller's sketch provider in sketch mode, null in exact
-  /// mode. Non-null switches the worker↔driver statistics contract to
-  /// thread-local slabs + boundary merge.
+  /// mode. Non-null makes every epoch buffer a slab.
   SketchStatsWindow* sketch_stats_ = nullptr;
-  /// One slab pair per worker (sketch mode only, else empty). Inline
-  /// merge uses buffer 0 only.
+  /// One epoch-buffer pair per worker.
   std::vector<std::unique_ptr<SlabPair>> slabs_;
   BoundedMpmcQueue<ExtractedState> migration_mailbox_;
   std::vector<std::thread> workers_;
   std::vector<std::vector<Tuple>> pending_batches_;
-  /// CPU the driver ran start_workers() on (-1 if unknown); the merge
-  /// thread prefers allocations from this CPU's NUMA node.
-  int driver_cpu_ = -1;
 
-  // --- Seal/merge protocol state (sketch mode + async_merge only) ---
+  // --- Seal/merge protocol state ---
   /// The post-roll heavy set of epoch heavy_epoch_. Written by the merge
   /// thread after its roll, BEFORE the release-store of heavy_epoch_;
   /// workers read it after their acquire-load, so the handoff is

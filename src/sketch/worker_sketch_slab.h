@@ -2,11 +2,10 @@
 // accumulator for sketch mode, designed so that NO per-key hash traffic
 // ever crosses a thread boundary on the data path.
 //
-// Each ThreadedEngine worker owns one slab and writes to it without any
-// lock: the driver only reads a slab at interval boundaries, after the
-// engine's quiescence protocol (the worker's completed-message counter
-// observed, with acquire ordering, equal to the driver's push count) has
-// established a happens-before edge from every worker write.
+// Each ThreadedEngine worker owns its slabs and writes to them without
+// any lock: the merge thread only reads a slab after the worker sealed it
+// (see below), which establishes a happens-before edge from every worker
+// write.
 //
 // The slab mirrors the two tiers of SketchStatsWindow:
 //
@@ -36,7 +35,7 @@
 // clear()s the slab for the next interval (cells and hot maps keep their
 // allocations; the candidate tracker hands its table back).
 //
-// Double-buffered operation (ThreadedConfig::async_merge): each worker
+// Double-buffered operation (ThreadedEngine's seal protocol): each worker
 // owns a PAIR of slabs. A SealMsg at the interval boundary stamps the
 // active slab with the closing epoch, release-publishes it to the
 // driver-side merge thread, and swaps the worker onto the other buffer —
@@ -115,9 +114,9 @@ class WorkerSketchSlab {
   /// safe any time the caller may write the slab.
   void prefault() { cells_.prefault(); }
 
-  /// Replaces the hot-key set. Called by the driver at interval
-  /// boundaries (after SketchStatsWindow::roll has promoted/demoted),
-  /// while the worker is quiescent.
+  /// Replaces the hot-key set. Called by the owning worker at its seal,
+  /// with the heavy set SketchStatsWindow::roll left behind, before it
+  /// folds the next epoch's first batch.
   void set_heavy_keys(const std::vector<KeyId>& keys);
 
   /// Resets the interval-local contents (keeps the heavy set; fused

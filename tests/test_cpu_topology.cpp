@@ -1,6 +1,5 @@
-// The NUMA-placement building blocks: the FirstTouchArray the worker
-// slabs live in, and the CPU-topology pin order (plus the libnuma bind,
-// a graceful no-op where libnuma is absent).
+// The worker-placement building blocks: the FirstTouchArray the worker
+// slabs live in, and the CPU-topology pin order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,7 +13,7 @@ namespace skewless {
 namespace {
 
 // ---------------------------------------------------------------------
-// FirstTouchArray — the lazily-mapped backing store the NUMA first-touch
+// FirstTouchArray — the lazily-mapped backing store the first-touch
 // placement relies on.
 
 TEST(FirstTouchArrayTest, ResetZeroPrefaultAndMoveSemantics) {
@@ -77,16 +76,6 @@ TEST(CpuTopologyTest, PinOrderIsAPermutationCoveringEveryHardwareThread) {
                           topo.pin_order.begin() +
                               static_cast<std::ptrdiff_t>(topo.physical_cores));
   EXPECT_EQ(primaries.size(), topo.physical_cores);
-}
-
-TEST(CpuTopologyTest, NumaBindIsSafeWhereverItLands) {
-  // On hosts without libnuma (or single-node machines) this is a no-op
-  // returning false; with libnuma it binds. Either way it must not
-  // crash and must tolerate an arbitrary valid CPU id.
-  const bool bound = bind_current_thread_to_node_of_cpu(0);
-  if (!numa_support_compiled()) {
-    EXPECT_FALSE(bound);
-  }
 }
 
 }  // namespace

@@ -65,6 +65,104 @@ std::unique_ptr<Controller> hash_only_controller(
       nullptr, cfg, num_keys);
 }
 
+/// `intervals` intervals of `source`, expanded and shuffled exactly as
+/// ThreadedEngine::run(source, intervals, seed) expands them.
+std::vector<std::vector<Tuple>> expand_intervals(WorkloadSource& source,
+                                                 int intervals,
+                                                 std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<Tuple>> out(static_cast<std::size_t>(intervals));
+  for (auto& tuples : out) expand_interval(source, rng, tuples);
+  return out;
+}
+
+struct ReferenceRun {
+  std::vector<double> thetas;  // IntervalReport::max_theta per interval
+  std::uint64_t checksum = 0;  // ThreadedEngine::state_checksum()
+};
+
+/// The threaded engine's statistics path run on ONE thread — the
+/// reference every sealed threaded run must reproduce byte for byte. Per
+/// interval it routes the tuples through `controller`'s assignment into
+/// per-worker batches of `batch_size`, folds each worker's batches in
+/// FIFO order, absorbs the slabs (sketch mode) or replays the per-key
+/// maps (exact mode) in worker-index order, closes the statistics, moves
+/// state between the stores as the plan says, and installs the new
+/// heavy set before the next interval.
+ReferenceRun run_sequential_reference(
+    Controller& controller, const OperatorLogic& logic,
+    const std::vector<std::vector<Tuple>>& intervals,
+    std::size_t batch_size) {
+  struct NullCollector final : Collector {
+    void emit(const Tuple& /*tuple*/) override {}
+  } out;
+  const auto workers = static_cast<std::size_t>(controller.num_instances());
+  SketchStatsWindow* sink = controller.slab_sink();
+  std::vector<StateStore> stores(workers);
+  std::vector<BatchFold> folds(workers);
+  std::vector<std::unique_ptr<WorkerSketchSlab>> slabs;
+  std::vector<KeyAggMap> maps(workers);
+  std::vector<WorkerSketchSlab::IntervalScalars> scalars(workers);
+  for (std::size_t w = 0; sink != nullptr && w < workers; ++w) {
+    slabs.push_back(std::make_unique<WorkerSketchSlab>(sink->config()));
+  }
+  std::vector<std::vector<Tuple>> pending(workers);
+  const auto flush = [&](std::size_t w) {
+    if (pending[w].empty()) return;
+    folds[w].run(pending[w], 0, stores[w], logic, out);
+    pending[w].clear();
+    if (sink != nullptr) {
+      folds[w].add_to(*slabs[w]);
+      return;
+    }
+    for (const auto& [key, cb] : folds[w].per_key()) {
+      auto& entry = maps[w][key];
+      entry.cost += cb.cost;
+      entry.state_bytes += cb.state_bytes;
+      entry.frequency += cb.frequency;
+    }
+    folds[w].add_scalars(scalars[w]);
+  };
+
+  ReferenceRun run;
+  for (const auto& tuples : intervals) {
+    for (const Tuple& t : tuples) {
+      const auto w = static_cast<std::size_t>(controller.assignment()(t.key));
+      pending[w].push_back(t);
+      if (pending[w].size() >= batch_size) flush(w);
+    }
+    SlabTally tally(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      flush(w);
+      if (sink != nullptr) {
+        tally.absorb(*sink, *slabs[w], w);
+        slabs[w]->clear();
+      } else {
+        tally.replay(controller.stats(), maps[w], scalars[w], w);
+        maps[w].clear();
+        scalars[w] = {};
+      }
+    }
+    IntervalReport report;
+    if (const auto plan = close_statistics(controller, tally, report)) {
+      for (const KeyMove& mv : plan->moves) {
+        auto state = stores[static_cast<std::size_t>(mv.from)].extract(mv.key);
+        if (state != nullptr) {
+          stores[static_cast<std::size_t>(mv.to)].install(mv.key,
+                                                          std::move(state));
+        }
+      }
+    }
+    run.thetas.push_back(report.max_theta);
+    if (sink != nullptr) {
+      const std::vector<KeyId> heavy = sink->heavy_keys();
+      for (auto& slab : slabs) slab->set_heavy_keys(heavy);
+    }
+  }
+  for (const StateStore& store : stores) run.checksum += store.checksum();
+  return run;
+}
+
 PlannerPtr make_planner(const std::string& which) {
   if (which == "mintable") return std::make_unique<MinTablePlanner>();
   if (which == "minmig") return std::make_unique<MinMigPlanner>();
@@ -365,68 +463,63 @@ TEST(Determinism, ThreadedSketchStatsAreByteIdenticalAcrossRuns) {
                            state_a.size() * sizeof(Bytes)));
 }
 
-// The asynchronous boundary merge must be invisible in the statistics:
-// double-buffered runs (SealMsg swap + merge-thread absorb overlapping
-// the next interval) must synthesize BYTE-IDENTICAL dense views, heavy
-// sets and totals to the inline quiesce-and-merge baseline. Small batch
-// sizes multiply the seal/merge interleavings the OS can produce (many
-// in-flight messages per boundary), and several worker counts vary the
-// slab/merge fan-in; every combination must collapse to the same bytes
-// because the merge input is exactly the sealed epoch, absorbed in
-// worker-index order, and workers install each epoch's heavy set at the
-// same stream position the inline schedule would.
-TEST(Determinism, DoubleBufferedMergeMatchesInlineBaseline) {
-  const auto run = [](bool async_merge, InstanceId workers,
-                      std::size_t batch, std::vector<Cost>& cost,
-                      std::vector<Bytes>& state, std::vector<KeyId>& heavy,
-                      Bytes& total_state) {
-    ZipfFluctuatingSource::Options opts;
-    opts.num_keys = 10'000;
-    opts.skew = 1.1;
-    opts.tuples_per_interval = 30'000;
-    opts.fluctuation = 0.5;
-    opts.seed = 41;
-    ZipfFluctuatingSource source(opts);
-
-    ThreadedConfig cfg;
-    cfg.batch_size = batch;
-    cfg.async_merge = async_merge;
-    SketchStatsConfig sketch_cfg;
-    sketch_cfg.heavy_capacity = 128;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          hash_only_controller(workers, 3, opts.num_keys,
-                                               sketch_cfg));
-    engine.run(source, 3, /*seed=*/9);
-    const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
-    ASSERT_NE(sketch, nullptr);
-    sketch->synthesize_dense(cost, state);
-    heavy = sketch->heavy_keys();
-    total_state = sketch->total_windowed_state();
-    engine.shutdown();
-  };
+// The seal protocol must be invisible in the statistics: a threaded run
+// (SealMsg swap + merge-thread absorb overlapping the next interval)
+// must synthesize BYTE-IDENTICAL dense views, heavy sets and totals to
+// the sequential reference. Small batch sizes multiply the seal/merge
+// interleavings the OS can produce (many in-flight messages per
+// boundary), and several worker counts vary the slab/merge fan-in; every
+// combination must collapse to the same bytes because the merge input is
+// exactly the sealed epoch, absorbed in worker-index order, and workers
+// install each epoch's heavy set at the same stream position the
+// sequential run does.
+TEST(Determinism, SealedMergeMatchesSequentialReference) {
+  ZipfFluctuatingSource::Options opts;
+  opts.num_keys = 10'000;
+  opts.skew = 1.1;
+  opts.tuples_per_interval = 30'000;
+  opts.fluctuation = 0.5;
+  opts.seed = 41;
+  SketchStatsConfig sketch_cfg;
+  sketch_cfg.heavy_capacity = 128;
+  const WordCountLogic logic;
 
   for (const InstanceId workers : {2, 3, 4}) {
     for (const std::size_t batch : {16ul, 256ul}) {
-      std::vector<Cost> cost_inline, cost_async;
-      std::vector<Bytes> state_inline, state_async;
-      std::vector<KeyId> heavy_inline, heavy_async;
-      Bytes total_inline = 0.0, total_async = 0.0;
-      run(false, workers, batch, cost_inline, state_inline, heavy_inline,
-          total_inline);
-      run(true, workers, batch, cost_async, state_async, heavy_async,
-          total_async);
-      ASSERT_GT(heavy_inline.size(), 0u);
-      EXPECT_EQ(heavy_inline, heavy_async)
+      ZipfFluctuatingSource ref_source(opts);
+      const auto ref_controller =
+          hash_only_controller(workers, 3, opts.num_keys, sketch_cfg);
+      run_sequential_reference(*ref_controller, logic,
+                               expand_intervals(ref_source, 3, /*seed=*/9),
+                               batch);
+      const auto* ref = ref_controller->slab_sink();
+      std::vector<Cost> cost_ref, cost;
+      std::vector<Bytes> state_ref, state;
+      ref->synthesize_dense(cost_ref, state_ref);
+
+      ZipfFluctuatingSource source(opts);
+      ThreadedConfig cfg;
+      cfg.batch_size = batch;
+      ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                            hash_only_controller(workers, 3, opts.num_keys,
+                                                 sketch_cfg));
+      engine.run(source, 3, /*seed=*/9);
+      const auto* sketch = engine.controller()->slab_sink();
+      ASSERT_NE(sketch, nullptr);
+      sketch->synthesize_dense(cost, state);
+
+      ASSERT_GT(ref->heavy_keys().size(), 0u);
+      EXPECT_EQ(ref->heavy_keys(), sketch->heavy_keys())
           << "workers=" << workers << " batch=" << batch;
-      ASSERT_EQ(cost_inline.size(), cost_async.size());
-      EXPECT_EQ(0, std::memcmp(cost_inline.data(), cost_async.data(),
-                               cost_inline.size() * sizeof(Cost)))
+      ASSERT_EQ(cost_ref.size(), cost.size());
+      EXPECT_EQ(0, std::memcmp(cost_ref.data(), cost.data(),
+                               cost.size() * sizeof(Cost)))
           << "workers=" << workers << " batch=" << batch;
-      EXPECT_EQ(0, std::memcmp(state_inline.data(), state_async.data(),
-                               state_inline.size() * sizeof(Bytes)))
+      EXPECT_EQ(0, std::memcmp(state_ref.data(), state.data(),
+                               state.size() * sizeof(Bytes)))
           << "workers=" << workers << " batch=" << batch;
-      EXPECT_EQ(total_inline, total_async);
+      EXPECT_EQ(ref->total_windowed_state(), sketch->total_windowed_state());
+      engine.shutdown();
     }
   }
 }
@@ -532,16 +625,17 @@ TEST(Determinism, AdversarialDirectRecordMatchesSlabAbsorbWithDecay) {
   }
 }
 
-// Real threads under adversarial load, decay enabled: the inline
-// quiesce-and-merge schedule, the asynchronous double-buffered merge,
-// and a repeat of the async run must all synthesize byte-identical
-// statistics — hot-set jumps at interval boundaries (promotion bursts,
+// Real threads under adversarial load, decay enabled: two threaded runs
+// must each synthesize statistics byte-identical to the sequential
+// reference — hot-set jumps at interval boundaries (promotion bursts,
 // displacement, demotion) are exactly where a schedule-dependent merge
 // would first diverge.
 TEST(Determinism, AdversarialThreadedRunsAreByteIdentical) {
-  const auto run = [](AttackKind attack, bool async_merge,
-                      std::vector<Cost>& cost, std::vector<Bytes>& state,
-                      std::vector<KeyId>& heavy) {
+  SketchStatsConfig sketch_cfg;
+  sketch_cfg.heavy_capacity = 128;
+  sketch_cfg.decay = true;
+  sketch_cfg.decay_beta = 0.8;
+  const auto options = [](AttackKind attack) {
     AdversarialSource::Options opts;
     opts.attack = attack;
     opts.num_keys = 4'000;
@@ -549,51 +643,123 @@ TEST(Determinism, AdversarialThreadedRunsAreByteIdentical) {
     opts.seed = 31;
     opts.rotation_period = 1;  // a jump at every boundary
     opts.hot_keys_per_group = 32;
-    AdversarialSource source(opts);
-
-    ThreadedConfig cfg;
-    cfg.batch_size = 32;
-    cfg.async_merge = async_merge;
-    SketchStatsConfig sketch_cfg;
-    sketch_cfg.heavy_capacity = 128;
-    sketch_cfg.decay = true;
-    sketch_cfg.decay_beta = 0.8;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          hash_only_controller(3, 3, opts.num_keys,
-                                               sketch_cfg));
-    engine.run(source, 4, /*seed=*/9);
-    const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.controller()->stats());
-    ASSERT_NE(sketch, nullptr);
-    sketch->synthesize_dense(cost, state);
-    heavy = sketch->heavy_keys();
-    engine.shutdown();
+    return opts;
+  };
+  constexpr std::size_t kBatch = 32;
+  const auto dense = [](const SketchStatsWindow& sketch,
+                        std::vector<Cost>& cost, std::vector<Bytes>& state,
+                        std::vector<KeyId>& heavy) {
+    sketch.synthesize_dense(cost, state);
+    heavy = sketch.heavy_keys();
   };
 
   for (const AttackKind attack :
        {AttackKind::kRotatingHotSet, AttackKind::kSkewFlip}) {
-    std::vector<Cost> cost_inline, cost_async, cost_again;
-    std::vector<Bytes> state_inline, state_async, state_again;
-    std::vector<KeyId> heavy_inline, heavy_async, heavy_again;
-    run(attack, false, cost_inline, state_inline, heavy_inline);
-    run(attack, true, cost_async, state_async, heavy_async);
-    run(attack, true, cost_again, state_again, heavy_again);
-    ASSERT_GT(heavy_inline.size(), 0u);
-    EXPECT_EQ(heavy_inline, heavy_async) << attack_name(attack);
-    EXPECT_EQ(heavy_async, heavy_again) << attack_name(attack);
-    ASSERT_EQ(cost_inline.size(), cost_async.size());
-    EXPECT_EQ(0, std::memcmp(cost_inline.data(), cost_async.data(),
-                             cost_inline.size() * sizeof(Cost)))
-        << attack_name(attack);
-    EXPECT_EQ(0, std::memcmp(cost_async.data(), cost_again.data(),
-                             cost_async.size() * sizeof(Cost)))
-        << attack_name(attack);
-    EXPECT_EQ(0, std::memcmp(state_inline.data(), state_async.data(),
-                             state_inline.size() * sizeof(Bytes)))
-        << attack_name(attack);
-    EXPECT_EQ(0, std::memcmp(state_async.data(), state_again.data(),
-                             state_async.size() * sizeof(Bytes)))
-        << attack_name(attack);
+    AdversarialSource ref_source(options(attack));
+    const auto ref_controller =
+        hash_only_controller(3, 3, ref_source.num_keys(), sketch_cfg);
+    run_sequential_reference(*ref_controller, WordCountLogic(),
+                             expand_intervals(ref_source, 4, /*seed=*/9),
+                             kBatch);
+    std::vector<Cost> cost_ref;
+    std::vector<Bytes> state_ref;
+    std::vector<KeyId> heavy_ref;
+    dense(*ref_controller->slab_sink(), cost_ref, state_ref, heavy_ref);
+    ASSERT_GT(heavy_ref.size(), 0u);
+
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      AdversarialSource source(options(attack));
+      ThreadedConfig cfg;
+      cfg.batch_size = kBatch;
+      ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                            hash_only_controller(3, 3, source.num_keys(),
+                                                 sketch_cfg));
+      engine.run(source, 4, /*seed=*/9);
+      std::vector<Cost> cost;
+      std::vector<Bytes> state;
+      std::vector<KeyId> heavy;
+      dense(*engine.controller()->slab_sink(), cost, state, heavy);
+      engine.shutdown();
+      EXPECT_EQ(heavy_ref, heavy) << attack_name(attack) << " run " << repeat;
+      ASSERT_EQ(cost_ref.size(), cost.size());
+      EXPECT_EQ(0, std::memcmp(cost_ref.data(), cost.data(),
+                               cost.size() * sizeof(Cost)))
+          << attack_name(attack) << " run " << repeat;
+      EXPECT_EQ(0, std::memcmp(state_ref.data(), state.data(),
+                               state.size() * sizeof(Bytes)))
+          << attack_name(attack) << " run " << repeat;
+    }
+  }
+}
+
+// Controller-driven migrations in both statistics modes: the planner
+// sees the identical merged epoch whether the boundary ran through the
+// seal protocol or sequentially, so the plan history, the θ trajectory
+// (bit patterns) and the final global state must coincide.
+TEST(Determinism, SealedRunMatchesSequentialReferenceUnderController) {
+  constexpr InstanceId kWorkers = 4;
+  constexpr std::size_t kKeys = 200;
+  constexpr std::size_t kBatch = 32;
+  std::vector<std::vector<Tuple>> intervals;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    // Heavy skew: key k appears ~1000/(k+1) times, shuffled.
+    std::vector<Tuple> tuples;
+    for (KeyId k = 0; k < kKeys; ++k) {
+      const int n = static_cast<int>(1000 / (k + 1) + 1);
+      for (int i = 0; i < n; ++i) {
+        tuples.push_back(
+            Tuple{k, static_cast<std::int64_t>(k * 1000 + i), 0, 0});
+      }
+    }
+    Xoshiro256 rng(seed);
+    for (std::size_t j = tuples.size(); j > 1; --j) {
+      std::swap(tuples[j - 1], tuples[rng.next_below(j)]);
+    }
+    intervals.push_back(std::move(tuples));
+  }
+  const auto make_controller = [&](StatsMode mode) {
+    ControllerConfig cfg;
+    cfg.planner.theta_max = 0.02;
+    cfg.planner.max_table_entries = 0;
+    cfg.stats_mode = mode;
+    // A small heavy tier over a coarse sketch: most keys stay cold and
+    // collide, so a heavy set installed at the wrong stream position
+    // changes what the planner sees.
+    cfg.sketch.heavy_capacity = 16;
+    cfg.sketch.epsilon = 0.05;
+    return std::make_unique<Controller>(
+        AssignmentFunction(ConsistentHashRing(kWorkers, 128, 11), 0),
+        std::make_unique<MixedPlanner>(), cfg, kKeys);
+  };
+
+  for (const StatsMode mode : {StatsMode::kExact, StatsMode::kSketch}) {
+    const char* name = mode == StatsMode::kExact ? "exact" : "sketch";
+    const auto ref_controller = make_controller(mode);
+    const ReferenceRun ref = run_sequential_reference(
+        *ref_controller, WordCountLogic(), intervals, kBatch);
+
+    ThreadedConfig cfg;
+    cfg.batch_size = kBatch;
+    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                          make_controller(mode));
+    std::vector<double> thetas;
+    for (const auto& tuples : intervals) {
+      thetas.push_back(engine.run_interval(tuples).max_theta);
+    }
+    engine.shutdown();
+
+    EXPECT_GT(ref_controller->rebalance_count(), 0u) << name;
+    EXPECT_EQ(ref_controller->rebalance_count(),
+              engine.controller()->rebalance_count())
+        << name;
+    EXPECT_EQ(ref_controller->plan_history_digest(),
+              engine.controller()->plan_history_digest())
+        << name;
+    ASSERT_EQ(ref.thetas.size(), thetas.size());
+    EXPECT_EQ(0, std::memcmp(ref.thetas.data(), thetas.data(),
+                             thetas.size() * sizeof(double)))
+        << name;
+    EXPECT_EQ(ref.checksum, engine.state_checksum()) << name;
   }
 }
 

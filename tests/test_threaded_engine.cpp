@@ -296,15 +296,12 @@ TEST(ThreadedEngine, SketchModeControllerMigratesAndPreservesState) {
 }
 
 TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
-  // The double-buffered seal path must deliver the same per-epoch
-  // statistics contract as the inline merge: after each run_interval the
-  // merged window reflects exactly the closed epoch (scalars included —
-  // they ride the sealed slab, not a mutex), and the hot tier stays
-  // exact across the buffer alternation (epoch 1 seals buffer 0, epoch 2
-  // buffer 1, epoch 3 buffer 0 again).
+  // After each run_interval the merged window reflects exactly the
+  // closed epoch (scalars included — they ride the sealed slab, not a
+  // mutex), and the hot tier stays exact across the buffer alternation
+  // (epoch 1 seals buffer 0, epoch 2 buffer 1, epoch 3 buffer 0 again).
   ThreadedConfig cfg;
   cfg.batch_size = 8;  // many in-flight messages per boundary
-  cfg.async_merge = true;
   SketchStatsConfig sketch_cfg;
   sketch_cfg.heavy_capacity = 64;
   ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
@@ -336,73 +333,21 @@ TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
   engine.shutdown();
 }
 
-TEST(ThreadedEngine, AsyncAndInlineMergeAgreeUnderController) {
-  // Same skewed workload, controller-driven migrations, both buffer
-  // modes: the planner sees the identical merged epoch either way, so
-  // the plans, the migrations and the final global state must coincide.
-  const std::size_t num_keys = 200;
-  const auto make_input = [&](std::uint64_t seed) {
-    std::vector<Tuple> tuples;
-    Xoshiro256 rng(seed);
-    for (KeyId k = 0; k < num_keys; ++k) {
-      const int n = static_cast<int>(1000 / (k + 1) + 1);
-      for (int i = 0; i < n; ++i) {
-        tuples.push_back(
-            Tuple{k, static_cast<std::int64_t>(k * 1000 + i), 0, 0});
-      }
-    }
-    for (std::size_t j = tuples.size(); j > 1; --j) {
-      std::swap(tuples[j - 1], tuples[rng.next_below(j)]);
-    }
-    return tuples;
-  };
-
-  const auto run_with = [&](bool async_merge) {
-    ThreadedConfig cfg;
-    cfg.async_merge = async_merge;
-    cfg.batch_size = 32;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          make_controller(4, num_keys, 0.02,
-                                          StatsMode::kSketch));
-    std::uint64_t migrations = 0;
-    std::size_t moves = 0;
-    for (int interval = 0; interval < 5; ++interval) {
-      const auto report = engine.run_interval(make_input(interval));
-      migrations += report.migrated ? 1 : 0;
-      moves += report.moves;
-    }
-    engine.shutdown();
-    return std::make_tuple(engine.state_checksum(), migrations, moves);
-  };
-
-  const auto [sum_inline, mig_inline, moves_inline] = run_with(false);
-  const auto [sum_async, mig_async, moves_async] = run_with(true);
-  EXPECT_GT(mig_async, 0u) << "async merge must still drive rebalancing";
-  EXPECT_EQ(mig_inline, mig_async);
-  EXPECT_EQ(moves_inline, moves_async);
-  EXPECT_EQ(sum_inline, sum_async);
-}
-
 TEST(ThreadedEngine, RollTimeIsPartOfTheBoundaryStall) {
-  // roll_ms times Controller::end_interval, which run_interval waits for
-  // inside the boundary under either merge mode (on the driver inline, on
-  // the merge thread async), so it is positive on every interval and
-  // never exceeds the stall.
-  for (const bool async_merge : {false, true}) {
-    ThreadedConfig cfg;
-    cfg.async_merge = async_merge;
-    cfg.batch_size = 32;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          make_controller(4, 200, 0.02, StatsMode::kSketch));
-    for (int interval = 0; interval < 4; ++interval) {
-      const auto report =
-          engine.run_interval(make_tuples(5'000, 200, 17 + interval));
-      EXPECT_GT(report.roll_ms, 0.0) << async_merge << " " << interval;
-      EXPECT_LE(report.roll_ms, report.stall_ms)
-          << async_merge << " " << interval;
-    }
-    engine.shutdown();
+  // roll_ms times Controller::end_interval, which the merge thread runs
+  // and run_interval waits for inside the boundary, so it is positive on
+  // every interval and never exceeds the stall.
+  ThreadedConfig cfg;
+  cfg.batch_size = 32;
+  ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
+                        make_controller(4, 200, 0.02, StatsMode::kSketch));
+  for (int interval = 0; interval < 4; ++interval) {
+    const auto report =
+        engine.run_interval(make_tuples(5'000, 200, 17 + interval));
+    EXPECT_GT(report.roll_ms, 0.0) << interval;
+    EXPECT_LE(report.roll_ms, report.stall_ms) << interval;
   }
+  engine.shutdown();
 }
 
 TEST(ThreadedEngine, HashOnlyReportsRealizedImbalanceAndRollTime) {
@@ -427,49 +372,38 @@ TEST(ThreadedEngine, HashOnlyReportsRealizedImbalanceAndRollTime) {
   const double realized = PartitionSnapshot::max_theta(per_owner);
   ASSERT_GT(realized, 0.0);
 
-  struct Mode {
-    StatsMode stats;
-    bool async_merge;
-    const char* name;
-  };
-  for (const Mode& mode : {Mode{StatsMode::kExact, true, "exact"},
-                           Mode{StatsMode::kSketch, false, "sketch-inline"},
-                           Mode{StatsMode::kSketch, true, "sketch-async"}}) {
+  for (const StatsMode mode : {StatsMode::kExact, StatsMode::kSketch}) {
+    const char* name = mode == StatsMode::kExact ? "exact" : "sketch";
     ThreadedConfig cfg;
-    cfg.async_merge = mode.async_merge;
     cfg.batch_size = 32;
     ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          hash_only_controller(workers, 11, num_keys,
-                                               mode.stats));
+                          hash_only_controller(workers, 11, num_keys, mode));
     const auto report = engine.run_interval(tuples);
-    EXPECT_EQ(report.processed, tuples.size()) << mode.name;
-    EXPECT_DOUBLE_EQ(report.max_theta, realized) << mode.name;
-    EXPECT_GT(report.roll_ms, 0.0) << mode.name;
-    EXPECT_FALSE(report.migrated) << mode.name;
-    EXPECT_EQ(report.moves, 0u) << mode.name;
+    EXPECT_EQ(report.processed, tuples.size()) << name;
+    EXPECT_DOUBLE_EQ(report.max_theta, realized) << name;
+    EXPECT_GT(report.roll_ms, 0.0) << name;
+    EXPECT_FALSE(report.migrated) << name;
+    EXPECT_EQ(report.moves, 0u) << name;
     engine.shutdown();
   }
 }
 
 TEST(ThreadedEngine, DoubleBufferAccountsBothSlabBuffers) {
-  // async_merge doubles the worker-side slab footprint (active + sealed
-  // buffer per worker); the end-to-end stats memory must say so rather
-  // than hide the cost of the overlap.
-  const auto stats_bytes = [](bool async_merge) {
-    ThreadedConfig cfg;
-    cfg.async_merge = async_merge;
-    ThreadedEngine engine(cfg, std::make_shared<WordCountLogic>(),
-                          hash_only_controller(2, 7, 512, StatsMode::kSketch));
-    const auto tuples = make_tuples(5'000, 512, 2);
-    const auto report = engine.run_interval(tuples);
-    engine.shutdown();
-    return report.stats_memory_bytes;
-  };
-  const std::size_t inline_bytes = stats_bytes(false);
-  const std::size_t async_bytes = stats_bytes(true);
-  // Strictly more than the single-buffer run, by at least one extra
-  // fused-cell array per worker (the dominant slab allocation).
-  EXPECT_GT(async_bytes, inline_bytes);
+  // Each worker owns two slabs (active + sealed); the end-to-end stats
+  // memory must count both rather than hide the cost of the overlap. A
+  // fresh slab is the smallest either buffer can be: the sealed one has
+  // filled up, and the cleared stand-in keeps its cells and hot map.
+  const InstanceId workers = 2;
+  ThreadedEngine engine(ThreadedConfig{}, std::make_shared<WordCountLogic>(),
+                        hash_only_controller(workers, 7, 512,
+                                             StatsMode::kSketch));
+  const auto report = engine.run_interval(make_tuples(5'000, 512, 2));
+  const Controller& controller = *engine.controller();
+  const WorkerSketchSlab fresh(controller.slab_sink()->config());
+  EXPECT_GE(report.stats_memory_bytes,
+            controller.stats_memory_bytes() +
+                2 * static_cast<std::size_t>(workers) * fresh.memory_bytes());
+  engine.shutdown();
 }
 
 TEST(ThreadedEngine, PinWorkersReportsEffectivePins) {
@@ -487,9 +421,8 @@ TEST(ThreadedEngine, PinWorkersReportsEffectivePins) {
 }
 
 TEST(ThreadedEngine, ExactModeReportsMergeAndStall) {
-  // The small-fix satellite: exact mode surfaces its per-drain replay
-  // cost (merge_ms) and boundary stall in the same report fields the
-  // sketch path fills.
+  // Exact mode surfaces its per-boundary replay cost (merge_ms) and
+  // boundary stall in the same report fields the sketch path fills.
   ThreadedEngine engine(ThreadedConfig{}, std::make_shared<WordCountLogic>(),
                         make_controller(2, 5'000, 0.5));
   const auto tuples = make_tuples(50'000, 5'000, 4);

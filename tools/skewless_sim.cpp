@@ -72,9 +72,6 @@ struct Args {
   /// (pthread_setaffinity_np where available) so each worker's slab
   /// pair stays resident in its owner's private L2.
   bool pin = false;
-  /// Threaded sketch mode: double-buffered slabs + asynchronous
-  /// boundary merge (default) vs the inline quiesce-and-merge baseline.
-  bool async_merge = true;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -90,7 +87,7 @@ struct Args {
       "          [--attack rotating|skew-flip|pareto|churn|collision]\n"
       "          [--rotation-period N]\n"
       "          [--engine sim|threaded|net] [--batch N] [--pin]\n"
-      "          [--inline-merge] [--workers-proc N]\n"
+      "          [--workers-proc N]\n"
       "          [--fault SPEC] [--net-timeout-ms N]\n"
       "fault spec: kind:w=W,epoch=E[,sticky][;...] with kind one of\n"
       "          kill|wedge|garble|drop (net engine only)\n"
@@ -185,8 +182,6 @@ Args parse(int argc, char** argv) {
       args.batch = std::strtoull(need_value(), nullptr, 10);
     } else if (flag == "--pin") {
       args.pin = true;
-    } else if (flag == "--inline-merge") {
-      args.async_merge = false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       usage(argv[0]);
@@ -212,9 +207,11 @@ Args parse(int argc, char** argv) {
                  ">= 0 and --fluctuate-every >= 1\n");
     usage(argv[0]);
   }
-  if (args.sketch.heavy_capacity < 1 || args.sketch.epsilon <= 0.0 ||
-      args.sketch.epsilon >= 1.0 || args.sketch.delta <= 0.0 ||
-      args.sketch.delta >= 1.0) {
+  // Written as !(in range) so NaN, which fails every comparison, is out
+  // of range too.
+  if (args.sketch.heavy_capacity < 1 ||
+      !(args.sketch.epsilon > 0.0 && args.sketch.epsilon < 1.0) ||
+      !(args.sketch.delta > 0.0 && args.sketch.delta < 1.0)) {
     std::fprintf(stderr,
                  "invalid sketch tuning: need --heavy >= 1 and "
                  "--sketch-eps/--sketch-delta in (0, 1)\n");
@@ -222,8 +219,9 @@ Args parse(int argc, char** argv) {
   }
   if (args.rotation_period < 1 ||
       (args.sketch.decay &&
-       (args.sketch.decay_beta <= 0.0 || args.sketch.decay_beta >= 1.0)) ||
-      args.sketch.demote_fraction < 0.0 || args.sketch.demote_fraction >= 1.0) {
+       !(args.sketch.decay_beta > 0.0 && args.sketch.decay_beta < 1.0)) ||
+      !(args.sketch.demote_fraction >= 0.0 &&
+        args.sketch.demote_fraction < 1.0)) {
     std::fprintf(stderr,
                  "invalid decay/attack tuning: need --rotation-period >= 1, "
                  "--decay-beta in (0, 1), --demote-fraction in [0, 1)\n");
@@ -335,7 +333,6 @@ int run_threaded(const Args& args, char* argv0) {
   ThreadedConfig tcfg;
   tcfg.batch_size = args.batch;
   tcfg.pin_workers = args.pin;
-  tcfg.async_merge = args.async_merge;
 
   // "hash" is the no-rebalance baseline: a controller without a planner,
   // on a ring seeded by --seed.
@@ -377,16 +374,14 @@ int run_threaded(const Args& args, char* argv0) {
   engine.shutdown();
   const CpuTopology& topo = cpu_topology();
   std::fprintf(stderr,
-               "# engine=threaded stats=%s merge=%s stats_memory_bytes=%zu "
-               "pinned=%d cores=%u smt_threads=%u numa=%s "
+               "# engine=threaded stats=%s stats_memory_bytes=%zu "
+               "pinned=%d cores=%u smt_threads=%u "
                "total_stall_ms=%.3f total_merge_ms=%.3f total_roll_ms=%.3f\n",
                args.stats_mode == StatsMode::kSketch ? "sketch" : "exact",
-               args.async_merge ? "async" : "inline",
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
                static_cast<int>(engine.pinned_workers()), topo.physical_cores,
                topo.smt ? topo.hardware_threads - topo.physical_cores : 0,
-               numa_support_compiled() ? "on" : "off", stall_total,
-               merge_total, roll_total);
+               stall_total, merge_total, roll_total);
   std::fprintf(stderr,
                "# rebalances=%zu total_generation_micros=%lld "
                "total_migrated_bytes=%.0f controller_merge_ms=%.3f "
