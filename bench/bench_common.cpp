@@ -89,8 +89,18 @@ std::unique_ptr<Controller> make_controller(PlannerPtr planner,
       std::move(planner), cfg, num_keys);
 }
 
-double mean_of(const std::vector<IntervalMetrics>& ms,
-               double (*extract)(const IntervalMetrics&), int skip) {
+std::unique_ptr<Controller> make_storm_controller(InstanceId num_instances,
+                                                  std::size_t num_keys,
+                                                  int window) {
+  ControllerConfig cfg;
+  cfg.window = window;
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(num_instances), 0), nullptr, cfg,
+      num_keys);
+}
+
+double mean_of(const std::vector<IntervalReport>& ms,
+               double (*extract)(const IntervalReport&), int skip) {
   double acc = 0.0;
   int n = 0;
   for (std::size_t i = static_cast<std::size_t>(skip); i < ms.size(); ++i) {

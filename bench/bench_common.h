@@ -5,8 +5,9 @@
 //    Controller and aggregates planning metrics (generation time,
 //    migration cost %, routing-table size). Used by the figures that
 //    study the rebalance algorithms themselves (Figs. 8-12, 17-21).
-//  * sim helpers — build SimEngine configurations for the end-to-end
-//    throughput/latency figures (Figs. 13-16).
+//  * sim helpers — build the controllers SimEngine runs with for the
+//    end-to-end throughput/latency figures (Figs. 13-16), the planner-less
+//    "Storm" one included, and average its IntervalReports.
 #pragma once
 
 #include <memory>
@@ -81,9 +82,19 @@ std::unique_ptr<Controller> make_controller(PlannerPtr planner,
                                             int window = 1,
                                             std::uint64_t ring_seed = 21);
 
+/// Builds the planner-less controller: the "Storm" baseline (plain
+/// consistent hashing, no routing table, never rebalances) and the
+/// statistics store of the shuffle and PKG runs. Its ring is the default
+/// ConsistentHashRing(num_instances) (128 virtual nodes, seed 0x5eed),
+/// not make_controller's seed-21 ring; `window` is the w of its
+/// statistics.
+std::unique_ptr<Controller> make_storm_controller(InstanceId num_instances,
+                                                  std::size_t num_keys,
+                                                  int window = 1);
+
 /// Mean of a metric over intervals [skip, end).
-double mean_of(const std::vector<IntervalMetrics>& ms,
-               double (*extract)(const IntervalMetrics&), int skip = 2);
+double mean_of(const std::vector<IntervalReport>& ms,
+               double (*extract)(const IntervalReport&), int skip = 2);
 
 /// The environment stanza every BENCH_*.json carries — the host's
 /// hardware thread count (tools/check_bench_regression.py refuses to
@@ -92,9 +103,9 @@ double mean_of(const std::vector<IntervalMetrics>& ms,
 /// ready to splice into a printf JSON template via %s.
 std::string env_json();
 
-inline double throughput_of(const IntervalMetrics& m) {
+inline double throughput_of(const IntervalReport& m) {
   return m.throughput_tps;
 }
-inline double latency_of(const IntervalMetrics& m) { return m.avg_latency_ms; }
+inline double latency_of(const IntervalReport& m) { return m.avg_latency_ms; }
 
 }  // namespace skewless::bench

@@ -35,15 +35,14 @@ std::unique_ptr<WorkloadSource> source_with(double f) {
 }
 
 std::pair<double, double> run_mode(double f, int which) {
-  SimConfig cfg;
-  cfg.num_instances = kInstances;
+  const SimConfig cfg;
   auto op = std::make_unique<UniformCostOperator>(4.0, 8.0);
   std::unique_ptr<SimEngine> engine;
   switch (which) {
     case 0:  // Storm
-      engine = std::make_unique<SimEngine>(cfg, std::move(op),
-                                           source_with(f),
-                                           RoutingMode::kHashOnly);
+      engine = std::make_unique<SimEngine>(
+          cfg, std::move(op), source_with(f),
+          make_storm_controller(kInstances, kNumKeys));
       break;
     case 1:  // Readj
       engine = std::make_unique<SimEngine>(
@@ -58,9 +57,9 @@ std::pair<double, double> run_mode(double f, int which) {
                           kNumKeys, 0.08));
       break;
     default:  // Ideal
-      engine = std::make_unique<SimEngine>(cfg, std::move(op),
-                                           source_with(f),
-                                           RoutingMode::kShuffle);
+      engine = std::make_unique<SimEngine>(
+          cfg, std::move(op), source_with(f),
+          make_storm_controller(kInstances, kNumKeys), RoutingMode::kShuffle);
       break;
   }
   const auto ms = engine->run(kIntervals);

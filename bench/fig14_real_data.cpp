@@ -42,7 +42,6 @@ std::unique_ptr<WorkloadSource> stock_source() {
 
 double run_social(int which, double theta) {
   SimConfig cfg;
-  cfg.num_instances = kInstances;
   // Modest migration bandwidth so migration volume has a visible price
   // (separates MinTable's clean-everything strategy from Mixed).
   cfg.migration_bytes_per_sec = 10.0 * 1024 * 1024;
@@ -50,9 +49,9 @@ double run_social(int which, double theta) {
   std::unique_ptr<SimEngine> engine;
   switch (which) {
     case 0:
-      engine = std::make_unique<SimEngine>(cfg, std::move(op),
-                                           social_source(),
-                                           RoutingMode::kHashOnly);
+      engine = std::make_unique<SimEngine>(
+          cfg, std::move(op), social_source(),
+          make_storm_controller(kInstances, 50'000));
       break;
     case 1:
       engine = std::make_unique<SimEngine>(
@@ -67,9 +66,9 @@ double run_social(int which, double theta) {
                           50'000, theta));
       break;
     case 3:
-      engine = std::make_unique<SimEngine>(cfg, std::move(op),
-                                           social_source(),
-                                           RoutingMode::kPkg);
+      engine = std::make_unique<SimEngine>(
+          cfg, std::move(op), social_source(),
+          make_storm_controller(kInstances, 50'000), RoutingMode::kPkg);
       break;
     default:
       engine = std::make_unique<SimEngine>(
@@ -83,8 +82,6 @@ double run_social(int which, double theta) {
 
 double run_stock(int which, double theta) {
   SimConfig cfg;
-  cfg.num_instances = kInstances;
-  cfg.state_window = 3;
   cfg.migration_bytes_per_sec = 10.0 * 1024 * 1024;
   // Self-join: per-tuple cost grows with in-window state. The probe
   // factor is calibrated so that a burst symbol's work approaches (but
@@ -94,9 +91,9 @@ double run_stock(int which, double theta) {
   std::unique_ptr<SimEngine> engine;
   switch (which) {
     case 0:
-      engine = std::make_unique<SimEngine>(cfg, std::move(op),
-                                           stock_source(),
-                                           RoutingMode::kHashOnly);
+      engine = std::make_unique<SimEngine>(
+          cfg, std::move(op), stock_source(),
+          make_storm_controller(kInstances, 1'036, 3));
       break;
     case 1:
       engine = std::make_unique<SimEngine>(

@@ -59,9 +59,8 @@ std::vector<double> run_series(std::unique_ptr<SimEngine> engine) {
 }
 
 std::unique_ptr<SimEngine> make_engine(bool social, int which, double theta) {
-  SimConfig cfg;
-  cfg.num_instances = kInstances;
-  if (!social) cfg.state_window = 3;
+  const SimConfig cfg;
+  const int window = social ? 1 : 3;
   auto source = social ? social_source() : stock_source();
   const std::size_t keys = source->num_keys();
   std::unique_ptr<SimOperator> op;
@@ -77,20 +76,20 @@ std::unique_ptr<SimEngine> make_engine(bool social, int which, double theta) {
       return std::make_unique<SimEngine>(
           cfg, std::move(op), std::move(source),
           make_controller(std::make_unique<MixedPlanner>(), kInstances, keys,
-                          theta, 0, social ? 1 : 3));
+                          theta, 0, window));
     case 1:  // Readj
       return std::make_unique<SimEngine>(
           cfg, std::move(op), std::move(source),
           make_controller(std::make_unique<ReadjPlanner>(), kInstances, keys,
-                          theta, 0, social ? 1 : 3));
+                          theta, 0, window));
     case 2:  // PKG
-      return std::make_unique<SimEngine>(cfg, std::move(op),
-                                         std::move(source),
-                                         RoutingMode::kPkg);
+      return std::make_unique<SimEngine>(
+          cfg, std::move(op), std::move(source),
+          make_storm_controller(kInstances, keys, window), RoutingMode::kPkg);
     default:  // Storm
-      return std::make_unique<SimEngine>(cfg, std::move(op),
-                                         std::move(source),
-                                         RoutingMode::kHashOnly);
+      return std::make_unique<SimEngine>(
+          cfg, std::move(op), std::move(source),
+          make_storm_controller(kInstances, keys, window));
   }
 }
 

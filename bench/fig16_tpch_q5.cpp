@@ -20,6 +20,7 @@ namespace {
 
 constexpr std::int64_t kIntervalSeconds = 60;  // 60 intervals over 1 hour
 constexpr InstanceId kStageInstances = 8;
+constexpr int kWindow = 5;  // 5-minute window over 1-minute intervals
 // Per-stage per-tuple costs calibrated so the pipeline runs near
 // saturation at the generated rates (~2000 orders and ~8000 lineitems
 // per 60 s interval over 8 instances of 1 virtual CPU-second each).
@@ -46,33 +47,31 @@ enum class Mode { kMixed, kReadj, kStorm, kMinTable };
 std::unique_ptr<SimEngine> make_stage(const tpch::Q5Workload& workload,
                                       int stage, Mode mode, double theta) {
   SimConfig cfg;
-  cfg.num_instances = kStageInstances;
   cfg.interval_micros = 1'000'000;
-  cfg.state_window = 5;  // 5-minute window over 1-minute intervals
   auto op = std::make_unique<UniformCostOperator>(
       kStageCost[static_cast<std::size_t>(stage)], 24.0);
   auto source = workload.stage_source(stage);
   const std::size_t keys = workload.stage_num_keys(stage);
   switch (mode) {
     case Mode::kStorm:
-      return std::make_unique<SimEngine>(cfg, std::move(op),
-                                         std::move(source),
-                                         RoutingMode::kHashOnly);
+      return std::make_unique<SimEngine>(
+          cfg, std::move(op), std::move(source),
+          make_storm_controller(kStageInstances, keys, kWindow));
     case Mode::kMixed:
       return std::make_unique<SimEngine>(
           cfg, std::move(op), std::move(source),
           make_controller(std::make_unique<MixedPlanner>(), kStageInstances,
-                          keys, theta, 0, 5));
+                          keys, theta, 0, kWindow));
     case Mode::kReadj:
       return std::make_unique<SimEngine>(
           cfg, std::move(op), std::move(source),
           make_controller(std::make_unique<ReadjPlanner>(), kStageInstances,
-                          keys, theta, 0, 5));
+                          keys, theta, 0, kWindow));
     case Mode::kMinTable:
       return std::make_unique<SimEngine>(
           cfg, std::move(op), std::move(source),
           make_controller(std::make_unique<MinTablePlanner>(),
-                          kStageInstances, keys, theta, 0, 5));
+                          kStageInstances, keys, theta, 0, kWindow));
   }
   return nullptr;
 }

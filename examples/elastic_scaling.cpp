@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
       AssignmentFunction(ConsistentHashRing(nd), 0),
       std::make_unique<MixedPlanner>(), ccfg, num_keys);
 
-  SimConfig scfg;
-  scfg.num_instances = nd;
-  SimEngine engine(scfg, std::make_unique<UniformCostOperator>(4.0, 8.0),
+  SimEngine engine(SimConfig{},
+                   std::make_unique<UniformCostOperator>(4.0, 8.0),
                    std::make_unique<GrowingZipfSource>(num_keys, 400'000),
                    std::move(controller));
 
@@ -73,7 +72,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < intervals; ++i) {
     const auto m = engine.step();
     double total_work = 0.0;
-    for (const double w : m.instance_work) total_work += w;
+    for (const double w : m.instance_load) total_work += w;
     const double util =
         total_work / (static_cast<double>(engine.num_instances()) * 1e6);
 

@@ -23,33 +23,27 @@ namespace {
 constexpr InstanceId kStageInstances = 8;
 constexpr double kStageCost[3] = {3'600.0, 900.0, 850.0};
 
-std::unique_ptr<Controller> stage_controller(std::size_t num_keys) {
+/// A stage's controller: Mixed, or without a planner (plain hashing).
+std::unique_ptr<Controller> stage_controller(std::size_t num_keys,
+                                             bool balanced) {
   ControllerConfig cfg;
   cfg.planner.theta_max = 0.1;
   cfg.planner.max_table_entries = 0;
   cfg.window = 5;
   return std::make_unique<Controller>(
       AssignmentFunction(ConsistentHashRing(kStageInstances), 0),
-      std::make_unique<MixedPlanner>(), cfg, num_keys);
+      balanced ? std::make_unique<MixedPlanner>() : nullptr, cfg, num_keys);
 }
 
 std::vector<double> run(const tpch::Q5Workload& workload, bool balanced) {
   std::vector<std::unique_ptr<SimEngine>> stages;
   for (int s = 0; s < 3; ++s) {
-    SimConfig cfg;
-    cfg.num_instances = kStageInstances;
-    cfg.state_window = 5;
-    auto op = std::make_unique<UniformCostOperator>(
-        kStageCost[static_cast<std::size_t>(s)], 24.0);
-    if (balanced) {
-      stages.push_back(std::make_unique<SimEngine>(
-          cfg, std::move(op), workload.stage_source(s),
-          stage_controller(workload.stage_num_keys(s))));
-    } else {
-      stages.push_back(std::make_unique<SimEngine>(
-          cfg, std::move(op), workload.stage_source(s),
-          RoutingMode::kHashOnly));
-    }
+    stages.push_back(std::make_unique<SimEngine>(
+        SimConfig{},
+        std::make_unique<UniformCostOperator>(
+            kStageCost[static_cast<std::size_t>(s)], 24.0),
+        workload.stage_source(s),
+        stage_controller(workload.stage_num_keys(s), balanced)));
   }
   SimPipeline pipeline(std::move(stages));
   std::vector<double> series;

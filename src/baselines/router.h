@@ -1,7 +1,5 @@
-// Per-tuple routing policies used by the engine's upstream tasks.
+// Per-tuple routing policies the sim engine models besides keyed routing.
 //
-//  * HashRouter    — the plain "Storm" baseline: consistent hashing only,
-//                    no rebalance ever.
 //  * ShuffleRouter — the paper's "Ideal" upper bound: round-robin,
 //                    ignoring keys entirely (unusable for stateful ops,
 //                    but it bounds achievable throughput/latency).
@@ -12,33 +10,20 @@
 //                    aggregations need a downstream merge step — the
 //                    engine models that extra stage's latency.
 //
-// The Controller-driven strategies (Mixed & friends, Readj) route through
-// the live AssignmentFunction instead; see core/controller.h.
+// Keyed strategies route through a Controller's AssignmentFunction
+// instead (see core/controller.h). That includes the plain "Storm"
+// baseline: a controller without a planner, whose F is consistent
+// hashing with an empty routing table.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/assert.h"
-#include "common/consistent_hash.h"
 #include "common/hash.h"
 #include "common/types.h"
 
 namespace skewless {
-
-class HashRouter {
- public:
-  explicit HashRouter(ConsistentHashRing ring) : ring_(std::move(ring)) {}
-
-  [[nodiscard]] InstanceId route(KeyId key) const { return ring_.owner(key); }
-  [[nodiscard]] InstanceId num_instances() const {
-    return ring_.num_instances();
-  }
-  void add_instance() { ring_.add_instance(); }
-
- private:
-  ConsistentHashRing ring_;
-};
 
 class ShuffleRouter {
  public:

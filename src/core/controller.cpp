@@ -117,6 +117,13 @@ std::optional<RebalancePlan> Controller::end_interval() {
 }
 
 void Controller::add_instance() {
+  // Without a planner nothing would ever move a pinned key: plain
+  // consistent hashing just grows the ring, and the keys whose owner
+  // changed follow it.
+  if (!planner_) {
+    assignment_.add_instance();
+    return;
+  }
   // Pin every key to its pre-scale-out destination, then grow the ring.
   // Installing after the ring change computes entries against the new
   // h(k), so keys whose ring owner changed get explicit pins and no state

@@ -17,7 +17,9 @@
 // Scale-out support: add_instance() grows the hash ring but pins every
 // key to its previous destination with explicit entries, so state never
 // moves implicitly; the next rebalance then shifts load onto the new
-// instance deliberately (the Fig. 15 experiment).
+// instance deliberately (the Fig. 15 experiment). Without a planner it
+// only grows the ring: the Storm baseline rehashes, as consistent
+// hashing does.
 #pragma once
 
 #include <memory>
@@ -98,7 +100,9 @@ class Controller {
     return assignment_;
   }
 
-  /// Adds one instance (scale-out), pinning current destinations.
+  /// Adds one instance (scale-out). With a planner, pins every key to
+  /// its current destination; without one, only grows the ring, so keys
+  /// the new instance owns move to it and the table stays empty.
   void add_instance();
 
   /// Degraded mode (fault tolerance): permanently removes an instance

@@ -93,17 +93,6 @@ std::size_t StatsWindow::memory_bytes() const {
   return bytes;
 }
 
-void StatsWindow::resize_keys(std::size_t num_keys) {
-  SKW_EXPECTS(num_keys >= cur_cost_.size());
-  cur_cost_.resize(num_keys, 0.0);
-  cur_state_.resize(num_keys, 0.0);
-  cur_freq_.resize(num_keys, 0);
-  last_cost_.resize(num_keys, 0.0);
-  last_freq_.resize(num_keys, 0);
-  window_sum_.resize(num_keys, 0.0);
-  for (auto& interval : ring_) interval.resize(num_keys, 0.0);
-}
-
 std::unique_ptr<StatsProvider> make_stats_provider(
     StatsMode mode, std::size_t num_keys, int window,
     const SketchStatsConfig& sketch) {

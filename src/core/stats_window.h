@@ -27,10 +27,10 @@ class StatsWindow final : public StatsProvider {
   StatsWindow(std::size_t num_keys, int window);
 
   /// Accumulates one observation for the *current* (open) interval.
-  /// Contract: `key < num_keys()` is a precondition (asserts). Grow the
-  /// domain with resize_keys() first; auto-grow is deliberately not done
-  /// here because it would hide workload-generator bugs — only the
-  /// sketch provider (which allocates nothing per key) auto-grows.
+  /// Contract: `key < num_keys()` is a precondition (asserts); auto-grow
+  /// is deliberately not done here because it would hide
+  /// workload-generator bugs — only the sketch provider (which allocates
+  /// nothing per key) auto-grows.
   /// `dest` is ignored: the exact provider resolves per-instance loads
   /// from the dense per-key view, not from recorded destinations.
   void record(KeyId key, Cost cost, Bytes state_bytes,
@@ -79,10 +79,6 @@ class StatsWindow final : public StatsProvider {
   }
   [[nodiscard]] std::size_t memory_bytes() const override;
   [[nodiscard]] StatsMode mode() const override { return StatsMode::kExact; }
-
-  /// Grows the key domain (new keys appear with zero history). Shrinking
-  /// is a precondition violation: keys never leave the dense domain.
-  void resize_keys(std::size_t num_keys) override;
 
  private:
   int window_;

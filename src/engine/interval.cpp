@@ -80,6 +80,32 @@ void SlabTally::replay(StatsProvider& stats, const KeyAggMap& per_key,
   merge_ms += merge_timer.elapsed_millis();
 }
 
+double load_skewness(const IntervalReport& report) {
+  double total = 0.0;
+  double max = 0.0;
+  for (const double w : report.instance_load) {
+    total += w;
+    max = std::max(max, w);
+  }
+  const double mean =
+      report.instance_load.empty()
+          ? 0.0
+          : total / static_cast<double>(report.instance_load.size());
+  return mean > 0.0 ? max / mean : 1.0;
+}
+
+void note_plan(const RebalancePlan& plan, const StatsProvider& stats,
+               IntervalReport& report) {
+  report.migrated = true;
+  report.moves = plan.moves.size();
+  report.migration_bytes = plan.migration_bytes;
+  report.generation_micros = plan.generation_micros;
+  report.table_size = plan.table_size;
+  const Bytes total = stats.total_windowed_state();
+  report.migration_pct =
+      total > 0.0 ? plan.migration_bytes / total * 100.0 : 0.0;
+}
+
 std::optional<RebalancePlan> close_statistics(Controller& controller,
                                               const SlabTally& tally,
                                               IntervalReport& report) {
@@ -92,12 +118,8 @@ std::optional<RebalancePlan> close_statistics(Controller& controller,
   WallTimer roll_timer;
   std::optional<RebalancePlan> plan = controller.end_interval();
   report.roll_ms = roll_timer.elapsed_millis();
-  if (plan) {
-    report.migrated = true;
-    report.moves = plan->moves.size();
-    report.migration_bytes = plan->migration_bytes;
-    report.generation_micros = plan->generation_micros;
-  }
+  if (plan) note_plan(*plan, controller.stats(), report);
+  report.instance_load = tally.worker_cost;
   // A planner-less controller observes no imbalance: report the
   // realized one over the per-worker costs.
   report.max_theta = controller.has_planner()

@@ -1,10 +1,12 @@
-// Interval-level steps the threaded and the net engine share: the
-// per-interval report, a worker's per-batch operator fold, the boundary
-// tally of sealed worker buffers, the statistics close (roll, plan, plan
-// fields, memory), the closing timing arithmetic, and the expansion of a
-// source interval into a shuffled tuple sequence. The net ≡ threaded
-// byte-identity contract rests on these being one copy: both engines
-// fold, tally, close and expand through the same code.
+// Interval-level steps the engines share: the per-interval report every
+// engine returns (SimEngine included) and the copy of a decided plan into
+// it, plus what the threaded and the net engine alone share — a worker's
+// per-batch operator fold, the boundary tally of sealed worker buffers,
+// the statistics close (roll, plan, plan fields, memory), the closing
+// timing arithmetic, and the expansion of a source interval into a
+// shuffled tuple sequence. The net ≡ threaded byte-identity contract
+// rests on these being one copy: both engines fold, tally, close and
+// expand through the same code.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +26,13 @@
 
 namespace skewless {
 
-/// One closed interval, reported by ThreadedEngine and NetEngine alike.
-/// The wire, migration-wire and recovery fields read 0 on the threaded
-/// engine.
+/// One closed interval, reported by every engine. The wire,
+/// migration-wire and recovery fields read 0 on the threaded engine.
+/// SimEngine fills the tuple counts, the rates, θ, the plan fields and
+/// instance_load; its wall_ms, throughput_tps and avg_latency_ms are
+/// virtual time (wall_ms is the simulated interval length), and its
+/// stall, merge, roll and memory fields read 0. Offered rate =
+/// emitted / (wall_ms / 1000); skewness = load_skewness(report).
 struct IntervalReport {
   IntervalId interval = 0;
   std::uint64_t emitted = 0;
@@ -35,9 +41,17 @@ struct IntervalReport {
   double throughput_tps = 0.0;
   double avg_latency_ms = 0.0;
   double max_theta = 0.0;
+  /// Work per instance this interval: the operator cost the instance ran
+  /// (micros of work on the sim, the worker's cost sum on the threaded
+  /// and net engines).
+  std::vector<double> instance_load;
   bool migrated = false;
   std::size_t moves = 0;
+  /// Routing-table entries after the interval's plan (0 without one).
+  std::size_t table_size = 0;
   Bytes migration_bytes = 0.0;
+  /// migration_bytes as a percentage of the post-roll windowed state.
+  double migration_pct = 0.0;
   /// Serialized state payload shipped during migration (net engine; the
   /// threaded engine moves state objects and reports 0).
   Bytes migration_wire_bytes = 0.0;
@@ -72,6 +86,16 @@ struct IntervalReport {
   std::uint64_t recoveries = 0;
   bool degraded = false;
 };
+
+/// max_d L(d) / L̄ over instance_load, the paper's "workload skewness"
+/// (1 when no instance did any work).
+[[nodiscard]] double load_skewness(const IntervalReport& report);
+
+/// Copies a decided plan's figures into `report`: migrated, moves,
+/// migration bytes, generation time, table size, and the migration as a
+/// share of `stats`' windowed state (call after the roll).
+void note_plan(const RebalancePlan& plan, const StatsProvider& stats,
+               IntervalReport& report);
 
 /// Per-key aggregates of one batch, in the shape
 /// WorkerSketchSlab::add_batch folds.
@@ -147,11 +171,12 @@ struct SlabTally {
 /// Closes the interval's statistics, in this order: adds `tally` to
 /// `report` (processed, average latency, merge time, memory), rolls and
 /// plans (Controller::end_interval, timed as roll_ms), copies the plan's
-/// figures when a migration was decided, and adds the provider's
-/// post-roll memory. max_theta is the controller's observed imbalance,
-/// or — for a planner-less controller, which observes none — the
-/// realized one over the tally's per-worker costs. Returns the plan for
-/// the engine to execute.
+/// figures through note_plan when a migration was decided, sets
+/// instance_load to the tally's per-worker costs, and adds the
+/// provider's post-roll memory. max_theta is the controller's observed
+/// imbalance, or — for a planner-less controller, which observes none —
+/// the realized one over the tally's per-worker costs. Returns the plan
+/// for the engine to execute.
 std::optional<RebalancePlan> close_statistics(Controller& controller,
                                               const SlabTally& tally,
                                               IntervalReport& report);

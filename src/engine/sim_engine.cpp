@@ -4,81 +4,55 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "core/snapshot.h"
 
 namespace skewless {
 
 SimEngine::SimEngine(SimConfig config, std::unique_ptr<SimOperator> op,
                      std::unique_ptr<WorkloadSource> source,
-                     std::unique_ptr<Controller> controller)
+                     std::unique_ptr<Controller> controller, RoutingMode mode)
     : config_(config),
       op_(std::move(op)),
       source_(std::move(source)),
       controller_(std::move(controller)),
-      mode_(RoutingMode::kController),
-      num_instances_(controller_->num_instances()),
-      state_(make_stats_provider(config.stats_mode, source_->num_keys(),
-                                 controller_->config().window,
-                                 config.sketch)),
-      pause_debt_(static_cast<std::size_t>(num_instances_), 0),
-      key_paused_(source_->num_keys(), false) {
+      mode_(mode) {
   SKW_EXPECTS(op_ && source_ && controller_);
-}
-
-SimEngine::SimEngine(SimConfig config, std::unique_ptr<SimOperator> op,
-                     std::unique_ptr<WorkloadSource> source, RoutingMode mode)
-    : config_(config),
-      op_(std::move(op)),
-      source_(std::move(source)),
-      mode_(mode),
-      num_instances_(config.num_instances),
-      state_(make_stats_provider(config.stats_mode, source_->num_keys(),
-                                 config.state_window, config.sketch)),
-      pause_debt_(static_cast<std::size_t>(num_instances_), 0),
-      key_paused_(source_->num_keys(), false) {
-  SKW_EXPECTS(mode != RoutingMode::kController);
-  switch (mode) {
-    case RoutingMode::kHashOnly:
-      hash_router_.emplace(ConsistentHashRing(num_instances_));
-      break;
-    case RoutingMode::kShuffle:
-      shuffle_router_.emplace(num_instances_);
-      break;
-    case RoutingMode::kPkg:
-      pkg_router_.emplace(num_instances_);
-      break;
-    case RoutingMode::kController:
-      break;
-  }
+  SKW_EXPECTS(mode == RoutingMode::kKeyed || !controller_->has_planner());
+  if (mode == RoutingMode::kPkg) pkg_router_.emplace(num_instances());
+  pause_debt_.assign(static_cast<std::size_t>(num_instances()), 0);
+  key_paused_.assign(source_->num_keys(), false);
 }
 
 void SimEngine::add_instance() {
-  ++num_instances_;
+  controller_->add_instance();
   pause_debt_.push_back(0);
-  switch (mode_) {
-    case RoutingMode::kController:
-      controller_->add_instance();
-      break;
-    case RoutingMode::kHashOnly:
-      hash_router_->add_instance();
-      break;
-    case RoutingMode::kShuffle:
-      shuffle_router_->add_instance();
-      break;
-    case RoutingMode::kPkg:
-      pkg_router_->add_instance();
-      break;
+  if (pkg_router_) pkg_router_->add_instance();
+}
+
+void SimEngine::charge_pause(const std::vector<KeyMove>& moves,
+                             Micros pause) {
+  std::vector<bool> involved(pause_debt_.size(), false);
+  for (const KeyMove& mv : moves) {
+    involved[static_cast<std::size_t>(mv.from)] = true;
+    involved[static_cast<std::size_t>(mv.to)] = true;
+    key_paused_[static_cast<std::size_t>(mv.key)] = true;
+  }
+  for (std::size_t d = 0; d < involved.size(); ++d) {
+    if (involved[d]) pause_debt_[d] += pause;
   }
 }
 
-IntervalMetrics SimEngine::step() {
+IntervalReport SimEngine::step() {
   const IntervalWorkload load = source_->next_interval();
-  SKW_EXPECTS(load.counts.size() == state_->num_keys());
+  StatsProvider& stats = controller_->stats();
+  SKW_EXPECTS(load.counts.size() == stats.num_keys());
   const std::size_t num_keys = load.counts.size();
-  const auto nd = static_cast<std::size_t>(num_instances_);
+  const auto nd = static_cast<std::size_t>(num_instances());
 
-  IntervalMetrics m;
-  m.interval = interval_;
-  m.instance_work.assign(nd, 0.0);
+  IntervalReport r;
+  r.interval = interval_;
+  std::vector<double>& work = r.instance_load;
+  work.assign(nd, 0.0);
   std::vector<double> tuples(nd, 0.0);
   std::vector<double> paused_tuples_on(nd, 0.0);
 
@@ -93,12 +67,12 @@ IntervalMetrics SimEngine::step() {
       total_tuples += static_cast<double>(n);
       total_work += op_->batch_cost(
           static_cast<KeyId>(k), n,
-          state_->windowed_state_of(static_cast<KeyId>(k)));
-      state_->record(static_cast<KeyId>(k), 0.0,
-                     op_->state_delta(static_cast<KeyId>(k), n), n);
+          stats.windowed_state_of(static_cast<KeyId>(k)));
+      stats.record(static_cast<KeyId>(k), 0.0,
+                   op_->state_delta(static_cast<KeyId>(k), n), n);
     }
     for (std::size_t d = 0; d < nd; ++d) {
-      m.instance_work[d] = total_work / static_cast<double>(nd);
+      work[d] = total_work / static_cast<double>(nd);
       tuples[d] = total_tuples / static_cast<double>(nd);
     }
   } else if (mode_ == RoutingMode::kPkg) {
@@ -110,7 +84,7 @@ IntervalMetrics SimEngine::step() {
       total_tuples += static_cast<double>(n);
       const Cost batch = op_->batch_cost(
           static_cast<KeyId>(k), n,
-          state_->windowed_state_of(static_cast<KeyId>(k)));
+          stats.windowed_state_of(static_cast<KeyId>(k)));
       const Cost per_tuple = batch / static_cast<double>(n);
       std::uint64_t remaining = n;
       const std::uint64_t chunk = std::max<std::uint64_t>(1, n / 8);
@@ -118,50 +92,40 @@ IntervalMetrics SimEngine::step() {
         const std::uint64_t take = std::min(chunk, remaining);
         const InstanceId d = pkg_router_->route(
             static_cast<KeyId>(k), per_tuple * static_cast<double>(take));
-        m.instance_work[static_cast<std::size_t>(d)] +=
+        work[static_cast<std::size_t>(d)] +=
             per_tuple * static_cast<double>(take) *
             (1.0 + config_.pkg_merge_overhead);
         tuples[static_cast<std::size_t>(d)] += static_cast<double>(take);
         remaining -= take;
       }
-      state_->record(static_cast<KeyId>(k), batch,
-                     op_->state_delta(static_cast<KeyId>(k), n), n);
+      stats.record(static_cast<KeyId>(k), batch,
+                   op_->state_delta(static_cast<KeyId>(k), n), n);
     }
     pkg_router_->on_interval();
   } else {
-    // Keyed routing: controller's F or plain hashing.
+    // Keyed routing by the controller's F.
     for (std::size_t k = 0; k < num_keys; ++k) {
       const auto n = load.counts[k];
       if (n == 0) continue;
       total_tuples += static_cast<double>(n);
       const auto key = static_cast<KeyId>(k);
-      InstanceId d;
-      if (mode_ == RoutingMode::kController) {
-        // While a plan is "being generated", tuples still route under the
-        // frozen pre-plan assignment: the live assignment already has the
-        // plan installed, so moved keys take their pre-plan destination
-        // from the sparse override map.
-        d = controller_->assignment()(key);
-        if (override_remaining_ > 0) {
-          if (const auto it = route_override_.find(key);
-              it != route_override_.end()) {
-            d = it->second;
-          }
+      // While a plan is "being generated", tuples still route under the
+      // frozen pre-plan assignment: the live assignment already has the
+      // plan installed, so moved keys take their pre-plan destination
+      // from the sparse override map.
+      InstanceId d = controller_->assignment()(key);
+      if (override_remaining_ > 0) {
+        if (const auto it = route_override_.find(key);
+            it != route_override_.end()) {
+          d = it->second;
         }
-      } else {
-        d = hash_router_->route(key);
       }
       const auto di = static_cast<std::size_t>(d);
-      const Cost batch =
-          op_->batch_cost(key, n, state_->windowed_state_of(key));
-      const Bytes delta = op_->state_delta(key, n);
-      m.instance_work[di] += batch;
+      const Cost batch = op_->batch_cost(key, n, stats.windowed_state_of(key));
+      work[di] += batch;
       tuples[di] += static_cast<double>(n);
       if (key_paused_[k]) paused_tuples_on[di] += static_cast<double>(n);
-      state_->record(key, batch, delta, n, d);
-      if (mode_ == RoutingMode::kController) {
-        controller_->record(key, batch, delta, n, d);
-      }
+      stats.record(key, batch, op_->state_delta(key, n), n, d);
     }
   }
 
@@ -182,23 +146,22 @@ IntervalMetrics SimEngine::step() {
 
   // ---- Fluid queueing model.
   double rho_max = 0.0;
-  double total_work = 0.0;
   for (std::size_t d = 0; d < nd; ++d) {
-    rho_max = std::max(rho_max, m.instance_work[d] / capacity[d]);
-    total_work += m.instance_work[d];
+    rho_max = std::max(rho_max, work[d] / capacity[d]);
   }
   const double alpha = rho_max > 1.0 ? 1.0 / rho_max : 1.0;
   const double interval_sec = interval_us / 1e6;
-  m.offered_tps = total_tuples / interval_sec;
-  m.throughput_tps = alpha * total_tuples / interval_sec;
+  r.emitted = static_cast<std::uint64_t>(total_tuples);
+  r.processed = static_cast<std::uint64_t>(std::llround(alpha * total_tuples));
+  r.wall_ms = interval_us / 1000.0;
+  r.throughput_tps = alpha * total_tuples / interval_sec;
 
   double weighted_latency_us = 0.0;
   double latency_weight = 0.0;
   for (std::size_t d = 0; d < nd; ++d) {
     if (tuples[d] <= 0.0) continue;
-    const double service = m.instance_work[d] / tuples[d];
-    const double rho =
-        std::min(alpha * m.instance_work[d] / capacity[d], config_.rho_cap);
+    const double service = work[d] / tuples[d];
+    const double rho = std::min(alpha * work[d] / capacity[d], config_.rho_cap);
     const double lat = service * (1.0 + rho / (2.0 * (1.0 - rho)));
     weighted_latency_us += tuples[d] * lat;
     latency_weight += tuples[d];
@@ -217,98 +180,58 @@ IntervalMetrics SimEngine::step() {
   if (mode_ == RoutingMode::kPkg) {
     avg_latency_us += static_cast<double>(config_.pkg_merge_latency_us);
   }
-  m.avg_latency_ms = avg_latency_us / 1000.0;
-
-  // ---- Balance indicators from the realized work distribution.
-  const double avg_work = total_work / static_cast<double>(nd);
-  if (avg_work > 0.0) {
-    double max_work = 0.0;
-    double max_dev = 0.0;
-    for (const double w : m.instance_work) {
-      max_work = std::max(max_work, w);
-      max_dev = std::max(max_dev, std::abs(w - avg_work));
-    }
-    m.load_skewness = max_work / avg_work;
-    m.max_theta = max_dev / avg_work;
-  }
+  r.avg_latency_ms = avg_latency_us / 1000.0;
+  // The realized imbalance of the work distribution.
+  r.max_theta = PartitionSnapshot::max_theta(work);
 
   // Pause latency is charged exactly once per migration.
   std::fill(key_paused_.begin(), key_paused_.end(), false);
 
-  state_->roll();
-
-  // ---- Rebalance machinery at the interval boundary (controller mode).
-  if (mode_ == RoutingMode::kController) {
-    if (override_remaining_ > 0) {
-      // Plan still "being generated": keep the stats cadence, no re-plan.
-      controller_->stats().roll();
-      if (--override_remaining_ == 0) {
-        // The plan lands now: execute the pause/migrate/resume protocol.
-        std::vector<bool> involved(nd, false);
-        for (const KeyMove& mv : pending_moves_) {
-          involved[static_cast<std::size_t>(mv.from)] = true;
-          involved[static_cast<std::size_t>(mv.to)] = true;
-          key_paused_[static_cast<std::size_t>(mv.key)] = true;
-        }
-        for (std::size_t d = 0; d < nd; ++d) {
-          if (involved[d]) pause_debt_[d] += pending_pause_;
-        }
-        pending_moves_.clear();
-        pending_pause_ = 0;
-        route_override_.clear();
+  // ---- Interval boundary: the statistics roll exactly once.
+  if (override_remaining_ > 0) {
+    // Plan still "being generated": keep the stats cadence, no re-plan.
+    stats.roll();
+    if (--override_remaining_ == 0) {
+      // The plan lands now: execute the pause/migrate/resume protocol.
+      charge_pause(pending_moves_, pending_pause_);
+      pending_moves_.clear();
+      pending_pause_ = 0;
+      route_override_.clear();
+    }
+  } else if (auto plan = controller_->end_interval()) {
+    note_plan(*plan, stats, r);
+    const Micros pause =
+        config_.migration_rtt_us +
+        static_cast<Micros>(plan->migration_bytes /
+                            config_.migration_bytes_per_sec * 1e6);
+    const int delay_intervals =
+        config_.charge_generation_time
+            ? static_cast<int>(plan->generation_micros /
+                               config_.interval_micros)
+            : 0;
+    if (delay_intervals > 0) {
+      // Routing stays on the pre-plan assignment until generation
+      // "completes"; the migration pause is charged at landing time.
+      // Only the moved keys differ from the installed assignment, so
+      // the override is a sparse key -> old-destination map.
+      route_override_.clear();
+      for (const KeyMove& mv : plan->moves) {
+        route_override_.emplace(mv.key, mv.from);
       }
-    } else if (auto plan = controller_->end_interval()) {
-      m.migrated = true;
-      m.migration_bytes = plan->migration_bytes;
-      m.generation_micros = plan->generation_micros;
-      m.table_size = plan->table_size;
-      m.moves = plan->moves.size();
-      const Bytes total_state = state_->total_windowed_state();
-      m.migration_pct = total_state > 0.0
-                            ? plan->migration_bytes / total_state * 100.0
-                            : 0.0;
-
-      const Micros pause =
-          config_.migration_rtt_us +
-          static_cast<Micros>(plan->migration_bytes /
-                              config_.migration_bytes_per_sec * 1e6);
-      const int delay_intervals =
-          config_.charge_generation_time
-              ? static_cast<int>(plan->generation_micros /
-                                 config_.interval_micros)
-              : 0;
-      if (delay_intervals > 0) {
-        // Routing stays on the pre-plan assignment until generation
-        // "completes"; the migration pause is charged at landing time.
-        // Only the moved keys differ from the installed assignment, so
-        // the override is a sparse key -> old-destination map.
-        route_override_.clear();
-        for (const KeyMove& mv : plan->moves) {
-          route_override_.emplace(mv.key, mv.from);
-        }
-        override_remaining_ = delay_intervals;
-        pending_pause_ = pause;
-        pending_moves_ = plan->moves;
-      } else {
-        std::vector<bool> involved(nd, false);
-        for (const KeyMove& mv : plan->moves) {
-          involved[static_cast<std::size_t>(mv.from)] = true;
-          involved[static_cast<std::size_t>(mv.to)] = true;
-          key_paused_[static_cast<std::size_t>(mv.key)] = true;
-        }
-        for (std::size_t d = 0; d < nd; ++d) {
-          if (involved[d]) pause_debt_[d] += pause;
-        }
-      }
+      override_remaining_ = delay_intervals;
+      pending_pause_ = pause;
+      pending_moves_ = std::move(plan->moves);
+    } else {
+      charge_pause(plan->moves, pause);
     }
   }
 
   ++interval_;
-  return m;
+  return r;
 }
 
-std::vector<IntervalMetrics> SimEngine::run(int intervals) {
-  std::vector<IntervalMetrics> out;
+std::vector<IntervalReport> SimEngine::run(int intervals) {
+  std::vector<IntervalReport> out;
   out.reserve(static_cast<std::size_t>(intervals));
   for (int i = 0; i < intervals; ++i) out.push_back(step());
   return out;

@@ -17,6 +17,12 @@
 //    and delays tuples of the affected keys,
 //  * PKG's split-key routing with its downstream merge stage overheads.
 //
+// The engine contract is the threaded and net engines': one Controller,
+// whose provider is the engine's only statistics store and whose
+// AssignmentFunction routes keyed tuples. A planner-less controller is
+// the paper's "Storm" baseline (plain consistent hashing). step()
+// returns the shared IntervalReport; its timing fields are virtual time.
+//
 // Determinism: all inputs are interval count vectors and the model is
 // closed-form per interval, so runs are bit-for-bit reproducible.
 #pragma once
@@ -29,22 +35,20 @@
 #include "baselines/router.h"
 #include "common/types.h"
 #include "core/controller.h"
-#include "core/stats_window.h"
+#include "engine/interval.h"
 #include "engine/sim_operator.h"
 #include "engine/workload_source.h"
 
 namespace skewless {
 
 enum class RoutingMode {
-  kController,  // AssignmentFunction managed by a rebalance Controller
-  kHashOnly,    // plain consistent hashing ("Storm" baseline)
-  kShuffle,     // key-oblivious round robin ("Ideal" bound)
-  kPkg,         // Partial Key Grouping with merge stage
+  kKeyed,    // the controller's F (planner-less: the "Storm" baseline)
+  kShuffle,  // key-oblivious round robin ("Ideal" bound)
+  kPkg,      // Partial Key Grouping with merge stage
 };
 
 struct SimConfig {
   Micros interval_micros = 1'000'000;  // T_i length (1 virtual second)
-  InstanceId num_instances = 10;
   /// Extra CPU fraction PKG pays downstream for partial-result merging.
   double pkg_merge_overhead = 0.10;
   /// Latency added by PKG's merge period p (the paper used p = 10 ms).
@@ -60,82 +64,48 @@ struct SimConfig {
   bool charge_generation_time = true;
   /// Utilization cap in the latency formula (avoids the 1/(1−ρ) pole).
   double rho_cap = 0.98;
-  /// w — sliding-window length (intervals) for the engine's own state
-  /// tracker in router modes; controller mode inherits the controller's.
-  int state_window = 1;
-  /// Storage for the engine's own per-key state tracker: exact dense
-  /// vectors or the sketch provider (million-key domains). The
-  /// controller keeps its own provider per ControllerConfig::stats_mode.
-  StatsMode stats_mode = StatsMode::kExact;
-  /// Tuning for stats_mode == kSketch.
-  SketchStatsConfig sketch = {};
-};
-
-struct IntervalMetrics {
-  IntervalId interval = 0;
-  double offered_tps = 0.0;
-  double throughput_tps = 0.0;
-  double avg_latency_ms = 0.0;
-  /// max_d L(d) / L̄ — the paper's "workload skewness".
-  double load_skewness = 1.0;
-  /// max_d θ(d) (imbalance indicator).
-  double max_theta = 0.0;
-  std::vector<double> instance_work;  // micros of work per instance
-  bool migrated = false;
-  Bytes migration_bytes = 0.0;
-  double migration_pct = 0.0;  // bytes / total windowed state
-  Micros generation_micros = 0;
-  std::size_t table_size = 0;
-  std::size_t moves = 0;
 };
 
 class SimEngine {
  public:
-  /// Controller mode: `controller` drives routing and rebalancing.
+  /// `controller` keeps the statistics (window, exact or sketch storage)
+  /// and sets the instance count in every mode. kKeyed routes by its
+  /// assignment; kShuffle and kPkg take a planner-less controller and
+  /// only record into it.
   SimEngine(SimConfig config, std::unique_ptr<SimOperator> op,
             std::unique_ptr<WorkloadSource> source,
-            std::unique_ptr<Controller> controller);
+            std::unique_ptr<Controller> controller,
+            RoutingMode mode = RoutingMode::kKeyed);
 
-  /// Router modes (hash / shuffle / pkg): no controller involved.
-  SimEngine(SimConfig config, std::unique_ptr<SimOperator> op,
-            std::unique_ptr<WorkloadSource> source, RoutingMode mode);
+  /// Advances one interval and returns its report: emitted = offered
+  /// tuples, processed = admitted tuples, wall_ms = the virtual interval
+  /// length, instance_load = work (micros) per instance, max_theta = the
+  /// realized imbalance of that work.
+  IntervalReport step();
 
-  /// Advances one interval and returns its metrics.
-  IntervalMetrics step();
-
-  /// Runs `intervals` steps, returning all metrics.
-  std::vector<IntervalMetrics> run(int intervals);
+  /// Runs `intervals` steps, returning all reports.
+  std::vector<IntervalReport> run(int intervals);
 
   /// Scale-out: adds one downstream instance (takes effect next interval).
   void add_instance();
 
   [[nodiscard]] Controller* controller() { return controller_.get(); }
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] InstanceId num_instances() const { return num_instances_; }
-  [[nodiscard]] const StatsProvider& state_tracker() const { return *state_; }
+  [[nodiscard]] InstanceId num_instances() const {
+    return controller_->num_instances();
+  }
 
  private:
-  void route_interval(const IntervalWorkload& load,
-                      std::vector<InstanceId>& dest,
-                      std::vector<double>& split_fraction);
-  [[nodiscard]] RoutingMode mode() const { return mode_; }
+  /// Pause/migrate/resume (Fig. 5): every instance a move touches owes
+  /// `pause` of capacity, and the moved keys' tuples wait it out.
+  void charge_pause(const std::vector<KeyMove>& moves, Micros pause);
 
   SimConfig config_;
   std::unique_ptr<SimOperator> op_;
   std::unique_ptr<WorkloadSource> source_;
   std::unique_ptr<Controller> controller_;
   RoutingMode mode_;
-  InstanceId num_instances_;
-
-  // Non-controller routers.
-  std::optional<HashRouter> hash_router_;
-  std::optional<ShuffleRouter> shuffle_router_;
   std::optional<PkgRouter> pkg_router_;
-
-  // Windowed per-key state tracking for batch_cost and migration sizes
-  // (the controller keeps its own copy for planning; this one feeds the
-  // cost model in every mode). Exact or sketch per SimConfig::stats_mode.
-  std::unique_ptr<StatsProvider> state_;
 
   // Pause bookkeeping: capacity debt (micros) per instance from the most
   // recent migration, consumed over subsequent intervals.

@@ -19,15 +19,17 @@ PipelineMetrics SimPipeline::step() {
 
   double min_alpha = 1.0;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    IntervalMetrics sm = stages_[i]->step();
+    IntervalReport sm = stages_[i]->step();
+    const double offered_tps =
+        static_cast<double>(sm.emitted) / (sm.wall_ms / 1000.0);
     const double alpha =
-        sm.offered_tps > 0.0 ? sm.throughput_tps / sm.offered_tps : 1.0;
+        offered_tps > 0.0 ? sm.throughput_tps / offered_tps : 1.0;
     if (alpha < min_alpha) {
       min_alpha = alpha;
       pm.bottleneck_stage = i;
     }
     pm.end_to_end_latency_ms += sm.avg_latency_ms;
-    if (i == 0) pm.offered_tps = sm.offered_tps;
+    if (i == 0) pm.offered_tps = offered_tps;
     pm.stages.push_back(std::move(sm));
   }
   pm.throughput_tps = pm.offered_tps * min_alpha;

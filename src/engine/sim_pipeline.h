@@ -22,8 +22,8 @@ struct PipelineMetrics {
   double end_to_end_latency_ms = 0.0;
   /// Index of the stage with the lowest admitted fraction this interval.
   std::size_t bottleneck_stage = 0;
-  /// Per-stage interval metrics for drill-down.
-  std::vector<IntervalMetrics> stages;
+  /// Per-stage interval reports for drill-down.
+  std::vector<IntervalReport> stages;
 };
 
 class SimPipeline {

@@ -239,6 +239,44 @@ void SketchStatsWindow::roll_heavy_entries(Cost& heavy_cost_closed) {
   }
 }
 
+void SketchStatsWindow::debit_backfill(const HeavyEntry& e) {
+  cold_cost_last_ = std::max(0.0, cold_cost_last_ - e.last_cost);
+  cold_freq_last_ -= std::min(cold_freq_last_, e.last_freq);
+  {
+    // Per-destination mirror of the debit. The entry's destination is
+    // where all of its cold mass accrued (a key routes to one instance
+    // per interval), so the whole backfill leaves that instance's
+    // aggregates.
+    const std::size_t slot = dest_slot(e.dest);
+    grow_dest(slot);
+    cold_cost_last_d_[slot] =
+        std::max(0.0, cold_cost_last_d_[slot] - e.last_cost);
+    Bytes remaining_d = e.window_state;
+    for (auto rit = cold_state_ring_d_.rbegin();
+         rit != cold_state_ring_d_.rend() && remaining_d > 0.0; ++rit) {
+      if (slot >= rit->size()) continue;
+      const Bytes take = std::min((*rit)[slot], remaining_d);
+      (*rit)[slot] -= take;
+      remaining_d -= take;
+    }
+    cold_state_window_d_[slot] = std::max(
+        0.0, cold_state_window_d_[slot] - (e.window_state - remaining_d));
+  }
+  // Debit the backfilled window state from the ring entries (newest
+  // first) as well as the running window: the expired entries would
+  // otherwise re-subtract mass that already moved to the hot tier,
+  // leaving a permanent deficit in the cold aggregate.
+  Bytes remaining = e.window_state;
+  for (auto rit = cold_state_ring_.rbegin();
+       rit != cold_state_ring_.rend() && remaining > 0.0; ++rit) {
+    const Bytes take = std::min(*rit, remaining);
+    *rit -= take;
+    remaining -= take;
+  }
+  cold_state_window_ =
+      std::max(0.0, cold_state_window_ - (e.window_state - remaining));
+}
+
 void SketchStatsWindow::promote_candidates(Cost interval_total_cost) {
   const Cost threshold = config_.promote_fraction * interval_total_cost;
   // Filter to the promotion threshold BEFORE sorting: the sorted scan
@@ -268,43 +306,9 @@ void SketchStatsWindow::promote_candidates(Cost interval_total_cost) {
     // interval: a key is usually promoted right after its first active
     // interval, where that is the exact expiry schedule.
     e.ring.assign(1, e.window_state);
-    cold_cost_last_ = std::max(0.0, cold_cost_last_ - e.last_cost);
-    cold_freq_last_ -= std::min(cold_freq_last_, e.last_freq);
-    {
-      // Per-destination mirror of the debit. The candidate's recorded
-      // destination is where all of its cold mass accrued (a key routes
-      // to one instance per interval), so the whole backfill leaves that
-      // instance's aggregates.
-      const std::size_t slot = dest_slot(cand.dest);
-      grow_dest(slot);
-      cold_cost_last_d_[slot] =
-          std::max(0.0, cold_cost_last_d_[slot] - e.last_cost);
-      Bytes remaining_d = e.window_state;
-      for (auto rit = cold_state_ring_d_.rbegin();
-           rit != cold_state_ring_d_.rend() && remaining_d > 0.0; ++rit) {
-        if (slot >= rit->size()) continue;
-        const Bytes take = std::min((*rit)[slot], remaining_d);
-        (*rit)[slot] -= take;
-        remaining_d -= take;
-      }
-      cold_state_window_d_[slot] = std::max(
-          0.0, cold_state_window_d_[slot] - (e.window_state - remaining_d));
-    }
-    // Debit the backfilled window state from the ring entries (newest
-    // first) as well as the running window: the expired entries would
-    // otherwise re-subtract mass that already moved to the hot tier,
-    // leaving a permanent deficit in the cold aggregate.
-    Bytes remaining = e.window_state;
-    for (auto rit = cold_state_ring_.rbegin();
-         rit != cold_state_ring_.rend() && remaining > 0.0; ++rit) {
-      const Bytes take = std::min(*rit, remaining);
-      *rit -= take;
-      remaining -= take;
-    }
-    cold_state_window_ =
-        std::max(0.0, cold_state_window_ - (e.window_state - remaining));
     e.decayed_cost = cand.count;
     e.dest = cand.dest;
+    debit_backfill(e);
     ++last_promotions_;
     ++total_promotions_;
     heavy_.emplace(cand.key, std::move(e));
@@ -511,33 +515,7 @@ void SketchStatsWindow::promote_decayed() {
     e.ring.assign(1, e.window_state);
     e.decayed_cost = cand.count;
     e.dest = (obs && obs->dest != kNilInstance) ? obs->dest : cand.dest;
-    cold_cost_last_ = std::max(0.0, cold_cost_last_ - e.last_cost);
-    cold_freq_last_ -= std::min(cold_freq_last_, e.last_freq);
-    {
-      const std::size_t slot = dest_slot(e.dest);
-      grow_dest(slot);
-      cold_cost_last_d_[slot] =
-          std::max(0.0, cold_cost_last_d_[slot] - e.last_cost);
-      Bytes remaining_d = e.window_state;
-      for (auto rit = cold_state_ring_d_.rbegin();
-           rit != cold_state_ring_d_.rend() && remaining_d > 0.0; ++rit) {
-        if (slot >= rit->size()) continue;
-        const Bytes take = std::min((*rit)[slot], remaining_d);
-        (*rit)[slot] -= take;
-        remaining_d -= take;
-      }
-      cold_state_window_d_[slot] = std::max(
-          0.0, cold_state_window_d_[slot] - (e.window_state - remaining_d));
-    }
-    Bytes remaining = e.window_state;
-    for (auto rit = cold_state_ring_.rbegin();
-         rit != cold_state_ring_.rend() && remaining > 0.0; ++rit) {
-      const Bytes take = std::min(*rit, remaining);
-      *rit -= take;
-      remaining -= take;
-    }
-    cold_state_window_ =
-        std::max(0.0, cold_state_window_ - (e.window_state - remaining));
+    debit_backfill(e);
     ++last_promotions_;
     ++total_promotions_;
     heavy_.emplace(cand.key, std::move(e));
@@ -676,10 +654,6 @@ void SketchStatsWindow::synthesize_compact(InstanceId num_instances,
       }
     }
   }
-}
-
-void SketchStatsWindow::resize_keys(std::size_t num_keys) {
-  num_keys_ = std::max(num_keys_, num_keys);
 }
 
 std::size_t SketchStatsWindow::memory_bytes() const {

@@ -144,7 +144,6 @@ class SketchStatsWindow final : public StatsProvider {
                           std::vector<Bytes>& cold_state) const;
 
   [[nodiscard]] std::size_t num_keys() const override { return num_keys_; }
-  void resize_keys(std::size_t num_keys) override;
   [[nodiscard]] int window() const override { return window_; }
   [[nodiscard]] IntervalId closed_intervals() const override {
     return closed_;
@@ -201,6 +200,10 @@ class SketchStatsWindow final : public StatsProvider {
   [[nodiscard]] CountMinSketch::Params cms_params(std::uint64_t salt) const;
   void close_cold_interval();
   void roll_heavy_entries(Cost& heavy_cost_closed);
+  /// Moves a newly promoted entry's backfill (last cost and frequency,
+  /// window state) out of the cold scalars, the aggregates of its
+  /// destination, and both state rings.
+  void debit_backfill(const HeavyEntry& e);
   void promote_candidates(Cost interval_total_cost);
   void decay_candidates(Cost interval_total_cost);
   void promote_decayed();

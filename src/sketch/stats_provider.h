@@ -25,8 +25,8 @@
 
 namespace skewless {
 
-/// How per-key statistics are stored (the ControllerConfig / SimConfig /
-/// ThreadedConfig `stats_mode` switch).
+/// How per-key statistics are stored (the ControllerConfig `stats_mode`
+/// switch).
 enum class StatsMode {
   kExact,   // dense per-key vectors (StatsWindow)
   kSketch,  // heavy-hitter maps + Count-Min sketches (SketchStatsWindow)
@@ -119,10 +119,6 @@ class StatsProvider {
                                 std::vector<Bytes>& state) const = 0;
 
   [[nodiscard]] virtual std::size_t num_keys() const = 0;
-
-  /// Grows the key domain. Exact mode allocates; sketch mode only widens
-  /// the logical bound used by synthesize_dense.
-  virtual void resize_keys(std::size_t num_keys) = 0;
 
   [[nodiscard]] virtual int window() const = 0;
   [[nodiscard]] virtual IntervalId closed_intervals() const = 0;

@@ -104,6 +104,23 @@ TEST(Controller, AddInstancePinsExistingPlacement) {
   }
 }
 
+// Without a planner nothing would ever move a pinned key, so scale-out
+// is plain consistent hashing: the ring grows, the keys it hands the new
+// instance move there, and the routing table stays empty.
+TEST(Controller, PlannerlessAddInstanceRehashes) {
+  auto ctrl = make_controller(3, 200, 0.1, 1, /*with_planner=*/false);
+  ctrl.add_instance();
+  EXPECT_EQ(ctrl.num_instances(), 4);
+  EXPECT_EQ(ctrl.assignment().table().size(), 0u);
+  const ConsistentHashRing grown(4, 128, 9);
+  int on_new = 0;
+  for (KeyId k = 0; k < 200; ++k) {
+    EXPECT_EQ(ctrl.assignment()(k), grown.owner(k)) << "key " << k;
+    on_new += grown.owner(k) == 3 ? 1 : 0;
+  }
+  EXPECT_GT(on_new, 0);
+}
+
 TEST(Controller, ScaleOutThenRebalanceUsesNewInstance) {
   auto ctrl = make_controller(2, 200, 0.05);
   ctrl.add_instance();

@@ -781,12 +781,24 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
 #endif
   struct RunResult {
     std::vector<double> thetas;
+    std::vector<std::vector<double>> loads;
+    std::vector<std::size_t> table_sizes;
+    std::vector<double> migration_pcts;
     std::uint64_t plan_digest = 0;
     std::size_t rebalances = 0;
     std::uint64_t checksum = 0;
     std::size_t entries = 0;
     std::uint64_t processed = 0;
     std::uint64_t outputs = 0;
+
+    void add(const std::vector<IntervalReport>& reports) {
+      for (const auto& r : reports) {
+        thetas.push_back(r.max_theta);
+        loads.push_back(r.instance_load);
+        table_sizes.push_back(r.table_size);
+        migration_pcts.push_back(r.migration_pct);
+      }
+    }
   };
 
   const InstanceId kWorkers = 3;
@@ -822,7 +834,7 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
     ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
                           make_controller(source.num_keys()));
     const auto reports = engine.run(source, kIntervals, /*seed=*/9);
-    for (const auto& r : reports) threaded.thetas.push_back(r.max_theta);
+    threaded.add(reports);
     threaded.plan_digest = engine.controller()->plan_history_digest();
     threaded.rebalances = engine.controller()->rebalance_count();
     engine.shutdown();
@@ -841,7 +853,7 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
                      make_controller(source.num_keys()));
     const auto reports = engine.run(source, kIntervals, /*seed=*/9);
     ASSERT_TRUE(engine.ok()) << engine.error();
-    for (const auto& r : reports) net.thetas.push_back(r.max_theta);
+    net.add(reports);
     net.plan_digest = engine.controller()->plan_history_digest();
     net.rebalances = engine.controller()->rebalance_count();
     engine.shutdown();
@@ -860,6 +872,21 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
   // byte-identical, and θ is a quotient of sketch-derived sums.
   EXPECT_EQ(0, std::memcmp(threaded.thetas.data(), net.thetas.data(),
                            threaded.thetas.size() * sizeof(double)));
+  // The per-interval report fields every engine shares: per-instance
+  // load (bit patterns), routing-table size and migration share.
+  ASSERT_EQ(threaded.loads.size(), net.loads.size());
+  for (std::size_t i = 0; i < threaded.loads.size(); ++i) {
+    ASSERT_EQ(threaded.loads[i].size(), static_cast<std::size_t>(kWorkers));
+    ASSERT_EQ(threaded.loads[i].size(), net.loads[i].size());
+    EXPECT_EQ(0, std::memcmp(threaded.loads[i].data(), net.loads[i].data(),
+                             threaded.loads[i].size() * sizeof(double)))
+        << "interval " << i;
+  }
+  EXPECT_EQ(threaded.table_sizes, net.table_sizes);
+  ASSERT_EQ(threaded.migration_pcts.size(), net.migration_pcts.size());
+  EXPECT_EQ(0, std::memcmp(threaded.migration_pcts.data(),
+                           net.migration_pcts.data(),
+                           threaded.migration_pcts.size() * sizeof(double)));
   EXPECT_EQ(threaded.checksum, net.checksum);
   EXPECT_EQ(threaded.entries, net.entries);
   EXPECT_EQ(threaded.processed, net.processed);

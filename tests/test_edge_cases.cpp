@@ -142,15 +142,18 @@ TEST(EdgeCases, SimEnginePkgScaleOut) {
    private:
     std::vector<std::uint64_t> counts_;
   };
-  SimConfig cfg;
-  cfg.num_instances = 3;
-  SimEngine engine(cfg, std::make_unique<UniformCostOperator>(1.0, 4.0),
-                   std::make_unique<FixedSource>(200), RoutingMode::kPkg);
+  SimEngine engine(SimConfig{},
+                   std::make_unique<UniformCostOperator>(1.0, 4.0),
+                   std::make_unique<FixedSource>(200),
+                   std::make_unique<Controller>(
+                       AssignmentFunction(ConsistentHashRing(3), 0), nullptr,
+                       ControllerConfig{}, 200),
+                   RoutingMode::kPkg);
   (void)engine.step();
   engine.add_instance();
   const auto m = engine.step();
-  EXPECT_EQ(m.instance_work.size(), 4u);
-  EXPECT_DOUBLE_EQ(m.throughput_tps, m.offered_tps);
+  EXPECT_EQ(m.instance_load.size(), 4u);
+  EXPECT_EQ(m.processed, m.emitted);
 }
 
 TEST(EdgeCasesDeath, RingRefusesToRemoveLastInstance) {

@@ -26,7 +26,14 @@ std::unique_ptr<Controller> controller_with(PlannerPtr planner, InstanceId nd,
       std::move(planner), cfg, num_keys);
 }
 
-double mean_throughput(const std::vector<IntervalMetrics>& ms, int skip = 2) {
+/// The planner-less "Storm" controller on the default ring.
+std::unique_ptr<Controller> storm(InstanceId nd, std::size_t num_keys) {
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(nd), 0), nullptr,
+      ControllerConfig{}, num_keys);
+}
+
+double mean_throughput(const std::vector<IntervalReport>& ms, int skip = 2) {
   double acc = 0.0;
   int n = 0;
   for (std::size_t i = static_cast<std::size_t>(skip); i < ms.size(); ++i) {
@@ -34,12 +41,6 @@ double mean_throughput(const std::vector<IntervalMetrics>& ms, int skip = 2) {
     ++n;
   }
   return n ? acc / n : 0.0;
-}
-
-SimConfig default_sim(InstanceId nd) {
-  SimConfig cfg;
-  cfg.num_instances = nd;
-  return cfg;
 }
 
 std::unique_ptr<WorkloadSource> zipf_source(double fluctuation,
@@ -60,10 +61,10 @@ TEST(Integration, MixedBeatsHashOnSkewedSaturatedWorkload) {
   const InstanceId nd = 10;
   // Small key domain: Fig. 7(b) — the fewer the keys, the more skewed the
   // hash placement, which is the regime the paper's framework targets.
-  SimEngine hash_engine(default_sim(nd),
+  SimEngine hash_engine(SimConfig{},
                         std::make_unique<UniformCostOperator>(4.0, 8.0),
-                        zipf_source(0.2, 7, 1000), RoutingMode::kHashOnly);
-  SimEngine mixed_engine(default_sim(nd),
+                        zipf_source(0.2, 7, 1000), storm(nd, 1000));
+  SimEngine mixed_engine(SimConfig{},
                          std::make_unique<UniformCostOperator>(4.0, 8.0),
                          zipf_source(0.2, 7, 1000),
                          controller_with(std::make_unique<MixedPlanner>(),
@@ -75,10 +76,10 @@ TEST(Integration, MixedBeatsHashOnSkewedSaturatedWorkload) {
 
 TEST(Integration, IdealBoundsMixedFromAbove) {
   const InstanceId nd = 10;
-  SimEngine ideal(default_sim(nd),
+  SimEngine ideal(SimConfig{},
                   std::make_unique<UniformCostOperator>(4.0, 8.0),
-                  zipf_source(1.0), RoutingMode::kShuffle);
-  SimEngine mixed(default_sim(nd),
+                  zipf_source(1.0), storm(nd, 5000), RoutingMode::kShuffle);
+  SimEngine mixed(SimConfig{},
                   std::make_unique<UniformCostOperator>(4.0, 8.0),
                   zipf_source(1.0),
                   controller_with(std::make_unique<MixedPlanner>(), nd, 5000,
@@ -94,12 +95,12 @@ TEST(Integration, IdealBoundsMixedFromAbove) {
 
 TEST(Integration, MixedOutperformsReadjUnderHighFluctuation) {
   const InstanceId nd = 10;
-  SimEngine readj(default_sim(nd),
+  SimEngine readj(SimConfig{},
                   std::make_unique<UniformCostOperator>(4.0, 8.0),
                   zipf_source(1.5, 9),
                   controller_with(std::make_unique<ReadjPlanner>(), nd, 5000,
                                   0.08));
-  SimEngine mixed(default_sim(nd),
+  SimEngine mixed(SimConfig{},
                   std::make_unique<UniformCostOperator>(4.0, 8.0),
                   zipf_source(1.5, 9),
                   controller_with(std::make_unique<MixedPlanner>(), nd, 5000,
@@ -114,9 +115,8 @@ TEST(Integration, StockBurstsTriggerRebalances) {
   StockSource::Options opts;
   opts.tuples_per_interval = 1'000'000;
   opts.burst_probability = 0.8;
-  SimConfig cfg = default_sim(8);
-  cfg.state_window = 3;
-  SimEngine engine(cfg, std::make_unique<SelfJoinCostOperator>(2.0, 16.0, 0.001),
+  SimEngine engine(SimConfig{},
+                   std::make_unique<SelfJoinCostOperator>(2.0, 16.0, 0.001),
                    std::make_unique<StockSource>(opts),
                    controller_with(std::make_unique<MixedPlanner>(), 8, 1036,
                                    0.1, 3));
@@ -132,7 +132,7 @@ TEST(Integration, SocialDriftHandledWithFewMigrations) {
   opts.num_words = 20'000;
   opts.tuples_per_interval = 1'000'000;
   opts.drift_fraction = 0.005;
-  SimEngine engine(default_sim(8),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(4.0, 8.0),
                    std::make_unique<SocialSource>(opts),
                    controller_with(std::make_unique<MixedPlanner>(), 8,
@@ -145,7 +145,7 @@ TEST(Integration, SocialDriftHandledWithFewMigrations) {
 
 TEST(Integration, ScaleOutConvergesQuicklyWithMixed) {
   const InstanceId nd = 5;
-  SimEngine engine(default_sim(nd),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(4.0, 8.0),
                    zipf_source(0.0, 31),
                    controller_with(std::make_unique<MixedPlanner>(), nd, 5000,
@@ -157,7 +157,7 @@ TEST(Integration, ScaleOutConvergesQuicklyWithMixed) {
   const auto after = engine.run(5);
   // The new instance eventually carries work: last interval's work vector
   // has a non-trivial share on instance nd.
-  const auto& final_work = after.back().instance_work;
+  const auto& final_work = after.back().instance_load;
   ASSERT_EQ(final_work.size(), static_cast<std::size_t>(nd + 1));
   double total = 0.0;
   for (const double w : final_work) total += w;
@@ -178,7 +178,7 @@ TEST(Integration, TableSizeBoundHoldsUnderContinuousRebalancing) {
       AssignmentFunction(ConsistentHashRing(8, 128, 21), 150),
       std::make_unique<MixedPlanner>(), ccfg, 3000);
   Controller* ctrl = controller.get();
-  SimEngine engine(default_sim(8),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(4.0, 8.0),
                    std::make_unique<ZipfFluctuatingSource>(opts),
                    std::move(controller));

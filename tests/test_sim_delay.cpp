@@ -63,7 +63,6 @@ std::vector<std::uint64_t> skewed_counts(std::size_t num_keys) {
 
 TEST(SimDelay, FastPlannerLandsNextInterval) {
   SimConfig cfg;
-  cfg.num_instances = 4;
   SimEngine engine(cfg, std::make_unique<UniformCostOperator>(1.0, 8.0),
                    std::make_unique<FixedSource>(skewed_counts(500)),
                    controller_with(std::make_unique<MixedPlanner>(), 500));
@@ -76,7 +75,6 @@ TEST(SimDelay, FastPlannerLandsNextInterval) {
 
 TEST(SimDelay, SlowPlannerKeepsOldRoutingWhileGenerating) {
   SimConfig cfg;
-  cfg.num_instances = 4;
   // Generation takes 3 intervals of virtual time.
   const Micros gen = 3 * cfg.interval_micros + 1000;
   SimEngine engine(
@@ -101,7 +99,6 @@ TEST(SimDelay, SlowPlannerKeepsOldRoutingWhileGenerating) {
 
 TEST(SimDelay, DisablingGenerationChargeInstallsImmediately) {
   SimConfig cfg;
-  cfg.num_instances = 4;
   cfg.charge_generation_time = false;
   const Micros gen = 10 * cfg.interval_micros;
   SimEngine engine(
@@ -118,7 +115,6 @@ TEST(SimDelay, DisablingGenerationChargeInstallsImmediately) {
 
 TEST(SimDelay, NoReplanningWhilePlanInFlight) {
   SimConfig cfg;
-  cfg.num_instances = 4;
   const Micros gen = 2 * cfg.interval_micros + 1000;
   SimEngine engine(
       cfg, std::make_unique<UniformCostOperator>(1.0, 8.0),

@@ -24,11 +24,17 @@ class FixedSource final : public WorkloadSource {
   std::vector<std::uint64_t> counts_;
 };
 
-SimConfig small_config(InstanceId nd) {
-  SimConfig cfg;
-  cfg.num_instances = nd;
-  cfg.interval_micros = 1'000'000;
-  return cfg;
+/// The planner-less "Storm" controller on the default ring.
+std::unique_ptr<Controller> storm(InstanceId nd, std::size_t num_keys,
+                                  int window = 1) {
+  ControllerConfig cfg;
+  cfg.window = window;
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(nd), 0), nullptr, cfg, num_keys);
+}
+
+double offered_tps(const IntervalReport& m) {
+  return static_cast<double>(m.emitted) / (m.wall_ms / 1000.0);
 }
 
 std::unique_ptr<Controller> make_controller(InstanceId nd,
@@ -46,13 +52,14 @@ std::unique_ptr<Controller> make_controller(InstanceId nd,
 
 TEST(SimEngine, UnderloadedSystemKeepsFullThroughput) {
   // 1000 tuples at 1 us each over 4 instances: far below capacity.
-  SimEngine engine(small_config(4),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(1.0, 8.0),
                    std::make_unique<FixedSource>(
                        std::vector<std::uint64_t>(100, 10)),
-                   RoutingMode::kHashOnly);
+                   storm(4, 100));
   const auto m = engine.step();
-  EXPECT_DOUBLE_EQ(m.throughput_tps, m.offered_tps);
+  EXPECT_DOUBLE_EQ(m.throughput_tps, offered_tps(m));
+  EXPECT_EQ(m.processed, m.emitted);
   EXPECT_GT(m.avg_latency_ms, 0.0);
   EXPECT_LT(m.avg_latency_ms, 1.0);
 }
@@ -62,39 +69,42 @@ TEST(SimEngine, BottleneckInstanceThrottlesWholePipeline) {
   // absorb everything, so alpha ~ 1/(rho of that instance).
   std::vector<std::uint64_t> counts(10, 0);
   counts[3] = 4'000'000;  // 4M tuples * 1us = 4s of work in a 1s interval
-  SimEngine engine(small_config(4),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(1.0, 0.0),
-                   std::make_unique<FixedSource>(counts),
-                   RoutingMode::kHashOnly);
+                   std::make_unique<FixedSource>(counts), storm(4, 10));
   const auto m = engine.step();
-  EXPECT_NEAR(m.throughput_tps / m.offered_tps, 0.25, 0.01);
+  EXPECT_NEAR(m.throughput_tps / offered_tps(m), 0.25, 0.01);
+  EXPECT_NEAR(static_cast<double>(m.processed) /
+                  static_cast<double>(m.emitted),
+              0.25, 0.01);
   EXPECT_GT(m.avg_latency_ms, 100.0);  // saturated queue
-  EXPECT_NEAR(m.load_skewness, 4.0, 0.01);
+  EXPECT_NEAR(load_skewness(m), 4.0, 0.01);
 }
 
 TEST(SimEngine, ShuffleSpreadsPerfectly) {
   std::vector<std::uint64_t> counts(10, 0);
   counts[3] = 4'000'000;
-  SimEngine engine(small_config(4),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(1.0, 0.0),
-                   std::make_unique<FixedSource>(counts),
+                   std::make_unique<FixedSource>(counts), storm(4, 10),
                    RoutingMode::kShuffle);
   const auto m = engine.step();
-  EXPECT_DOUBLE_EQ(m.throughput_tps, m.offered_tps);
-  EXPECT_NEAR(m.load_skewness, 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(m.throughput_tps, offered_tps(m));
+  EXPECT_NEAR(load_skewness(m), 1.0, 1e-9);
 }
 
 TEST(SimEngine, PkgSplitsHotKeyAcrossTwoInstances) {
   std::vector<std::uint64_t> counts(10, 0);
   counts[3] = 4'000'000;
-  SimConfig cfg = small_config(4);
+  SimConfig cfg;
   SimEngine engine(cfg, std::make_unique<UniformCostOperator>(1.0, 0.0),
-                   std::make_unique<FixedSource>(counts), RoutingMode::kPkg);
+                   std::make_unique<FixedSource>(counts), storm(4, 10),
+                   RoutingMode::kPkg);
   const auto m = engine.step();
   // Two candidates share the hot key: skewness ~2 (plus merge overhead),
   // throughput ~0.5 of offered, and the merge period adds latency.
-  EXPECT_GT(m.throughput_tps / m.offered_tps, 0.4);
-  EXPECT_LE(m.throughput_tps / m.offered_tps, 0.55);
+  EXPECT_GT(m.throughput_tps / offered_tps(m), 0.4);
+  EXPECT_LE(m.throughput_tps / offered_tps(m), 0.55);
   EXPECT_GE(m.avg_latency_ms,
             static_cast<double>(cfg.pkg_merge_latency_us) / 1000.0);
 }
@@ -105,7 +115,7 @@ TEST(SimEngine, ControllerRebalancesSkewAway) {
   opts.skew = 1.0;
   opts.tuples_per_interval = 1'000'000;
   opts.fluctuation = 0.0;
-  SimEngine engine(small_config(8),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(1.0, 8.0),
                    std::make_unique<ZipfFluctuatingSource>(opts),
                    make_controller(8, 2000, 0.08));
@@ -118,7 +128,7 @@ TEST(SimEngine, ControllerRebalancesSkewAway) {
   const auto later = engine.step();
   EXPECT_LE(later.max_theta, 0.08 + 1e-6);
   EXPECT_FALSE(later.migrated);
-  EXPECT_DOUBLE_EQ(later.throughput_tps, later.offered_tps);
+  EXPECT_DOUBLE_EQ(later.throughput_tps, offered_tps(later));
 }
 
 TEST(SimEngine, MigrationChargesPauseToInvolvedInstances) {
@@ -127,7 +137,7 @@ TEST(SimEngine, MigrationChargesPauseToInvolvedInstances) {
   opts.skew = 1.2;
   opts.tuples_per_interval = 500'000;
   opts.fluctuation = 0.0;
-  SimConfig cfg = small_config(4);
+  SimConfig cfg;
   cfg.migration_rtt_us = 50'000;  // big pause for visibility
   cfg.migration_bytes_per_sec = 1e6;
   SimEngine engine(cfg, std::make_unique<UniformCostOperator>(1.0, 64.0),
@@ -138,6 +148,7 @@ TEST(SimEngine, MigrationChargesPauseToInvolvedInstances) {
   EXPECT_GT(first.migration_bytes, 0.0);
   EXPECT_GT(first.migration_pct, 0.0);
   EXPECT_LE(first.migration_pct, 100.0);
+  EXPECT_EQ(first.table_size, engine.controller()->assignment().table().size());
   // The interval right after the migration absorbs the pause: latency is
   // elevated relative to steady state two intervals later.
   const auto during = engine.step();
@@ -148,35 +159,34 @@ TEST(SimEngine, MigrationChargesPauseToInvolvedInstances) {
 
 TEST(SimEngine, ScaleOutReducesPerInstanceWork) {
   std::vector<std::uint64_t> counts(1000, 100);
-  SimEngine engine(small_config(4),
+  SimEngine engine(SimConfig{},
                    std::make_unique<UniformCostOperator>(1.0, 0.0),
-                   std::make_unique<FixedSource>(counts),
+                   std::make_unique<FixedSource>(counts), storm(4, 1000),
                    RoutingMode::kShuffle);
   const auto before = engine.step();
   engine.add_instance();
+  EXPECT_EQ(engine.num_instances(), 5);
   const auto after = engine.step();
-  ASSERT_EQ(after.instance_work.size(), 5u);
-  EXPECT_LT(after.instance_work[0], before.instance_work[0]);
+  ASSERT_EQ(after.instance_load.size(), 5u);
+  EXPECT_LT(after.instance_load[0], before.instance_load[0]);
 }
 
 TEST(SimEngine, SelfJoinCostGrowsWithWindowState) {
   // Same counts every interval; with w = 3 the in-window state grows for
   // two intervals, so per-interval work grows too, then plateaus.
   std::vector<std::uint64_t> counts(100, 100);
-  SimConfig cfg = small_config(4);
-  cfg.state_window = 3;
-  SimEngine engine(cfg,
+  SimEngine engine(SimConfig{},
                    std::make_unique<SelfJoinCostOperator>(1.0, 16.0, 0.01),
-                   std::make_unique<FixedSource>(counts),
+                   std::make_unique<FixedSource>(counts), storm(4, 100, 3),
                    RoutingMode::kShuffle);
   const auto m1 = engine.step();
   const auto m2 = engine.step();
   const auto m3 = engine.step();
   const auto m4 = engine.step();  // first interval with a full window
   const auto m5 = engine.step();
-  const auto work = [](const IntervalMetrics& m) {
+  const auto work = [](const IntervalReport& m) {
     double t = 0.0;
-    for (const double w : m.instance_work) t += w;
+    for (const double w : m.instance_load) t += w;
     return t;
   };
   EXPECT_GT(work(m2), work(m1));
@@ -191,7 +201,7 @@ TEST(SimEngine, DeterministicAcrossRuns) {
     opts.num_keys = 1000;
     opts.tuples_per_interval = 200'000;
     opts.fluctuation = 0.5;
-    SimEngine engine(small_config(6),
+    SimEngine engine(SimConfig{},
                      std::make_unique<UniformCostOperator>(1.0, 8.0),
                      std::make_unique<ZipfFluctuatingSource>(opts),
                      make_controller(6, 1000, 0.08));

@@ -20,15 +20,17 @@ class FixedSource final : public WorkloadSource {
   std::vector<std::uint64_t> counts_;
 };
 
+/// A shuffle stage; its planner-less controller is the statistics store.
 std::unique_ptr<SimEngine> make_stage(InstanceId nd,
                                       std::vector<std::uint64_t> counts,
-                                      Cost cost_us,
-                                      RoutingMode mode = RoutingMode::kShuffle) {
-  SimConfig cfg;
-  cfg.num_instances = nd;
+                                      Cost cost_us) {
+  auto controller = std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(nd), 0), nullptr,
+      ControllerConfig{}, counts.size());
   return std::make_unique<SimEngine>(
-      cfg, std::make_unique<UniformCostOperator>(cost_us, 8.0),
-      std::make_unique<FixedSource>(std::move(counts)), mode);
+      SimConfig{}, std::make_unique<UniformCostOperator>(cost_us, 8.0),
+      std::make_unique<FixedSource>(std::move(counts)), std::move(controller),
+      RoutingMode::kShuffle);
 }
 
 TEST(SimPipeline, UnthrottledWhenAllStagesUnderloaded) {

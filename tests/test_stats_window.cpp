@@ -65,58 +65,15 @@ TEST(StatsWindow, TotalWindowedState) {
   EXPECT_EQ(w.total_windowed_state(), 40.0);
 }
 
-TEST(StatsWindow, ResizeKeysPreservesExistingData) {
-  StatsWindow w(2, 2);
-  w.record(1, 3.0, 7.0);
-  w.roll();
-  w.resize_keys(5);
-  EXPECT_EQ(w.num_keys(), 5u);
-  EXPECT_EQ(w.last_cost()[1], 3.0);
-  EXPECT_EQ(w.windowed_state()[1], 7.0);
-  EXPECT_EQ(w.windowed_state()[4], 0.0);
-  w.record(4, 1.0, 2.0);
-  w.roll();
-  EXPECT_EQ(w.windowed_state()[4], 2.0);
-  EXPECT_EQ(w.windowed_state()[1], 7.0);  // still inside window 2
-}
-
-// resize_keys is grow-only: keys never leave the dense domain, so a
-// shrink is a precondition violation — and the window keeps working
-// normally after a grow.
-TEST(StatsWindowDeath, ResizeShrinkRejected) {
-  StatsWindow w(8, 2);
-  w.record(7, 1.0, 2.0);
-  EXPECT_DEATH(w.resize_keys(4), "precondition");
-}
-
-TEST(StatsWindow, ShrinkRejectedThenGrowStillWorks) {
-  StatsWindow w(4, 2);
-  w.record(3, 5.0, 10.0);
-  w.roll();
-  // (The shrink itself is covered by the death test; here we prove the
-  // documented alternative — growing — keeps every invariant.)
-  w.resize_keys(8);
-  EXPECT_EQ(w.num_keys(), 8u);
-  EXPECT_EQ(w.last_cost()[3], 5.0);
-  w.record(7, 2.0, 4.0);
-  w.roll();
-  EXPECT_EQ(w.windowed_state()[3], 10.0);  // still inside window 2
-  EXPECT_EQ(w.windowed_state()[7], 4.0);
-  w.roll();
-  EXPECT_EQ(w.windowed_state()[3], 0.0);  // expired on schedule
-  EXPECT_EQ(w.windowed_state()[7], 4.0);
-}
-
-// Resizing while the ring holds fewer than w closed intervals must keep
-// both the old keys' expiry schedule and the new keys' zero history.
-TEST(StatsWindow, ResizeMidWindowWithPartiallyFilledRing) {
-  StatsWindow w(2, 3);
+// A key first recorded while the ring holds fewer than w closed
+// intervals starts from zero history, and both keys expire on their own
+// schedules.
+TEST(StatsWindow, LateKeyInPartiallyFilledRing) {
+  StatsWindow w(5, 3);
   w.record(0, 1.0, 10.0);
   w.roll();  // ring: [10] — 1 of 3 slots used
   w.record(0, 1.0, 20.0);
   w.roll();  // ring: [10, 20]
-  w.resize_keys(5);
-  EXPECT_EQ(w.num_keys(), 5u);
   EXPECT_EQ(w.windowed_state()[0], 30.0);
   EXPECT_EQ(w.windowed_state()[4], 0.0);
 
@@ -124,24 +81,22 @@ TEST(StatsWindow, ResizeMidWindowWithPartiallyFilledRing) {
   w.roll();  // ring: [10, 20, 7-interval] — now full
   EXPECT_EQ(w.windowed_state()[0], 30.0);
   EXPECT_EQ(w.windowed_state()[4], 7.0);
-  w.roll();  // the pre-resize interval (10) expires first
+  w.roll();  // the first interval (10) expires first
   EXPECT_EQ(w.windowed_state()[0], 20.0);
   EXPECT_EQ(w.windowed_state()[4], 7.0);
   w.roll();  // then the 20
   EXPECT_EQ(w.windowed_state()[0], 0.0);
   EXPECT_EQ(w.windowed_state()[4], 7.0);
-  w.roll();  // finally the post-resize interval
+  w.roll();  // finally the late key's interval
   EXPECT_EQ(w.windowed_state()[4], 0.0);
 }
 
-// record() beyond num_keys() is a contract violation by design (callers
-// must resize_keys first); the sketch provider auto-grows instead — see
-// the headers of both classes. RecordOutOfRangeKey below pins the
-// asserting behaviour.
-TEST(StatsWindow, RecordAtExactDomainBoundaryAfterGrow) {
-  StatsWindow w(2, 1);
-  w.resize_keys(3);
-  w.record(2, 1.0, 1.0);  // largest valid key after the grow
+// record() beyond num_keys() is a contract violation by design; the
+// sketch provider auto-grows instead — see the headers of both classes.
+// RecordOutOfRangeKey below pins the asserting behaviour.
+TEST(StatsWindow, RecordAtExactDomainBoundary) {
+  StatsWindow w(3, 1);
+  w.record(2, 1.0, 1.0);  // largest valid key
   w.roll();
   EXPECT_EQ(w.last_cost()[2], 1.0);
 }

@@ -217,6 +217,25 @@ Args parse(int argc, char** argv) {
                  "--sketch-eps/--sketch-delta in (0, 1)\n");
     usage(argv[0]);
   }
+  if (args.workload == "adversarial") {
+    // The attack's reserved key ranges must fit the domain: the rotating
+    // attack's hot groups, the churn flood's active window.
+    const AdversarialSource::Options defaults;
+    const AttackKind attack = *parse_attack(args.attack);
+    std::uint64_t reserved = 1;
+    if (attack == AttackKind::kRotatingHotSet) {
+      reserved = static_cast<std::uint64_t>(defaults.hot_groups) *
+                 defaults.hot_keys_per_group;
+    } else if (attack == AttackKind::kKeyChurnFlood) {
+      reserved = defaults.churn_active;
+    }
+    if (args.keys < reserved) {
+      std::fprintf(stderr, "--attack %s needs --keys >= %llu\n",
+                   args.attack.c_str(),
+                   static_cast<unsigned long long>(reserved));
+      usage(argv[0]);
+    }
+  }
   if (args.rotation_period < 1 ||
       (args.sketch.decay &&
        !(args.sketch.decay_beta > 0.0 && args.sketch.decay_beta < 1.0)) ||
@@ -502,71 +521,56 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   if (args.engine == "threaded") return run_threaded(args, argv[0]);
   if (args.engine == "net") return run_net(args, argv[0]);
+  // hash, shuffle and pkg run a planner-less controller: the "Storm"
+  // ring for hash, only the statistics store for shuffle and pkg.
+  RoutingMode mode = RoutingMode::kKeyed;
+  if (args.planner == "shuffle") mode = RoutingMode::kShuffle;
+  if (args.planner == "pkg") mode = RoutingMode::kPkg;
   auto source = make_source(args);
   const std::size_t num_keys = source->num_keys();
-
-  SimConfig scfg;
-  scfg.num_instances = args.instances;
-  scfg.state_window = args.window;
-  scfg.stats_mode = args.stats_mode;
-  scfg.sketch = args.sketch;
-
-  std::unique_ptr<SimEngine> engine;
-  if (args.planner == "hash") {
-    engine = std::make_unique<SimEngine>(
-        scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
-        std::move(source), RoutingMode::kHashOnly);
-  } else if (args.planner == "shuffle") {
-    engine = std::make_unique<SimEngine>(
-        scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
-        std::move(source), RoutingMode::kShuffle);
-  } else if (args.planner == "pkg") {
-    engine = std::make_unique<SimEngine>(
-        scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
-        std::move(source), RoutingMode::kPkg);
-  } else {
-    auto planner = make_planner(args.planner);
-    if (planner == nullptr) {
-      std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
-      usage(argv[0]);
-    }
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
-        std::move(planner), controller_config(args), num_keys);
-    engine = std::make_unique<SimEngine>(
-        scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
-        std::move(source), std::move(controller));
+  PlannerPtr planner = make_planner(args.planner);
+  if (planner == nullptr && mode == RoutingMode::kKeyed &&
+      args.planner != "hash") {
+    std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
+    usage(argv[0]);
   }
+  SimEngine engine(
+      SimConfig{},
+      std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
+      std::move(source),
+      std::make_unique<Controller>(
+          AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
+          std::move(planner), controller_config(args), num_keys),
+      mode);
 
   std::printf(
       "interval,throughput_tps,latency_ms,max_theta,skewness,migrated,"
       "moves,migration_pct,table_size,gen_ms\n");
   for (int i = 0; i < args.intervals; ++i) {
-    const auto m = engine->step();
+    const auto m = engine.step();
     std::printf("%d,%.0f,%.3f,%.4f,%.4f,%d,%zu,%.2f,%zu,%.2f\n", i,
                 m.throughput_tps, m.avg_latency_ms, m.max_theta,
-                m.load_skewness, m.migrated ? 1 : 0, m.moves, m.migration_pct,
-                m.table_size,
+                load_skewness(m), m.migrated ? 1 : 0, m.moves,
+                m.migration_pct, m.table_size,
                 static_cast<double>(m.generation_micros) / 1000.0);
   }
   // Stats-memory and planning-time summary on stderr so the CSV on
   // stdout stays parseable. Per-rebalance planning time is the gen_ms
   // CSV column; the cumulative figure is the paper's "generation time"
   // trajectory number.
-  const auto* ctrl = engine->controller();
+  const Controller& ctrl = *engine.controller();
   std::fprintf(stderr, "# stats=%s stats_memory_bytes=%zu\n",
                args.stats_mode == StatsMode::kSketch ? "sketch" : "exact",
-               ctrl != nullptr ? ctrl->stats_memory_bytes()
-                               : engine->state_tracker().memory_bytes());
-  if (ctrl != nullptr) {
+               ctrl.stats_memory_bytes());
+  if (ctrl.has_planner()) {
     std::fprintf(stderr,
                  "# rebalances=%zu total_generation_micros=%lld "
                  "total_migrated_bytes=%.0f promotions=%llu demotions=%llu\n",
-                 ctrl->rebalance_count(),
-                 static_cast<long long>(ctrl->total_generation_micros()),
-                 ctrl->total_migrated_bytes(),
-                 static_cast<unsigned long long>(ctrl->heavy_promotions()),
-                 static_cast<unsigned long long>(ctrl->heavy_demotions()));
+                 ctrl.rebalance_count(),
+                 static_cast<long long>(ctrl.total_generation_micros()),
+                 ctrl.total_migrated_bytes(),
+                 static_cast<unsigned long long>(ctrl.heavy_promotions()),
+                 static_cast<unsigned long long>(ctrl.heavy_demotions()));
   }
   return 0;
 }
