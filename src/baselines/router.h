@@ -1,14 +1,16 @@
 // Per-tuple routing policies the sim engine models besides keyed routing.
 //
-//  * ShuffleRouter — the paper's "Ideal" upper bound: round-robin,
-//                    ignoring keys entirely (unusable for stateful ops,
-//                    but it bounds achievable throughput/latency).
-//  * PkgRouter     — Partial Key Grouping (Nasir et al., ICDE'15): each
-//                    key has two candidate destinations (two independent
-//                    hashes); each tuple goes to the currently
-//                    lesser-loaded of the two. Splits keys, so stateful
-//                    aggregations need a downstream merge step — the
-//                    engine models that extra stage's latency.
+//  * Shuffle — the paper's "Ideal" upper bound: round-robin, ignoring
+//              keys entirely (unusable for stateful ops, but it bounds
+//              achievable throughput/latency). It needs no router:
+//              SimEngine's RoutingMode::kShuffle spreads each interval's
+//              work evenly in closed form.
+//  * PkgRouter — Partial Key Grouping (Nasir et al., ICDE'15): each key
+//                has two candidate destinations (two independent hashes);
+//                each tuple goes to the currently lesser-loaded of the
+//                two. Splits keys, so stateful aggregations need a
+//                downstream merge step — the engine models that extra
+//                stage's latency.
 //
 // Keyed strategies route through a Controller's AssignmentFunction
 // instead (see core/controller.h). That includes the plain "Storm"
@@ -24,26 +26,6 @@
 #include "common/types.h"
 
 namespace skewless {
-
-class ShuffleRouter {
- public:
-  explicit ShuffleRouter(InstanceId num_instances)
-      : num_instances_(num_instances) {
-    SKW_EXPECTS(num_instances > 0);
-  }
-
-  [[nodiscard]] InstanceId route(KeyId /*key*/) {
-    const InstanceId d = next_;
-    next_ = static_cast<InstanceId>((next_ + 1) % num_instances_);
-    return d;
-  }
-  [[nodiscard]] InstanceId num_instances() const { return num_instances_; }
-  void add_instance() { ++num_instances_; }
-
- private:
-  InstanceId num_instances_;
-  InstanceId next_ = 0;
-};
 
 class PkgRouter {
  public:

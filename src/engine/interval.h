@@ -26,6 +26,14 @@
 
 namespace skewless {
 
+/// Batches that may wait for one worker before the driver blocks: the
+/// capacity of each ThreadedEngine worker queue and the credit window of
+/// each NetEngine data channel. Both engines let at most this many
+/// batches wait per worker, besides the one it is folding, so under load
+/// the backlog a boundary drains and, by Little's law, most of a tuple's
+/// latency are the same on both.
+inline constexpr std::size_t kQueueBatches = 8;
+
 /// One closed interval, reported by every engine. The wire,
 /// migration-wire and recovery fields read 0 on the threaded engine.
 /// SimEngine fills the tuple counts, the rates, θ, the plan fields and

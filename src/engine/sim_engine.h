@@ -24,7 +24,16 @@
 // returns the shared IntervalReport; its timing fields are virtual time.
 //
 // Determinism: all inputs are interval count vectors and the model is
-// closed-form per interval, so runs are bit-for-bit reproducible.
+// closed-form per interval, with one wall-clock input.
+// charge_generation_time (on by default) lands each plan
+// ⌊generation_micros / interval_micros⌋ intervals late, and
+// generation_micros is the planner's measured wall time. So a run
+// reproduces bit for bit on any host only while every plan computes in
+// well under one virtual interval, which makes that delay 0. A run whose
+// plans take close to a whole interval (exact statistics over 1M keys,
+// say) reproduces only on a host of the same speed: a slower host lands
+// a plan an interval later, and the trajectory diverges from there. With
+// charge_generation_time off, every run reproduces.
 #pragma once
 
 #include <memory>

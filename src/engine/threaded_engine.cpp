@@ -18,10 +18,6 @@
 namespace skewless {
 namespace {
 
-/// Batches a worker queue holds before the driver blocks (backpressure);
-/// the header's "Queue bound" note gives the reason for 8.
-constexpr std::size_t kQueueBatches = 8;
-
 /// Worker-side collector: counts emissions (downstream wiring is handled
 /// by pipelines at a higher level; the single-operator engine sinks them).
 class CountingCollector final : public Collector {

@@ -19,8 +19,9 @@
 //      FIFO queue, so it can never observe a missing state.
 // Keys not involved in ∆(F, F') keep flowing the whole time.
 //
-// Queue bound: each worker queue holds 8 batches (kQueueBatches in the
-// .cpp) before the driver blocks. The driver routes a batch several
+// Queue bound: each worker queue holds 8 batches (kQueueBatches in
+// engine/interval.h, which is also the net engine's credit window)
+// before the driver blocks. The driver routes a batch several
 // times faster than a worker processes one, so under load every queue
 // sits full: its depth is the backlog a boundary waits for the workers to
 // drain, and by Little's law most of a tuple's latency. Eight 256-tuple

@@ -138,6 +138,13 @@ bool FrameChannel::read_exact(std::uint8_t* dst, std::size_t n) {
         last_error_ = "recv: timed out mid-frame";
         return false;
       }
+      if (errno == ECONNRESET) {
+        // A peer that exits with our bytes still unread resets the
+        // connection instead of closing it: it is gone all the same.
+        eof_ = true;
+        last_error_ = "peer reset the connection";
+        return false;
+      }
       last_error_ = std::string("recv: ") + std::strerror(errno);
       return false;
     }
@@ -191,6 +198,41 @@ int FrameChannel::wait_readable(int timeout_ms) {
     last_error_ = "poll: socket error";
     return -1;
   }
+}
+
+std::string CreditWindow::acquire(FrameChannel& channel, int timeout_ms) {
+  while (true) {
+    const bool full = in_flight() >= limit_;
+    const int r = channel.wait_readable(full ? std::max(1, timeout_ms) : 0);
+    if (r == 0) {
+      if (!full) return {};
+      return "missed the credit deadline (wedged?)";
+    }
+    if (r < 0) return "closed its data channel (crashed)";
+    std::string why = take(channel);
+    if (!why.empty()) return why;
+  }
+}
+
+std::string CreditWindow::take(FrameChannel& channel) {
+  FrameHeader header;
+  if (!channel.recv(header, payload_)) {
+    if (channel.eof()) return "closed its data channel (crashed)";
+    if (channel.timed_out()) return "stalled mid-Credit (wedged?)";
+    return "sent a rejected Credit: " + channel.last_error();
+  }
+  if (header.type != FrameType::kCredit || header.payload_size != 0) {
+    return std::string("sent a ") + frame_type_name(header.type) + " frame (" +
+           std::to_string(header.payload_size) +
+           " payload bytes) where a Credit belongs";
+  }
+  if (header.epoch <= credited_ || header.epoch > sent_) {
+    return "sent a Credit for " + std::to_string(header.epoch) +
+           " batches with " + std::to_string(credited_) + " credited of " +
+           std::to_string(sent_) + " sent";
+  }
+  credited_ = header.epoch;
+  return {};
 }
 
 }  // namespace skewless

@@ -24,6 +24,7 @@ const char* frame_type_name(FrameType type) {
     case FrameType::kRestore: return "Restore";
     case FrameType::kRestoreAck: return "RestoreAck";
     case FrameType::kHeartbeat: return "Heartbeat";
+    case FrameType::kCredit: return "Credit";
   }
   return "?";
 }

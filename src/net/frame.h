@@ -30,8 +30,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 /// payload encodings). Mismatched peers refuse each other at the
 /// handshake. v2: fault-tolerance frames (Checkpoint/Restore/RestoreAck/
 /// Heartbeat). v3: the kSummary payload is one WorkerSketchSlab
-/// encoding, without v2's u32 section-count prefix.
-inline constexpr std::uint8_t kWireVersion = 3;
+/// encoding, without v2's u32 section-count prefix. v4: kCredit, the
+/// data channel's credit window, and 24-byte kSummary cells (three
+/// validated doubles; the in-memory cell's pad is not shipped).
+inline constexpr std::uint8_t kWireVersion = 4;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
 /// summaries are a few MiB at most; anything bigger is a corrupt length
@@ -58,13 +60,15 @@ enum class FrameType : std::uint8_t {
   kRestore = 16,     // ctrl, driver->worker: reinstall a checkpoint
   kRestoreAck = 17,  // ctrl, worker->driver: checkpoint reinstalled
   kHeartbeat = 18,   // ctrl, worker->driver: epoch-progress liveness beat
+  kCredit = 19,      // data, worker->driver: batches taken (cumulative
+                     // count in the header's epoch field; no payload)
 };
 
 /// Smallest and largest valid FrameType values (decode range check).
 inline constexpr std::uint8_t kMinFrameType =
     static_cast<std::uint8_t>(FrameType::kHello);
 inline constexpr std::uint8_t kMaxFrameType =
-    static_cast<std::uint8_t>(FrameType::kHeartbeat);
+    static_cast<std::uint8_t>(FrameType::kCredit);
 
 [[nodiscard]] const char* frame_type_name(FrameType type);
 

@@ -116,6 +116,7 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
   workers_[w].data = FrameChannel(data_fds[0]);
   workers_[w].ctrl = FrameChannel(ctrl_fds[0]);
   workers_[w].pid = pid;
+  workers_[w].credits.reset();  // fresh sockets, fresh counts
   // Crash detection needs every channel operation to be bounded: a send
   // into a dead worker's full buffer must fail, not hang.
   workers_[w].data.set_io_timeout_ms(config_.ctrl_timeout_ms);
@@ -309,10 +310,15 @@ bool NetEngine::restore_worker(std::size_t w) {
   }
   // Verbatim replay of the open epoch's recorded batches: the same bytes
   // in the same order, so the restored worker's fold — local-map rehash
-  // trajectory included — is bit-identical to the lost worker's.
+  // trajectory included — is bit-identical to the lost worker's. The
+  // replay goes through the credit window like any batch, so the new
+  // worker's credits never pile up unread; a failure here is the retry
+  // loop's to handle.
   for (const ReplayBuffer::RecordedBatch& batch : replay_[w].batches()) {
-    if (!wk.data.send(FrameType::kBatch, batch.epoch, batch.payload.data(),
-                      batch.payload.size())) {
+    const std::string why =
+        send_batch(w, batch.epoch, batch.payload.data(), batch.payload.size());
+    if (!why.empty()) {
+      SKW_LOG_INFO("net worker %zu replay failed: %s", w, why.c_str());
       return false;
     }
   }
@@ -497,6 +503,23 @@ void NetEngine::route_tuple(const Tuple& tuple) {
   if (batch.size() >= config_.batch_size) flush_batch(d);
 }
 
+std::string NetEngine::send_batch(std::size_t w, std::uint64_t epoch,
+                                  const std::uint8_t* payload,
+                                  std::size_t size) {
+  Worker& wk = workers_[w];
+  // Every send first takes the credits already readable, so at most about
+  // 2 x kQueueBatches of them ever wait unread: a worker blocked on
+  // writing a credit would stop reading batches, and then miss a summary
+  // deadline while perfectly healthy.
+  const std::string why = wk.credits.acquire(wk.data, config_.ctrl_timeout_ms);
+  if (!why.empty()) return "worker " + std::to_string(w) + " " + why;
+  if (!wk.data.send(FrameType::kBatch, epoch, payload, size)) {
+    return "data send failed: " + wk.data.last_error();
+  }
+  wk.credits.sent();
+  return {};
+}
+
 void NetEngine::flush_batch(InstanceId d) {
   const auto di = static_cast<std::size_t>(d);
   auto& batch = pending_batches_[di];
@@ -511,13 +534,11 @@ void NetEngine::flush_batch(InstanceId d) {
   (void)replay_[di].record(epoch, frame_scratch_.bytes().data(),
                            frame_scratch_.size());
   ++workers_[di].batches_sent;
-  if (!workers_[di].data.send(FrameType::kBatch, epoch, frame_scratch_)) {
-    if (!recover_worker(di, "data send failed: " +
-                                workers_[di].data.last_error())) {
-      // Degraded: the recorded batch was re-routed. Failed: ok() is off.
-      return;
-    }
-  }
+  const std::string why = send_batch(di, epoch, frame_scratch_.bytes().data(),
+                                     frame_scratch_.size());
+  // A false return means degraded (the recorded batch was re-routed) or
+  // failed (ok() is off); either way there is nothing left to do here.
+  if (!why.empty()) (void)recover_worker(di, why);
 }
 
 void NetEngine::flush_batches() {

@@ -4,10 +4,12 @@
 //
 // Topology per worker (socketpair(AF_UNIX, SOCK_STREAM), created before
 // fork — no ports, no listeners):
-//   * data channel — kBatch frames of routed tuples. This is the channel
-//     that fills up: a slow worker backpressures the driver through the
-//     kernel socket buffer, exactly like the threaded engine's bounded
-//     queues.
+//   * data channel — kBatch frames of routed tuples, answered by one
+//     kCredit per batch the worker takes off the socket. This is the
+//     channel that fills up: the driver lets at most kQueueBatches
+//     batches go uncredited (a CreditWindow), so a slow worker
+//     backpressures the driver through the same bound as the threaded
+//     engine's queues, whatever the batch size or the kernel's buffer.
 //   * ctrl channel — everything else (seal, boundary summary, heavy-set
 //     broadcast, plan, migration, checkpoint, shutdown). A separate
 //     socket means a control frame NEVER queues behind a data backlog —
@@ -88,7 +90,8 @@ namespace skewless {
 
 struct NetConfig {
   /// Tuples per kBatch frame (amortizes syscalls, as batch_size
-  /// amortizes queue locking in the threaded engine).
+  /// amortizes queue locking in the threaded engine). Each worker's data
+  /// channel holds at most kQueueBatches such frames.
   std::size_t batch_size = 256;
   /// Window expiry watermark lag, in intervals (0 = no expiry frames).
   int expire_lag_intervals = 0;
@@ -96,9 +99,10 @@ struct NetConfig {
   // --- fault tolerance (checkpoint + replay recovery, always on) ---
   /// Deterministic fault schedule (tests / skewless_sim --fault).
   FaultPlan fault = {};
-  /// Deadline for any control-channel receive (and for channel I/O via
-  /// SO_RCVTIMEO/SO_SNDTIMEO). A worker that neither speaks nor
-  /// heartbeats for this long is declared wedged and recovered.
+  /// Deadline for any control-channel receive, for each credit the
+  /// driver waits for, and for channel I/O via SO_RCVTIMEO/SO_SNDTIMEO.
+  /// A worker that neither speaks nor heartbeats for this long, or holds
+  /// a full data channel for this long, is declared wedged and recovered.
   int ctrl_timeout_ms = 30'000;
   /// Worker heartbeat period; must be well under ctrl_timeout_ms.
   int heartbeat_interval_ms = 250;
@@ -193,6 +197,11 @@ class NetEngine {
     return total_recovery_ms_;
   }
   [[nodiscard]] std::size_t live_workers() const;
+  /// The most batches worker `w`'s data channel ever held uncredited:
+  /// its credit window's high-water mark, never above kQueueBatches.
+  [[nodiscard]] std::uint64_t data_window_high_water(std::size_t w) const {
+    return workers_[w].credits.high_water();
+  }
   /// Worker `w`'s latest checkpoint. The name stays because perfbench
   /// reads memory_bytes() through it.
   [[nodiscard]] const Checkpoint& checkpoint_ring(std::size_t w) const {
@@ -205,6 +214,8 @@ class NetEngine {
     FrameChannel ctrl;
     pid_t pid = -1;
     std::uint64_t batches_sent = 0;  // kBatch frames this epoch
+    /// Bounds the kBatch frames waiting in `data`; reset at each spawn.
+    CreditWindow credits{kQueueBatches};
     /// The open epoch's kSeal went out; a restore must re-send it.
     bool seal_sent = false;
     /// Retired after retry-budget exhaustion (degraded mode).
@@ -260,6 +271,13 @@ class NetEngine {
   /// Fires scheduled driver-side kKill events for `epoch`.
   void inject_kills(std::uint64_t epoch);
   void route_tuple(const Tuple& tuple);
+  /// The one data send, for routed and replayed batches alike: waits for
+  /// room in worker `w`'s credit window, then sends one kBatch frame.
+  /// Returns why the worker failed, or an empty string. Never recovers
+  /// the worker itself: the caller decides.
+  [[nodiscard]] std::string send_batch(std::size_t w, std::uint64_t epoch,
+                                       const std::uint8_t* payload,
+                                       std::size_t size);
   void flush_batch(InstanceId d);
   void flush_batches();
   /// One bounded ctrl receive from worker `w`. Skips heartbeat frames

@@ -380,6 +380,14 @@ class NetWorker {
       return fail(kWorkerExitProtocol, "protocol",
                   "non-Batch frame on the data channel");
     }
+    // The batch left the socket: credit its slot back now, before the
+    // fold, as a threaded worker's pop frees its queue slot. Credits are
+    // all this worker ever writes on the data channel.
+    ++batches_taken_;
+    if (!data_.send(FrameType::kCredit, batches_taken_, nullptr, 0)) {
+      return fail(kWorkerExitChannel, "send Credit",
+                  data_.last_error().c_str());
+    }
     ByteReader in(data_payload_, ByteReader::Untrusted{});
     if (!decode_tuple_batch(in, batch_)) {
       return fail(kWorkerExitCorruptFrame, "decode", "corrupt Batch payload");
@@ -432,6 +440,9 @@ class NetWorker {
   std::uint64_t seal_epoch_ = 0;
   std::uint64_t seal_target_ = 0;
   std::uint64_t epoch_batches_ = 0;
+  /// Batches taken off the data channel by this process: the cumulative
+  /// count every kCredit carries.
+  std::uint64_t batches_taken_ = 0;
   Micros last_heartbeat_us_ = 0;
 };
 

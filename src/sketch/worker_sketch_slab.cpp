@@ -38,7 +38,7 @@ void WorkerSketchSlab::add_cold(KeyId key, const KeyAgg& agg,
                                 const CountMinSketch::KeyProbe& probe) {
   // One probe, `depth_` fused cells: all three quantities ride the same
   // cache lines (the point of the fused layout). The pad is never
-  // written: it stays +0.0, and it is part of the serialized cell bytes.
+  // written, and the summary does not ship it.
   const double freq = static_cast<double>(agg.frequency);
   const std::size_t mask = width_ - 1;
   for (std::size_t row = 0; row < depth_; ++row) {
@@ -132,6 +132,13 @@ namespace {
 /// corruption, not data.
 bool valid_magnitude(double v) { return std::isfinite(v) && v >= 0.0; }
 
+/// A summary cell on the wire: cost, frequency, state. FusedCell's pad
+/// stays in memory.
+constexpr std::size_t kWireCellDoubles = 3;
+/// Cells packed per append or read, so the cell block costs one buffer
+/// copy per chunk rather than one call per field.
+constexpr std::size_t kCellChunk = 256;
+
 }  // namespace
 
 void WorkerSketchSlab::serialize(ByteWriter& out) const {
@@ -172,9 +179,17 @@ void WorkerSketchSlab::serialize(ByteWriter& out) const {
     out.f64(e.error);
   }
 
-  // Raw cell dump: FusedCell is four doubles with pad always 0.0, so the
-  // byte image is itself deterministic.
-  out.append(cells_.data(), cells_.size() * sizeof(FusedCell));
+  double packed[kCellChunk * kWireCellDoubles];
+  for (std::size_t i = 0; i < cells_.size(); i += kCellChunk) {
+    const std::size_t n = std::min(kCellChunk, cells_.size() - i);
+    for (std::size_t j = 0; j < n; ++j) {
+      const FusedCell& cell = cells_[i + j];
+      packed[j * kWireCellDoubles] = cell.cost;
+      packed[j * kWireCellDoubles + 1] = cell.freq;
+      packed[j * kWireCellDoubles + 2] = cell.state;
+    }
+    out.append(packed, n * sizeof(double) * kWireCellDoubles);
+  }
 }
 
 bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
@@ -253,7 +268,25 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
     return false;
   }
 
-  return in.read_into(cells_.data(), cells_.size() * sizeof(FusedCell));
+  double packed[kCellChunk * kWireCellDoubles];
+  for (std::size_t i = 0; i < cells_.size(); i += kCellChunk) {
+    const std::size_t n = std::min(kCellChunk, cells_.size() - i);
+    if (!in.read_into(packed, n * sizeof(double) * kWireCellDoubles)) {
+      return false;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      FusedCell& cell = cells_[i + j];
+      cell.cost = packed[j * kWireCellDoubles];
+      cell.freq = packed[j * kWireCellDoubles + 1];
+      cell.state = packed[j * kWireCellDoubles + 2];
+      if (!valid_magnitude(cell.cost) || !valid_magnitude(cell.freq) ||
+          !valid_magnitude(cell.state)) {
+        in.fail();
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 std::size_t WorkerSketchSlab::memory_bytes() const {

@@ -69,7 +69,7 @@ class WorkerSketchSlab {
 
   /// One fused Count-Min cell: the three per-quantity counters a key's
   /// probe touches together. Padded to 32 bytes so a cell never
-  /// straddles more cache lines than it must.
+  /// straddles more cache lines than it must; the pad is not serialized.
   struct FusedCell {
     double cost = 0.0;
     double freq = 0.0;
@@ -162,9 +162,10 @@ class WorkerSketchSlab {
 
   /// Writes the slab's full interval content as a boundary summary — the
   /// NetEngine's kSummary payload. The encoding is deterministic (hot
-  /// entries sorted by key, candidates by (count desc, key asc)), so two
-  /// slabs holding equal content serialize to equal bytes regardless of
-  /// the hash-map insertion order that produced them.
+  /// entries sorted by key, candidates by (count desc, key asc), then
+  /// every cell's cost, frequency and state), so two slabs holding equal
+  /// content serialize to equal bytes regardless of the hash-map
+  /// insertion order that produced them.
   void serialize(ByteWriter& out) const;
 
   /// Rebuilds the interval content from a summary produced by serialize()
@@ -172,8 +173,9 @@ class WorkerSketchSlab {
   /// untouched (absorb never reads it). Returns false — with the reader's
   /// sticky error flag set — on truncation, a geometry mismatch (the
   /// peer derived different Count-Min dimensions or family seed), or
-  /// value-range corruption; the slab content is unspecified then and
-  /// the caller must drop the frame.
+  /// value-range corruption in any field, cells included (every
+  /// magnitude must be finite and non-negative); the slab content is
+  /// unspecified then and the caller must drop the frame.
   [[nodiscard]] bool deserialize_from(ByteReader& in);
 
  private:

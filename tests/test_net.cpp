@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "net/net_engine.h"
 #include "net/poller.h"
 #include "net/wire.h"
+#include "net_test_util.h"
 #include "sketch/worker_sketch_slab.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
@@ -31,16 +33,7 @@
 namespace skewless {
 namespace {
 
-bool tsan_enabled() {
-#if defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  return true;
-#endif
-#endif
-  return false;
-}
+using testutil::tsan_enabled;
 
 // Every worker a NetEngine ever forked must be reaped by the time its
 // shutdown returns — a zombie after the suite means an engine exit path
@@ -244,6 +237,41 @@ TEST(FrameChannel, RecvReportsEof) {
   std::vector<std::uint8_t> got;
   EXPECT_FALSE(b.recv(header, got));
   EXPECT_FALSE(b.last_error().empty());
+}
+
+// The window's accounting over a real socketpair: sends go out freely up
+// to the limit, the next one waits out the deadline, and each credit the
+// peer writes back reopens one slot. reset() starts a new peer's counts
+// and keeps the high-water mark.
+TEST(CreditWindow, HoldsTheLimitAndReopensOnEachCredit) {
+  int fds[2];
+  std::string error;
+  ASSERT_TRUE(make_socket_pair(fds, error)) << error;
+  FrameChannel driver(fds[0]);
+  FrameChannel worker(fds[1]);
+  CreditWindow window(/*limit=*/2);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(window.acquire(driver, 1'000), "");
+    window.sent();
+  }
+  EXPECT_EQ(window.in_flight(), 2u);
+  EXPECT_NE(window.acquire(driver, 20).find("credit deadline"),
+            std::string::npos);
+
+  ASSERT_TRUE(worker.send(FrameType::kCredit, 1, nullptr, 0));
+  ASSERT_EQ(window.acquire(driver, 1'000), "");
+  EXPECT_EQ(window.in_flight(), 1u);
+  window.sent();
+  // Two credits at once (counts 2 and 3) are both taken before the send.
+  ASSERT_TRUE(worker.send(FrameType::kCredit, 2, nullptr, 0));
+  ASSERT_TRUE(worker.send(FrameType::kCredit, 3, nullptr, 0));
+  ASSERT_EQ(window.acquire(driver, 1'000), "");
+  EXPECT_EQ(window.in_flight(), 0u);
+  EXPECT_EQ(window.high_water(), 2u);
+
+  window.reset();
+  EXPECT_EQ(window.in_flight(), 0u);
+  EXPECT_EQ(window.high_water(), 2u);
 }
 
 TEST(Poller, ReportsReadableChannels) {
@@ -612,6 +640,67 @@ std::unique_ptr<Controller> test_controller(InstanceId workers,
   return std::make_unique<Controller>(
       AssignmentFunction(ConsistentHashRing(workers), 0),
       std::make_unique<MixedPlanner>(), ccfg, num_keys);
+}
+
+/// WordCount that busy-waits `spin_us` per tuple, so the workers fall
+/// behind the driver and every data channel fills its credit window.
+class SpinWordCountLogic final : public OperatorLogic {
+ public:
+  explicit SpinWordCountLogic(double spin_us) : spin_us_(spin_us) {}
+
+  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
+    return inner_.make_state();
+  }
+  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
+      ByteReader& in) const override {
+    return inner_.deserialize_state(in);
+  }
+  Cost process(const Tuple& tuple, KeyState& state,
+               Collector& out) const override {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::nanoseconds(static_cast<long long>(spin_us_ * 1000.0));
+    while (std::chrono::steady_clock::now() < deadline) {
+    }
+    return inner_.process(tuple, state, out);
+  }
+
+ private:
+  WordCountLogic inner_;
+  double spin_us_;
+};
+
+// The data channel's bound is exact and used: with workers slower than
+// the driver, each worker's window fills to kQueueBatches uncredited
+// batches and never past it, whatever the batch's size in bytes — the
+// kernel's socket buffer holds many 64-tuple frames but few 1024-tuple
+// ones, and neither sets the bound.
+TEST(NetEngine, CreditWindowHoldsExactlyQueueBatches) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  for (const std::size_t batch : {std::size_t{64}, std::size_t{256},
+                                  std::size_t{1024}}) {
+    NetConfig ncfg;
+    ncfg.batch_size = batch;
+    // 50 us per tuple keeps the workers well behind the driver even in
+    // an unoptimized ASan build.
+    NetEngine engine(ncfg, std::make_shared<SpinWordCountLogic>(50.0),
+                     test_controller(2, 1'000));
+    // ~16 batches per worker: the window fills several times over.
+    std::vector<Tuple> tuples(32 * batch);
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+      tuples[i].key = static_cast<KeyId>(i % 997);
+      tuples[i].value = 1;
+    }
+    const IntervalReport report = engine.run_interval(tuples);
+    ASSERT_TRUE(engine.ok()) << engine.error();
+    EXPECT_EQ(report.processed, tuples.size()) << batch;
+    for (std::size_t w = 0; w < 2; ++w) {
+      EXPECT_EQ(engine.data_window_high_water(w), kQueueBatches)
+          << "batch " << batch << ", worker " << w;
+    }
+    engine.shutdown();
+    ASSERT_TRUE(engine.ok()) << engine.error();
+  }
 }
 
 TEST(NetEngine, RunsIntervalsAndShutsDownCleanly) {

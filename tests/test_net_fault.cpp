@@ -13,34 +13,31 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
-#include <sys/mman.h>
 #include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
+#include "core/assignment.h"
 #include "core/controller.h"
 #include "core/planners.h"
 #include "net/fault_injector.h"
 #include "net/net_engine.h"
 #include "net/recovery.h"
 #include "net/wire.h"
+#include "net_test_util.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
 namespace skewless {
 namespace {
 
-bool tsan_enabled() {
-#if defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  return true;
-#endif
-#endif
-  return false;
-}
+using testutil::CapturedLog;
+using testutil::digest_of;
+using testutil::expect_byte_identical;
+using testutil::RunDigest;
+using testutil::SharedFlag;
+using testutil::tsan_enabled;
 
 // Every worker the engine ever forked must be reaped by shutdown — a
 // zombie left behind means an exit path skipped its waitpid.
@@ -187,23 +184,19 @@ std::unique_ptr<Controller> fault_controller(InstanceId workers,
       std::make_unique<MixedPlanner>(), ccfg, num_keys);
 }
 
-/// Everything the byte-identity contract covers, harvested from one run.
-struct RunDigest {
-  std::uint64_t plan_digest = 0;
-  std::uint64_t state_checksum = 0;
-  std::size_t state_entries = 0;
-  std::uint64_t processed = 0;
-  std::uint64_t outputs = 0;
-  std::vector<std::uint64_t> theta_bits;  // exact double bit patterns
-  std::size_t rebalances = 0;
-  std::uint64_t recoveries = 0;
-  bool degraded = false;
-  bool ok = false;
-  std::string error;
-};
-
 constexpr InstanceId kWorkers = 3;
 constexpr int kIntervals = 3;
+
+NetConfig fault_config(const FaultPlan& fault, int timeout_ms,
+                       int max_attempts) {
+  NetConfig ncfg;
+  ncfg.batch_size = 64;
+  ncfg.fault = fault;
+  ncfg.ctrl_timeout_ms = timeout_ms;
+  ncfg.heartbeat_interval_ms = 50;
+  ncfg.respawn_max_attempts = max_attempts;
+  return ncfg;
+}
 
 RunDigest run_with_plan(
     const FaultPlan& fault, int timeout_ms = 2'000, int max_attempts = 3,
@@ -215,50 +208,11 @@ RunDigest run_with_plan(
   opts.seed = 5;
   ZipfFluctuatingSource source(opts);
 
-  NetConfig ncfg;
-  ncfg.batch_size = 64;
-  ncfg.fault = fault;
-  ncfg.ctrl_timeout_ms = timeout_ms;
-  ncfg.heartbeat_interval_ms = 50;
-  ncfg.respawn_max_attempts = max_attempts;
-  NetEngine engine(ncfg, std::move(logic),
+  NetEngine engine(fault_config(fault, timeout_ms, max_attempts),
+                   std::move(logic),
                    fault_controller(kWorkers, source.num_keys()));
   const auto reports = engine.run(source, kIntervals, /*seed=*/11);
-
-  RunDigest d;
-  for (const auto& r : reports) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(r.max_theta));
-    std::memcpy(&bits, &r.max_theta, sizeof(bits));
-    d.theta_bits.push_back(bits);
-  }
-  d.plan_digest = engine.controller()->plan_history_digest();
-  d.rebalances = engine.controller()->rebalance_count();
-  engine.shutdown();
-  d.ok = engine.ok();
-  d.error = engine.error();
-  d.state_checksum = engine.state_checksum();
-  d.state_entries = engine.total_state_entries();
-  d.processed = engine.total_processed();
-  d.outputs = engine.total_output_tuples();
-  d.recoveries = engine.recoveries();
-  d.degraded = engine.degraded();
-  return d;
-}
-
-void expect_byte_identical(const RunDigest& got, const RunDigest& clean,
-                           const std::string& label) {
-  ASSERT_TRUE(got.ok) << label << ": " << got.error;
-  EXPECT_EQ(got.plan_digest, clean.plan_digest) << label;
-  EXPECT_EQ(got.state_checksum, clean.state_checksum) << label;
-  EXPECT_EQ(got.state_entries, clean.state_entries) << label;
-  EXPECT_EQ(got.processed, clean.processed) << label;
-  EXPECT_EQ(got.outputs, clean.outputs) << label;
-  ASSERT_EQ(got.theta_bits.size(), clean.theta_bits.size()) << label;
-  for (std::size_t i = 0; i < clean.theta_bits.size(); ++i) {
-    EXPECT_EQ(got.theta_bits[i], clean.theta_bits[i])
-        << label << " θ interval " << i;
-  }
+  return digest_of(engine, reports);
 }
 
 // The headline: SIGKILL one worker at EVERY epoch in turn; each recovered
@@ -430,13 +384,9 @@ class CrashOnFirstDeserialize final : public OperatorLogic {
 // the request, and the run stays byte-identical to the crash-free one.
 TEST(NetRecovery, CrashDuringInstallRoundIsByteIdentical) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
-  static_assert(std::atomic<int>::is_always_lock_free);
-  void* mem = ::mmap(nullptr, sizeof(std::atomic<int>),
-                     PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  ASSERT_NE(mem, MAP_FAILED);
-  const std::unique_ptr<void, void (*)(void*)> unmap(
-      mem, [](void* p) { ::munmap(p, sizeof(std::atomic<int>)); });
-  auto* armed = new (mem) std::atomic<int>(0);
+  const SharedFlag flag;
+  std::atomic<int>* armed = flag.get();
+  ASSERT_NE(armed, nullptr);
   const auto logic = std::make_shared<CrashOnFirstDeserialize>(armed);
 
   const RunDigest clean = run_with_plan(FaultPlan{}, 2'000, 3, logic);
@@ -451,6 +401,147 @@ TEST(NetRecovery, CrashDuringInstallRoundIsByteIdentical) {
   EXPECT_EQ(got.recoveries, 1u);
   EXPECT_FALSE(got.degraded);
   EXPECT_GT(got.rebalances, 0u);
+  expect_no_children();
+}
+
+/// The value that marks the tuple a StallOnMarker worker stalls on.
+constexpr std::int64_t kStallValue = 777'777;
+
+/// WordCountLogic whose worker sleeps `stall_ms` on the first
+/// kStallValue tuple it processes while `armed` is set. The flag lives in
+/// shared memory, so the stall fires once per run: a killed worker's
+/// respawn replays the same tuple at full speed, unless the kill landed
+/// before the stall began, in which case the replay sleeps instead.
+class StallOnMarker final : public OperatorLogic {
+ public:
+  StallOnMarker(std::atomic<int>* armed, int stall_ms)
+      : armed_(armed), stall_ms_(stall_ms) {}
+
+  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
+    return inner_.make_state();
+  }
+  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
+      ByteReader& in) const override {
+    return inner_.deserialize_state(in);
+  }
+  Cost process(const Tuple& tuple, KeyState& state,
+               Collector& out) const override {
+    if (tuple.value == kStallValue && armed_->exchange(0) != 0) {
+      ::usleep(static_cast<useconds_t>(stall_ms_) * 1000);
+    }
+    return inner_.process(tuple, state, out);
+  }
+
+ private:
+  WordCountLogic inner_;
+  std::atomic<int>* armed_;
+  int stall_ms_;
+};
+
+/// Three explicit intervals for two workers. In the first, worker 1 gets
+/// `w1_batches` full 64-tuple batches plus a 10-tuple partial one, and
+/// the first of its tuples carries kStallValue; worker 0 gets 300 tuples.
+/// The other two intervals spread 2,000 tuples over both workers' keys.
+std::vector<std::vector<Tuple>> stall_intervals(std::size_t w1_batches) {
+  const AssignmentFunction initial(ConsistentHashRing(2), 0);
+  std::vector<KeyId> keys[2];
+  for (KeyId k = 0; keys[0].size() < 40 || keys[1].size() < 40; ++k) {
+    auto& bucket = keys[static_cast<std::size_t>(initial(k))];
+    if (bucket.size() < 40) bucket.push_back(k);
+  }
+  const auto tuple = [](KeyId key, std::int64_t value) {
+    Tuple t;
+    t.key = key;
+    t.value = value;
+    return t;
+  };
+  std::vector<std::vector<Tuple>> intervals(3);
+  const std::size_t w1_tuples = w1_batches * 64 + 10;
+  for (std::size_t i = 0; i < w1_tuples; ++i) {
+    intervals[0].push_back(tuple(keys[1][i % 40], i == 0 ? kStallValue : 1));
+    if (i < 300) intervals[0].push_back(tuple(keys[0][i % 40], 1));
+  }
+  for (std::size_t n = 1; n < intervals.size(); ++n) {
+    for (std::size_t i = 0; i < 2'000; ++i) {
+      intervals[n].push_back(tuple(keys[i % 2][(i * 7 + n) % 40], 1));
+    }
+  }
+  return intervals;
+}
+
+/// Runs `intervals` on two workers with StallOnMarker and returns the
+/// digest plus everything the engine logged at INFO level.
+RunDigest run_stall(const std::vector<std::vector<Tuple>>& intervals,
+                    const FaultPlan& fault, int timeout_ms, int stall_ms,
+                    std::atomic<int>* armed, std::string& log) {
+  CapturedLog capture;
+  NetEngine engine(fault_config(fault, timeout_ms, /*max_attempts=*/3),
+                   std::make_shared<StallOnMarker>(armed, stall_ms),
+                   fault_controller(2, 1'000));
+  std::vector<IntervalReport> reports;
+  for (const auto& tuples : intervals) {
+    reports.push_back(engine.run_interval(tuples));
+  }
+  const RunDigest d = digest_of(engine, reports);
+  log = capture.take();
+  return d;
+}
+
+// A worker killed while its credit window is full is found by the
+// credit wait, not by a send. Worker 1 credits its first batch and
+// stalls in it (or dies before the stall begins), with nine full
+// batches routed to it: the ninth went out on that one credit, so at
+// the boundary's entry — where the kill fires — its partial batch waits
+// for a credit and reads the dead worker's EOF.
+TEST(NetRecovery, KillWithFullCreditWindowFoundByCreditWait) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  SharedFlag armed;
+  ASSERT_NE(armed.get(), nullptr);
+  const auto intervals = stall_intervals(kQueueBatches + 1);
+  std::string log;
+  const RunDigest clean =
+      run_stall(intervals, FaultPlan{}, 2'000, 500, armed.get(), log);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.recoveries, 0u);
+
+  armed.get()->store(1);
+  FaultPlan plan;
+  plan.events.push_back(
+      FaultEvent{FaultKind::kKill, /*worker=*/1, /*epoch=*/1, false});
+  const RunDigest got =
+      run_stall(intervals, plan, 2'000, 500, armed.get(), log);
+  EXPECT_EQ(armed.get()->load(), 0) << "worker 1 never stalled";
+  expect_byte_identical(got, clean, "kill with a full window");
+  EXPECT_EQ(got.recoveries, 1u);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_NE(log.find("worker 1 closed its data channel"), std::string::npos)
+      << log;
+  expect_no_children();
+}
+
+// A worker that stops taking batches mid-interval is caught by the
+// credit deadline while the driver still has its batches to send, then
+// restored and replayed to the same bytes.
+TEST(NetRecovery, MidIntervalWedgeCaughtByCreditDeadline) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  SharedFlag armed;
+  ASSERT_NE(armed.get(), nullptr);
+  const auto intervals = stall_intervals(3 * kQueueBatches);
+  std::string log;
+  const RunDigest clean =
+      run_stall(intervals, FaultPlan{}, 600, 3'000, armed.get(), log);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.recoveries, 0u);
+
+  armed.get()->store(1);
+  const RunDigest got =
+      run_stall(intervals, FaultPlan{}, 600, 3'000, armed.get(), log);
+  EXPECT_EQ(armed.get()->load(), 0) << "worker 1 never stalled";
+  expect_byte_identical(got, clean, "wedge mid-interval");
+  EXPECT_EQ(got.recoveries, 1u);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_NE(log.find("worker 1 missed the credit deadline"), std::string::npos)
+      << log;
   expect_no_children();
 }
 

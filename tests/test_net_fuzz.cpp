@@ -4,21 +4,43 @@
 // corruptions of valid encodings. The contract under test is uniform —
 // a decoder either accepts the input or returns false with the reader's
 // sticky error flag set; it NEVER aborts, over-allocates, or reads out
-// of bounds (ASan enforces the last one on the CI debug-asan leg).
+// of bounds (ASan enforces the last one on the CI debug-asan leg). The
+// data channel's credits are fuzzed the same way through a CreditWindow
+// on a socketpair, and forged into a running engine, whose driver must
+// recover the forging worker instead of aborting.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <random>
 #include <string>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
 #include "common/serde.h"
+#include "core/controller.h"
+#include "core/planners.h"
+#include "net/channel.h"
 #include "net/frame.h"
+#include "net/net_engine.h"
 #include "net/wire.h"
+#include "net_test_util.h"
 #include "sketch/worker_sketch_slab.h"
+#include "workload/operators.h"
 
 namespace skewless {
 namespace {
+
+using testutil::CapturedLog;
+using testutil::digest_of;
+using testutil::expect_byte_identical;
+using testutil::RunDigest;
+using testutil::SharedFlag;
+using testutil::tsan_enabled;
 
 /// One valid encoding of every payload kind, by index. Returning a fresh
 /// copy per call keeps corruption runs independent.
@@ -327,16 +349,16 @@ TEST(NetFuzz, FrameHeaderCorruptionsRejectCleanly) {
   }
 }
 
-// Boundary summaries: the slab decoder guards geometry, counts, value
-// ranges and the raw cell block. Corrupt/truncated summaries must fail
-// without aborting OR poisoning the target slab into a crash — a target
-// that rejected an input must still absorb a clean one afterwards.
-TEST(NetFuzz, SlabSummaryCorruptionsRejectOrRoundTrip) {
+SketchStatsConfig summary_config() {
   SketchStatsConfig cfg;
   cfg.heavy_capacity = 32;
   cfg.epsilon = 0.01;
+  return cfg;
+}
 
-  WorkerSketchSlab source(cfg);
+/// A valid boundary summary of 300 cold keys.
+std::vector<std::uint8_t> valid_summary() {
+  WorkerSketchSlab source(summary_config());
   std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg> batch;
   for (std::uint64_t i = 0; i < 300; ++i) {
     auto& agg = batch[i * 7919];
@@ -348,7 +370,17 @@ TEST(NetFuzz, SlabSummaryCorruptionsRejectOrRoundTrip) {
   source.set_epoch(4);
   ByteWriter w;
   source.serialize(w);
-  const auto& valid = w.bytes();
+  return w.bytes();
+}
+
+// Boundary summaries: the slab decoder guards geometry, counts and the
+// value range of every field, cells included. Corrupt/truncated
+// summaries must fail without aborting OR poisoning the target slab into
+// a crash — a target that rejected an input must still absorb a clean
+// one afterwards.
+TEST(NetFuzz, SlabSummaryCorruptionsRejectOrRoundTrip) {
+  const SketchStatsConfig cfg = summary_config();
+  const std::vector<std::uint8_t> valid = valid_summary();
 
   std::mt19937_64 rng(0xabcdef);
   WorkerSketchSlab target(cfg);
@@ -377,6 +409,255 @@ TEST(NetFuzz, SlabSummaryCorruptionsRejectOrRoundTrip) {
     EXPECT_EQ(0, std::memcmp(again.bytes().data(), valid.data(),
                              valid.size()));
   }
+}
+
+// A summary cell is three doubles on the wire (cost, frequency, state),
+// each a magnitude the slab only ever accumulates as finite and
+// non-negative. A clean summary with one cell field set to -1, NaN or +inf
+// is corruption and must be rejected, never absorbed.
+TEST(NetFuzz, SlabSummaryCellOutOfRangeRejected) {
+  const SketchStatsConfig cfg = summary_config();
+  const std::vector<std::uint8_t> valid = valid_summary();
+  WorkerSketchSlab target(cfg);
+  const std::size_t cells = target.width() * target.depth();
+  ASSERT_GT(valid.size(), cells * 3 * sizeof(double));
+  // The cell block ends the summary; probe the first cell and a middle one.
+  const std::size_t block = valid.size() - cells * 3 * sizeof(double);
+  for (const std::size_t cell : {std::size_t{0}, cells / 2}) {
+    for (std::size_t field = 0; field < 3; ++field) {
+      for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+        std::vector<std::uint8_t> bytes = valid;
+        std::memcpy(bytes.data() + block + (cell * 3 + field) * sizeof(double),
+                    &bad, sizeof(bad));
+        ByteReader r(bytes, ByteReader::Untrusted{});
+        EXPECT_FALSE(target.deserialize_from(r))
+            << "cell " << cell << " field " << field << " value " << bad;
+        EXPECT_FALSE(r.ok());
+      }
+    }
+  }
+  ByteReader clean(valid, ByteReader::Untrusted{});
+  EXPECT_TRUE(target.deserialize_from(clean) && clean.exhausted());
+}
+
+// A peer still speaking wire v3 is refused on its first frame: its Hello
+// fails the version check before any payload byte is read, and a v3
+// credit on a data channel is a rejected credit, not a count.
+TEST(NetFuzz, V3PeerIsRefusedAtTheHandshake) {
+  const auto write_v3 = [](const FrameChannel& to, FrameType type,
+                           std::uint64_t epoch, const ByteWriter& payload) {
+    ByteWriter frame;
+    encode_frame_header(frame, type, epoch,
+                        static_cast<std::uint32_t>(payload.size()));
+    frame.append(payload.bytes().data(), payload.size());
+    std::vector<std::uint8_t> bytes = frame.bytes();
+    bytes[4] = 3;  // the version byte follows the u32 magic
+    ASSERT_EQ(::write(to.fd(), bytes.data(), bytes.size()),
+              static_cast<::ssize_t>(bytes.size()));
+  };
+  int ctrl_fds[2];
+  int data_fds[2];
+  std::string error;
+  ASSERT_TRUE(make_socket_pair(ctrl_fds, error)) << error;
+  ASSERT_TRUE(make_socket_pair(data_fds, error)) << error;
+  FrameChannel ctrl(ctrl_fds[0]);
+  FrameChannel peer_ctrl(ctrl_fds[1]);
+  FrameChannel data(data_fds[0]);
+  FrameChannel peer_data(data_fds[1]);
+
+  ByteWriter hello;
+  encode_hello(hello, HelloPayload{0, 1});
+  write_v3(peer_ctrl, FrameType::kHello, 0, hello);
+  FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  EXPECT_FALSE(ctrl.recv(header, payload));
+  EXPECT_NE(ctrl.last_error().find("peer speaks v3, this build v" +
+                                   std::to_string(kWireVersion)),
+            std::string::npos)
+      << ctrl.last_error();
+
+  CreditWindow window(kQueueBatches);
+  ASSERT_EQ(window.acquire(data, 1'000), "");
+  window.sent();
+  write_v3(peer_data, FrameType::kCredit, 1, ByteWriter{});
+  EXPECT_NE(window.acquire(data, 1'000).find("version mismatch"),
+            std::string::npos);
+  EXPECT_EQ(window.in_flight(), 1u);
+}
+
+// Seeded forged credit streams into a CreditWindow: valid counts, counts
+// that stall, run backwards or pass the frames sent, other frame types,
+// payloads and raw garbage, then EOF. The window either takes a credit
+// or names the fault; it never aborts and never credits more than was
+// sent.
+TEST(NetFuzz, ForgedCreditStreamsNeverAbort) {
+  std::mt19937_64 rng(0xc4ed17);
+  for (int round = 0; round < 300; ++round) {
+    int fds[2];
+    std::string error;
+    ASSERT_TRUE(make_socket_pair(fds, error)) << error;
+    FrameChannel data(fds[0]);
+    const std::uint64_t limit = 1 + rng() % kQueueBatches;
+    CreditWindow window(limit);
+    const std::uint64_t sends = rng() % (limit + 1);
+    for (std::uint64_t i = 0; i < sends; ++i) {
+      ASSERT_EQ(window.acquire(data, 1'000), "");
+      window.sent();
+    }
+    {
+      FrameChannel worker(fds[1]);
+      std::uint64_t count = 0;
+      const int frames = 1 + static_cast<int>(rng() % 6);
+      for (int f = 0; f < frames; ++f) {
+        switch (rng() % 6) {
+          case 0:  // the next valid count, when one is left
+          case 1:
+            count = std::min(count + 1, sends);
+            (void)worker.send(FrameType::kCredit, count, nullptr, 0);
+            break;
+          case 2:  // any count at all
+            (void)worker.send(FrameType::kCredit, rng() % (sends + 3),
+                              nullptr, 0);
+            break;
+          case 3: {  // a credit with a payload
+            const std::uint8_t junk[3] = {1, 2, 3};
+            (void)worker.send(FrameType::kCredit, count + 1, junk,
+                              rng() % 4);
+            break;
+          }
+          case 4:  // another frame type on the data channel
+            (void)worker.send(FrameType::kBatch, count + 1, nullptr, 0);
+            break;
+          default: {  // raw bytes, possibly a torn header
+            std::vector<std::uint8_t> junk(rng() % (2 * kFrameHeaderBytes));
+            for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
+            (void)!::write(worker.fd(), junk.data(), junk.size());
+          }
+        }
+      }
+    }  // the worker's end closes: EOF ends every stream
+    std::string why;
+    for (int tries = 0; tries < 16 && why.empty(); ++tries) {
+      why = window.acquire(data, 1'000);
+      if (why.empty()) window.sent();
+      ASSERT_LE(window.in_flight(), limit) << "round " << round;
+    }
+    EXPECT_FALSE(why.empty()) << "round " << round;
+  }
+}
+
+/// WordCountLogic that, on the first tuple it processes while `armed` is
+/// set, writes one forged kCredit frame carrying `count` onto its
+/// worker's data channel, right behind the worker's own credit for that
+/// batch. A worker's data socket is the lowest-numbered socket it holds:
+/// the driver creates the data pair just before the control pair, each
+/// on the lowest free descriptors, and the child keeps one end of each.
+class ForgeCreditOnce final : public OperatorLogic {
+ public:
+  ForgeCreditOnce(std::atomic<int>* armed, std::uint64_t count)
+      : armed_(armed), count_(count) {}
+
+  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
+    return inner_.make_state();
+  }
+  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
+      ByteReader& in) const override {
+    return inner_.deserialize_state(in);
+  }
+  Cost process(const Tuple& tuple, KeyState& state,
+               Collector& out) const override {
+    if (armed_->exchange(0) != 0) forge();
+    return inner_.process(tuple, state, out);
+  }
+
+ private:
+  void forge() const {
+    ByteWriter frame;
+    encode_frame_header(frame, FrameType::kCredit, count_, 0);
+    for (int fd = 3; fd < 1024; ++fd) {
+      struct stat st;
+      if (::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode)) {
+        (void)!::write(fd, frame.bytes().data(), frame.size());
+        return;
+      }
+    }
+  }
+
+  WordCountLogic inner_;
+  std::atomic<int>* armed_;
+  std::uint64_t count_;
+};
+
+/// Three 6,000-tuple intervals on three workers, each worker taking far
+/// more than a window of 64-tuple batches per interval, so the driver
+/// reads a forged credit mid-interval. `log` receives the INFO log.
+RunDigest run_forged(std::atomic<int>* armed, std::uint64_t count,
+                     std::string& log) {
+  ControllerConfig ccfg;
+  ccfg.planner.theta_max = 0.08;
+  ccfg.stats_mode = StatsMode::kSketch;
+  ccfg.sketch.heavy_capacity = 128;
+  NetConfig ncfg;
+  ncfg.batch_size = 64;
+  ncfg.ctrl_timeout_ms = 2'000;
+  ncfg.heartbeat_interval_ms = 50;
+
+  CapturedLog capture;
+  NetEngine engine(ncfg, std::make_shared<ForgeCreditOnce>(armed, count),
+                   std::make_unique<Controller>(
+                       AssignmentFunction(ConsistentHashRing(3), 0),
+                       std::make_unique<MixedPlanner>(), ccfg, 1'500));
+  std::vector<IntervalReport> reports;
+  for (int interval = 0; interval < 3; ++interval) {
+    std::vector<Tuple> tuples(6'000);
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+      tuples[i].key = static_cast<KeyId>((i * 7 + interval) % 1'500);
+      tuples[i].value = 1;
+    }
+    reports.push_back(engine.run_interval(tuples));
+  }
+  const RunDigest d = digest_of(engine, reports);
+  log = capture.take();
+  return d;
+}
+
+/// Forges one credit carrying `count` into a run and checks that the
+/// driver recovered the forging worker into a run byte-identical to the
+/// clean one.
+void expect_forged_credit_recovered(std::uint64_t count) {
+  const SharedFlag flag;
+  std::atomic<int>* armed = flag.get();
+  ASSERT_NE(armed, nullptr);
+  std::string log;
+  const RunDigest clean = run_forged(armed, count, log);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.recoveries, 0u);
+
+  armed->store(1);
+  const RunDigest got = run_forged(armed, count, log);
+  EXPECT_EQ(armed->load(), 0) << "no worker forged a credit";
+  expect_byte_identical(got, clean, "forged credit " + std::to_string(count));
+  EXPECT_EQ(got.recoveries, 1u);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_NE(log.find("sent a Credit for " + std::to_string(count)),
+            std::string::npos)
+      << log;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "unreaped worker";
+}
+
+// A credit count that runs backwards (0, behind the worker's own credit
+// for the same batch) is a corrupt frame: the driver recovers the worker
+// and the run ends byte-identical to a clean one.
+TEST(NetFuzz, CreditCountRunningBackwardsRecoversTheWorker) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  expect_forged_credit_recovered(0);
+}
+
+// A credit count past the batches sent is a corrupt frame too.
+TEST(NetFuzz, CreditCountPastBatchesSentRecoversTheWorker) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  expect_forged_credit_recovered(std::uint64_t{1} << 40);
 }
 
 }  // namespace

@@ -9,25 +9,6 @@
 namespace skewless {
 namespace {
 
-TEST(ShuffleRouter, RoundRobinIgnoresKeys) {
-  ShuffleRouter router(3);
-  EXPECT_EQ(router.route(42), 0);
-  EXPECT_EQ(router.route(42), 1);
-  EXPECT_EQ(router.route(42), 2);
-  EXPECT_EQ(router.route(7), 0);
-}
-
-TEST(ShuffleRouter, AddInstanceExtendsCycle) {
-  ShuffleRouter router(2);
-  (void)router.route(0);
-  router.add_instance();
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 300; ++i) {
-    ++counts[static_cast<std::size_t>(router.route(0))];
-  }
-  for (const int c : counts) EXPECT_EQ(c, 100);
-}
-
 TEST(PkgRouter, CandidatesAreDeterministicAndDistinctUsually) {
   const PkgRouter router(10);
   int same = 0;
