@@ -119,6 +119,15 @@ class ByteReader {
     return true;
   }
 
+  /// skip() that also points `at` to the skipped bytes: a zero-copy view
+  /// of a length-prefixed blob, valid while the input is.
+  bool view(std::size_t n, const std::uint8_t*& at) {
+    if (!require(n)) return false;
+    at = data_ + pos_;
+    pos_ += n;
+    return true;
+  }
+
   /// Checked-mode guard for length-prefixed containers: true when
   /// `count` elements of at least `min_elem_bytes` serialized bytes each
   /// could possibly fit in the remaining input. Rejecting an impossible

@@ -52,7 +52,8 @@ void FrameChannel::close() {
 }
 
 bool FrameChannel::send(FrameType type, std::uint64_t epoch,
-                        const std::uint8_t* payload, std::size_t size) {
+                        const std::uint8_t* payload, std::size_t size,
+                        const std::uint8_t* tail, std::size_t tail_size) {
   eof_ = false;
   timed_out_ = false;
   if (fd_ < 0) {
@@ -62,28 +63,31 @@ bool FrameChannel::send(FrameType type, std::uint64_t epoch,
   std::uint8_t header[kFrameHeaderBytes];
   {
     ByteWriter w;
-    encode_frame_header(w, type, epoch, static_cast<std::uint32_t>(size));
+    encode_frame_header(w, type, epoch,
+                        static_cast<std::uint32_t>(size + tail_size));
     std::memcpy(header, w.bytes().data(), kFrameHeaderBytes);
   }
   // One sendmsg for header + payload when possible; partial writes fall
-  // back to byte-offset resumption across both pieces. MSG_NOSIGNAL: a
+  // back to byte-offset resumption across the pieces. MSG_NOSIGNAL: a
   // dead peer surfaces as EPIPE here, never as a process-killing SIGPIPE.
   struct Piece {
     const std::uint8_t* data;
     std::size_t size;
   };
-  const Piece pieces[2] = {{header, kFrameHeaderBytes}, {payload, size}};
+  constexpr std::size_t kPieces = 3;
+  const Piece pieces[kPieces] = {
+      {header, kFrameHeaderBytes}, {payload, size}, {tail, tail_size}};
   std::size_t piece = 0;
   std::size_t offset = 0;
-  while (piece < 2) {
+  while (piece < kPieces) {
     if (pieces[piece].size == offset) {
       ++piece;
       offset = 0;
       continue;
     }
-    struct iovec iov[2];
+    struct iovec iov[kPieces];
     int iovcnt = 0;
-    for (std::size_t p = piece; p < 2; ++p) {
+    for (std::size_t p = piece; p < kPieces; ++p) {
       const std::size_t skip = p == piece ? offset : 0;
       if (pieces[p].size == skip) continue;
       iov[iovcnt].iov_base =
@@ -110,7 +114,7 @@ bool FrameChannel::send(FrameType type, std::uint64_t epoch,
     }
     bytes_sent_ += static_cast<std::uint64_t>(n);
     std::size_t advanced = static_cast<std::size_t>(n);
-    while (advanced > 0 && piece < 2) {
+    while (advanced > 0 && piece < kPieces) {
       const std::size_t left = pieces[piece].size - offset;
       if (advanced < left) {
         offset += advanced;
@@ -200,26 +204,46 @@ int FrameChannel::wait_readable(int timeout_ms) {
   }
 }
 
-std::string CreditWindow::acquire(FrameChannel& channel, int timeout_ms) {
+std::string CreditWindow::acquire(FrameChannel& channel, int timeout_ms,
+                                  const ChunkFn& on_chunk) {
+  return read_until(
+      channel, timeout_ms, on_chunk, [this] { return in_flight() < limit_; },
+      "credit");
+}
+
+std::string CreditWindow::await(FrameChannel& channel, int timeout_ms,
+                                const ChunkFn& on_chunk,
+                                const std::function<bool()>& done) {
+  return read_until(channel, timeout_ms, on_chunk, done, "checkpoint");
+}
+
+std::string CreditWindow::read_until(FrameChannel& channel, int timeout_ms,
+                                     const ChunkFn& on_chunk,
+                                     const std::function<bool()>& done,
+                                     const char* what) {
   while (true) {
-    const bool full = in_flight() >= limit_;
-    const int r = channel.wait_readable(full ? std::max(1, timeout_ms) : 0);
+    const bool waiting = !done();
+    const int r = channel.wait_readable(waiting ? std::max(1, timeout_ms) : 0);
     if (r == 0) {
-      if (!full) return {};
-      return "missed the credit deadline (wedged?)";
+      if (!waiting) return {};
+      return std::string("missed the ") + what + " deadline (wedged?)";
     }
     if (r < 0) return "closed its data channel (crashed)";
-    std::string why = take(channel);
+    std::string why = take(channel, on_chunk);
     if (!why.empty()) return why;
   }
 }
 
-std::string CreditWindow::take(FrameChannel& channel) {
+std::string CreditWindow::take(FrameChannel& channel,
+                               const ChunkFn& on_chunk) {
   FrameHeader header;
   if (!channel.recv(header, payload_)) {
     if (channel.eof()) return "closed its data channel (crashed)";
-    if (channel.timed_out()) return "stalled mid-Credit (wedged?)";
-    return "sent a rejected Credit: " + channel.last_error();
+    if (channel.timed_out()) return "stalled mid-frame (wedged?)";
+    return "sent a rejected frame: " + channel.last_error();
+  }
+  if (header.type == FrameType::kCheckpoint && on_chunk) {
+    return on_chunk(header.epoch, payload_);
   }
   if (header.type != FrameType::kCredit || header.payload_size != 0) {
     return std::string("sent a ") + frame_type_name(header.type) + " frame (" +

@@ -3,11 +3,12 @@
 //
 // The engine gives every worker TWO channels over separate socketpairs:
 // a data channel (tuple batches — the one that backpressures, through a
-// CreditWindow) and a control channel (seals, heavy sets, plans,
+// CreditWindow — and, on its return path, credits and checkpoint chunks)
+// and a control channel (seals, summaries, heavy sets, plans,
 // migration). Keeping them on separate sockets is the whole point: a
 // control frame is written to and read from its own kernel buffer, so it
-// can never queue behind a data backlog — the force_push lesson from the
-// in-process engine, applied to sockets.
+// can never queue behind a data backlog or a checkpoint's bulk bytes —
+// the force_push lesson from the in-process engine, applied to sockets.
 //
 // Error model: send/recv return false and record a human-readable reason
 // (last_error()). A FrameChannel never aborts on peer-supplied bytes —
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,10 +43,13 @@ class FrameChannel {
 
   /// Writes one complete frame (header + payload), looping over partial
   /// writes and EINTR. Blocks when the socket buffer is full — which is
-  /// exactly the backpressure the data channel wants and the control
-  /// channel avoids by carrying only small frames.
+  /// exactly the backpressure the data channel wants. The payload is
+  /// `payload` followed by `tail`: a frame can carry stored bytes behind
+  /// a fresh prefix without copying them into one buffer first.
   [[nodiscard]] bool send(FrameType type, std::uint64_t epoch,
-                          const std::uint8_t* payload, std::size_t size);
+                          const std::uint8_t* payload, std::size_t size,
+                          const std::uint8_t* tail = nullptr,
+                          std::size_t tail_size = 0);
   [[nodiscard]] bool send(FrameType type, std::uint64_t epoch,
                           const ByteWriter& payload) {
     return send(type, epoch, payload.bytes().data(), payload.size());
@@ -95,25 +100,41 @@ class FrameChannel {
   bool timed_out_ = false;
 };
 
-/// The sending side of a credit-bounded channel. The receiver answers
-/// every frame it takes off the socket with a kCredit frame (no payload)
-/// whose header epoch field is its cumulative count of frames taken; the
-/// sender lets at most `limit` frames go uncredited. The counts belong to
-/// one socket pair: reset() them when the peer is respawned.
+/// The driver's side of one data channel: the credit window that bounds
+/// the kBatch frames waiting in it, and the one reader of its return
+/// path. The receiver answers every frame it takes off the socket with a
+/// kCredit frame (no payload) whose header epoch field is its cumulative
+/// count of frames taken; the sender lets at most `limit` frames go
+/// uncredited. The return path also carries the worker's checkpoint
+/// chunks, which the reader hands to the caller's ChunkFn. The counts
+/// belong to one socket pair: reset() them when the peer is respawned.
 class CreditWindow {
  public:
+  /// Takes one kCheckpoint chunk off the return path (its header epoch
+  /// and payload); returns why it is rejected, or an empty string.
+  using ChunkFn = std::function<std::string(
+      std::uint64_t epoch, const std::vector<std::uint8_t>& payload)>;
+
   explicit CreditWindow(std::uint64_t limit) : limit_(limit) {
     SKW_EXPECTS(limit > 0);
   }
 
-  /// Readies one send on `channel`: takes every credit already readable
+  /// Readies one send on `channel`: takes every frame already readable
   /// without blocking, then waits up to `timeout_ms` for each further
-  /// credit while `limit` frames are uncredited. Returns an empty string
+  /// frame while `limit` frames are uncredited. Returns an empty string
   /// when the frame may go out, else why the peer failed: a missed
-  /// deadline (wedged), EOF (crashed), or a rejected frame — a bad
-  /// header, another frame type, a payload, or a count that does not
+  /// deadline (wedged), EOF (crashed), a chunk `on_chunk` rejects (any
+  /// chunk, without one), or a rejected frame — a bad header, another
+  /// frame type, a credit with a payload, or a count that does not
   /// advance or passes the frames sent. Never aborts on peer bytes.
-  [[nodiscard]] std::string acquire(FrameChannel& channel, int timeout_ms);
+  [[nodiscard]] std::string acquire(FrameChannel& channel, int timeout_ms,
+                                    const ChunkFn& on_chunk = {});
+
+  /// Reads the return path until `done()`, waiting up to `timeout_ms`
+  /// for each frame; fails as acquire() does.
+  [[nodiscard]] std::string await(FrameChannel& channel, int timeout_ms,
+                                  const ChunkFn& on_chunk,
+                                  const std::function<bool()>& done);
 
   /// Counts one frame sent after a successful acquire().
   void sent() {
@@ -133,8 +154,16 @@ class CreditWindow {
   [[nodiscard]] std::uint64_t high_water() const { return high_water_; }
 
  private:
-  /// Reads and checks one credit; returns the failure reason, or empty.
-  [[nodiscard]] std::string take(FrameChannel& channel);
+  /// Takes every readable frame, then more, each within `timeout_ms`,
+  /// until `done()`; `what` names the deadline a timeout missed.
+  [[nodiscard]] std::string read_until(FrameChannel& channel, int timeout_ms,
+                                       const ChunkFn& on_chunk,
+                                       const std::function<bool()>& done,
+                                       const char* what);
+  /// Reads and checks one return-path frame; returns the failure reason,
+  /// or empty.
+  [[nodiscard]] std::string take(FrameChannel& channel,
+                                 const ChunkFn& on_chunk);
 
   std::uint64_t limit_;
   std::uint64_t sent_ = 0;

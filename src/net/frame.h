@@ -32,8 +32,11 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 /// Heartbeat). v3: the kSummary payload is one WorkerSketchSlab
 /// encoding, without v2's u32 section-count prefix. v4: kCredit, the
 /// data channel's credit window, and 24-byte kSummary cells (three
-/// validated doubles; the in-memory cell's pad is not shipped).
-inline constexpr std::uint8_t kWireVersion = 4;
+/// validated doubles; the in-memory cell's pad is not shipped). v5:
+/// kCheckpoint leaves ctrl and streams back on the data channel in
+/// chunks, behind the summary; kRestore carries a stored checkpoint's
+/// bytes verbatim plus the adjustments made since.
+inline constexpr std::uint8_t kWireVersion = 5;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
 /// summaries are a few MiB at most; anything bigger is a corrupt length
@@ -56,8 +59,10 @@ enum class FrameType : std::uint8_t {
   kPlanAck = 12, // ctrl, worker->driver: plan received (latency probe)
   kStop = 13,    // ctrl, driver->worker: shut down after Fin
   kFin = 14,     // ctrl, worker->driver: final checksums + counters
-  kCheckpoint = 15,  // ctrl, worker->driver: post-seal state checkpoint
-  kRestore = 16,     // ctrl, driver->worker: reinstall a checkpoint
+  kCheckpoint = 15,  // data, worker->driver: one chunk of the post-seal
+                     // state checkpoint (epoch = the checkpoint's)
+  kRestore = 16,     // ctrl, driver->worker: reinstall a checkpoint and
+                     // the migrations since
   kRestoreAck = 17,  // ctrl, worker->driver: checkpoint reinstalled
   kHeartbeat = 18,   // ctrl, worker->driver: epoch-progress liveness beat
   kCredit = 19,      // data, worker->driver: batches taken (cumulative

@@ -1,6 +1,7 @@
 #include "net/net_engine.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -15,17 +16,19 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "engine/state.h"
 #include "net/worker_main.h"
 #include "sketch/sketch_stats_window.h"
 
 namespace skewless {
 namespace {
 
-/// Base respawn backoff: recovery attempt i sleeps kRespawnBackoffMs << i
-/// milliseconds.
+/// Base respawn backoff: retry i (the first respawn is retry 0 and does
+/// not wait) sleeps kRespawnBackoffMs << (i - 1) milliseconds.
 constexpr int kRespawnBackoffMs = 2;
-/// Byte budget of each worker's replay buffer (the open epoch's routed
-/// batches). Overflow makes a crash in that epoch fatal rather than
+/// Byte budget of each worker's replay buffer (the routed batches of the
+/// open epoch and of the sealed one whose checkpoint is still streaming).
+/// Overflow makes a crash while the hole is retained fatal rather than
 /// silently unreplayable.
 constexpr std::size_t kReplayMaxBytes = 256u << 20;
 
@@ -34,6 +37,24 @@ std::vector<std::size_t> every_worker(std::size_t n) {
   std::iota(all.begin(), all.end(), std::size_t{0});
   return all;
 }
+
+/// A summary's checksum for the replay check. The latency sum is read off
+/// the wall clock, so no replay reproduces it: it is zeroed in the
+/// caller's scratch buffer first.
+std::uint64_t summary_checksum(std::vector<std::uint8_t>& summary) {
+  constexpr std::size_t kAt = WorkerSketchSlab::kLatencySumOffset;
+  if (summary.size() >= kAt + sizeof(double)) {
+    std::memset(summary.data() + kAt, 0, sizeof(double));
+  }
+  return payload_checksum(summary);
+}
+
+/// Counts the outputs of a fold no worker reports.
+class CountingCollector final : public Collector {
+ public:
+  void emit(const Tuple& /*tuple*/) override { ++count; }
+  std::uint64_t count = 0;
+};
 
 }  // namespace
 
@@ -69,6 +90,14 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
 NetEngine::~NetEngine() { shutdown(); }
 
 bool NetEngine::spawn_one(std::size_t w, std::string& err) {
+#if defined(__GLIBC__)
+  // Each worker starts as a copy of this process, with every resident
+  // page of the heap mapped — free chunks the allocator kept from
+  // earlier work included. Hand those back to the OS first so they are
+  // not part of the worker's resident set, and a respawned worker's
+  // restore allocates fresh pages instead of copying the driver's.
+  ::malloc_trim(0);
+#endif
   int data_fds[2];
   int ctrl_fds[2];
   if (!make_socket_pair(data_fds, err)) return false;
@@ -127,13 +156,6 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
 void NetEngine::spawn_workers() {
   const auto n = static_cast<std::size_t>(num_workers_);
   workers_.resize(n);
-#if defined(__GLIBC__)
-  // Each worker starts as a copy of this process, with every resident
-  // page of the heap mapped — free chunks the allocator kept from
-  // earlier work included. Hand those back to the OS first so they are
-  // not part of every worker's resident set.
-  ::malloc_trim(0);
-#endif
   for (std::size_t w = 0; w < n; ++w) {
     std::string err;
     if (!spawn_one(w, err)) {
@@ -235,20 +257,23 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
       degrade_worker(w);
       return false;
     }
-    const int backoff_ms = kRespawnBackoffMs << wk.recover_attempts;
-    ++wk.recover_attempts;
-    if (backoff_ms > 0) {
+    // The first respawn goes at once; each retry after it backs off.
+    if (wk.recover_attempts > 0) {
+      const int backoff_ms = kRespawnBackoffMs << (wk.recover_attempts - 1);
       ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
     }
+    ++wk.recover_attempts;
     ++wk.incarnation;  // one-shot fault events stay disarmed
     std::string err;
     if (!spawn_one(w, err)) continue;
     if (!handshake_one(w, err)) {
-      reap_worker(w, "respawn handshake failed");
+      reap_worker(w, ("respawn handshake failed: " + err).c_str());
       continue;
     }
-    if (!restore_worker(w)) {
-      reap_worker(w, "checkpoint restore failed");
+    err = restore_worker(w);
+    if (!ok()) return false;  // the replay was not deterministic
+    if (!err.empty()) {
+      reap_worker(w, ("checkpoint restore failed: " + err).c_str());
       continue;
     }
     owed_install_acks_[w] = 0;  // the restore re-delivered any pendings
@@ -280,60 +305,188 @@ CheckpointPayload NetEngine::effective_checkpoint(std::size_t w) const {
   return eff;
 }
 
-bool NetEngine::restore_worker(std::size_t w) {
+std::string NetEngine::restore_worker(std::size_t w) {
   Worker& wk = workers_[w];
-  const CheckpointPayload eff = effective_checkpoint(w);
+  Checkpoint& cp = checkpoints_[w];
+  // The stored checkpoint goes out as the bytes that arrived, with the
+  // migrations since appended: nothing is decoded or re-encoded here.
   frame_scratch_.clear();
-  encode_checkpoint(frame_scratch_, eff);
-  if (!wk.ctrl.send(FrameType::kRestore, eff.epoch, frame_scratch_)) {
-    return false;
+  if (cp.payload.empty()) {
+    encode_checkpoint(frame_scratch_, CheckpointPayload{});  // none yet
+  }
+  encode_key_list(frame_scratch_, std::vector<KeyId>(migrated_away_[w].begin(),
+                                                     migrated_away_[w].end()));
+  frame_scratch_.u32(static_cast<std::uint32_t>(pending_installs_[w].size()));
+  for (const PendingInstall& p : pending_installs_[w]) {
+    encode_key_state(frame_scratch_, p.state.key, p.state.blob);
+  }
+  if (!wk.ctrl.send(FrameType::kRestore, cp.epoch, cp.payload.data(),
+                    cp.payload.size(), frame_scratch_.bytes().data(),
+                    frame_scratch_.size())) {
+    return "Restore send failed: " + wk.ctrl.last_error();
   }
   FrameHeader header;
-  if (recv_ctrl_any(w, header, recv_scratch_) != CtrlRecv::kFrame) {
-    return false;
+  const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
+  if (rc != CtrlRecv::kFrame) {
+    return "RestoreAck: " + ctrl_failure_reason(w, rc);
   }
-  if (header.type != FrameType::kRestoreAck) return false;
-  // Re-deliver the control context the checkpoint predates: the expiry
-  // watermark and heavy set in force when the open epoch began. Expire
-  // is idempotent and the checkpointed blobs predate any expiry the
-  // original worker applied after its seal, so re-applying it restores
-  // the original post-install window content.
-  if (expire_sent_) {
-    frame_scratch_.clear();
-    encode_expire(frame_scratch_, last_expire_watermark_);
-    if (!wk.ctrl.send(FrameType::kExpire, 0, frame_scratch_)) return false;
+  if (header.type != FrameType::kRestoreAck) {
+    return std::string("unexpected ") + frame_type_name(header.type) +
+           " while awaiting RestoreAck";
   }
-  if (heavy_broadcast_done_) {
-    frame_scratch_.clear();
-    encode_key_list(frame_scratch_, last_heavy_keys_);
-    if (!wk.ctrl.send(FrameType::kHeavySet, 0, frame_scratch_)) return false;
+  // A sealed epoch whose summary was absorbed but whose checkpoint never
+  // landed is replayed first, under the context it ran under, and resealed.
+  const std::uint64_t sealed = cp.awaited;
+  std::string why;
+  if (sealed != 0) {
+    SKW_LOG_INFO(
+        "net worker %zu: checkpoint %llu is lost; replaying epoch %llu from "
+        "checkpoint %llu",
+        w, static_cast<unsigned long long>(sealed),
+        static_cast<unsigned long long>(sealed),
+        static_cast<unsigned long long>(cp.epoch));
+    cp.restart();
+    // The boundary that sealed the epoch may already have broadcast its
+    // own context; the epoch ran under the one before.
+    const bool sealed_context_sent = context_.epoch == sealed;
+    why = send_context(w, sealed_context_sent ? prev_context_ : context_);
+    if (why.empty()) why = replay(w, 0, sealed);
+    if (why.empty()) why = send_seal(w, sealed, replay_[w].count(sealed));
+    // The next context must not go out before the regenerated summary is
+    // in: ctrl has priority at the worker, which would apply it to the
+    // sealed epoch's replayed batches.
+    if (why.empty()) why = check_replayed_summary(w, sealed);
+    if (why.empty() && sealed_context_sent) why = send_context(w, context_);
+  } else {
+    why = send_context(w, context_);
   }
   // Verbatim replay of the open epoch's recorded batches: the same bytes
   // in the same order, so the restored worker's fold — local-map rehash
-  // trajectory included — is bit-identical to the lost worker's. The
-  // replay goes through the credit window like any batch, so the new
-  // worker's credits never pile up unread; a failure here is the retry
-  // loop's to handle.
-  for (const ReplayBuffer::RecordedBatch& batch : replay_[w].batches()) {
-    const std::string why =
-        send_batch(w, batch.epoch, batch.payload.data(), batch.payload.size());
-    if (!why.empty()) {
-      SKW_LOG_INFO("net worker %zu replay failed: %s", w, why.c_str());
-      return false;
-    }
-  }
-  if (wk.seal_sent) {
+  // trajectory included — is bit-identical to the lost worker's.
+  if (why.empty()) why = replay(w, sealed + 1, ~std::uint64_t{0});
+  if (why.empty() && wk.seal_sent) {
     // The crash happened between the seal broadcast and this worker's
     // summary: re-arm the seal so the replayed epoch closes again.
+    why = send_seal(w, static_cast<std::uint64_t>(interval_) + 1,
+                    wk.batches_sent);
+  }
+  return why;
+}
+
+std::string NetEngine::send_context(std::size_t w,
+                                    const BoundaryContext& context) {
+  if (context.epoch == 0) return {};  // before the first boundary
+  FrameChannel& ctrl = workers_[w].ctrl;
+  // Expire is idempotent and a checkpoint's blobs predate any expiry the
+  // original worker applied after its seal, so re-applying it restores
+  // the original post-install window content.
+  if (context.expire) {
     frame_scratch_.clear();
-    encode_seal(frame_scratch_, SealPayload{wk.batches_sent});
-    if (!wk.ctrl.send(FrameType::kSeal,
-                      static_cast<std::uint64_t>(interval_) + 1,
-                      frame_scratch_)) {
-      return false;
+    encode_expire(frame_scratch_, context.watermark);
+    if (!ctrl.send(FrameType::kExpire, 0, frame_scratch_)) {
+      return "Expire send failed: " + ctrl.last_error();
     }
   }
-  return true;
+  frame_scratch_.clear();
+  encode_key_list(frame_scratch_, context.heavy_keys);
+  if (!ctrl.send(FrameType::kHeavySet, 0, frame_scratch_)) {
+    return "HeavySet send failed: " + ctrl.last_error();
+  }
+  return {};
+}
+
+std::string NetEngine::send_seal(std::size_t w, std::uint64_t epoch,
+                                 std::uint64_t batches) {
+  frame_scratch_.clear();
+  encode_seal(frame_scratch_, SealPayload{batches});
+  if (!workers_[w].ctrl.send(FrameType::kSeal, epoch, frame_scratch_)) {
+    return "Seal send failed: " + workers_[w].ctrl.last_error();
+  }
+  return {};
+}
+
+std::string NetEngine::replay(std::size_t w, std::uint64_t first,
+                              std::uint64_t last) {
+  // The replay goes through the credit window like any batch, so the new
+  // worker's credits never pile up unread. Batches are indexed from the
+  // end: the same credit reads take checkpoint chunks, and a checkpoint
+  // that lands mid-replay drops batches from the front.
+  const std::vector<ReplayBuffer::RecordedBatch>& batches =
+      replay_[w].batches();
+  std::size_t span = 0;
+  std::size_t after = 0;
+  for (const ReplayBuffer::RecordedBatch& batch : batches) {
+    if (batch.epoch > last) {
+      ++after;
+    } else if (batch.epoch >= first) {
+      ++span;
+    }
+  }
+  for (std::size_t left = span; left > 0; --left) {
+    const ReplayBuffer::RecordedBatch& batch =
+        batches[batches.size() - after - left];
+    const std::string why =
+        send_batch(w, batch.epoch, batch.payload.data(), batch.payload.size());
+    if (!why.empty()) return "replay: " + why;
+  }
+  return {};
+}
+
+std::string NetEngine::check_replayed_summary(std::size_t w,
+                                              std::uint64_t epoch) {
+  FrameHeader header;
+  const CtrlRecv rc = recv_ctrl_any(w, header, recv_scratch_);
+  if (rc != CtrlRecv::kFrame) {
+    return "replayed Summary: " + ctrl_failure_reason(w, rc);
+  }
+  if (header.type != FrameType::kSummary || header.epoch != epoch) {
+    return std::string("unexpected ") + frame_type_name(header.type) +
+           " while awaiting the replayed epoch-" + std::to_string(epoch) +
+           " Summary";
+  }
+  // The epoch's statistics were absorbed from the lost worker's summary;
+  // the regenerated one is dropped once it proves the replay matched.
+  if (summary_checksum(recv_scratch_) != checkpoints_[w].summary_checksum) {
+    fail("worker " + std::to_string(w) + ": the replay of epoch " +
+         std::to_string(epoch) +
+         " regenerated a different summary (the replay was not "
+         "deterministic)");
+    return error_;
+  }
+  return {};
+}
+
+void NetEngine::fold_sealed_epoch(std::size_t w, CheckpointPayload& eff) {
+  const Checkpoint& cp = checkpoints_[w];
+  StateStore store;
+  for (const WireKeyState& wire : eff.states) {
+    ByteReader blob(wire.blob, ByteReader::Untrusted{});
+    std::unique_ptr<KeyState> state = logic_->deserialize_state(blob);
+    if (state == nullptr || !blob.ok() || !blob.exhausted()) continue;
+    store.install_or_replace(wire.key, std::move(state));
+  }
+  const BoundaryContext& in_force =
+      context_.epoch == cp.awaited ? prev_context_ : context_;
+  if (in_force.expire) store.expire_before(in_force.watermark);
+  BatchFold fold;
+  CountingCollector outputs;
+  std::vector<Tuple> tuples;
+  for (const ReplayBuffer::RecordedBatch& batch : replay_[w].batches()) {
+    if (batch.epoch != cp.awaited) continue;
+    ByteReader in(batch.payload, ByteReader::Untrusted{});
+    if (!decode_tuple_batch(in, tuples)) continue;  // our own bytes
+    fold.run(tuples, steady_now_us() - engine_epoch_us_, store, *logic_,
+             outputs);
+  }
+  total_outputs_ += outputs.count;
+  eff.states.clear();
+  ByteWriter blob;
+  for (const auto& [key, state] : store.states()) {
+    blob.clear();
+    state->serialize(blob);
+    eff.states.push_back(WireKeyState{key, blob.bytes()});
+  }
+  replay_[w].drop_through(cp.awaited);
 }
 
 void NetEngine::degrade_worker(std::size_t w) {
@@ -357,6 +510,12 @@ void NetEngine::degrade_worker(std::size_t w) {
   // checkpoint vouches for here. The open epoch's tuples are re-routed
   // below and re-counted when the survivors seal them.
   total_outputs_ += eff.outputs;
+  if (checkpoints_[w].awaited != 0) {
+    // The sealed epoch's statistics and processed count were absorbed
+    // from its summary, so re-routing its tuples would count them twice:
+    // fold them here into the states they were bound for.
+    fold_sealed_epoch(w, eff);
+  }
   if (stopped_) {
     // Shutdown-time degrade: there is no next interval to re-home into,
     // so the checkpointed states fold straight into the final tallies
@@ -511,7 +670,8 @@ std::string NetEngine::send_batch(std::size_t w, std::uint64_t epoch,
   // 2 x kQueueBatches of them ever wait unread: a worker blocked on
   // writing a credit would stop reading batches, and then miss a summary
   // deadline while perfectly healthy.
-  const std::string why = wk.credits.acquire(wk.data, config_.ctrl_timeout_ms);
+  const std::string why =
+      wk.credits.acquire(wk.data, config_.ctrl_timeout_ms, chunk_taker(w));
   if (!why.empty()) return "worker " + std::to_string(w) + " " + why;
   if (!wk.data.send(FrameType::kBatch, epoch, payload, size)) {
     return "data send failed: " + wk.data.last_error();
@@ -594,82 +754,88 @@ IntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
 
 bool NetEngine::absorb_summaries(std::uint64_t epoch, SlabTally& tally) {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
-    // The summary is only a CANDIDATE until the same epoch's checkpoint
-    // lands: a worker that dies between the two is replayed from its
-    // previous checkpoint, and absorbing its summary early would count
-    // the epoch twice. The buffered summary is absorbed the moment the
-    // checkpoint confirms the epoch completed durably.
-    bool have_summary = false;
-    bool have_checkpoint = false;
-    while (!(have_summary && have_checkpoint)) {
-      if (!ok()) return false;
-      if (workers_[w].dead) break;  // degraded while waiting
-      // The summary lands in summary_buf_, what follows it (the
-      // checkpoint) in checkpoint_buf_: each buffer keeps the capacity
-      // of one payload kind, so no copy and no reallocation per frame.
-      std::vector<std::uint8_t>& buf =
-          have_summary ? checkpoint_buf_ : summary_buf_;
+    // Each summary is absorbed the moment it is read; the checkpoint
+    // behind it streams in during the next interval. Every checkpoint was
+    // awaited before the seal, so a worker recovered here restores its
+    // latest one and replays this epoch alone.
+    while (ok() && !workers_[w].dead) {
       FrameHeader header;
-      const CtrlRecv rc = recv_ctrl_any(w, header, buf);
+      const CtrlRecv rc = recv_ctrl_any(w, header, summary_buf_);
       std::string why;
       if (rc != CtrlRecv::kFrame) {
         why = ctrl_failure_reason(w, rc);
-      } else if (header.type == FrameType::kSummary) {
-        if (header.epoch == epoch) {
-          // A repeated summary replaces the first.
-          if (have_summary) summary_buf_.swap(checkpoint_buf_);
-          have_summary = true;
-        } else {
-          why = "Summary for epoch " + std::to_string(header.epoch) +
-                ", expected " + std::to_string(epoch);
-        }
-      } else if (header.type == FrameType::kCheckpoint) {
-        ByteReader in(buf, ByteReader::Untrusted{});
-        std::uint64_t cp_epoch = 0;
-        if (have_summary && check_checkpoint(in, cp_epoch) &&
-            in.exhausted() && cp_epoch == epoch) {
-          // Kept as the validated bytes; the previous checkpoint's
-          // buffer receives the next one.
-          checkpoints_[w].epoch = epoch;
-          checkpoints_[w].payload.swap(checkpoint_buf_);
-          // The epoch is durable: its batches are reflected in the
-          // checkpoint, migration bookkeeping older than it is stale, and
-          // the worker proved forward progress (retry budget refills).
-          replay_[w].clear();
-          migrated_away_[w].clear();
-          std::erase_if(pending_installs_[w], [&](const PendingInstall& p) {
-            return p.epoch < epoch;
-          });
-          workers_[w].seal_sent = false;
-          workers_[w].batches_sent = 0;
-          workers_[w].recover_attempts = 0;
-          have_checkpoint = true;
-        } else {
-          why = "bad Checkpoint at epoch " + std::to_string(epoch);
-        }
-      } else {
+      } else if (header.type != FrameType::kSummary || header.epoch != epoch) {
         why = std::string("unexpected ") + frame_type_name(header.type) +
-              " while awaiting the boundary summary";
+              " for epoch " + std::to_string(header.epoch) +
+              " while awaiting the epoch-" + std::to_string(epoch) +
+              " summary";
+      } else {
+        ByteReader in(summary_buf_, ByteReader::Untrusted{});
+        if (!scratch_slab_->deserialize_from(in) || !in.exhausted() ||
+            scratch_slab_->epoch() != epoch) {
+          // A post-seal worker produced this; not a crash we can replay.
+          fail("corrupt boundary summary from worker " + std::to_string(w));
+          return false;
+        }
+        // Summed while the decode left the bytes in cache.
+        Checkpoint& cp = checkpoints_[w];
+        cp.summary_checksum = summary_checksum(summary_buf_);
+        tally.absorb(*sketch_stats_, *scratch_slab_, w);
+        cp.awaited = epoch;
+        cp.restart();
+        workers_[w].seal_sent = false;
+        workers_[w].batches_sent = 0;
+        break;
       }
-      if (why.empty()) continue;
-      have_summary = false;  // a recovered worker re-seals from scratch
-      if (!recover_worker(w, why)) {
-        if (!ok()) return false;
-        break;  // degraded
-      }
+      (void)recover_worker(w, why);
     }
-    if (workers_[w].dead || !have_summary) continue;  // degraded mid-epoch
-    ByteReader in(summary_buf_, ByteReader::Untrusted{});
-    if (!scratch_slab_->deserialize_from(in) || !in.exhausted() ||
-        scratch_slab_->epoch() != epoch) {
-      // A post-seal worker produced this; not a crash we can replay.
-      fail("corrupt boundary summary from worker " + std::to_string(w));
-      return false;
-    }
-    tally.absorb(*sketch_stats_, *scratch_slab_, w);
+    if (!ok()) return false;
   }
   return true;
+}
+
+CreditWindow::ChunkFn NetEngine::chunk_taker(std::size_t w) {
+  return [this, w](std::uint64_t epoch,
+                   const std::vector<std::uint8_t>& payload) {
+    ByteReader in(payload, ByteReader::Untrusted{});
+    CheckpointChunk chunk;
+    if (!decode_chunk(in, chunk)) {
+      return std::string("sent a truncated Checkpoint chunk");
+    }
+    Checkpoint& cp = checkpoints_[w];
+    std::string why = cp.add(epoch, chunk);
+    if (why.empty() && cp.complete()) land_checkpoint(w);
+    return why;
+  };
+}
+
+void NetEngine::land_checkpoint(std::size_t w) {
+  Checkpoint& cp = checkpoints_[w];
+  cp.land();
+  // The epoch is durable: its batches are reflected in the checkpoint,
+  // migration bookkeeping older than it is stale, and the worker proved
+  // forward progress (retry budget refills).
+  replay_[w].drop_through(cp.epoch);
+  migrated_away_[w].clear();
+  std::erase_if(pending_installs_[w], [&](const PendingInstall& p) {
+    return p.epoch < cp.epoch;
+  });
+  workers_[w].recover_attempts = 0;
+}
+
+bool NetEngine::await_checkpoints() {
+  for (std::size_t w = 0; w < workers_.size() && ok(); ++w) {
+    while (ok() && !workers_[w].dead && checkpoints_[w].awaited != 0) {
+      Worker& wk = workers_[w];
+      const std::string why =
+          wk.credits.await(wk.data, config_.ctrl_timeout_ms, chunk_taker(w),
+                           [&] { return checkpoints_[w].awaited == 0; });
+      if (!why.empty()) {
+        (void)recover_worker(w, "worker " + std::to_string(w) + " " + why);
+      }
+    }
+  }
+  return ok();
 }
 
 bool NetEngine::send_ctrl(std::size_t w, FrameType type,
@@ -742,6 +908,9 @@ bool NetEngine::round_trip(const std::vector<std::size_t>& targets,
 
 bool NetEngine::execute_migration(const RebalancePlan& plan,
                                   IntervalReport& report) {
+  // The sources' migrated_away_ bookkeeping is relative to their latest
+  // checkpoint, so this boundary's checkpoints land before any key moves.
+  if (!await_checkpoints()) return false;
   const auto n = static_cast<std::size_t>(num_workers_);
   std::vector<std::vector<KeyId>> by_source(n);
   std::unordered_set<KeyId> planned;
@@ -832,7 +1001,10 @@ void NetEngine::finish_interval(IntervalReport& report) {
   // batches are in flight and its summary is owed.
   inject_kills(static_cast<std::uint64_t>(interval_) + 1);
   flush_batches();
-  if (!ok()) return;
+  // The previous boundary's checkpoints streamed in during this interval;
+  // one still outstanding is awaited here, so no worker seals with one in
+  // flight.
+  if (!ok() || !await_checkpoints()) return;
   const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
   // Seal on CTRL: even with the data sockets full to the brim, the seal
   // is written to an empty buffer and read with priority — control never
@@ -853,23 +1025,24 @@ void NetEngine::finish_interval(IntervalReport& report) {
   // the next interval's hot keys accumulate exactly in the worker slabs.
   // Written before any next-interval batch, drained by the workers
   // before any next-interval batch (ctrl priority). A worker recovered
-  // here gets both from its restore.
-  last_heavy_keys_ = sketch_stats_->heavy_keys();
-  heavy_broadcast_done_ = true;
+  // here gets both from its restore. The previous context stays until
+  // this boundary's checkpoints land: it is what the sealed epoch ran
+  // under.
+  std::swap(prev_context_, context_);
+  context_.epoch = epoch;
+  context_.heavy_keys = sketch_stats_->heavy_keys();
+  context_.expire = config_.expire_lag_intervals > 0;
+  context_.watermark =
+      (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
   if (!broadcast(FrameType::kHeavySet, 0, [&](std::size_t) {
-        encode_key_list(frame_scratch_, last_heavy_keys_);
+        encode_key_list(frame_scratch_, context_.heavy_keys);
       })) {
     return;
   }
-  if (config_.expire_lag_intervals > 0) {
-    last_expire_watermark_ =
-        (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
-    expire_sent_ = true;
-    if (!broadcast(FrameType::kExpire, 0, [&](std::size_t) {
-          encode_expire(frame_scratch_, last_expire_watermark_);
-        })) {
-      return;
-    }
+  if (context_.expire && !broadcast(FrameType::kExpire, 0, [&](std::size_t) {
+        encode_expire(frame_scratch_, context_.watermark);
+      })) {
+    return;
   }
   report.recoveries = recoveries_;
   report.degraded = degraded_;
@@ -943,23 +1116,26 @@ void NetEngine::shutdown() {
   stopped_ = true;
   if (ok()) {
     flush_batches();
-    // A crash this late is still recoverable: the restored worker replays
-    // its open epoch, then gets a fresh Stop. A degraded worker's
-    // checkpoint was folded into the finals by degrade_worker.
-    (void)round_trip(
-        every_worker(workers_.size()), FrameType::kStop, 0,
-        [](std::size_t) {}, FrameType::kFin, /*resend=*/true,
-        [&](std::size_t w, ByteReader& in) {
-          FinPayload fin;
-          if (!decode_fin(in, fin)) {
-            fail("corrupt Fin from worker " + std::to_string(w));
-            return Reply::kFail;
-          }
-          final_checksum_ += fin.state_checksum;
-          final_state_entries_ += fin.state_entries;
-          total_outputs_ += fin.outputs;
-          return Reply::kAccept;
-        });
+    // Every checkpoint lands before the workers stop. A crash this late
+    // is still recoverable: the restored worker replays its open epoch,
+    // then gets a fresh Stop. A degraded worker's checkpoint was folded
+    // into the finals by degrade_worker.
+    if (await_checkpoints()) {
+      (void)round_trip(
+          every_worker(workers_.size()), FrameType::kStop, 0,
+          [](std::size_t) {}, FrameType::kFin, /*resend=*/true,
+          [&](std::size_t w, ByteReader& in) {
+            FinPayload fin;
+            if (!decode_fin(in, fin)) {
+              fail("corrupt Fin from worker " + std::to_string(w));
+              return Reply::kFail;
+            }
+            final_checksum_ += fin.state_checksum;
+            final_state_entries_ += fin.state_entries;
+            total_outputs_ += fin.outputs;
+            return Reply::kAccept;
+          });
+    }
   }
   // Whether the stop handshake succeeded or fail() already killed the
   // children, every pid must be reaped exactly once.

@@ -10,59 +10,75 @@
 //     batches go uncredited (a CreditWindow), so a slow worker
 //     backpressures the driver through the same bound as the threaded
 //     engine's queues, whatever the batch size or the kernel's buffer.
+//     Its return path also carries the worker's checkpoint, in kCheckpoint
+//     chunks sent between batches; the driver collects them wherever it
+//     reads credits.
 //   * ctrl channel — everything else (seal, boundary summary, heavy-set
-//     broadcast, plan, migration, checkpoint, shutdown). A separate
-//     socket means a control frame NEVER queues behind a data backlog —
-//     the socket translation of the force_push lesson from the
-//     in-process engine.
+//     broadcast, plan, migration, restore, shutdown). A separate socket
+//     means a control frame NEVER queues behind a data backlog or a
+//     checkpoint's bulk bytes — the socket translation of the force_push
+//     lesson from the in-process engine.
 //
 // Epoch protocol (mirrors ThreadedEngine's inline boundary):
 //   1. the driver routes the interval's tuples as kBatch frames, counting
 //      frames per worker;
-//   2. at the boundary it sends each worker kSeal{epoch, batch count} on
-//      ctrl — the worker seals only after processing exactly that many
-//      batches, which re-establishes cross-channel ordering by content;
+//   2. at the boundary it first awaits any checkpoint still streaming
+//      from the previous boundary, then sends each worker kSeal{epoch,
+//      batch count} on ctrl — the worker seals only after processing
+//      exactly that many batches, which re-establishes cross-channel
+//      ordering by content;
 //   3. each worker serializes its WorkerSketchSlab as the kSummary
-//      boundary payload (O(sketch), never O(|K|)) and encodes a
-//      kCheckpoint snapshot of its key states straight from its
-//      StateStore — both BEFORE sending either, so the workers encode in
-//      parallel while the driver reads summaries one worker at a time.
-//      The driver validates each checkpoint without decoding it and
-//      keeps each worker's latest checkpoint as bytes (Checkpoint);
-//   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
-//      controller's SketchStatsWindow — the same fixed order as the
-//      in-process merge, which is what makes a net run byte-identical to
-//      a ThreadedEngine run on the same seed: identical plans, identical
-//      θ trajectory, identical state checksums;
+//      boundary payload (O(sketch), never O(|K|)) and sends it at once;
+//      only then does it encode a checkpoint of its key states straight
+//      from its StateStore and stream it back on the data channel, one
+//      chunk per event-loop pass, as the next interval's batches arrive.
+//      The driver validates the assembled checkpoint without decoding it
+//      and keeps each worker's latest one as bytes (Checkpoint);
+//   4. the driver absorbs each summary the moment it reads it, IN
+//      WORKER-INDEX ORDER, into the controller's SketchStatsWindow — the
+//      same fixed order as the in-process merge, which is what makes a net
+//      run byte-identical to a ThreadedEngine run on the same seed:
+//      identical plans, identical θ trajectory, identical state checksums;
 //   5. rolls/plans via close_statistics (Controller::end_interval, the
-//      same step the threaded engine runs), migrates state with
-//      kExtract / kMigrated / kInstall / kInstallAck (the driver forwards
-//      serialized state blobs without materializing them), broadcasts the
-//      post-roll heavy set, and only then routes the next interval.
+//      same step the threaded engine runs). Before a migration it awaits
+//      this boundary's checkpoints, then migrates state with kExtract /
+//      kMigrated / kInstall / kInstallAck (the driver forwards serialized
+//      state blobs without materializing them), broadcasts the post-roll
+//      heavy set, and only then routes the next interval. Shutdown awaits
+//      every checkpoint before kStop, so each worker has at most one in
+//      flight.
 //
 // Failure model (recovery is always on): a worker crash, wedge or
-// corrupt frame is detected by deadline-bounded control receives
-// (heartbeats extend the deadline; EOF/POLLHUP classifies a crash, a
-// timeout classifies a wedge). The driver then respawns the worker with
-// exponential backoff, reinstalls its last checkpoint (adjusted for any
-// migration since), re-broadcasts the heavy set and expiry watermark,
-// replays the open epoch's recorded batches VERBATIM, and re-seals.
-// Because the replayed bytes and control sequence are exactly the lost
-// worker's inputs, a recovered run is byte-identical to a crash-free
-// run: same plan-history digest, same θ bit patterns, same state
-// checksums. Every control exchange follows one policy (round_trip,
-// broadcast): a failed send, a failed or mistyped receive or a rejected
-// reply recovers the worker, which is then either asked again or — when
-// the restore already re-delivers what the request carried — left to
-// the restore. When the per-worker retry budget is exhausted the worker
-// degrades instead, which ends its part of the exchange: its keys and
-// checkpointed states are reassigned to the survivors and the run
-// finishes with every tuple still counted exactly once. A protocol
-// breach no restore can mend (a migrated key the plan never moved, a
-// corrupt Fin, a crash after the replay buffer overflowed) fails the
-// engine: it records a reason (error()), kills and reaps every worker,
-// and makes further engine calls no-ops — the driver process never
-// aborts on bytes a peer sent.
+// corrupt frame is detected by deadline-bounded receives (heartbeats
+// extend the control deadline; EOF/POLLHUP classifies a crash, a timeout
+// a wedge, and a checkpoint chunk out of sequence a corrupt frame). The
+// driver then respawns the worker with exponential backoff, sends its
+// last checkpoint's bytes verbatim plus the migrations since, re-sends the
+// heavy set and expiry watermark, replays the recorded batches VERBATIM,
+// and re-seals. A worker lost after its summary was absorbed but before
+// its checkpoint landed is restored from the checkpoint before: the
+// sealed epoch is replayed under that epoch's context and resealed, and
+// its regenerated summary — checked against the absorbed one, whose
+// statistics already count — is dropped before the next context and the
+// open epoch's batches go out. A mismatch means the replay was not
+// deterministic and fails the engine. Because the replayed bytes and
+// control sequence are exactly the lost worker's inputs, a recovered run
+// is byte-identical to a crash-free run: same plan-history digest, same θ
+// bit patterns, same state checksums. Every control exchange follows one
+// policy (round_trip, broadcast): a failed send, a failed or mistyped
+// receive or a rejected reply recovers the worker, which is then either
+// asked again or — when the restore already re-delivers what the request
+// carried — left to the restore. When the per-worker retry budget is
+// exhausted the worker degrades instead, which ends its part of the
+// exchange: its keys and checkpointed states are reassigned to the
+// survivors — a sealed epoch whose checkpoint never landed folded into
+// those states first, since its summary was absorbed — and the run
+// finishes with every tuple still counted exactly once. A protocol breach
+// no restore can mend (a migrated key the plan never moved, a corrupt
+// Fin, a replay that regenerates a different summary, a crash while the
+// replay buffer has a hole) fails the engine: it records a reason
+// (error()), kills and reaps every worker, and makes further engine calls
+// no-ops — the driver process never aborts on bytes a peer sent.
 #pragma once
 
 #include <cstdint>
@@ -99,16 +115,18 @@ struct NetConfig {
   // --- fault tolerance (checkpoint + replay recovery, always on) ---
   /// Deterministic fault schedule (tests / skewless_sim --fault).
   FaultPlan fault = {};
-  /// Deadline for any control-channel receive, for each credit the
-  /// driver waits for, and for channel I/O via SO_RCVTIMEO/SO_SNDTIMEO.
-  /// A worker that neither speaks nor heartbeats for this long, or holds
-  /// a full data channel for this long, is declared wedged and recovered.
+  /// Deadline for any control-channel receive, for each credit or
+  /// checkpoint chunk the driver waits for, and for channel I/O via
+  /// SO_RCVTIMEO/SO_SNDTIMEO. A worker that neither speaks nor heartbeats
+  /// for this long, holds a full data channel for this long, or leaves
+  /// an awaited checkpoint without a chunk for this long is declared
+  /// wedged and recovered.
   int ctrl_timeout_ms = 30'000;
   /// Worker heartbeat period; must be well under ctrl_timeout_ms.
   int heartbeat_interval_ms = 250;
   /// Respawn attempts per failure before degrading the worker away.
-  /// The budget resets whenever the worker completes an epoch
-  /// (checkpoint received) — it bounds retries per wedge, not per run.
+  /// The budget resets whenever the worker completes an epoch (its
+  /// checkpoint lands) — it bounds retries per wedge, not per run.
   int respawn_max_attempts = 3;
 };
 
@@ -145,9 +163,10 @@ class NetEngine {
   /// channel with broadcast_plan before finish_interval).
   IntervalReport ingest(const std::vector<Tuple>& tuples);
 
-  /// Closes the open interval: seal, summaries, checkpoints, absorb,
-  /// plan, migrate, heavy-set broadcast, expiry. Injected kKill faults
-  /// scheduled for this epoch fire at entry.
+  /// Closes the open interval: await the previous checkpoints, seal,
+  /// absorb the summaries, plan, migrate, heavy-set broadcast, expiry.
+  /// This epoch's checkpoints stream in during the next interval.
+  /// Injected kKill faults scheduled for this epoch fire at entry.
   void finish_interval(IntervalReport& report);
 
   /// Broadcasts a sparse plan on every worker's CONTROL channel and
@@ -202,8 +221,8 @@ class NetEngine {
   [[nodiscard]] std::uint64_t data_window_high_water(std::size_t w) const {
     return workers_[w].credits.high_water();
   }
-  /// Worker `w`'s latest checkpoint. The name stays because perfbench
-  /// reads memory_bytes() through it.
+  /// Worker `w`'s latest checkpoint and the one streaming in behind it.
+  /// The name stays because perfbench reads memory_bytes() through it.
   [[nodiscard]] const Checkpoint& checkpoint_ring(std::size_t w) const {
     return checkpoints_[w];
   }
@@ -216,15 +235,26 @@ class NetEngine {
     std::uint64_t batches_sent = 0;  // kBatch frames this epoch
     /// Bounds the kBatch frames waiting in `data`; reset at each spawn.
     CreditWindow credits{kQueueBatches};
-    /// The open epoch's kSeal went out; a restore must re-send it.
+    /// The open epoch's kSeal went out and its summary is not in yet; a
+    /// restore must re-send it.
     bool seal_sent = false;
     /// Retired after retry-budget exhaustion (degraded mode).
     bool dead = false;
     /// Consecutive recoveries without a completed epoch; reset when a
-    /// checkpoint arrives.
+    /// checkpoint lands.
     int recover_attempts = 0;
     /// Respawn generation; one-shot fault events arm only for 0.
     std::uint32_t incarnation = 0;
+  };
+
+  /// What a boundary broadcast to every worker after its roll: the heavy
+  /// set and, with expiry on, the watermark. A restored worker needs the
+  /// one in force during each epoch it replays.
+  struct BoundaryContext {
+    std::uint64_t epoch = 0;  // the boundary's epoch; 0 = none yet
+    std::vector<KeyId> heavy_keys;
+    bool expire = false;
+    Micros watermark = 0;
   };
 
   /// Outcome of one bounded control receive.
@@ -260,14 +290,44 @@ class NetEngine {
   /// is live again; false when it was degraded away or the engine
   /// failed (check ok()).
   [[nodiscard]] bool recover_worker(std::size_t w, const std::string& why);
-  [[nodiscard]] bool restore_worker(std::size_t w);
+  /// Brings a respawned worker `w` back to where the lost one was: sends
+  /// its latest checkpoint's bytes plus the migrations since, then
+  /// replays. With a checkpoint awaited (its epoch's summary absorbed),
+  /// that epoch is replayed and resealed first, and its regenerated
+  /// summary checked against the absorbed one. Returns why the restore
+  /// failed, or an empty string; fails the engine on a mismatch.
+  [[nodiscard]] std::string restore_worker(std::size_t w);
+  /// Sends a boundary's heavy set and expiry watermark to worker `w`.
+  [[nodiscard]] std::string send_context(std::size_t w,
+                                         const BoundaryContext& context);
+  [[nodiscard]] std::string send_seal(std::size_t w, std::uint64_t epoch,
+                                      std::uint64_t batches);
+  /// Re-sends worker `w`'s recorded batches of epochs first..last.
+  [[nodiscard]] std::string replay(std::size_t w, std::uint64_t first,
+                                   std::uint64_t last);
+  /// Receives a replayed epoch's summary and checks it against the one
+  /// absorbed for that epoch; a mismatch fails the engine.
+  [[nodiscard]] std::string check_replayed_summary(std::size_t w,
+                                                   std::uint64_t epoch);
   /// Latest checkpoint minus keys migrated away since, plus states
   /// installed since — the state worker `w` is responsible for. The
-  /// only place a checkpoint payload is decoded (restore and degrade).
+  /// only place a checkpoint payload is decoded (degrade).
   [[nodiscard]] CheckpointPayload effective_checkpoint(std::size_t w) const;
   /// Retry budget exhausted: retire `w`, re-home its checkpointed
   /// states and replay tuples onto the survivors.
   void degrade_worker(std::size_t w);
+  /// Degrading a worker whose awaited checkpoint never landed: folds that
+  /// epoch's recorded batches into `eff`'s states and counts their
+  /// outputs, recording no statistics (its summary was absorbed).
+  void fold_sealed_epoch(std::size_t w, CheckpointPayload& eff);
+  /// The return-path reader's handler for worker `w`'s checkpoint chunks.
+  [[nodiscard]] CreditWindow::ChunkFn chunk_taker(std::size_t w);
+  /// Worker `w`'s awaited checkpoint is complete: keep it, and drop the
+  /// recovery bookkeeping it makes stale.
+  void land_checkpoint(std::size_t w);
+  /// Reads every live worker's return path until its awaited checkpoint
+  /// has landed, recovering a worker that fails. Returns ok().
+  [[nodiscard]] bool await_checkpoints();
   /// Fires scheduled driver-side kKill events for `epoch`.
   void inject_kills(std::uint64_t epoch);
   void route_tuple(const Tuple& tuple);
@@ -307,8 +367,8 @@ class NetEngine {
                                 FrameType request, std::uint64_t epoch,
                                 const EncodeFn& encode, FrameType reply,
                                 bool resend, const AcceptFn& accept);
-  /// Receives every live worker's summary and checkpoint for `epoch`
-  /// and absorbs the summaries into `tally` in worker-index order.
+  /// Receives every live worker's summary for `epoch` and absorbs it into
+  /// `tally` the moment it lands, in worker-index order.
   [[nodiscard]] bool absorb_summaries(std::uint64_t epoch, SlabTally& tally);
   [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
                                        IntervalReport& report);
@@ -348,12 +408,8 @@ class NetEngine {
   std::unique_ptr<WorkerSketchSlab> scratch_slab_;
   ByteWriter frame_scratch_;
   std::vector<std::uint8_t> recv_scratch_;
-  /// Boundary receive buffers: the worker summary being absorbed (held
-  /// until its checkpoint lands), and the checkpoint that follows it.
-  /// A validated checkpoint swaps buffers with the worker's previous
-  /// one, so steady state allocates no multi-MB buffer per boundary.
+  /// Receive buffer of the boundary summary being absorbed.
   std::vector<std::uint8_t> summary_buf_;
-  std::vector<std::uint8_t> checkpoint_buf_;
 
   std::string error_;
   std::uint64_t total_processed_ = 0;
@@ -363,12 +419,10 @@ class NetEngine {
   std::size_t final_state_entries_ = 0;
   IntervalId interval_ = 0;
   Micros engine_epoch_us_ = 0;
-  /// The last broadcast heavy set / expiry watermark — a restored
-  /// worker needs both re-delivered before its replay.
-  std::vector<KeyId> last_heavy_keys_;
-  bool heavy_broadcast_done_ = false;
-  Micros last_expire_watermark_ = 0;
-  bool expire_sent_ = false;
+  /// The latest boundary's context, and the one before it: the sealed
+  /// epoch whose checkpoint may still be streaming ran under that one.
+  BoundaryContext context_;
+  BoundaryContext prev_context_;
   std::uint64_t recoveries_ = 0;
   bool degraded_ = false;
   double total_recovery_ms_ = 0.0;

@@ -15,11 +15,15 @@ namespace skewless {
 class Poller {
  public:
   /// Registers `fd` under a caller-chosen token (its index in `ready`
-  /// order is the registration order).
-  void add(int fd, int token);
+  /// order is the registration order). A slot watches for readability,
+  /// or with `writable` for room to write; the same fd may hold both.
+  void add(int fd, int token, bool writable = false);
+
+  /// Stops (or resumes) polling the slot registered under `token`.
+  void enable(int token, bool on);
 
   /// Waits up to `timeout_ms` (< 0 = forever) and fills `ready` with the
-  /// tokens of readable fds, in registration order. Returns false on a
+  /// tokens of ready slots, in registration order. Returns false on a
   /// poll error (reason in last_error()); a timeout returns true with
   /// `ready` empty.
   [[nodiscard]] bool wait(int timeout_ms, std::vector<int>& ready);
@@ -30,6 +34,8 @@ class Poller {
   struct Slot {
     int fd;
     int token;
+    bool writable;
+    bool on;
   };
   std::vector<Slot> slots_;
   std::string last_error_;

@@ -9,9 +9,6 @@ namespace {
 /// Field-wise tuple size on the wire (the struct itself has padding).
 constexpr std::size_t kTupleWireBytes = 8 + 8 + 8 + 4;
 
-/// Smallest key-state list entry: key + blob length, empty blob.
-constexpr std::size_t kMinKeyStateBytes = 8 + 4;
-
 /// A key-state list over live states — any range of (KeyId,
 /// unique_ptr<KeyState>) pairs — serialized through one reused writer.
 template <typename States>
@@ -31,15 +28,6 @@ void encode_counters(ByteWriter& out, const CheckpointCounters& c) {
   out.u64(c.outputs);
   out.u64(c.local_buckets);
   out.u64(c.state_checksum);
-}
-
-bool decode_counters(ByteReader& in, CheckpointCounters& c) {
-  c.epoch = in.u64();
-  c.processed = in.u64();
-  c.outputs = in.u64();
-  c.local_buckets = in.u64();
-  c.state_checksum = in.u64();
-  return in.ok();
 }
 
 }  // namespace
@@ -125,22 +113,13 @@ void encode_extracted_states(
 }
 
 bool decode_key_states(ByteReader& in, std::vector<WireKeyState>& states) {
-  const std::uint32_t n = in.u32();
-  if (!in.fits(n, kMinKeyStateBytes)) return false;
   states.clear();
-  states.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WireKeyState s;
-    s.key = in.u64();
-    const std::uint32_t blob_size = in.u32();
-    if (!in.fits(blob_size, 1)) return false;
-    s.blob.resize(blob_size);
-    if (blob_size > 0 && !in.read_into(s.blob.data(), blob_size)) {
-      return false;
-    }
-    states.push_back(std::move(s));
-  }
-  return in.ok();
+  return visit_key_states(in, [&](KeyId key, ByteReader& blob) {
+    WireKeyState& s = states.emplace_back();
+    s.key = key;
+    s.blob.resize(blob.remaining());
+    return blob.read_into(s.blob.data(), s.blob.size());
+  });
 }
 
 void encode_expire(ByteWriter& out, Micros watermark) { out.i64(watermark); }
@@ -198,24 +177,39 @@ void encode_store_checkpoint(ByteWriter& out,
   encode_live_states(out, store.states(), blob);
 }
 
+bool decode_checkpoint_counters(ByteReader& in, CheckpointCounters& c) {
+  c.epoch = in.u64();
+  c.processed = in.u64();
+  c.outputs = in.u64();
+  c.local_buckets = in.u64();
+  c.state_checksum = in.u64();
+  return in.ok();
+}
+
 bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp) {
-  if (!decode_counters(in, cp)) return false;
+  if (!decode_checkpoint_counters(in, cp)) return false;
   return decode_key_states(in, cp.states);
 }
 
 bool check_checkpoint(ByteReader& in, std::uint64_t& epoch) {
   CheckpointCounters counters;
-  const bool counters_ok = decode_counters(in, counters);
+  const bool counters_ok = decode_checkpoint_counters(in, counters);
   epoch = counters.epoch;
   if (!counters_ok) return false;
-  // decode_key_states' checks, in its order, minus the copies.
-  const std::uint32_t n = in.u32();
-  if (!in.fits(n, kMinKeyStateBytes)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    (void)in.u64();
-    if (!in.skip(in.u32())) return false;
-  }
-  return in.ok();
+  return visit_key_states(in, [](KeyId, ByteReader&) { return true; });
+}
+
+void encode_chunk_header(ByteWriter& out, std::uint32_t total,
+                         std::uint32_t offset) {
+  out.u32(total);
+  out.u32(offset);
+}
+
+bool decode_chunk(ByteReader& in, CheckpointChunk& chunk) {
+  chunk.total = in.u32();
+  chunk.offset = in.u32();
+  chunk.size = in.remaining();
+  return in.view(chunk.size, chunk.bytes);
 }
 
 void encode_heartbeat(ByteWriter& out, const HeartbeatPayload& hb) {

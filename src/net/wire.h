@@ -63,12 +63,39 @@ struct WireKeyState {
 };
 /// A key-state list is a u32 count followed by one entry per state: u64
 /// key, u32 blob length, blob bytes. Every list encoder below writes its
-/// entries through encode_key_state.
+/// entries through encode_key_state, and every decoder reads them through
+/// visit_key_states.
 void encode_key_state(ByteWriter& out, KeyId key,
                       const std::vector<std::uint8_t>& blob);
 void encode_key_states(ByteWriter& out, const std::vector<WireKeyState>& states);
 [[nodiscard]] bool decode_key_states(ByteReader& in,
                                      std::vector<WireKeyState>& states);
+
+/// Smallest key-state list entry: key + blob length, empty blob.
+inline constexpr std::size_t kMinKeyStateBytes = 8 + 4;
+
+/// Walks a key-state list without copying a blob: calls `visit(key,
+/// blob)` for each entry, with `blob` a checked reader over just that
+/// entry's bytes. A false from `visit` rejects the list (the reader's
+/// flag is set), as a truncated entry or an impossible count does.
+template <typename Visit>
+[[nodiscard]] bool visit_key_states(ByteReader& in, Visit&& visit) {
+  const std::uint32_t n = in.u32();
+  if (!in.fits(n, kMinKeyStateBytes)) return false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const KeyId key = in.u64();
+    const std::uint32_t size = in.u32();
+    const std::uint8_t* bytes = nullptr;
+    if (!in.view(size, bytes)) return false;
+    ByteReader blob(bytes, size, ByteReader::Untrusted{});
+    if (!visit(key, blob)) {
+      in.fail();
+      return false;
+    }
+  }
+  return in.ok();
+}
+
 /// The worker's kMigrated reply, written straight from the extracted
 /// states: each is serialized through the reusable `blob` writer, so no
 /// per-key buffer is allocated once `blob` has grown. Same bytes as
@@ -106,12 +133,16 @@ void encode_ack(ByteWriter& out, const AckPayload& ack);
 // --- kCheckpoint / kRestore -----------------------------------------------
 /// Post-seal worker checkpoint: every counter and state blob a respawned
 /// worker needs to resume the sealed epoch's successor deterministically.
-/// kRestore reuses the same encoding driver -> worker (the driver may
-/// first subtract keys migrated away since the checkpoint and add keys
-/// installed since — the "effective" checkpoint). `local_buckets` is the
-/// worker's per-batch scratch-map bucket count: fold order into the slab
-/// depends on that map's rehash history, so the restore re-establishes it
-/// before replaying (the byte-identity contract under recovery).
+/// `local_buckets` is the worker's per-batch scratch-map bucket count:
+/// fold order into the slab depends on that map's rehash history, so the
+/// restore re-establishes it before replaying (the byte-identity contract
+/// under recovery).
+///
+/// The worker streams these bytes back in kCheckpoint chunks (below). A
+/// kRestore payload is a stored checkpoint's bytes verbatim, followed by
+/// the adjustments made since it: the keys migrated away (a key list),
+/// then the states installed (a key-state list). The worker loads the
+/// checkpoint, drops those keys, then installs those states.
 struct CheckpointCounters {
   std::uint64_t epoch = 0;
   std::uint64_t processed = 0;
@@ -132,13 +163,33 @@ void encode_store_checkpoint(ByteWriter& out,
                              const CheckpointCounters& counters,
                              const StateStore& store, ByteWriter& blob);
 [[nodiscard]] bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp);
+/// The counters that open a checkpoint; its key-state list follows.
+[[nodiscard]] bool decode_checkpoint_counters(ByteReader& in,
+                                              CheckpointCounters& c);
 /// Validates a kCheckpoint payload without materializing it: every check
 /// decode_checkpoint makes (counters present, a state count that fits,
 /// each blob length within the input), leaving the reader at the same
 /// position and returning the same verdict, but allocating nothing.
 /// `epoch` receives the checkpoint's epoch. The driver keeps accepted
-/// payloads as bytes and decodes one only to restore or re-home a worker.
+/// payloads as bytes and decodes one only to re-home a degraded worker's
+/// states.
 [[nodiscard]] bool check_checkpoint(ByteReader& in, std::uint64_t& epoch);
+
+/// One piece of a checkpoint on the data channel's return path: the
+/// frame's epoch is the checkpoint's, and the payload is the checkpoint's
+/// total size, this piece's offset in it, and the piece's bytes (the rest
+/// of the payload).
+struct CheckpointChunk {
+  std::uint32_t total = 0;
+  std::uint32_t offset = 0;
+  const std::uint8_t* bytes = nullptr;  // a view into the decoded payload
+  std::size_t size = 0;
+};
+/// Payload bytes a chunk spends before its piece of the checkpoint.
+inline constexpr std::size_t kChunkHeaderBytes = 4 + 4;
+void encode_chunk_header(ByteWriter& out, std::uint32_t total,
+                         std::uint32_t offset);
+[[nodiscard]] bool decode_chunk(ByteReader& in, CheckpointChunk& chunk);
 
 // --- kHeartbeat -----------------------------------------------------------
 /// Epoch-progress liveness beat: how many batches of the open epoch the

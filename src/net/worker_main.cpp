@@ -11,6 +11,7 @@
 #include "engine/interval.h"
 #include "engine/state.h"
 #include "net/channel.h"
+#include "net/frame.h"
 #include "net/poller.h"
 #include "net/recovery.h"
 #include "net/wire.h"
@@ -45,9 +46,11 @@ class NetWorker {
 
   int run() {
     if (!handshake()) return kWorkerExitHandshake;
+    if (!size_chunks()) return kWorkerExitChannel;
     Poller poller;
     poller.add(ctrl_.fd(), kCtrl);
     poller.add(data_.fd(), kData);
+    poller.add(data_.fd(), kDataRoom, /*writable=*/true);
     std::vector<int> ready;
     // The poll wakes at the heartbeat period even when both channels are
     // idle, so liveness beats keep flowing while the driver is busy
@@ -58,24 +61,31 @@ class NetWorker {
       if (rc >= 0) return rc;
       const int hb_rc = maybe_heartbeat();
       if (hb_rc >= 0) return hb_rc;
+      poller.enable(kDataRoom, streaming());
       if (!poller.wait(poll_timeout, ready)) {
         return fail(kWorkerExitChannel, "poller", poller.last_error().c_str());
       }
       // Control has strict priority: every ready ctrl frame is handled
-      // before the next data frame. The driver's per-socket write order
-      // plus AF_UNIX's synchronous delivery make this sufficient for the
-      // cross-channel guarantees (a heavy set broadcast written before a
-      // batch is always drained before it).
+      // before the next chunk or data frame. The driver's per-socket
+      // write order plus AF_UNIX's synchronous delivery make this
+      // sufficient for the cross-channel guarantees (a heavy set
+      // broadcast written before a batch is always drained before it).
       bool ctrl_ready = false;
       bool data_ready = false;
+      bool data_room = false;
       for (const int token : ready) {
         ctrl_ready |= token == kCtrl;
         data_ready |= token == kData;
+        data_room |= token == kDataRoom;
       }
       if (ctrl_ready) {
         const int ctrl_rc = handle_ctrl_frame();
         if (ctrl_rc >= 0) return ctrl_rc;
         continue;  // re-poll: drain ALL queued control before any data
+      }
+      if (data_room && streaming()) {
+        const int chunk_rc = send_chunk();
+        if (chunk_rc >= 0) return chunk_rc;
       }
       if (data_ready) {
         const int data_rc = handle_data_frame();
@@ -87,6 +97,8 @@ class NetWorker {
  private:
   static constexpr int kCtrl = 0;
   static constexpr int kData = 1;
+  /// The data socket has room to write (polled only while streaming).
+  static constexpr int kDataRoom = 2;
   /// Handler return: -1 = keep running, >= 0 = exit with that code.
   static constexpr int kKeepRunning = -1;
 
@@ -172,31 +184,71 @@ class NetWorker {
     return true;
   }
 
+  /// Sizes the checkpoint chunks from the data socket's send buffer. Linux
+  /// reports an AF_UNIX socket writable only while at most a quarter of
+  /// that buffer is in use, so a chunk frame of at most half of it always
+  /// fits without blocking, with room left for credits behind it.
+  bool size_chunks() {
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    if (::getsockopt(data_.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len) != 0) {
+      fail(kWorkerExitChannel, "getsockopt", "SO_SNDBUF");
+      return false;
+    }
+    const auto half = static_cast<std::size_t>(sndbuf) / 2;
+    constexpr std::size_t kOverhead = kFrameHeaderBytes + kChunkHeaderBytes;
+    chunk_bytes_ = half > kOverhead ? half - kOverhead : 1;
+    return true;
+  }
+
   /// Seals the epoch once every one of its batches has been processed:
-  /// stamps + serializes the slab as the boundary summary, encodes the
-  /// post-seal checkpoint, ships both on ctrl, and
-  /// resets for the next epoch. Both are encoded BEFORE either is sent:
-  /// the summary outgrows the socket buffer, so its send blocks until
-  /// the driver reads it, and the driver reads workers in index order —
-  /// encoding the checkpoint after the send would queue every worker's
-  /// encode behind the previous workers' summary reads.
+  /// stamps + serializes the slab and sends it on ctrl as the boundary
+  /// summary, then encodes the post-seal checkpoint and starts streaming
+  /// it back on the data channel. The summary goes first because the
+  /// driver's boundary waits for it and not for the checkpoint. Nothing
+  /// else is handled between the seal and the end of the encode, so the
+  /// checkpoint is the sealed state. The driver awaits a checkpoint
+  /// before its next seal, so a seal never finds one still streaming.
   int maybe_seal() {
-    if (!seal_pending_ || epoch_batches_ != seal_target_) return kKeepRunning;
+    if (!seal_pending_ || epoch_batches_ != seal_target_ || streaming()) {
+      return kKeepRunning;
+    }
     slab_.set_epoch(seal_epoch_);
     scratch_.clear();
     slab_.serialize(scratch_);
-    encode_sealed_checkpoint();
     if (!ctrl_.send(FrameType::kSummary, seal_epoch_, scratch_)) {
       return fail(kWorkerExitChannel, "send Summary",
                   ctrl_.last_error().c_str());
     }
+    encode_sealed_checkpoint();
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
-    if (!ctrl_.send(FrameType::kCheckpoint, seal_epoch_, checkpoint_)) {
+    checkpoint_epoch_ = seal_epoch_;
+    checkpoint_sent_ = 0;
+    return kKeepRunning;
+  }
+
+  [[nodiscard]] bool streaming() const {
+    return checkpoint_sent_ < checkpoint_.size();
+  }
+
+  /// Sends the next chunk of the checkpoint; called only when poll found
+  /// room on the data socket, so it never blocks.
+  int send_chunk() {
+    const std::size_t n =
+        std::min(chunk_bytes_, checkpoint_.size() - checkpoint_sent_);
+    scratch_.clear();
+    encode_chunk_header(scratch_,
+                        static_cast<std::uint32_t>(checkpoint_.size()),
+                        static_cast<std::uint32_t>(checkpoint_sent_));
+    if (!data_.send(FrameType::kCheckpoint, checkpoint_epoch_,
+                    scratch_.bytes().data(), scratch_.size(),
+                    checkpoint_.bytes().data() + checkpoint_sent_, n)) {
       return fail(kWorkerExitChannel, "send Checkpoint",
-                  ctrl_.last_error().c_str());
+                  data_.last_error().c_str());
     }
+    checkpoint_sent_ += n;
     return kKeepRunning;
   }
 
@@ -216,33 +268,43 @@ class NetWorker {
   }
 
   /// Reinstalls a driver-held checkpoint after a respawn: replaces the
-  /// whole store, restores the counters and the scratch map's bucket
-  /// trajectory, and acks so the driver can start the replay.
+  /// whole store with the checkpoint's states, drops the keys migrated
+  /// away since and installs the states migrated in since, restores the
+  /// counters and the scratch map's bucket trajectory, and acks so the
+  /// driver can start the replay. Each state is deserialized straight
+  /// from the frame.
   int handle_restore(ByteReader& in) {
-    CheckpointPayload cp;
-    if (!decode_checkpoint(in, cp)) {
+    CheckpointCounters counters;
+    std::vector<KeyId> migrated_away;
+    store_.clear();
+    const auto install = [this](KeyId key, ByteReader& blob) {
+      std::unique_ptr<KeyState> state = logic_.deserialize_state(blob);
+      if (state == nullptr || !blob.ok() || !blob.exhausted()) return false;
+      store_.install_or_replace(key, std::move(state));
+      return true;
+    };
+    if (!decode_checkpoint_counters(in, counters) ||
+        !visit_key_states(in, install) ||
+        !decode_key_list(in, migrated_away)) {
       return fail(kWorkerExitCorruptFrame, "decode",
                   "corrupt Restore payload");
     }
-    store_.clear();
-    for (const WireKeyState& wire : cp.states) {
-      ByteReader blob(wire.blob, ByteReader::Untrusted{});
-      std::unique_ptr<KeyState> state = logic_.deserialize_state(blob);
-      if (state == nullptr || !blob.ok() || !blob.exhausted()) {
-        return fail(kWorkerExitCorruptFrame, "decode",
-                    "corrupt checkpoint state blob");
-      }
-      store_.install_or_replace(wire.key, std::move(state));
+    for (const KeyId key : migrated_away) (void)store_.extract(key);
+    if (!visit_key_states(in, install) || !in.exhausted()) {
+      return fail(kWorkerExitCorruptFrame, "decode",
+                  "corrupt Restore payload");
     }
-    processed_ = cp.processed;
-    outputs_ = cp.outputs;
-    fold_.restore_buckets(cp.local_buckets);
+    processed_ = counters.processed;
+    outputs_ = counters.outputs;
+    fold_.restore_buckets(counters.local_buckets);
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
+    checkpoint_.clear();
+    checkpoint_sent_ = 0;
     scratch_.clear();
-    encode_ack(scratch_, AckPayload{cp.epoch});
-    if (!ctrl_.send(FrameType::kRestoreAck, cp.epoch, scratch_)) {
+    encode_ack(scratch_, AckPayload{counters.epoch});
+    if (!ctrl_.send(FrameType::kRestoreAck, counters.epoch, scratch_)) {
       return fail(kWorkerExitChannel, "send RestoreAck",
                   ctrl_.last_error().c_str());
     }
@@ -381,8 +443,7 @@ class NetWorker {
                   "non-Batch frame on the data channel");
     }
     // The batch left the socket: credit its slot back now, before the
-    // fold, as a threaded worker's pop frees its queue slot. Credits are
-    // all this worker ever writes on the data channel.
+    // fold, as a threaded worker's pop frees its queue slot.
     ++batches_taken_;
     if (!data_.send(FrameType::kCredit, batches_taken_, nullptr, 0)) {
       return fail(kWorkerExitChannel, "send Credit",
@@ -431,8 +492,13 @@ class NetWorker {
   std::vector<std::uint8_t> ctrl_payload_;
   std::vector<std::uint8_t> data_payload_;
   ByteWriter scratch_;
-  /// The sealed epoch's checkpoint, encoded before the summary is sent.
+  /// The sealed epoch's checkpoint, encoded right after its summary went
+  /// out, and how many of its bytes have been streamed back.
   ByteWriter checkpoint_;
+  std::uint64_t checkpoint_epoch_ = 0;
+  std::size_t checkpoint_sent_ = 0;
+  /// Largest checkpoint piece per chunk frame (size_chunks()).
+  std::size_t chunk_bytes_ = 0;
   /// Per-state serialization scratch for the checkpoint and kMigrated
   /// encoders; reused, so steady state allocates nothing per key.
   ByteWriter blob_;

@@ -2,17 +2,19 @@
 //
 // A worker owns one StateStore and one WorkerSketchSlab and speaks the
 // frame protocol over two channels inherited from the driver:
-//   * data — kBatch only (the channel that backpressures);
-//   * ctrl — everything else, always drained BEFORE the next data frame,
-//     so control never waits behind queued tuples.
+//   * data — kBatch in (the channel that backpressures); kCredit and
+//     kCheckpoint chunks out;
+//   * ctrl — everything else, always drained BEFORE the next chunk or
+//     data frame, so control never waits behind queued tuples.
 //
 // Cross-channel epoch ordering is re-established by content, not by
 // arrival: the kSeal payload says how many batches the epoch carried,
 // and the worker defers sealing (serializing + shipping its slab as the
-// boundary summary, followed by a checkpoint of its key states) until
-// it has processed exactly that many. Recovery support is always on:
-// every seal ships the checkpoint, the worker heartbeats on ctrl, and a
-// kRestore frame reinstalls a checkpoint into a respawned worker.
+// boundary summary) until it has processed exactly that many. Recovery
+// support is always on: every seal is followed by a checkpoint of the
+// key states, streamed back in chunks between the next epoch's batches;
+// the worker heartbeats on ctrl; and a kRestore frame reinstalls a
+// checkpoint into a respawned worker.
 #pragma once
 
 #include <cstdint>

@@ -168,6 +168,12 @@ class WorkerSketchSlab {
   /// insertion order that produced them.
   void serialize(ByteWriter& out) const;
 
+  /// Where serialize() writes the latency sum: after the epoch, the four
+  /// geometry fields and the processed count. It is the one summary field
+  /// read off the wall clock, so a replay of the same batches reproduces
+  /// every byte but these.
+  static constexpr std::size_t kLatencySumOffset = 6 * sizeof(std::uint64_t);
+
   /// Rebuilds the interval content from a summary produced by serialize()
   /// on a slab of the SAME SketchStatsConfig. The heavy set is left
   /// untouched (absorb never reads it). Returns false — with the reader's

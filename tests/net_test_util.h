@@ -6,14 +6,19 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <sys/mman.h>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
+#include "core/assignment.h"
+#include "core/controller.h"
 #include "engine/interval.h"
 #include "net/net_engine.h"
+#include "workload/operators.h"
 
 namespace skewless::testutil {
 
@@ -108,6 +113,97 @@ inline void expect_byte_identical(const RunDigest& got, const RunDigest& clean,
         << label << " θ interval " << i;
   }
 }
+
+/// A sketch-mode controller with no planner: the run never migrates, so
+/// a worker serializes state only to encode its checkpoint and
+/// deserializes state only in a restore.
+inline std::unique_ptr<Controller> static_controller(
+    InstanceId workers, std::size_t num_keys = 400) {
+  ControllerConfig ccfg;
+  ccfg.stats_mode = StatsMode::kSketch;
+  ccfg.sketch.heavy_capacity = 128;
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(workers), 0), nullptr, ccfg,
+      num_keys);
+}
+
+/// `count` (at most 20) intervals of 6,000 tuples for static_controller():
+/// half spread over keys 0..299, half on five hot keys that change every
+/// interval, so each boundary broadcasts a different heavy set. Every
+/// worker of three takes well over a credit window of 64-tuple batches
+/// in each.
+inline std::vector<std::vector<Tuple>> keyed_intervals(std::size_t count) {
+  std::vector<std::vector<Tuple>> intervals(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t t = 0; t < 6'000; ++t) {
+      Tuple tuple;
+      tuple.key = static_cast<KeyId>(t % 2 == 0 ? (t * 7 + i) % 300
+                                                : 300 + 5 * i + t % 5);
+      tuple.value = 1;
+      intervals[i].push_back(tuple);
+    }
+  }
+  return intervals;
+}
+
+/// WordCountLogic whose states report each serialization to
+/// on_serialize(), saying whether the state ever processed kWatchedKey
+/// (the mark is serialized with the state). Under static_controller(), a
+/// worker serializes states only to encode its checkpoint, which it does
+/// right after its summary went out: a hook that ends the process there
+/// loses the checkpoint of an epoch whose summary the driver absorbs.
+class SerializeHookLogic : public OperatorLogic {
+ public:
+  static constexpr KeyId kWatchedKey = 0;
+
+  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
+    return std::make_unique<State>(inner_.make_state(), *this);
+  }
+  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
+      ByteReader& in) const override {
+    const bool watched = in.u8() != 0;
+    auto state = std::make_unique<State>(inner_.deserialize_state(in), *this);
+    state->watched = watched;
+    return state;
+  }
+  Cost process(const Tuple& tuple, KeyState& state,
+               Collector& out) const override {
+    before_process(tuple);
+    auto& s = static_cast<State&>(state);
+    s.watched |= tuple.key == kWatchedKey;
+    return cost(inner_.process(tuple, *s.inner, out));
+  }
+
+ protected:
+  virtual void on_serialize(bool watched) const = 0;
+  virtual void before_process(const Tuple& /*tuple*/) const {}
+  /// The cost reported for a tuple WordCountLogic priced at `cost`.
+  [[nodiscard]] virtual Cost cost(Cost cost) const { return cost; }
+
+ private:
+  struct State final : KeyState {
+    State(std::unique_ptr<KeyState> state, const SerializeHookLogic& logic)
+        : inner(std::move(state)), owner(logic) {}
+    [[nodiscard]] Bytes bytes() const override { return inner->bytes(); }
+    [[nodiscard]] std::uint64_t checksum() const override {
+      return inner->checksum();
+    }
+    void serialize(ByteWriter& out) const override {
+      owner.on_serialize(watched);
+      out.u8(watched ? 1 : 0);
+      inner->serialize(out);
+    }
+    void expire_before(Micros watermark) override {
+      inner->expire_before(watermark);
+    }
+
+    std::unique_ptr<KeyState> inner;
+    const SerializeHookLogic& owner;
+    bool watched = false;
+  };
+
+  WordCountLogic inner_;
+};
 
 /// Captures stderr at INFO level from construction until take(), so a
 /// test can read which path the engine logged a recovery through. The

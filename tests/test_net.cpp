@@ -33,6 +33,8 @@
 namespace skewless {
 namespace {
 
+using testutil::keyed_intervals;
+using testutil::static_controller;
 using testutil::tsan_enabled;
 
 // Every worker a NetEngine ever forked must be reaped by the time its
@@ -498,6 +500,24 @@ TEST(WirePayloads, ExtractedStatesMatchKeyStatesEncoding) {
   }
 }
 
+// A replay's regenerated summary is checked with its latency sum zeroed,
+// the one field read off the wall clock: the sum must sit where
+// kLatencySumOffset says.
+TEST(WirePayloads, SummaryLatencySumSitsAtItsOffset) {
+  SketchStatsConfig cfg;
+  cfg.heavy_capacity = 8;
+  WorkerSketchSlab slab(cfg);
+  slab.scalars().processed = 7;
+  slab.scalars().latency_sum_us = 12'345.5;
+  ByteWriter w;
+  slab.serialize(w);
+  constexpr std::size_t kAt = WorkerSketchSlab::kLatencySumOffset;
+  double sum = 0.0;
+  ASSERT_GE(w.size(), kAt + sizeof(sum));
+  std::memcpy(&sum, w.bytes().data() + kAt, sizeof(sum));
+  EXPECT_EQ(sum, 12'345.5);
+}
+
 TEST(WirePayloads, PlanRoundTrip) {
   PlanPayload plan;
   plan.seq = 77;
@@ -701,6 +721,37 @@ TEST(NetEngine, CreditWindowHoldsExactlyQueueBatches) {
     engine.shutdown();
     ASSERT_TRUE(engine.ok()) << engine.error();
   }
+}
+
+// The boundary waits for summaries only: each worker's checkpoint of the
+// epoch just sealed streams back behind the next interval's batches. The
+// run never migrates, so no boundary awaits a checkpoint it just sealed.
+TEST(NetEngine, CheckpointLandsDuringTheNextInterval) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  NetConfig ncfg;
+  ncfg.batch_size = 64;
+  NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
+                   static_controller(3));
+  const auto intervals = keyed_intervals(3);
+  (void)engine.run_interval(intervals[0]);
+  for (std::uint64_t k = 1; k < intervals.size(); ++k) {
+    ASSERT_TRUE(engine.ok()) << engine.error();
+    for (std::size_t w = 0; w < 3; ++w) {
+      EXPECT_EQ(engine.checkpoint_ring(w).epoch, k - 1) << w;
+      EXPECT_EQ(engine.checkpoint_ring(w).awaited, k) << w;
+    }
+    // Each worker takes well over a credit window of batches, so the
+    // driver reads a credit its worker sent after the whole checkpoint.
+    IntervalReport report = engine.ingest(intervals[k]);
+    ASSERT_TRUE(engine.ok()) << engine.error();
+    for (std::size_t w = 0; w < 3; ++w) {
+      EXPECT_EQ(engine.checkpoint_ring(w).epoch, k) << w;
+      EXPECT_EQ(engine.checkpoint_ring(w).awaited, 0u) << w;
+    }
+    engine.finish_interval(report);
+  }
+  engine.shutdown();
+  ASSERT_TRUE(engine.ok()) << engine.error();
 }
 
 TEST(NetEngine, RunsIntervalsAndShutsDownCleanly) {

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <sys/wait.h>
@@ -35,8 +36,11 @@ namespace {
 using testutil::CapturedLog;
 using testutil::digest_of;
 using testutil::expect_byte_identical;
+using testutil::keyed_intervals;
 using testutil::RunDigest;
+using testutil::SerializeHookLogic;
 using testutil::SharedFlag;
+using testutil::static_controller;
 using testutil::tsan_enabled;
 
 // Every worker the engine ever forked must be reaped by shutdown — a
@@ -82,6 +86,35 @@ TEST(ReplayBuffer, RecordsVerbatimAndOverflowIsSticky) {
   EXPECT_FALSE(buf.overflowed());
   EXPECT_EQ(buf.bytes(), 0u);
   EXPECT_TRUE(buf.record(4, &tiny, 1));
+}
+
+// The buffer spans the open epoch and the sealed one whose checkpoint is
+// streaming: a landed checkpoint drops its epoch's prefix, and a hole
+// stays reported while any retained epoch has one.
+TEST(ReplayBuffer, DropsLandedEpochsAndTracksHolesPerEpoch) {
+  ReplayBuffer buf(/*max_bytes=*/100);
+  const std::vector<std::uint8_t> a(30, 0xAA);
+  EXPECT_TRUE(buf.record(1, a.data(), a.size()));
+  EXPECT_TRUE(buf.record(1, a.data(), a.size()));
+  EXPECT_TRUE(buf.record(2, a.data(), a.size()));
+  EXPECT_EQ(buf.count(1), 2u);
+  EXPECT_EQ(buf.count(2), 1u);
+  // Epoch 2 overflows: a hole in epoch 2, and the rest of it is refused.
+  EXPECT_FALSE(buf.record(2, a.data(), a.size()));
+  EXPECT_TRUE(buf.overflowed());
+  buf.drop_through(1);
+  EXPECT_EQ(buf.bytes(), 30u);
+  EXPECT_EQ(buf.count(1), 0u);
+  EXPECT_TRUE(buf.overflowed()) << "epoch 2 still has its hole";
+  const std::uint8_t tiny = 0;
+  EXPECT_FALSE(buf.record(2, &tiny, 1));
+  // A later epoch records again once there is room.
+  EXPECT_TRUE(buf.record(3, a.data(), a.size()));
+  buf.drop_through(2);
+  EXPECT_FALSE(buf.overflowed());
+  ASSERT_EQ(buf.batches().size(), 1u);
+  EXPECT_EQ(buf.batches()[0].epoch, 3u);
+  EXPECT_EQ(buf.bytes(), 30u);
 }
 
 TEST(WorkerExit, DescribesCodesAndSignals) {
@@ -319,9 +352,10 @@ TEST(NetRecovery, StickyWedgeExhaustsBudgetAndDegrades) {
   expect_no_children();
 }
 
-// Each worker keeps exactly its latest checkpoint: after 6 intervals it
-// is epoch 6's, it still validates, and it is all the memory held — the
-// bound does not grow with run length.
+// Each worker keeps exactly its latest checkpoint: after 6 intervals and
+// shutdown (which awaits the checkpoint still streaming) it is epoch 6's,
+// it still validates, and it is all the memory held — the bound does not
+// grow with run length.
 TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
   ZipfFluctuatingSource::Options opts;
@@ -336,6 +370,7 @@ TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
   NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
                    fault_controller(2, source.num_keys()));
   (void)engine.run(source, /*intervals=*/6, /*seed=*/7);
+  engine.shutdown();
   ASSERT_TRUE(engine.ok()) << engine.error();
   for (std::size_t w = 0; w < 2; ++w) {
     const Checkpoint& cp = engine.checkpoint_ring(w);
@@ -345,10 +380,9 @@ TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
     EXPECT_TRUE(check_checkpoint(in, cp_epoch) && in.exhausted()) << w;
     EXPECT_EQ(cp_epoch, 6u) << w;
     EXPECT_GT(cp.payload.size(), 0u) << w;
+    EXPECT_EQ(cp.awaited, 0u) << w;
     EXPECT_EQ(cp.memory_bytes(), cp.payload.size()) << w;
   }
-  engine.shutdown();
-  ASSERT_TRUE(engine.ok()) << engine.error();
   expect_no_children();
 }
 
@@ -401,6 +435,220 @@ TEST(NetRecovery, CrashDuringInstallRoundIsByteIdentical) {
   EXPECT_EQ(got.recoveries, 1u);
   EXPECT_FALSE(got.degraded);
   EXPECT_GT(got.rebalances, 0u);
+  expect_no_children();
+}
+
+/// Runs `intervals` on three workers under static_controller(), calling
+/// `before_finish(i)` after interval i's tuples are ingested and before
+/// its boundary. Returns the digest; `log` receives the INFO log.
+RunDigest run_static(const std::vector<std::vector<Tuple>>& intervals,
+                     std::shared_ptr<OperatorLogic> logic,
+                     const FaultPlan& fault, int max_attempts,
+                     const std::function<void(std::size_t)>& before_finish,
+                     std::string& log) {
+  CapturedLog capture;
+  NetEngine engine(fault_config(fault, 2'000, max_attempts), std::move(logic),
+                   static_controller(3));
+  std::vector<IntervalReport> reports;
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    IntervalReport report = engine.ingest(intervals[i]);
+    before_finish(i);
+    engine.finish_interval(report);
+    reports.push_back(report);
+  }
+  const RunDigest d = digest_of(engine, reports);
+  log = capture.take();
+  return d;
+}
+
+// A respawned worker that dies inside its restore is reaped with the
+// cause named, then respawned again into a byte-identical run. The run
+// never migrates, so the first state any worker deserializes is the
+// restore's.
+TEST(NetRecovery, RestoreFailureLogsItsCause) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const SharedFlag flag;
+  std::atomic<int>* armed = flag.get();
+  ASSERT_NE(armed, nullptr);
+  const auto logic = std::make_shared<CrashOnFirstDeserialize>(armed);
+  const auto intervals = keyed_intervals(4);
+  std::string log;
+  const RunDigest clean =
+      run_static(intervals, logic, FaultPlan{}, 3, [](std::size_t) {}, log);
+  ASSERT_TRUE(clean.ok) << clean.error;
+
+  armed->store(1);
+  FaultPlan plan;
+  plan.events.push_back(
+      FaultEvent{FaultKind::kKill, /*worker=*/1, /*epoch=*/3, false});
+  const RunDigest got =
+      run_static(intervals, logic, plan, 3, [](std::size_t) {}, log);
+  EXPECT_EQ(armed->load(), 0) << "no restore deserialized a state";
+  expect_byte_identical(got, clean, "crash@restore");
+  EXPECT_EQ(got.recoveries, 1u);
+  EXPECT_NE(log.find("checkpoint restore failed: RestoreAck: worker 1 "
+                     "closed its channel (crashed)"),
+            std::string::npos)
+      << log;
+  expect_no_children();
+}
+
+/// SerializeHookLogic whose worker ends its process while serializing
+/// the state of kWatchedKey, once per unit of a shared countdown: under
+/// static_controller() that loses the checkpoint of an epoch whose
+/// summary the driver already absorbed. The countdown lives in shared
+/// memory, so it spans every incarnation. With `crashed` given, every
+/// tuple costs twice as much once a worker has crashed, so a replay then
+/// regenerates a different summary. With `delay_ms`, the worker stalls
+/// that long before it ends. The test process itself never crashes: it
+/// serializes states only when it degrades a worker.
+class CrashOnCheckpoint final : public SerializeHookLogic {
+ public:
+  explicit CrashOnCheckpoint(std::atomic<int>* countdown,
+                             std::atomic<int>* crashed = nullptr,
+                             int delay_ms = 0)
+      : countdown_(countdown),
+        crashed_(crashed),
+        delay_ms_(delay_ms),
+        test_pid_(::getpid()) {}
+
+ protected:
+  void on_serialize(bool watched) const override {
+    if (!watched || ::getpid() == test_pid_) return;
+    int left = countdown_->load();
+    while (left > 0 && !countdown_->compare_exchange_weak(left, left - 1)) {
+    }
+    if (left <= 0) return;
+    if (crashed_ != nullptr) crashed_->store(1);
+    ::usleep(static_cast<useconds_t>(delay_ms_) * 1000);
+    std::_Exit(kWorkerExitFault);
+  }
+  [[nodiscard]] Cost cost(Cost cost) const override {
+    return crashed_ != nullptr && crashed_->load() != 0 ? 2.0 * cost : cost;
+  }
+
+ private:
+  std::atomic<int>* countdown_;
+  std::atomic<int>* crashed_;
+  int delay_ms_;
+  pid_t test_pid_;
+};
+
+// A worker lost after its summary was absorbed but before its checkpoint
+// landed is restored from the checkpoint before, replays the lost epoch
+// and the next one, and the run stays byte-identical — whether the lost
+// checkpoint is the first or a later one. A later loss is armed once the
+// interval's tuples are in, by when every earlier checkpoint has landed.
+TEST(NetRecovery, LossBetweenSummaryAndCheckpointReplaysTwoEpochs) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const SharedFlag flag;
+  std::atomic<int>* countdown = flag.get();
+  ASSERT_NE(countdown, nullptr);
+  const auto logic = std::make_shared<CrashOnCheckpoint>(countdown);
+  const auto intervals = keyed_intervals(5);
+  std::string log;
+  const RunDigest clean =
+      run_static(intervals, logic, FaultPlan{}, 3, [](std::size_t) {}, log);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.recoveries, 0u);
+
+  for (const std::size_t lost : {std::size_t{0}, std::size_t{2}}) {
+    const std::string epoch = std::to_string(lost + 1);
+    const RunDigest got = run_static(
+        intervals, logic, FaultPlan{}, 3,
+        [&](std::size_t i) {
+          if (i == lost) countdown->store(1);
+        },
+        log);
+    EXPECT_EQ(countdown->load(), 0) << "no checkpoint " << epoch << " lost";
+    expect_byte_identical(got, clean, "checkpoint " + epoch + " lost");
+    EXPECT_EQ(got.recoveries, 1u) << epoch;
+    EXPECT_FALSE(got.degraded) << epoch;
+    EXPECT_NE(log.find("checkpoint " + epoch + " is lost; replaying epoch " +
+                       epoch),
+              std::string::npos)
+        << log;
+  }
+  expect_no_children();
+}
+
+// The respawned worker is lost the same way while it regenerates the
+// lost checkpoint, and is recovered again from the same checkpoint. The
+// interval after the loss is empty and each loss stalls 200 ms first, so
+// the first recovery finds no later batch to replay and returns before
+// the second loss shows.
+TEST(NetRecovery, SecondLossDuringTheTwoEpochReplayRecoversAgain) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const SharedFlag flag;
+  std::atomic<int>* countdown = flag.get();
+  ASSERT_NE(countdown, nullptr);
+  const auto logic = std::make_shared<CrashOnCheckpoint>(
+      countdown, /*crashed=*/nullptr, /*delay_ms=*/200);
+  auto intervals = keyed_intervals(4);
+  intervals[1].clear();
+  std::string log;
+  const RunDigest clean =
+      run_static(intervals, logic, FaultPlan{}, 3, [](std::size_t) {}, log);
+  ASSERT_TRUE(clean.ok) << clean.error;
+
+  countdown->store(2);
+  const RunDigest got =
+      run_static(intervals, logic, FaultPlan{}, 3, [](std::size_t) {}, log);
+  EXPECT_EQ(countdown->load(), 0);
+  expect_byte_identical(got, clean, "checkpoint 1 lost twice");
+  EXPECT_EQ(got.recoveries, 2u);
+  EXPECT_FALSE(got.degraded);
+  expect_no_children();
+}
+
+// A replay that regenerates a different summary than the one absorbed
+// was not deterministic: the engine fails with that reason, and every
+// worker is reaped.
+TEST(NetRecovery, ReplayRegeneratingADifferentSummaryFailsTheEngine) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const SharedFlag countdown;
+  const SharedFlag crashed;
+  ASSERT_NE(countdown.get(), nullptr);
+  ASSERT_NE(crashed.get(), nullptr);
+  countdown.get()->store(1);
+  std::string log;
+  const RunDigest got = run_static(
+      keyed_intervals(3),
+      std::make_shared<CrashOnCheckpoint>(countdown.get(), crashed.get()),
+      FaultPlan{}, 3, [](std::size_t) {}, log);
+  EXPECT_EQ(crashed.get()->load(), 1);
+  EXPECT_FALSE(got.ok);
+  EXPECT_NE(got.error.find("the replay of epoch 1 regenerated a different "
+                           "summary (the replay was not deterministic)"),
+            std::string::npos)
+      << got.error;
+  expect_no_children();
+}
+
+// The same loss in every incarnation exhausts the retry budget while the
+// checkpoint is outstanding. The degrade folds the lost epoch, whose
+// summary was absorbed, into the states instead of re-routing it: every
+// tuple is still processed and answered exactly once.
+TEST(NetRecovery, StickyLossBetweenSummaryAndCheckpointDegrades) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const SharedFlag flag;
+  std::atomic<int>* countdown = flag.get();
+  ASSERT_NE(countdown, nullptr);
+  constexpr int kMaxAttempts = 2;
+  // The first incarnation and each retry lose the checkpoint once.
+  countdown->store(1 + kMaxAttempts);
+  const auto intervals = keyed_intervals(4);
+  std::string log;
+  const RunDigest got =
+      run_static(intervals, std::make_shared<CrashOnCheckpoint>(countdown),
+                 FaultPlan{}, kMaxAttempts, [](std::size_t) {}, log);
+  ASSERT_TRUE(got.ok) << got.error;
+  EXPECT_EQ(countdown->load(), 0);
+  EXPECT_TRUE(got.degraded);
+  const std::uint64_t emitted = intervals.size() * intervals[0].size();
+  EXPECT_EQ(got.processed, emitted);
+  EXPECT_EQ(got.outputs, emitted);
+  EXPECT_GT(got.state_entries, 0u);
   expect_no_children();
 }
 

@@ -5,9 +5,10 @@
 // a decoder either accepts the input or returns false with the reader's
 // sticky error flag set; it NEVER aborts, over-allocates, or reads out
 // of bounds (ASan enforces the last one on the CI debug-asan leg). The
-// data channel's credits are fuzzed the same way through a CreditWindow
-// on a socketpair, and forged into a running engine, whose driver must
-// recover the forging worker instead of aborting.
+// data channel's return path — credits and checkpoint chunks — is fuzzed
+// the same way through a CreditWindow on a socketpair, and forged into a
+// running engine, whose driver must recover the forging worker instead of
+// aborting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +28,7 @@
 #include "net/channel.h"
 #include "net/frame.h"
 #include "net/net_engine.h"
+#include "net/recovery.h"
 #include "net/wire.h"
 #include "net_test_util.h"
 #include "sketch/worker_sketch_slab.h"
@@ -39,6 +41,7 @@ using testutil::CapturedLog;
 using testutil::digest_of;
 using testutil::expect_byte_identical;
 using testutil::RunDigest;
+using testutil::SerializeHookLogic;
 using testutil::SharedFlag;
 using testutil::tsan_enabled;
 
@@ -139,6 +142,13 @@ std::vector<std::vector<std::uint8_t>> valid_payloads() {
     encode_heartbeat(w, HeartbeatPayload{17});
     out.push_back(w.bytes());
   }
+  {
+    ByteWriter w;
+    encode_chunk_header(w, 4'096, 1'024);
+    const std::vector<std::uint8_t> piece(48, 0x3c);
+    w.append(piece.data(), piece.size());
+    out.push_back(w.bytes());
+  }
   return out;
 }
 
@@ -215,6 +225,16 @@ void decode_all(const std::vector<std::uint8_t>& bytes) {
     ByteReader r(bytes, ByteReader::Untrusted{});
     HeartbeatPayload hb;
     (void)decode_heartbeat(r, hb);
+  }
+  {
+    ByteReader r(bytes, ByteReader::Untrusted{});
+    CheckpointChunk chunk;
+    if (decode_chunk(r, chunk)) {
+      EXPECT_TRUE(r.exhausted());
+      EXPECT_EQ(chunk.size + kChunkHeaderBytes, bytes.size());
+    } else {
+      EXPECT_FALSE(r.ok());
+    }
   }
 }
 
@@ -441,18 +461,19 @@ TEST(NetFuzz, SlabSummaryCellOutOfRangeRejected) {
   EXPECT_TRUE(target.deserialize_from(clean) && clean.exhausted());
 }
 
-// A peer still speaking wire v3 is refused on its first frame: its Hello
-// fails the version check before any payload byte is read, and a v3
-// credit on a data channel is a rejected credit, not a count.
-TEST(NetFuzz, V3PeerIsRefusedAtTheHandshake) {
-  const auto write_v3 = [](const FrameChannel& to, FrameType type,
+// A peer still speaking wire v4, which sent its checkpoint whole on the
+// control channel, is refused on its first frame: its Hello fails the
+// version check before any payload byte is read, and a v4 credit on a
+// data channel is a rejected frame, not a count.
+TEST(NetFuzz, V4PeerIsRefusedAtTheHandshake) {
+  const auto write_v4 = [](const FrameChannel& to, FrameType type,
                            std::uint64_t epoch, const ByteWriter& payload) {
     ByteWriter frame;
     encode_frame_header(frame, type, epoch,
                         static_cast<std::uint32_t>(payload.size()));
     frame.append(payload.bytes().data(), payload.size());
     std::vector<std::uint8_t> bytes = frame.bytes();
-    bytes[4] = 3;  // the version byte follows the u32 magic
+    bytes[4] = 4;  // the version byte follows the u32 magic
     ASSERT_EQ(::write(to.fd(), bytes.data(), bytes.size()),
               static_cast<::ssize_t>(bytes.size()));
   };
@@ -468,11 +489,11 @@ TEST(NetFuzz, V3PeerIsRefusedAtTheHandshake) {
 
   ByteWriter hello;
   encode_hello(hello, HelloPayload{0, 1});
-  write_v3(peer_ctrl, FrameType::kHello, 0, hello);
+  write_v4(peer_ctrl, FrameType::kHello, 0, hello);
   FrameHeader header;
   std::vector<std::uint8_t> payload;
   EXPECT_FALSE(ctrl.recv(header, payload));
-  EXPECT_NE(ctrl.last_error().find("peer speaks v3, this build v" +
+  EXPECT_NE(ctrl.last_error().find("peer speaks v4, this build v" +
                                    std::to_string(kWireVersion)),
             std::string::npos)
       << ctrl.last_error();
@@ -480,17 +501,18 @@ TEST(NetFuzz, V3PeerIsRefusedAtTheHandshake) {
   CreditWindow window(kQueueBatches);
   ASSERT_EQ(window.acquire(data, 1'000), "");
   window.sent();
-  write_v3(peer_data, FrameType::kCredit, 1, ByteWriter{});
+  write_v4(peer_data, FrameType::kCredit, 1, ByteWriter{});
   EXPECT_NE(window.acquire(data, 1'000).find("version mismatch"),
             std::string::npos);
   EXPECT_EQ(window.in_flight(), 1u);
 }
 
-// Seeded forged credit streams into a CreditWindow: valid counts, counts
-// that stall, run backwards or pass the frames sent, other frame types,
-// payloads and raw garbage, then EOF. The window either takes a credit
-// or names the fault; it never aborts and never credits more than was
-// sent.
+// Seeded forged return-path streams into a CreditWindow: valid counts,
+// counts that stall, run backwards or pass the frames sent, checkpoint
+// chunks (handed to an assembler awaiting checkpoint 1), other frame
+// types, payloads and raw garbage, then EOF. The window either takes a
+// frame or names the fault; it never aborts and never credits more than
+// was sent.
 TEST(NetFuzz, ForgedCreditStreamsNeverAbort) {
   std::mt19937_64 rng(0xc4ed17);
   for (int round = 0; round < 300; ++round) {
@@ -500,17 +522,28 @@ TEST(NetFuzz, ForgedCreditStreamsNeverAbort) {
     FrameChannel data(fds[0]);
     const std::uint64_t limit = 1 + rng() % kQueueBatches;
     CreditWindow window(limit);
+    Checkpoint checkpoint;
+    checkpoint.awaited = 1;
+    const CreditWindow::ChunkFn take_chunk =
+        [&checkpoint](std::uint64_t epoch,
+                      const std::vector<std::uint8_t>& payload) {
+          ByteReader in(payload, ByteReader::Untrusted{});
+          CheckpointChunk chunk;
+          if (!decode_chunk(in, chunk)) return std::string("truncated chunk");
+          return checkpoint.add(epoch, chunk);
+        };
     const std::uint64_t sends = rng() % (limit + 1);
     for (std::uint64_t i = 0; i < sends; ++i) {
-      ASSERT_EQ(window.acquire(data, 1'000), "");
+      ASSERT_EQ(window.acquire(data, 1'000, take_chunk), "");
       window.sent();
     }
     {
       FrameChannel worker(fds[1]);
       std::uint64_t count = 0;
       const int frames = 1 + static_cast<int>(rng() % 6);
+      std::uint32_t chunked = 0;
       for (int f = 0; f < frames; ++f) {
-        switch (rng() % 6) {
+        switch (rng() % 7) {
           case 0:  // the next valid count, when one is left
           case 1:
             count = std::min(count + 1, sends);
@@ -529,6 +562,20 @@ TEST(NetFuzz, ForgedCreditStreamsNeverAbort) {
           case 4:  // another frame type on the data channel
             (void)worker.send(FrameType::kBatch, count + 1, nullptr, 0);
             break;
+          case 5: {  // a checkpoint chunk, mostly the next one
+            ByteWriter chunk;
+            const std::uint32_t total = rng() % 4 == 0 ? 32 : 64;
+            const std::uint32_t offset =
+                rng() % 4 == 0 ? static_cast<std::uint32_t>(rng() % 64)
+                               : chunked;
+            encode_chunk_header(chunk, total, offset);
+            const std::vector<std::uint8_t> bytes(rng() % 24, 0x5a);
+            chunk.append(bytes.data(), bytes.size());
+            chunked += static_cast<std::uint32_t>(bytes.size());
+            (void)worker.send(FrameType::kCheckpoint, 1 + rng() % 2 * 7,
+                              chunk);
+            break;
+          }
           default: {  // raw bytes, possibly a torn header
             std::vector<std::uint8_t> junk(rng() % (2 * kFrameHeaderBytes));
             for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
@@ -539,60 +586,168 @@ TEST(NetFuzz, ForgedCreditStreamsNeverAbort) {
     }  // the worker's end closes: EOF ends every stream
     std::string why;
     for (int tries = 0; tries < 16 && why.empty(); ++tries) {
-      why = window.acquire(data, 1'000);
+      why = window.acquire(data, 1'000, take_chunk);
       if (why.empty()) window.sent();
       ASSERT_LE(window.in_flight(), limit) << "round " << round;
+      ASSERT_LE(checkpoint.assembly.size(), 64u) << "round " << round;
     }
     EXPECT_FALSE(why.empty()) << "round " << round;
   }
 }
 
-/// WordCountLogic that, on the first tuple it processes while `armed` is
-/// set, writes one forged kCredit frame carrying `count` onto its
-/// worker's data channel, right behind the worker's own credit for that
-/// batch. A worker's data socket is the lowest-numbered socket it holds:
+/// A checkpoint of epoch 4 holding a few states.
+std::vector<std::uint8_t> small_checkpoint() {
+  CheckpointPayload cp;
+  cp.epoch = 4;
+  cp.processed = 400;
+  for (int i = 0; i < 6; ++i) {
+    WireKeyState s;
+    s.key = static_cast<KeyId>(i * 13);
+    s.blob.assign(static_cast<std::size_t>(10 + i), std::uint8_t(0x40 + i));
+    cp.states.push_back(std::move(s));
+  }
+  ByteWriter w;
+  encode_checkpoint(w, cp);
+  return w.bytes();
+}
+
+/// Hands `checkpoint` the chunk of `bytes` at [offset, offset + size),
+/// announcing `total`; returns the verdict.
+std::string offer(Checkpoint& checkpoint, std::uint64_t epoch,
+                  std::uint32_t total, const std::vector<std::uint8_t>& bytes,
+                  std::size_t offset, std::size_t size) {
+  CheckpointChunk chunk;
+  chunk.total = total;
+  chunk.offset = static_cast<std::uint32_t>(offset);
+  chunk.bytes = bytes.data() + offset;
+  chunk.size = size;
+  return checkpoint.add(epoch, chunk);
+}
+
+// The chunk assembler lands a checkpoint streamed in pieces, and names
+// every breach of the stream: a chunk with nothing awaited, of another
+// epoch, at a gap or an overlap, changing or overrunning the announced
+// size, or completing bytes that fail check_checkpoint.
+TEST(NetFuzz, CheckpointChunkBreachesAreRejected) {
+  const std::vector<std::uint8_t> valid = small_checkpoint();
+  const auto total = static_cast<std::uint32_t>(valid.size());
+  const auto expect_rejected = [](const std::string& why,
+                                  const std::string& reason) {
+    EXPECT_NE(why.find(reason), std::string::npos)
+        << "got '" << why << "', expected '" << reason << "'";
+  };
+
+  Checkpoint idle;
+  expect_rejected(offer(idle, 4, total, valid, 0, 8),
+                  "no checkpoint outstanding");
+
+  Checkpoint cp;
+  cp.awaited = 4;
+  expect_rejected(offer(cp, 5, total, valid, 0, 8),
+                  "chunk of checkpoint 5 while checkpoint 4 is outstanding");
+  expect_rejected(offer(cp, 4, total, valid, 3, 8), "after 0 of");
+  expect_rejected(offer(cp, 4, kMaxFramePayload + 1, valid, 0, 8),
+                  "announced a checkpoint of 268435457 bytes");
+  expect_rejected(offer(cp, 4, 0, valid, 0, 0), "announced a checkpoint of 0");
+  ASSERT_EQ(offer(cp, 4, total, valid, 0, 20), "");
+  expect_rejected(offer(cp, 4, total, valid, 10, 20), "after 20 of");
+  expect_rejected(offer(cp, 4, total + 1, valid, 20, 8),
+                  "changed its checkpoint's size");
+  expect_rejected(offer(cp, 4, total, valid, 20, 0), "after 20 of");
+  expect_rejected(offer(cp, 4, total, valid, 20, valid.size()), "after 20 of");
+  EXPECT_FALSE(cp.complete());
+
+  // The rest in two pieces: complete, validated, landed.
+  ASSERT_EQ(offer(cp, 4, total, valid, 20, 30), "");
+  ASSERT_EQ(offer(cp, 4, total, valid, 50, valid.size() - 50), "");
+  ASSERT_TRUE(cp.complete());
+  cp.land();
+  EXPECT_EQ(cp.epoch, 4u);
+  EXPECT_EQ(cp.awaited, 0u);
+  EXPECT_EQ(cp.payload, valid);
+  EXPECT_EQ(cp.memory_bytes(), valid.size());
+  expect_rejected(offer(cp, 4, total, valid, 0, 8),
+                  "no checkpoint outstanding");
+
+  // Bytes that complete the announced size but are no checkpoint.
+  Checkpoint junk;
+  junk.awaited = 5;
+  const std::vector<std::uint8_t> garbage(16, 0xEE);
+  expect_rejected(offer(junk, 5, 16, garbage, 0, 16),
+                  "checkpoint 5 bytes that fail validation");
+  // A checkpoint of another epoch fails too, even whole.
+  Checkpoint stale;
+  stale.awaited = 5;
+  expect_rejected(offer(stale, 5, total, valid, 0, valid.size()),
+                  "checkpoint 5 bytes that fail validation");
+}
+
+/// One forged frame: the header and `payload`.
+std::vector<std::uint8_t> forged_frame(FrameType type, std::uint64_t epoch,
+                                       const ByteWriter& payload) {
+  ByteWriter frame;
+  encode_frame_header(frame, type, epoch,
+                      static_cast<std::uint32_t>(payload.size()));
+  frame.append(payload.bytes().data(), payload.size());
+  return frame.take();
+}
+
+/// A forged checkpoint chunk of `size` bytes at `offset`, announcing
+/// `total`.
+std::vector<std::uint8_t> forged_chunk(std::uint64_t epoch,
+                                       std::uint32_t total,
+                                       std::uint32_t offset,
+                                       std::size_t size) {
+  ByteWriter payload;
+  encode_chunk_header(payload, total, offset);
+  const std::vector<std::uint8_t> bytes(size, 0x5a);
+  payload.append(bytes.data(), bytes.size());
+  return forged_frame(FrameType::kCheckpoint, epoch, payload);
+}
+
+/// SerializeHookLogic that writes `frames` onto its worker's data channel
+/// once, while `armed` is set: on the first tuple it processes, or with
+/// `at_checkpoint` when it first serializes a state — while it encodes
+/// its first checkpoint, after its summary went out and before any chunk
+/// did. A worker's data socket is the lowest-numbered socket it holds:
 /// the driver creates the data pair just before the control pair, each
 /// on the lowest free descriptors, and the child keeps one end of each.
-class ForgeCreditOnce final : public OperatorLogic {
+class ForgeOnce final : public SerializeHookLogic {
  public:
-  ForgeCreditOnce(std::atomic<int>* armed, std::uint64_t count)
-      : armed_(armed), count_(count) {}
+  ForgeOnce(std::atomic<int>* armed, std::vector<std::uint8_t> frames,
+            bool at_checkpoint)
+      : armed_(armed),
+        frames_(std::move(frames)),
+        at_checkpoint_(at_checkpoint) {}
 
-  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
-    return inner_.make_state();
+ protected:
+  void before_process(const Tuple& /*tuple*/) const override {
+    if (!at_checkpoint_ && armed_->exchange(0) != 0) forge();
   }
-  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
-      ByteReader& in) const override {
-    return inner_.deserialize_state(in);
-  }
-  Cost process(const Tuple& tuple, KeyState& state,
-               Collector& out) const override {
-    if (armed_->exchange(0) != 0) forge();
-    return inner_.process(tuple, state, out);
+  void on_serialize(bool /*watched*/) const override {
+    if (at_checkpoint_ && armed_->exchange(0) != 0) forge();
   }
 
  private:
   void forge() const {
-    ByteWriter frame;
-    encode_frame_header(frame, FrameType::kCredit, count_, 0);
     for (int fd = 3; fd < 1024; ++fd) {
       struct stat st;
       if (::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode)) {
-        (void)!::write(fd, frame.bytes().data(), frame.size());
+        (void)!::write(fd, frames_.data(), frames_.size());
         return;
       }
     }
   }
 
-  WordCountLogic inner_;
   std::atomic<int>* armed_;
-  std::uint64_t count_;
+  std::vector<std::uint8_t> frames_;
+  bool at_checkpoint_;
 };
 
 /// Three 6,000-tuple intervals on three workers, each worker taking far
 /// more than a window of 64-tuple batches per interval, so the driver
-/// reads a forged credit mid-interval. `log` receives the INFO log.
-RunDigest run_forged(std::atomic<int>* armed, std::uint64_t count,
+/// reads forged frames mid-interval. `log` receives the INFO log.
+RunDigest run_forged(const std::shared_ptr<OperatorLogic>& logic,
                      std::string& log) {
   ControllerConfig ccfg;
   ccfg.planner.theta_max = 0.08;
@@ -604,7 +759,7 @@ RunDigest run_forged(std::atomic<int>* armed, std::uint64_t count,
   ncfg.heartbeat_interval_ms = 50;
 
   CapturedLog capture;
-  NetEngine engine(ncfg, std::make_shared<ForgeCreditOnce>(armed, count),
+  NetEngine engine(ncfg, logic,
                    std::make_unique<Controller>(
                        AssignmentFunction(ConsistentHashRing(3), 0),
                        std::make_unique<MixedPlanner>(), ccfg, 1'500));
@@ -622,28 +777,34 @@ RunDigest run_forged(std::atomic<int>* armed, std::uint64_t count,
   return d;
 }
 
-/// Forges one credit carrying `count` into a run and checks that the
-/// driver recovered the forging worker into a run byte-identical to the
+/// Forges `frames` into a run once and checks that the driver recovered
+/// the forging worker, naming `reason`, into a run byte-identical to the
 /// clean one.
-void expect_forged_credit_recovered(std::uint64_t count) {
+void expect_forgery_recovered(const std::vector<std::uint8_t>& frames,
+                              bool at_checkpoint, const std::string& reason) {
   const SharedFlag flag;
   std::atomic<int>* armed = flag.get();
   ASSERT_NE(armed, nullptr);
+  const auto logic = std::make_shared<ForgeOnce>(armed, frames, at_checkpoint);
   std::string log;
-  const RunDigest clean = run_forged(armed, count, log);
+  const RunDigest clean = run_forged(logic, log);
   ASSERT_TRUE(clean.ok) << clean.error;
   ASSERT_EQ(clean.recoveries, 0u);
 
   armed->store(1);
-  const RunDigest got = run_forged(armed, count, log);
-  EXPECT_EQ(armed->load(), 0) << "no worker forged a credit";
-  expect_byte_identical(got, clean, "forged credit " + std::to_string(count));
-  EXPECT_EQ(got.recoveries, 1u);
-  EXPECT_FALSE(got.degraded);
-  EXPECT_NE(log.find("sent a Credit for " + std::to_string(count)),
-            std::string::npos)
-      << log;
+  const RunDigest got = run_forged(logic, log);
+  EXPECT_EQ(armed->load(), 0) << "no worker forged a frame";
+  expect_byte_identical(got, clean, reason);
+  EXPECT_EQ(got.recoveries, 1u) << reason;
+  EXPECT_FALSE(got.degraded) << reason;
+  EXPECT_NE(log.find(reason), std::string::npos) << log;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "unreaped worker";
+}
+
+/// A forged credit carrying `count`, right behind the worker's own
+/// credit for the batch it forged in.
+std::vector<std::uint8_t> forged_credit(std::uint64_t count) {
+  return forged_frame(FrameType::kCredit, count, ByteWriter{});
 }
 
 // A credit count that runs backwards (0, behind the worker's own credit
@@ -651,13 +812,56 @@ void expect_forged_credit_recovered(std::uint64_t count) {
 // and the run ends byte-identical to a clean one.
 TEST(NetFuzz, CreditCountRunningBackwardsRecoversTheWorker) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
-  expect_forged_credit_recovered(0);
+  expect_forgery_recovered(forged_credit(0), false, "sent a Credit for 0");
 }
 
 // A credit count past the batches sent is a corrupt frame too.
 TEST(NetFuzz, CreditCountPastBatchesSentRecoversTheWorker) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
-  expect_forged_credit_recovered(std::uint64_t{1} << 40);
+  const std::uint64_t count = std::uint64_t{1} << 40;
+  expect_forgery_recovered(forged_credit(count), false,
+                           "sent a Credit for " + std::to_string(count));
+}
+
+// A checkpoint chunk before any epoch sealed has no checkpoint to join.
+TEST(NetFuzz, ChunkWithNoCheckpointOutstandingRecoversTheWorker) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  expect_forgery_recovered(forged_chunk(1, 64, 0, 64), false,
+                           "sent a Checkpoint chunk with no checkpoint "
+                           "outstanding");
+}
+
+// Forged chunks ahead of a worker's first checkpoint, which the driver
+// awaits as soon as it absorbed the epoch-1 summary: each breach of the
+// chunk stream recovers the worker — by the two-epoch replay, since the
+// summary is in — and never aborts the driver.
+TEST(NetFuzz, ForgedCheckpointChunksRecoverTheWorker) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const auto two = [](std::vector<std::uint8_t> a,
+                      const std::vector<std::uint8_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const struct {
+    std::vector<std::uint8_t> frames;
+    std::string reason;
+  } cases[] = {
+      {forged_chunk(9, 64, 0, 16),
+       "sent a chunk of checkpoint 9 while checkpoint 1 is outstanding"},
+      {forged_chunk(1, 64, 8, 16), "sent checkpoint bytes [8, +16) after 0"},
+      {two(forged_chunk(1, 64, 0, 16), forged_chunk(1, 64, 8, 16)),
+       "sent checkpoint bytes [8, +16) after 16 of 64"},
+      {two(forged_chunk(1, 64, 0, 16), forged_chunk(1, 80, 16, 16)),
+       "changed its checkpoint's size from 64 to 80 bytes"},
+      {forged_chunk(1, kMaxFramePayload + 1, 0, 16),
+       "announced a checkpoint of 268435457 bytes"},
+      {forged_chunk(1, 16, 0, 16),
+       "sent checkpoint 1 bytes that fail validation"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.reason);
+    expect_forgery_recovered(c.frames, /*at_checkpoint=*/true, c.reason);
+  }
 }
 
 }  // namespace
