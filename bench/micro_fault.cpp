@@ -9,15 +9,21 @@
 //      with the SAME plan-history digest, state checksum and processed
 //      count as the crash-free run. Recovery that loses or double-counts
 //      so much as one tuple fails this gate.
-//   2. MTTR — mean time to repair (reap -> respawn -> restore -> replay,
-//      NetEngine::total_recovery_ms / recoveries) stays within 5x the
-//      crash-free run's mean per-boundary stall. Recovery rides the
-//      normal epoch machinery; if repairing a worker costs more than a
-//      handful of interval boundaries, the checkpoint/replay path has
-//      regressed into a restart-the-world.
+//   2. MTTR — time to repair (reap -> respawn -> restore -> replay,
+//      NetEngine::total_recovery_ms / recoveries), median over every
+//      faulted run, stays within 5x the median over the crash-free runs
+//      of their mean per-boundary stall. Recovery rides the normal epoch
+//      machinery; if repairing a worker costs more than a handful of
+//      interval boundaries, the checkpoint/replay path has regressed into
+//      a restart-the-world.
+//
+// The crash-free run and each kill run kRounds times, alternating, so
+// host noise moves both sides of the MTTR gate alike and a single slow
+// run cannot decide it; every faulted run must pass the identity gate.
 //
 // Output: summary on stderr, JSON on stdout (run_benches.sh redirects
-// into BENCH_fault.json). Non-zero exit if any gate fails.
+// into BENCH_fault.json) with the medians and every run's values.
+// Non-zero exit if any gate fails.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +32,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/stats.h"
 #include "core/controller.h"
 #include "core/planners.h"
 #include "net/fault_injector.h"
@@ -36,6 +43,9 @@
 using namespace skewless;
 
 namespace {
+
+/// Runs of the crash-free configuration and of each kill.
+constexpr int kRounds = 5;
 
 struct Scenario {
   std::uint64_t num_keys = 200'000;
@@ -149,47 +159,57 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(sc.tuples_per_interval),
                sc.intervals, static_cast<int>(sc.workers));
 
-  std::fprintf(stderr, "crash-free baseline (recovery enabled)...\n");
-  const RunResult clean = run_one(sc, FaultPlan{});
-  const std::uint64_t expected =
-      sc.tuples_per_interval * static_cast<std::uint64_t>(sc.intervals);
-  if (clean.recoveries != 0 || clean.degraded ||
-      clean.processed != expected) {
-    std::fprintf(stderr, "baseline run is not clean\n");
-    return 1;
-  }
-  const double clean_boundary_stall_ms =
-      clean.total_stall_ms / static_cast<double>(sc.intervals);
-
   // SIGKILL worker 1 at an early and a late boundary (separate runs):
   // the early kill replays into a still-cold state, the late one
   // restores a full checkpoint across a history of migrations.
   const std::uint64_t kill_epochs[2] = {
       2, static_cast<std::uint64_t>(sc.intervals) - 1};
-  RunResult faulted[2];
+  const std::uint64_t expected =
+      sc.tuples_per_interval * static_cast<std::uint64_t>(sc.intervals);
+  std::vector<RunResult> clean;
+  std::vector<RunResult> faulted[2];
+  std::vector<double> clean_stall_ms;
+  std::vector<double> mttr_runs_ms[2];
+  std::vector<double> all_mttr_ms;
   bool identical = true;
   bool recovered = true;
-  double recovery_ms_sum = 0.0;
-  std::uint64_t recovery_count = 0;
-  for (int i = 0; i < 2; ++i) {
-    std::fprintf(stderr, "kill worker 1 at epoch %llu...\n",
-                 static_cast<unsigned long long>(kill_epochs[i]));
-    FaultPlan plan;
-    plan.events.push_back(FaultEvent{FaultKind::kKill, /*worker=*/1,
-                                     kill_epochs[i], /*sticky=*/false});
-    faulted[i] = run_one(sc, plan);
-    identical &= faulted[i].plan_digest == clean.plan_digest &&
-                 faulted[i].state_checksum == clean.state_checksum &&
-                 faulted[i].state_entries == clean.state_entries &&
-                 faulted[i].processed == clean.processed;
-    recovered &= faulted[i].recoveries == 1 && !faulted[i].degraded;
-    recovery_ms_sum += faulted[i].total_recovery_ms;
-    recovery_count += faulted[i].recoveries;
+  for (int round = 0; round < kRounds; ++round) {
+    std::fprintf(stderr, "round %d: crash-free run (recovery enabled)...\n",
+                 round + 1);
+    clean.push_back(run_one(sc, FaultPlan{}));
+    const RunResult& base = clean.back();
+    if (base.recoveries != 0 || base.degraded || base.processed != expected ||
+        base.plan_digest != clean.front().plan_digest ||
+        base.state_checksum != clean.front().state_checksum) {
+      std::fprintf(stderr, "crash-free run is not clean\n");
+      return 1;
+    }
+    clean_stall_ms.push_back(base.total_stall_ms /
+                             static_cast<double>(sc.intervals));
+    for (int i = 0; i < 2; ++i) {
+      std::fprintf(stderr, "round %d: kill worker 1 at epoch %llu...\n",
+                   round + 1, static_cast<unsigned long long>(kill_epochs[i]));
+      FaultPlan plan;
+      plan.events.push_back(FaultEvent{FaultKind::kKill, /*worker=*/1,
+                                       kill_epochs[i], /*sticky=*/false});
+      faulted[i].push_back(run_one(sc, plan));
+      const RunResult& got = faulted[i].back();
+      identical &= got.plan_digest == base.plan_digest &&
+                   got.state_checksum == base.state_checksum &&
+                   got.state_entries == base.state_entries &&
+                   got.processed == base.processed;
+      recovered &= got.recoveries == 1 && !got.degraded;
+      const double mttr =
+          got.recoveries > 0
+              ? got.total_recovery_ms / static_cast<double>(got.recoveries)
+              : 1e18;
+      mttr_runs_ms[i].push_back(mttr);
+      all_mttr_ms.push_back(mttr);
+    }
   }
 
-  const double mttr_ms =
-      recovery_count > 0 ? recovery_ms_sum / static_cast<double>(recovery_count)
-                         : 1e18;
+  const double clean_boundary_stall_ms = percentile(clean_stall_ms, 0.5);
+  const double mttr_ms = percentile(all_mttr_ms, 0.5);
   // Headroom > 1 means MTTR sits under the 5x-boundary-stall gate; the
   // regression checker tracks this ratio (both sides are wall clocks on
   // the same host, so the ratio survives machine drift).
@@ -200,21 +220,49 @@ int main(int argc, char** argv) {
   const bool pass_recovered = recovered;
   const bool pass_mttr = mttr_ms <= 5.0 * clean_boundary_stall_ms;
 
+  const RunResult& ref = clean.front();
   std::fprintf(stderr,
                "\nplan digest %016llx, state checksum %016llx, "
                "%zu state entries, %llu processed\n"
-               "digest divergence across kills: %s\n"
+               "digest divergence across %d kills: %s\n"
                "recoveries clean (1 per kill, no degrade): %s\n"
-               "MTTR %.3f ms vs clean boundary stall %.3f ms "
-               "(gate mttr <= 5x stall, headroom %.2f): %s\n",
-               static_cast<unsigned long long>(clean.plan_digest),
-               static_cast<unsigned long long>(clean.state_checksum),
-               clean.state_entries,
-               static_cast<unsigned long long>(clean.processed),
+               "median MTTR %.3f ms vs median clean boundary stall %.3f ms "
+               "over %d rounds (gate mttr <= 5x stall, headroom %.2f): %s\n",
+               static_cast<unsigned long long>(ref.plan_digest),
+               static_cast<unsigned long long>(ref.state_checksum),
+               ref.state_entries,
+               static_cast<unsigned long long>(ref.processed), 2 * kRounds,
                pass_identity ? "NONE (PASS)" : "DIVERGED (FAIL)",
                pass_recovered ? "PASS" : "FAIL", mttr_ms,
-               clean_boundary_stall_ms, mttr_headroom,
+               clean_boundary_stall_ms, kRounds, mttr_headroom,
                pass_mttr ? "PASS" : "FAIL");
+
+  const auto json_list = [](const std::vector<double>& values) {
+    std::string out = "[";
+    char buf[32];
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), "%s%.3f", i > 0 ? ", " : "", values[i]);
+      out += buf;
+    }
+    return out + "]";
+  };
+  const auto kill_json = [&](int i) {
+    std::string digests = "[";
+    for (std::size_t r = 0; r < faulted[i].size(); ++r) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%s\"%016llx\"", r > 0 ? ", " : "",
+                    static_cast<unsigned long long>(faulted[i][r].plan_digest));
+      digests += buf;
+    }
+    char head[96];
+    std::snprintf(head, sizeof(head), "{\"epoch\": %llu, \"mttr_ms\": %.3f, ",
+                  static_cast<unsigned long long>(kill_epochs[i]),
+                  percentile(mttr_runs_ms[i], 0.5));
+    return std::string(head) + "\"plan_digests\": " + digests +
+           "], \"recovery_ms\": " + json_list(mttr_runs_ms[i]) + "}";
+  };
+  std::vector<double> clean_wall_ms;
+  for (const RunResult& r : clean) clean_wall_ms.push_back(r.total_wall_ms);
 
   std::printf(
       "{\n"
@@ -223,14 +271,13 @@ int main(int argc, char** argv) {
       "  \"workload\": {\"distribution\": \"zipf\", \"skew\": 1.2, "
       "\"keys\": %llu, \"tuples_per_interval\": %llu, \"intervals\": %d, "
       "\"workers\": %d, \"batch\": %zu},\n"
+      "  \"rounds\": %d,\n"
       "  \"clean\": {\"plan_digest\": \"%016llx\", "
       "\"state_checksum\": \"%016llx\", \"state_entries\": %zu, "
       "\"processed\": %llu, \"boundary_stall_ms\": %.3f, "
-      "\"wall_ms\": %.1f},\n"
-      "  \"kill_early\": {\"epoch\": %llu, \"plan_digest\": \"%016llx\", "
-      "\"recoveries\": %llu, \"recovery_ms\": %.3f},\n"
-      "  \"kill_late\": {\"epoch\": %llu, \"plan_digest\": \"%016llx\", "
-      "\"recoveries\": %llu, \"recovery_ms\": %.3f},\n"
+      "\"boundary_stall_ms_runs\": %s, \"wall_ms_runs\": %s},\n"
+      "  \"kill_early\": %s,\n"
+      "  \"kill_late\": %s,\n"
       "  \"mttr_ms\": %.3f,\n"
       "  \"mttr_headroom\": %.3f,\n"
       "  \"gates\": {\"zero_digest_divergence\": %s, "
@@ -240,19 +287,12 @@ int main(int argc, char** argv) {
       bench::env_json().c_str(),
       static_cast<unsigned long long>(sc.num_keys),
       static_cast<unsigned long long>(sc.tuples_per_interval), sc.intervals,
-      static_cast<int>(sc.workers), sc.batch,
-      static_cast<unsigned long long>(clean.plan_digest),
-      static_cast<unsigned long long>(clean.state_checksum),
-      clean.state_entries, static_cast<unsigned long long>(clean.processed),
-      clean_boundary_stall_ms, clean.total_wall_ms,
-      static_cast<unsigned long long>(kill_epochs[0]),
-      static_cast<unsigned long long>(faulted[0].plan_digest),
-      static_cast<unsigned long long>(faulted[0].recoveries),
-      faulted[0].total_recovery_ms,
-      static_cast<unsigned long long>(kill_epochs[1]),
-      static_cast<unsigned long long>(faulted[1].plan_digest),
-      static_cast<unsigned long long>(faulted[1].recoveries),
-      faulted[1].total_recovery_ms, mttr_ms, mttr_headroom,
+      static_cast<int>(sc.workers), sc.batch, kRounds,
+      static_cast<unsigned long long>(ref.plan_digest),
+      static_cast<unsigned long long>(ref.state_checksum), ref.state_entries,
+      static_cast<unsigned long long>(ref.processed), clean_boundary_stall_ms,
+      json_list(clean_stall_ms).c_str(), json_list(clean_wall_ms).c_str(),
+      kill_json(0).c_str(), kill_json(1).c_str(), mttr_ms, mttr_headroom,
       pass_identity ? "true" : "false", pass_recovered ? "true" : "false",
       pass_mttr ? "true" : "false");
 

@@ -36,8 +36,9 @@
 #       fault tolerance: a worker SIGKILLed at an early and a late
 #       interval boundary is checkpoint-restored and replayed with ZERO
 #       digest divergence vs the crash-free run (plan digest, state
-#       checksum, processed count), and mean time to repair stays within
-#       5x the crash-free run's per-boundary stall.
+#       checksum, processed count) in every faulted run, and the median
+#       time to repair stays within 5x the median crash-free per-boundary
+#       stall, over alternating rounds of each configuration.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."

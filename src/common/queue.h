@@ -1,21 +1,15 @@
-// Bounded queues used by the threaded engine.
-//
-// BoundedMpmcQueue: mutex + condition_variable, multi-producer
-// multi-consumer, with close() semantics for clean shutdown. The threaded
-// engine moves batches, not single tuples, through this queue, so the lock
-// is amortized and uncontended in practice.
-//
-// SpscRing: single-producer single-consumer lock-free ring used on the
-// spout -> router edge where we know the endpoints are single threads.
+// The bounded queue the threaded engine's worker queues and migration
+// mailbox use: mutex + condition_variable, multi-producer
+// multi-consumer, with close() semantics for clean shutdown. The engine
+// moves batches, not single tuples, through it, so the lock is amortized
+// and uncontended in practice.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "common/assert.h"
 
@@ -58,17 +52,6 @@ class BoundedMpmcQueue {
     return true;
   }
 
-  /// Non-blocking push; returns false when full or closed.
-  bool try_push(T item) {
-    {
-      std::lock_guard lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed and drained.
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
@@ -77,19 +60,6 @@ class BoundedMpmcQueue {
     T item = std::move(items_.front());
     items_.pop_front();
     lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::optional<T> item;
-    {
-      std::lock_guard lock(mu_);
-      if (items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-    }
     not_full_.notify_one();
     return item;
   }
@@ -105,69 +75,13 @@ class BoundedMpmcQueue {
     not_full_.notify_all();
   }
 
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return items_.size();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
   std::size_t capacity_;
   bool closed_ = false;
-};
-
-/// Lock-free single-producer single-consumer ring buffer.
-/// Capacity is rounded up to a power of two; one slot is sacrificed to
-/// distinguish full from empty.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t min_capacity) {
-    std::size_t cap = 2;
-    while (cap < min_capacity + 1) cap <<= 1;
-    buffer_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  /// Producer side. Returns false when full.
-  bool try_push(T item) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
-    if (next == tail_.load(std::memory_order_acquire)) return false;
-    buffer_[head] = std::move(item);
-    head_.store(next, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns nullopt when empty.
-  std::optional<T> try_pop() {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_.load(std::memory_order_acquire)) return std::nullopt;
-    T item = std::move(buffer_[tail]);
-    tail_.store((tail + 1) & mask_, std::memory_order_release);
-    return item;
-  }
-
-  [[nodiscard]] bool empty() const {
-    return tail_.load(std::memory_order_acquire) ==
-           head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return buffer_.size() - 1; }
-
- private:
-  std::vector<T> buffer_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  // producer-owned
-  alignas(64) std::atomic<std::size_t> tail_{0};  // consumer-owned
 };
 
 }  // namespace skewless

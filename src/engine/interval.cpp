@@ -1,6 +1,7 @@
 #include "engine/interval.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/clock.h"
 #include "core/snapshot.h"
@@ -106,6 +107,10 @@ void note_plan(const RebalancePlan& plan, const StatsProvider& stats,
       total > 0.0 ? plan.migration_bytes / total * 100.0 : 0.0;
 }
 
+namespace {
+
+/// close_boundary's statistics step: adds `tally` to `report`, rolls and
+/// plans, and fills the plan, load, θ and memory fields.
 std::optional<RebalancePlan> close_statistics(Controller& controller,
                                               const SlabTally& tally,
                                               IntervalReport& report) {
@@ -127,6 +132,22 @@ std::optional<RebalancePlan> close_statistics(Controller& controller,
                          : PartitionSnapshot::max_theta(tally.worker_cost);
   report.stats_memory_bytes += controller.stats_memory_bytes();
   return plan;
+}
+
+}  // namespace
+
+bool close_boundary(Controller& controller, BoundaryTransport& transport,
+                    std::uint64_t epoch, IntervalReport& report) {
+  SlabTally tally(static_cast<std::size_t>(controller.num_instances()));
+  if (!transport.collect(epoch, tally)) return false;
+  const std::optional<RebalancePlan> plan =
+      close_statistics(controller, tally, report);
+  const SketchStatsWindow* sketch = controller.slab_sink();
+  if (!transport.publish(epoch, sketch != nullptr ? sketch->heavy_keys()
+                                                  : std::vector<KeyId>{})) {
+    return false;
+  }
+  return !plan || transport.migrate(*plan, report);
 }
 
 void close_interval(IntervalReport& report, double routed_ms,

@@ -2,16 +2,15 @@
 // engine returns (SimEngine included) and the copy of a decided plan into
 // it, plus what the threaded and the net engine alone share — a worker's
 // per-batch operator fold, the boundary tally of sealed worker buffers,
-// the statistics close (roll, plan, plan fields, memory), the closing
-// timing arithmetic, and the expansion of a source interval into a
-// shuffled tuple sequence. The net ≡ threaded byte-identity contract
-// rests on these being one copy: both engines fold, tally, close and
-// expand through the same code.
+// the boundary routine (collect, roll and plan, publish the heavy set,
+// migrate), the closing timing arithmetic, and the expansion of a source
+// interval into a shuffled tuple sequence. The net ≡ threaded
+// byte-identity contract rests on these being one copy: both engines
+// fold, tally, close and expand through the same code, in the same order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -74,8 +73,8 @@ struct IntervalReport {
   /// from the interval's last tuple until it could route the next one,
   /// excluding ThreadedEngine::run's overlapped generation of the next
   /// interval. On the threaded engine that is the seal pushes plus
-  /// whatever merge/plan work had not finished when the driver waited for
-  /// it, plus the migration.
+  /// whatever of the merge thread's boundary (merge, roll, plan,
+  /// migration) had not finished when the driver waited for it.
   double stall_ms = 0.0;
   /// Time absorbing worker statistics into the provider (slab absorbs,
   /// or the exact-mode per-key replay).
@@ -176,18 +175,40 @@ struct SlabTally {
   std::size_t memory_bytes = 0;
 };
 
-/// Closes the interval's statistics, in this order: adds `tally` to
-/// `report` (processed, average latency, merge time, memory), rolls and
-/// plans (Controller::end_interval, timed as roll_ms), copies the plan's
-/// figures through note_plan when a migration was decided, sets
-/// instance_load to the tally's per-worker costs, and adds the
-/// provider's post-roll memory. max_theta is the controller's observed
-/// imbalance, or — for a planner-less controller, which observes none —
-/// the realized one over the tally's per-worker costs. Returns the plan
-/// for the engine to execute.
-std::optional<RebalancePlan> close_statistics(Controller& controller,
-                                              const SlabTally& tally,
-                                              IntervalReport& report);
+/// How close_boundary reaches one engine's workers. Each hook returns
+/// false once the engine has failed or is stopping; close_boundary then
+/// stops. Nothing is owned or deleted through this interface.
+class BoundaryTransport {
+ public:
+  /// Tallies every worker's sealed statistics for `epoch` into `tally`,
+  /// in worker-index order: SlabTally::absorb for a sealed slab,
+  /// SlabTally::replay for a sealed per-key map.
+  virtual bool collect(std::uint64_t epoch, SlabTally& tally) = 0;
+
+  /// Hands every worker `epoch`'s post-roll heavy set (empty in exact
+  /// mode); a sealed worker installs it before its next batch.
+  virtual bool publish(std::uint64_t epoch, std::vector<KeyId> heavy) = 0;
+
+  /// Moves the state of `plan`'s keys to their new owners; the next
+  /// interval is routed only after this returns.
+  virtual bool migrate(const RebalancePlan& plan, IntervalReport& report) = 0;
+
+ protected:
+  ~BoundaryTransport() = default;
+};
+
+/// The boundary of Fig. 5, one order for both engines: collects every
+/// worker's sealed statistics for `epoch`, adds the tally to `report`
+/// (processed, average latency, merge time, memory), rolls and plans
+/// (Controller::end_interval, timed as roll_ms), copies a decided plan's
+/// figures through note_plan, sets instance_load to the per-worker costs
+/// and max_theta to the controller's observed imbalance (for a
+/// planner-less controller, which observes none, the realized one over
+/// the per-worker costs), adds the provider's post-roll memory, publishes
+/// the post-roll heavy set, and then, if a plan was decided, migrates.
+/// Returns false as soon as a hook does.
+bool close_boundary(Controller& controller, BoundaryTransport& transport,
+                    std::uint64_t epoch, IntervalReport& report);
 
 /// Closes the report's timing: wall = routing time + boundary stall,
 /// throughput = processed / wall. The boundary's merge and stall times

@@ -33,10 +33,6 @@ class KeyState {
   /// owning OperatorLogic's deserialize_state() must reconstruct an
   /// equivalent state (equal checksum) from the bytes.
   virtual void serialize(ByteWriter& out) const = 0;
-
-  /// Drops window content older than the watermark (no-op for
-  /// non-windowed states).
-  virtual void expire_before(Micros /*watermark*/) {}
 };
 
 /// Owning map from key to state, local to one task instance. Accessed
@@ -93,10 +89,6 @@ class StateStore {
   }
 
   void clear() { states_.clear(); }
-
-  void expire_before(Micros watermark) {
-    for (auto& [key, state] : states_) state->expire_before(watermark);
-  }
 
   [[nodiscard]] std::size_t size() const { return states_.size(); }
 

@@ -173,8 +173,6 @@ void ThreadedEngine::worker_loop(InstanceId id) {
       for (auto& [key, state] : install->states) {
         store.install(key, std::move(state));
       }
-    } else if (auto* expire = std::get_if<ExpireMsg>(&*msg)) {
-      store.expire_before(expire->watermark);
     } else if (auto* seal = std::get_if<SealMsg>(&*msg)) {
       // Epoch boundary: stamp (sketch mode) + release-publish the active
       // buffer, swap onto the peer (cleared by the merge path before the
@@ -241,8 +239,7 @@ void ThreadedEngine::flush_batches() {
   for (InstanceId d = 0; d < num_workers_; ++d) flush_batch(d);
 }
 
-void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
-                                        SlabTally& tally) {
+bool ThreadedEngine::collect(std::uint64_t epoch, SlabTally& tally) {
   for (std::size_t w = 0; w < slabs_.size(); ++w) {
     SlabPair& pair = *slabs_[w];
     // The seal is the last message of the epoch in worker w's FIFO, so
@@ -258,7 +255,9 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
                stopping_.load(std::memory_order_acquire);
       });
     }
-    if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) return;
+    if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) {
+      return false;
+    }
     EpochBuffer& buf = pair.bufs[(epoch - 1) & 1];
     // The worker's active peer cannot be measured while it accumulates;
     // the just-cleared buffer stands in for it so the double-buffer
@@ -280,6 +279,7 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
       tally.memory_bytes += buf.per_key.bucket_count() * sizeof(void*);
     }
   }
+  return true;
 }
 
 void ThreadedEngine::merge_loop() {
@@ -293,19 +293,12 @@ void ThreadedEngine::merge_loop() {
       if (merge_requested_ < epoch) return;  // stopping, nothing pending
       report = merge_report_;
     }
-    SlabTally tally(slabs_.size());
-    merge_sealed_slabs(epoch, tally);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    // The whole statistics close runs here, off the driver's path: roll
-    // and plan over the fully-merged epoch, then publish the heavy set,
-    // which resumes the sealed workers before the driver pushes any
-    // migration message they must reach.
-    std::optional<RebalancePlan> plan =
-        close_statistics(*controller_, tally, *report);
-    publish_heavy_set(epoch);
+    // The whole boundary runs here, off the driver's path: the roll and
+    // plan see the fully-merged epoch, and the publish resumes the sealed
+    // workers before the migration pushes any message they must reach.
+    if (!close_boundary(*controller_, *this, epoch, *report)) return;
     {
       std::lock_guard lock(merge_mu_);
-      boundary_plan_ = std::move(plan);
       merge_completed_ = epoch;
     }
     merge_cv_.notify_all();
@@ -313,16 +306,18 @@ void ThreadedEngine::merge_loop() {
   }
 }
 
-void ThreadedEngine::publish_heavy_set(std::uint64_t epoch) {
-  if (sketch_stats_ != nullptr) heavy_published_ = sketch_stats_->heavy_keys();
+bool ThreadedEngine::publish(std::uint64_t epoch, std::vector<KeyId> heavy) {
+  heavy_published_ = std::move(heavy);
   heavy_epoch_.store(epoch, std::memory_order_release);
   {
     std::lock_guard lock(heavy_mu_);
   }
   heavy_cv_.notify_all();
+  return true;
 }
 
-void ThreadedEngine::execute_migration(const RebalancePlan& plan) {
+bool ThreadedEngine::migrate(const RebalancePlan& plan,
+                             IntervalReport& /*report*/) {
   // Group the moves by source worker and extract.
   std::vector<std::vector<KeyId>> by_source(
       static_cast<std::size_t>(num_workers_));
@@ -338,29 +333,27 @@ void ThreadedEngine::execute_migration(const RebalancePlan& plan) {
   }
 
   // Collect the extracted states (workers reach the Extract message after
-  // finishing every tuple routed before the migration — FIFO ordering).
-  std::unordered_map<KeyId, InstanceId> dest_of;
-  dest_of.reserve(plan.moves.size());
-  for (const KeyMove& mv : plan.moves) dest_of.emplace(mv.key, mv.to);
-
+  // finishing every tuple routed before the migration — FIFO ordering),
+  // grouped by the post-plan assignment: a key's new owner.
   std::vector<std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>>>
       by_dest(static_cast<std::size_t>(num_workers_));
   for (std::size_t i = 0; i < expected; ++i) {
     auto extracted = migration_mailbox_.pop();
     SKW_ASSERT(extracted.has_value());
     if (extracted->state == nullptr) continue;  // key had no state yet
-    const InstanceId to = dest_of.at(extracted->key);
+    const InstanceId to = controller_->assignment()(extracted->key);
     by_dest[static_cast<std::size_t>(to)].emplace_back(
         extracted->key, std::move(extracted->state));
   }
 
-  // Install at the destinations; tuples routed after this call sit behind
-  // the Install message in the destination queue.
+  // Install at the destinations; tuples routed after the boundary sit
+  // behind the Install message in the destination queue.
   for (InstanceId d = 0; d < num_workers_; ++d) {
     auto& states = by_dest[static_cast<std::size_t>(d)];
     if (states.empty()) continue;
     push(d, InstallMsg{std::move(states)});
   }
+  return true;
 }
 
 IntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
@@ -405,22 +398,12 @@ void ThreadedEngine::begin_boundary(IntervalReport& report) {
 
 void ThreadedEngine::finish_boundary(IntervalReport& report) {
   WallTimer timer;
-  // The merge thread closed the statistics into `report` and published
-  // the heavy set; only the migration it planned is left.
-  std::optional<RebalancePlan> plan;
+  // The merge thread runs the whole boundary into `report`, migration
+  // included.
   {
     std::unique_lock lock(merge_mu_);
     merge_cv_.wait(lock,
                    [&] { return merge_completed_ >= open_boundary_epoch_; });
-    plan = std::exchange(boundary_plan_, std::nullopt);
-  }
-  if (plan) execute_migration(*plan);
-  if (config_.expire_lag_intervals > 0) {
-    const Micros watermark =
-        (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
-    for (InstanceId d = 0; d < num_workers_; ++d) {
-      push(d, ExpireMsg{watermark});
-    }
   }
   close_interval(report, report.wall_ms,
                  open_boundary_stall_ms_ + timer.elapsed_millis(),
@@ -450,8 +433,8 @@ std::vector<IntervalReport> ThreadedEngine::run(WorkloadSource& source,
     IntervalReport report = ingest(tuples);
     begin_boundary(report);
     // Overlap window: generate (expand + shuffle) the NEXT interval's
-    // tuples while the merge thread absorbs, rolls and plans this
-    // interval's sealed buffers. The tuple source keeps flowing through
+    // tuples while the merge thread absorbs, rolls, plans and migrates
+    // this interval's boundary. The tuple source keeps flowing through
     // the boundary — the wall/stall accounting in begin/finish
     // deliberately excludes this segment, because the driver is doing
     // next-interval source work, not waiting.

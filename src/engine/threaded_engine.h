@@ -7,16 +7,17 @@
 //
 // Migration protocol (Fig. 5), mapped onto queue FIFO ordering:
 //   1. the controller decides a plan at an interval boundary;
-//   2. the driver routes no tuples while it pushes one Extract control
-//      message per source worker — every tuple sent earlier is ahead of
-//      the Extract in that worker's FIFO queue, so extraction sees the
-//      fully up-to-date state;
+//   2. while the driver routes no tuples, the merge thread pushes one
+//      Extract control message per source worker — every tuple sent
+//      earlier is ahead of the Extract in that worker's FIFO queue, so
+//      extraction sees the fully up-to-date state;
 //   3. workers reply with the extracted KeyState objects through the
 //      migration mailbox;
-//   4. the driver pushes Install messages to the destination workers and
-//      only then resumes routing with the new assignment — any tuple
-//      routed afterwards sits behind the Install in the destination's
-//      FIFO queue, so it can never observe a missing state.
+//   4. the merge thread pushes Install messages to the destination
+//      workers, and only then does the driver resume routing with the new
+//      assignment — any tuple routed afterwards sits behind the Install in
+//      the destination's FIFO queue, so it can never observe a missing
+//      state.
 // Keys not involved in ∆(F, F') keep flowing the whole time.
 //
 // Queue bound: each worker queue holds 8 batches (kQueueBatches in
@@ -55,22 +56,23 @@
 // after the merge thread rolls the window; empty in exact mode) before
 // touching the next epoch's batches — so every slab accumulates under
 // exactly the heavy set a sequential run would have installed. A
-// driver-side merge thread owns the whole statistics close: it absorbs
-// the sealed buffers in worker-index order, rolls and plans
-// (close_statistics), and publishes the heavy set, while the next
-// interval's tuples are generated; the driver's finish_boundary only
-// waits for it and executes the migration it planned. The merge input is
-// exactly the sealed epoch regardless of scheduling, so the merged window
-// state and the plan are schedule-independent too.
+// driver-side merge thread runs the whole boundary through
+// close_boundary (engine/interval.h), the routine the net engine runs
+// too: it absorbs the sealed buffers in worker-index order (collect),
+// rolls and plans, publishes the heavy set (publish), and migrates the
+// planned keys (migrate), while run() generates the next interval's
+// tuples; the driver's finish_boundary only waits for it. The sealed
+// workers resume at the publish, before any Extract is pushed, and the
+// driver routes nothing until finish_boundary returns. The merge input
+// is exactly the sealed epoch regardless of scheduling, so the merged
+// window state and the plan are schedule-independent too.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -92,8 +94,6 @@ struct ThreadedConfig {
   InstanceId num_workers = 4;
   /// Tuples per Batch message (amortizes queue locking).
   std::size_t batch_size = 256;
-  /// Window expiry watermark lag, in intervals (0 = no expiry messages).
-  int expire_lag_intervals = 0;
   /// Ignored: ControllerConfig::stats_mode picks the statistics store.
   /// Kept because existing callers still set it.
   StatsMode stats_mode = StatsMode::kExact;
@@ -109,7 +109,7 @@ struct ThreadedConfig {
   bool pin_workers = false;
 };
 
-class ThreadedEngine {
+class ThreadedEngine : private BoundaryTransport {
  public:
   /// The controller's AssignmentFunction routes tuples, its provider
   /// holds the statistics, and its planner (if any) rebalances at
@@ -173,9 +173,6 @@ class ThreadedEngine {
   struct InstallMsg {
     std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>> states;
   };
-  struct ExpireMsg {
-    Micros watermark;
-  };
   /// Interval-boundary seal: the worker publishes its active epoch
   /// buffer as `epoch`'s sealed buffer, swaps onto the other one, and
   /// installs the epoch's new heavy set before processing anything that
@@ -185,8 +182,8 @@ class ThreadedEngine {
     std::uint64_t epoch;
   };
   struct StopMsg {};
-  using WorkerMsg = std::variant<BatchMsg, ExtractMsg, InstallMsg, ExpireMsg,
-                                 SealMsg, StopMsg>;
+  using WorkerMsg =
+      std::variant<BatchMsg, ExtractMsg, InstallMsg, SealMsg, StopMsg>;
 
   struct ExtractedState {
     KeyId key = 0;
@@ -225,28 +222,31 @@ class ThreadedEngine {
   /// Pushes `msg` to worker d's queue (a push only fails after close(),
   /// which cannot happen while the engine runs).
   void push(InstanceId d, WorkerMsg msg);
-  void execute_migration(const RebalancePlan& plan);
+  // The boundary transport; close_boundary calls these on the merge
+  // thread.
   /// Tallies every worker's sealed buffer for `epoch` in worker-index
   /// order (waiting for stragglers to seal): absorbs the slabs in sketch
-  /// mode, replays the per-key maps into the provider in exact mode. Runs
-  /// on the merge thread.
-  void merge_sealed_slabs(std::uint64_t epoch, SlabTally& tally);
+  /// mode, replays the per-key maps into the provider in exact mode.
+  /// False once the engine is stopping.
+  bool collect(std::uint64_t epoch, SlabTally& tally) override;
   /// Epoch-stamped release-publish of the post-roll heavy set (empty in
   /// exact mode); sealed workers waiting at their SealMsg barrier install
   /// it and resume.
-  void publish_heavy_set(std::uint64_t epoch);
+  bool publish(std::uint64_t epoch, std::vector<KeyId> heavy) override;
+  /// Extracts the plan's keys at their sources and installs them at
+  /// their new owners (the post-plan assignment).
+  bool migrate(const RebalancePlan& plan, IntervalReport& report) override;
   /// Routes `tuples` as the open interval's stream (wall_ms accumulates
   /// the routing segment only).
   IntervalReport ingest(const std::vector<Tuple>& tuples);
   /// Starts the interval boundary: pushes the seals and hands the epoch
-  /// and the open `report` to the merge thread, which closes the
-  /// statistics into it. Between begin and finish the caller may overlap
-  /// driver-side work (run() expands the next interval's tuples there) —
-  /// but must not route tuples or touch the controller or `report`.
+  /// and the open `report` to the merge thread, which runs the boundary
+  /// into it. Between begin and finish the caller may overlap driver-side
+  /// work (run() expands the next interval's tuples there) — but must not
+  /// route tuples or touch the controller or `report`.
   void begin_boundary(IntervalReport& report);
-  /// Completes the boundary: waits for the merge thread, executes the
-  /// plan's migration, and finalizes the report's wall/stall/throughput
-  /// numbers.
+  /// Completes the boundary: waits for the merge thread, then finalizes
+  /// the report's wall/stall/throughput numbers.
   void finish_boundary(IntervalReport& report);
 
   ThreadedConfig config_;
@@ -294,8 +294,7 @@ class ThreadedEngine {
   /// The open boundary's report, handed to the merge thread by
   /// begin_boundary; the driver does not touch it until the merge
   /// completes.
-  IntervalReport* merge_report_ = nullptr;       // guarded by merge_mu_
-  std::optional<RebalancePlan> boundary_plan_;   // guarded by merge_mu_
+  IntervalReport* merge_report_ = nullptr;  // guarded by merge_mu_
   /// Boundary-in-flight epoch between begin_boundary and
   /// finish_boundary (driver-only).
   std::uint64_t open_boundary_epoch_ = 0;

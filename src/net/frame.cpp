@@ -15,7 +15,6 @@ const char* frame_type_name(FrameType type) {
     case FrameType::kMigrated: return "Migrated";
     case FrameType::kInstall: return "Install";
     case FrameType::kInstallAck: return "InstallAck";
-    case FrameType::kExpire: return "Expire";
     case FrameType::kPlan: return "Plan";
     case FrameType::kPlanAck: return "PlanAck";
     case FrameType::kStop: return "Stop";
@@ -68,7 +67,8 @@ bool decode_frame_header(const std::uint8_t* bytes, std::size_t size,
     error = buf;
     return false;
   }
-  if (type < kMinFrameType || type > kMaxFrameType) {
+  if (type < kMinFrameType || type > kMaxFrameType ||
+      type == kRetiredFrameType) {
     std::snprintf(buf, sizeof(buf), "unknown frame type %u", type);
     error = buf;
     return false;

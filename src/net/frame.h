@@ -35,8 +35,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 /// validated doubles; the in-memory cell's pad is not shipped). v5:
 /// kCheckpoint leaves ctrl and streams back on the data channel in
 /// chunks, behind the summary; kRestore carries a stored checkpoint's
-/// bytes verbatim plus the adjustments made since.
-inline constexpr std::uint8_t kWireVersion = 5;
+/// bytes verbatim plus the adjustments made since. v6: kExpire (type 10)
+/// is gone, and the boundary's kHeavySet broadcast precedes its
+/// migration.
+inline constexpr std::uint8_t kWireVersion = 6;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
 /// summaries are a few MiB at most; anything bigger is a corrupt length
@@ -54,7 +56,7 @@ enum class FrameType : std::uint8_t {
   kMigrated = 7, // ctrl, worker->driver: extracted serialized states
   kInstall = 8,  // ctrl, driver->worker: install migrated states
   kInstallAck = 9,  // ctrl, worker->driver: installs applied
-  kExpire = 10,  // ctrl, driver->worker: window-expiry watermark
+  // 10 was kExpire (v5 and earlier); decode_frame_header rejects it.
   kPlan = 11,    // ctrl, driver->worker: sparse rebalance-plan broadcast
   kPlanAck = 12, // ctrl, worker->driver: plan received (latency probe)
   kStop = 13,    // ctrl, driver->worker: shut down after Fin
@@ -69,11 +71,13 @@ enum class FrameType : std::uint8_t {
                      // count in the header's epoch field; no payload)
 };
 
-/// Smallest and largest valid FrameType values (decode range check).
+/// Smallest and largest valid FrameType values (decode range check),
+/// and the retired value inside that range.
 inline constexpr std::uint8_t kMinFrameType =
     static_cast<std::uint8_t>(FrameType::kHello);
 inline constexpr std::uint8_t kMaxFrameType =
     static_cast<std::uint8_t>(FrameType::kCredit);
+inline constexpr std::uint8_t kRetiredFrameType = 10;
 
 [[nodiscard]] const char* frame_type_name(FrameType type);
 

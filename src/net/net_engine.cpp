@@ -346,20 +346,19 @@ std::string NetEngine::restore_worker(std::size_t w) {
         static_cast<unsigned long long>(sealed),
         static_cast<unsigned long long>(cp.epoch));
     cp.restart();
-    // The boundary that sealed the epoch may already have broadcast its
-    // own context; the epoch ran under the one before.
-    const bool sealed_context_sent = context_.epoch == sealed;
-    why = send_context(w, sealed_context_sent ? prev_context_ : context_);
+    // No worker is touched between its summary's absorb and the publish,
+    // so the boundary that sealed the epoch has published its own
+    // context; the epoch ran under the one before.
+    SKW_ASSERT(context_.epoch == sealed);
+    why = send_context(w, prev_context_);
     if (why.empty()) why = replay(w, 0, sealed);
     if (why.empty()) why = send_seal(w, sealed, replay_[w].count(sealed));
     // The next context must not go out before the regenerated summary is
     // in: ctrl has priority at the worker, which would apply it to the
     // sealed epoch's replayed batches.
     if (why.empty()) why = check_replayed_summary(w, sealed);
-    if (why.empty() && sealed_context_sent) why = send_context(w, context_);
-  } else {
-    why = send_context(w, context_);
   }
+  if (why.empty()) why = send_context(w, context_);
   // Verbatim replay of the open epoch's recorded batches: the same bytes
   // in the same order, so the restored worker's fold — local-map rehash
   // trajectory included — is bit-identical to the lost worker's.
@@ -377,16 +376,6 @@ std::string NetEngine::send_context(std::size_t w,
                                     const BoundaryContext& context) {
   if (context.epoch == 0) return {};  // before the first boundary
   FrameChannel& ctrl = workers_[w].ctrl;
-  // Expire is idempotent and a checkpoint's blobs predate any expiry the
-  // original worker applied after its seal, so re-applying it restores
-  // the original post-install window content.
-  if (context.expire) {
-    frame_scratch_.clear();
-    encode_expire(frame_scratch_, context.watermark);
-    if (!ctrl.send(FrameType::kExpire, 0, frame_scratch_)) {
-      return "Expire send failed: " + ctrl.last_error();
-    }
-  }
   frame_scratch_.clear();
   encode_key_list(frame_scratch_, context.heavy_keys);
   if (!ctrl.send(FrameType::kHeavySet, 0, frame_scratch_)) {
@@ -465,9 +454,6 @@ void NetEngine::fold_sealed_epoch(std::size_t w, CheckpointPayload& eff) {
     if (state == nullptr || !blob.ok() || !blob.exhausted()) continue;
     store.install_or_replace(wire.key, std::move(state));
   }
-  const BoundaryContext& in_force =
-      context_.epoch == cp.awaited ? prev_context_ : context_;
-  if (in_force.expire) store.expire_before(in_force.watermark);
   BatchFold fold;
   CountingCollector outputs;
   std::vector<Tuple> tuples;
@@ -545,7 +531,10 @@ void NetEngine::degrade_worker(std::size_t w) {
   // Re-home the checkpointed states through the normal install path,
   // grouped by the post-retirement assignment. Barrier-free: the ack is
   // consumed transparently later (owed_install_acks_), and the worker's
-  // install replaces a racing fresh state.
+  // install replaces a racing fresh state. A failed send is left to the
+  // destination's next exchange, which recovers it: a recovery here could
+  // find a worker between its absorbed summary and the boundary's
+  // publish, which restore_worker rules out.
   std::vector<std::vector<WireKeyState>> by_dest(n);
   for (WireKeyState& wire : eff.states) {
     const auto d =
@@ -562,10 +551,8 @@ void NetEngine::degrade_worker(std::size_t w) {
     encode_key_states(frame_scratch_, by_dest[d]);
     // The pending record above makes a restore deliver these states, so
     // a failed (or degraded) destination loses nothing.
-    if (send_ctrl(d, FrameType::kInstall, epoch)) {
+    if (workers_[d].ctrl.send(FrameType::kInstall, epoch, frame_scratch_)) {
       ++owed_install_acks_[d];
-    } else if (!ok()) {
-      return;
     }
   }
   // Re-route the open epoch's recorded batches plus the unflushed batch
@@ -752,7 +739,7 @@ IntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
   return report;
 }
 
-bool NetEngine::absorb_summaries(std::uint64_t epoch, SlabTally& tally) {
+bool NetEngine::collect(std::uint64_t epoch, SlabTally& tally) {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     // Each summary is absorbed the moment it is read; the checkpoint
     // behind it streams in during the next interval. Every checkpoint was
@@ -838,14 +825,6 @@ bool NetEngine::await_checkpoints() {
   return ok();
 }
 
-bool NetEngine::send_ctrl(std::size_t w, FrameType type,
-                          std::uint64_t epoch) {
-  if (workers_[w].ctrl.send(type, epoch, frame_scratch_)) return true;
-  (void)recover_worker(w, std::string(frame_type_name(type)) +
-                              " send failed: " + workers_[w].ctrl.last_error());
-  return false;
-}
-
 bool NetEngine::broadcast(FrameType type, std::uint64_t epoch,
                           const EncodeFn& encode) {
   for (std::size_t w = 0; w < workers_.size() && ok(); ++w) {
@@ -853,7 +832,11 @@ bool NetEngine::broadcast(FrameType type, std::uint64_t epoch,
     // Re-encoded per worker: a recovery clobbers frame_scratch_.
     frame_scratch_.clear();
     encode(w);
-    (void)send_ctrl(w, type, epoch);
+    if (!workers_[w].ctrl.send(type, epoch, frame_scratch_)) {
+      (void)recover_worker(w, std::string(frame_type_name(type)) +
+                                  " send failed: " +
+                                  workers_[w].ctrl.last_error());
+    }
   }
   return ok();
 }
@@ -906,8 +889,20 @@ bool NetEngine::round_trip(const std::vector<std::size_t>& targets,
   return true;
 }
 
-bool NetEngine::execute_migration(const RebalancePlan& plan,
-                                  IntervalReport& report) {
+bool NetEngine::publish(std::uint64_t epoch, std::vector<KeyId> heavy) {
+  // Written before any next-interval batch and drained by the workers
+  // before any (ctrl priority), so the next interval's hot keys
+  // accumulate exactly in the worker slabs. A worker recovered from here
+  // on gets the context from its restore.
+  std::swap(prev_context_, context_);
+  context_.epoch = epoch;
+  context_.heavy_keys = std::move(heavy);
+  return broadcast(FrameType::kHeavySet, 0, [&](std::size_t) {
+    encode_key_list(frame_scratch_, context_.heavy_keys);
+  });
+}
+
+bool NetEngine::migrate(const RebalancePlan& plan, IntervalReport& report) {
   // The sources' migrated_away_ bookkeeping is relative to their latest
   // checkpoint, so this boundary's checkpoints land before any key moves.
   if (!await_checkpoints()) return false;
@@ -1016,34 +1011,7 @@ void NetEngine::finish_interval(IntervalReport& report) {
     workers_[w].seal_sent = true;
     encode_seal(frame_scratch_, SealPayload{workers_[w].batches_sent});
   });
-  SlabTally tally(workers_.size());
-  if (!sealed || !absorb_summaries(epoch, tally)) return;
-  if (const auto plan = close_statistics(*controller_, tally, report)) {
-    if (!execute_migration(*plan, report)) return;
-  }
-  // The roll just promoted/demoted: broadcast the post-roll heavy set so
-  // the next interval's hot keys accumulate exactly in the worker slabs.
-  // Written before any next-interval batch, drained by the workers
-  // before any next-interval batch (ctrl priority). A worker recovered
-  // here gets both from its restore. The previous context stays until
-  // this boundary's checkpoints land: it is what the sealed epoch ran
-  // under.
-  std::swap(prev_context_, context_);
-  context_.epoch = epoch;
-  context_.heavy_keys = sketch_stats_->heavy_keys();
-  context_.expire = config_.expire_lag_intervals > 0;
-  context_.watermark =
-      (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
-  if (!broadcast(FrameType::kHeavySet, 0, [&](std::size_t) {
-        encode_key_list(frame_scratch_, context_.heavy_keys);
-      })) {
-    return;
-  }
-  if (context_.expire && !broadcast(FrameType::kExpire, 0, [&](std::size_t) {
-        encode_expire(frame_scratch_, context_.watermark);
-      })) {
-    return;
-  }
+  if (!sealed || !close_boundary(*controller_, *this, epoch, report)) return;
   report.recoveries = recoveries_;
   report.degraded = degraded_;
   close_interval(report, open_interval_wall_ms_, timer.elapsed_millis(),

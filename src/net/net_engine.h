@@ -19,7 +19,7 @@
 //     checkpoint's bulk bytes — the socket translation of the force_push
 //     lesson from the in-process engine.
 //
-// Epoch protocol (mirrors ThreadedEngine's inline boundary):
+// Epoch protocol (ThreadedEngine's boundary, over sockets):
 //   1. the driver routes the interval's tuples as kBatch frames, counting
 //      frames per worker;
 //   2. at the boundary it first awaits any checkpoint still streaming
@@ -34,19 +34,20 @@
 //      chunk per event-loop pass, as the next interval's batches arrive.
 //      The driver validates the assembled checkpoint without decoding it
 //      and keeps each worker's latest one as bytes (Checkpoint);
-//   4. the driver absorbs each summary the moment it reads it, IN
-//      WORKER-INDEX ORDER, into the controller's SketchStatsWindow — the
-//      same fixed order as the in-process merge, which is what makes a net
-//      run byte-identical to a ThreadedEngine run on the same seed:
-//      identical plans, identical θ trajectory, identical state checksums;
-//   5. rolls/plans via close_statistics (Controller::end_interval, the
-//      same step the threaded engine runs). Before a migration it awaits
-//      this boundary's checkpoints, then migrates state with kExtract /
-//      kMigrated / kInstall / kInstallAck (the driver forwards serialized
-//      state blobs without materializing them), broadcasts the post-roll
-//      heavy set, and only then routes the next interval. Shutdown awaits
-//      every checkpoint before kStop, so each worker has at most one in
-//      flight.
+//   4. the driver then runs close_boundary (engine/interval.h), the
+//      boundary routine the threaded engine runs too. Its collect absorbs
+//      each summary the moment the driver reads it, IN WORKER-INDEX
+//      ORDER, into the controller's SketchStatsWindow — the same fixed
+//      order as the in-process merge, which is what makes a net run
+//      byte-identical to a ThreadedEngine run on the same seed: identical
+//      plans, identical θ trajectory, identical state checksums;
+//   5. the routine rolls and plans (Controller::end_interval), and its
+//      publish broadcasts the post-roll heavy set. If a plan was decided,
+//      its migrate awaits this boundary's checkpoints, then moves state
+//      with kExtract / kMigrated / kInstall / kInstallAck (the driver
+//      forwards serialized state blobs without materializing them). Only
+//      then is the next interval routed. Shutdown awaits every checkpoint
+//      before kStop, so each worker has at most one in flight.
 //
 // Failure model (recovery is always on): a worker crash, wedge or
 // corrupt frame is detected by deadline-bounded receives (heartbeats
@@ -54,13 +55,13 @@
 // a wedge, and a checkpoint chunk out of sequence a corrupt frame). The
 // driver then respawns the worker with exponential backoff, sends its
 // last checkpoint's bytes verbatim plus the migrations since, re-sends the
-// heavy set and expiry watermark, replays the recorded batches VERBATIM,
-// and re-seals. A worker lost after its summary was absorbed but before
-// its checkpoint landed is restored from the checkpoint before: the
-// sealed epoch is replayed under that epoch's context and resealed, and
-// its regenerated summary — checked against the absorbed one, whose
-// statistics already count — is dropped before the next context and the
-// open epoch's batches go out. A mismatch means the replay was not
+// heavy set, replays the recorded batches VERBATIM, and re-seals. A worker
+// lost after its summary was absorbed but before its checkpoint landed is
+// restored from the checkpoint before: the sealed epoch is replayed under
+// the heavy set it ran under and resealed, and its regenerated summary —
+// checked against the absorbed one, whose statistics already count — is
+// dropped before the boundary's own heavy set and the open epoch's
+// batches go out. A mismatch means the replay was not
 // deterministic and fails the engine. Because the replayed bytes and
 // control sequence are exactly the lost worker's inputs, a recovered run
 // is byte-identical to a crash-free run: same plan-history digest, same θ
@@ -109,8 +110,6 @@ struct NetConfig {
   /// amortizes queue locking in the threaded engine). Each worker's data
   /// channel holds at most kQueueBatches such frames.
   std::size_t batch_size = 256;
-  /// Window expiry watermark lag, in intervals (0 = no expiry frames).
-  int expire_lag_intervals = 0;
 
   // --- fault tolerance (checkpoint + replay recovery, always on) ---
   /// Deterministic fault schedule (tests / skewless_sim --fault).
@@ -134,7 +133,7 @@ struct NetConfig {
 /// for callers written against it.
 using NetIntervalReport = IntervalReport;
 
-class NetEngine {
+class NetEngine : private BoundaryTransport {
  public:
   /// Controller mode only, and the controller must be in sketch stats
   /// mode: the boundary summary IS the serialized sketch slab. (A dense
@@ -163,10 +162,11 @@ class NetEngine {
   /// channel with broadcast_plan before finish_interval).
   IntervalReport ingest(const std::vector<Tuple>& tuples);
 
-  /// Closes the open interval: await the previous checkpoints, seal,
-  /// absorb the summaries, plan, migrate, heavy-set broadcast, expiry.
-  /// This epoch's checkpoints stream in during the next interval.
-  /// Injected kKill faults scheduled for this epoch fire at entry.
+  /// Closes the open interval: await the previous checkpoints, seal, then
+  /// close_boundary (absorb the summaries, plan, heavy-set broadcast,
+  /// migrate). This epoch's checkpoints stream in during the next
+  /// interval. Injected kKill faults scheduled for this epoch fire at
+  /// entry.
   void finish_interval(IntervalReport& report);
 
   /// Broadcasts a sparse plan on every worker's CONTROL channel and
@@ -248,13 +248,11 @@ class NetEngine {
   };
 
   /// What a boundary broadcast to every worker after its roll: the heavy
-  /// set and, with expiry on, the watermark. A restored worker needs the
-  /// one in force during each epoch it replays.
+  /// set. A restored worker needs the one in force during each epoch it
+  /// replays.
   struct BoundaryContext {
     std::uint64_t epoch = 0;  // the boundary's epoch; 0 = none yet
     std::vector<KeyId> heavy_keys;
-    bool expire = false;
-    Micros watermark = 0;
   };
 
   /// Outcome of one bounded control receive.
@@ -292,12 +290,14 @@ class NetEngine {
   [[nodiscard]] bool recover_worker(std::size_t w, const std::string& why);
   /// Brings a respawned worker `w` back to where the lost one was: sends
   /// its latest checkpoint's bytes plus the migrations since, then
-  /// replays. With a checkpoint awaited (its epoch's summary absorbed),
-  /// that epoch is replayed and resealed first, and its regenerated
-  /// summary checked against the absorbed one. Returns why the restore
-  /// failed, or an empty string; fails the engine on a mismatch.
+  /// replays. With a checkpoint awaited (its epoch's summary absorbed,
+  /// and so its boundary's heavy set already published), that epoch is
+  /// replayed under the heavy set before and resealed first, and its
+  /// regenerated summary checked against the absorbed one. Returns why
+  /// the restore failed, or an empty string; fails the engine on a
+  /// mismatch.
   [[nodiscard]] std::string restore_worker(std::size_t w);
-  /// Sends a boundary's heavy set and expiry watermark to worker `w`.
+  /// Sends a boundary's heavy set to worker `w`.
   [[nodiscard]] std::string send_context(std::size_t w,
                                          const BoundaryContext& context);
   [[nodiscard]] std::string send_seal(std::size_t w, std::uint64_t epoch,
@@ -349,11 +349,9 @@ class NetEngine {
   /// Human-readable classification of a non-kFrame recv_ctrl_any outcome.
   [[nodiscard]] std::string ctrl_failure_reason(std::size_t w,
                                                 CtrlRecv rc) const;
-  /// Sends frame_scratch_ to worker `w`, recovering it if the send
-  /// fails. Returns true when the frame went out.
-  bool send_ctrl(std::size_t w, FrameType type, std::uint64_t epoch);
-  /// Sends `encode(w)` to every live worker; no reply is expected (a
-  /// recovered worker's restore re-delivers what it needs). Returns ok().
+  /// Sends `encode(w)` to every live worker, recovering one whose send
+  /// fails; no reply is expected (a recovered worker's restore
+  /// re-delivers what it needs). Returns ok().
   [[nodiscard]] bool broadcast(FrameType type, std::uint64_t epoch,
                                const EncodeFn& encode);
   /// The control plane's one request/reply exchange. Sends `encode(w)`
@@ -367,11 +365,17 @@ class NetEngine {
                                 FrameType request, std::uint64_t epoch,
                                 const EncodeFn& encode, FrameType reply,
                                 bool resend, const AcceptFn& accept);
+  // The boundary transport, called by close_boundary.
   /// Receives every live worker's summary for `epoch` and absorbs it into
   /// `tally` the moment it lands, in worker-index order.
-  [[nodiscard]] bool absorb_summaries(std::uint64_t epoch, SlabTally& tally);
-  [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
-                                       IntervalReport& report);
+  bool collect(std::uint64_t epoch, SlabTally& tally) override;
+  /// Makes `heavy` the latest context and broadcasts it as kHeavySet.
+  /// The context before stays until this boundary's checkpoints land: it
+  /// is what the sealed epoch ran under.
+  bool publish(std::uint64_t epoch, std::vector<KeyId> heavy) override;
+  /// Awaits this boundary's checkpoints, then runs the extract and the
+  /// install round trips.
+  bool migrate(const RebalancePlan& plan, IntervalReport& report) override;
   [[nodiscard]] std::uint64_t wire_bytes_data() const;
   [[nodiscard]] std::uint64_t wire_bytes_ctrl() const;
 

@@ -122,13 +122,6 @@ bool decode_key_states(ByteReader& in, std::vector<WireKeyState>& states) {
   });
 }
 
-void encode_expire(ByteWriter& out, Micros watermark) { out.i64(watermark); }
-
-bool decode_expire(ByteReader& in, Micros& watermark) {
-  watermark = in.i64();
-  return in.ok();
-}
-
 void encode_plan(ByteWriter& out, const PlanPayload& plan) {
   out.u64(plan.seq);
   out.u32(static_cast<std::uint32_t>(plan.moves.size()));

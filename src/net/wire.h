@@ -105,10 +105,6 @@ void encode_extracted_states(
     const std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>>& states,
     ByteWriter& blob);
 
-// --- kExpire --------------------------------------------------------------
-void encode_expire(ByteWriter& out, Micros watermark);
-[[nodiscard]] bool decode_expire(ByteReader& in, Micros& watermark);
-
 // --- kPlan ----------------------------------------------------------------
 /// Sparse plan broadcast: sequence number plus the moves (the O(N_D)
 /// payload the compact planning work bounded). Workers apply nothing

@@ -348,15 +348,6 @@ class NetWorker {
         return handle_install(header.epoch, in);
       case FrameType::kRestore:
         return handle_restore(in);
-      case FrameType::kExpire: {
-        Micros watermark = 0;
-        if (!decode_expire(in, watermark)) {
-          return fail(kWorkerExitCorruptFrame, "decode",
-                      "corrupt Expire payload");
-        }
-        store_.expire_before(watermark);
-        return kKeepRunning;
-      }
       case FrameType::kPlan: {
         PlanPayload plan;
         if (!decode_plan(in, plan)) {

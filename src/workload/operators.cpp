@@ -111,8 +111,8 @@ Cost SelfJoinLogic::process(const Tuple& tuple, KeyState& state,
   const Cost cost =
       base_cost_us_ + probe_cost_us_ * static_cast<Cost>(sj.window_size());
   sj.append(tuple.emit_micros, tuple.value);
-  // Bound the buffer so runaway keys cannot exhaust memory even if the
-  // caller never sends expiry watermarks.
+  // The operator bounds its own window, so a runaway key cannot exhaust
+  // memory.
   while (sj.window_size() > max_window_tuples_) {
     sj.expire_before(sj.window().front().first + 1);
   }

@@ -26,7 +26,8 @@ class WordCountState final : public KeyState {
   }
   [[nodiscard]] std::uint64_t checksum() const override;
   void serialize(ByteWriter& out) const override;
-  void expire_before(Micros watermark) override;
+  /// Drops the buffered tuples stamped before `watermark`.
+  void expire_before(Micros watermark);
 
   static std::unique_ptr<WordCountState> deserialize(ByteReader& in);
 
@@ -70,7 +71,8 @@ class SelfJoinState final : public KeyState {
   }
   [[nodiscard]] std::uint64_t checksum() const override;
   void serialize(ByteWriter& out) const override;
-  void expire_before(Micros watermark) override;
+  /// Drops the buffered tuples stamped before `watermark`.
+  void expire_before(Micros watermark);
 
   static std::unique_ptr<SelfJoinState> deserialize(ByteReader& in);
 

@@ -193,9 +193,6 @@ class SerializeHookLogic : public OperatorLogic {
       out.u8(watched ? 1 : 0);
       inner->serialize(out);
     }
-    void expire_before(Micros watermark) override {
-      inner->expire_before(watermark);
-    }
 
     std::unique_ptr<KeyState> inner;
     const SerializeHookLogic& owner;

@@ -83,84 +83,121 @@ struct ReferenceRun {
 
 /// The threaded engine's statistics path run on ONE thread — the
 /// reference every sealed threaded run must reproduce byte for byte. Per
-/// interval it routes the tuples through `controller`'s assignment into
-/// per-worker batches of `batch_size`, folds each worker's batches in
-/// FIFO order, absorbs the slabs (sketch mode) or replays the per-key
-/// maps (exact mode) in worker-index order, closes the statistics, moves
-/// state between the stores as the plan says, and installs the new
-/// heavy set before the next interval.
-ReferenceRun run_sequential_reference(
-    Controller& controller, const OperatorLogic& logic,
-    const std::vector<std::vector<Tuple>>& intervals,
-    std::size_t batch_size) {
-  struct NullCollector final : Collector {
-    void emit(const Tuple& /*tuple*/) override {}
-  } out;
-  const auto workers = static_cast<std::size_t>(controller.num_instances());
-  SketchStatsWindow* sink = controller.slab_sink();
-  std::vector<StateStore> stores(workers);
-  std::vector<BatchFold> folds(workers);
-  std::vector<std::unique_ptr<WorkerSketchSlab>> slabs;
-  std::vector<KeyAggMap> maps(workers);
-  std::vector<WorkerSketchSlab::IntervalScalars> scalars(workers);
-  for (std::size_t w = 0; sink != nullptr && w < workers; ++w) {
-    slabs.push_back(std::make_unique<WorkerSketchSlab>(sink->config()));
+/// interval it routes the tuples through the controller's assignment into
+/// per-worker batches of `batch_size` and folds each worker's batches in
+/// FIFO order. It is its own boundary transport: close_boundary has it
+/// absorb the slabs (sketch mode) or replay the per-key maps (exact mode)
+/// in worker-index order, install the new heavy set before the next
+/// interval, and move state between the stores as the plan says.
+class SequentialReference final : public BoundaryTransport {
+ public:
+  SequentialReference(Controller& controller, const OperatorLogic& logic,
+                      std::size_t batch_size)
+      : controller_(controller),
+        logic_(logic),
+        batch_size_(batch_size),
+        workers_(static_cast<std::size_t>(controller.num_instances())),
+        sink_(controller.slab_sink()),
+        stores_(workers_),
+        folds_(workers_),
+        maps_(workers_),
+        scalars_(workers_),
+        pending_(workers_) {
+    for (std::size_t w = 0; sink_ != nullptr && w < workers_; ++w) {
+      slabs_.push_back(std::make_unique<WorkerSketchSlab>(sink_->config()));
+    }
   }
-  std::vector<std::vector<Tuple>> pending(workers);
-  const auto flush = [&](std::size_t w) {
-    if (pending[w].empty()) return;
-    folds[w].run(pending[w], 0, stores[w], logic, out);
-    pending[w].clear();
-    if (sink != nullptr) {
-      folds[w].add_to(*slabs[w]);
+
+  ReferenceRun run(const std::vector<std::vector<Tuple>>& intervals) {
+    ReferenceRun run;
+    std::uint64_t epoch = 0;
+    for (const auto& tuples : intervals) {
+      for (const Tuple& t : tuples) {
+        const auto w =
+            static_cast<std::size_t>(controller_.assignment()(t.key));
+        pending_[w].push_back(t);
+        if (pending_[w].size() >= batch_size_) flush(w);
+      }
+      IntervalReport report;
+      EXPECT_TRUE(close_boundary(controller_, *this, ++epoch, report));
+      run.thetas.push_back(report.max_theta);
+    }
+    for (const StateStore& store : stores_) run.checksum += store.checksum();
+    return run;
+  }
+
+  bool collect(std::uint64_t /*epoch*/, SlabTally& tally) override {
+    for (std::size_t w = 0; w < workers_; ++w) {
+      flush(w);
+      if (sink_ != nullptr) {
+        tally.absorb(*sink_, *slabs_[w], w);
+        slabs_[w]->clear();
+      } else {
+        tally.replay(controller_.stats(), maps_[w], scalars_[w], w);
+        maps_[w].clear();
+        scalars_[w] = {};
+      }
+    }
+    return true;
+  }
+
+  bool publish(std::uint64_t /*epoch*/, std::vector<KeyId> heavy) override {
+    for (auto& slab : slabs_) slab->set_heavy_keys(heavy);
+    return true;
+  }
+
+  bool migrate(const RebalancePlan& plan, IntervalReport& /*report*/) override {
+    for (const KeyMove& mv : plan.moves) {
+      auto state = stores_[static_cast<std::size_t>(mv.from)].extract(mv.key);
+      if (state != nullptr) {
+        stores_[static_cast<std::size_t>(mv.to)].install(mv.key,
+                                                         std::move(state));
+      }
+    }
+    return true;
+  }
+
+ private:
+  void flush(std::size_t w) {
+    if (pending_[w].empty()) return;
+    folds_[w].run(pending_[w], 0, stores_[w], logic_, out_);
+    pending_[w].clear();
+    if (sink_ != nullptr) {
+      folds_[w].add_to(*slabs_[w]);
       return;
     }
-    for (const auto& [key, cb] : folds[w].per_key()) {
-      auto& entry = maps[w][key];
+    for (const auto& [key, cb] : folds_[w].per_key()) {
+      auto& entry = maps_[w][key];
       entry.cost += cb.cost;
       entry.state_bytes += cb.state_bytes;
       entry.frequency += cb.frequency;
     }
-    folds[w].add_scalars(scalars[w]);
+    folds_[w].add_scalars(scalars_[w]);
+  }
+
+  struct NullCollector final : Collector {
+    void emit(const Tuple& /*tuple*/) override {}
   };
 
-  ReferenceRun run;
-  for (const auto& tuples : intervals) {
-    for (const Tuple& t : tuples) {
-      const auto w = static_cast<std::size_t>(controller.assignment()(t.key));
-      pending[w].push_back(t);
-      if (pending[w].size() >= batch_size) flush(w);
-    }
-    SlabTally tally(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      flush(w);
-      if (sink != nullptr) {
-        tally.absorb(*sink, *slabs[w], w);
-        slabs[w]->clear();
-      } else {
-        tally.replay(controller.stats(), maps[w], scalars[w], w);
-        maps[w].clear();
-        scalars[w] = {};
-      }
-    }
-    IntervalReport report;
-    if (const auto plan = close_statistics(controller, tally, report)) {
-      for (const KeyMove& mv : plan->moves) {
-        auto state = stores[static_cast<std::size_t>(mv.from)].extract(mv.key);
-        if (state != nullptr) {
-          stores[static_cast<std::size_t>(mv.to)].install(mv.key,
-                                                          std::move(state));
-        }
-      }
-    }
-    run.thetas.push_back(report.max_theta);
-    if (sink != nullptr) {
-      const std::vector<KeyId> heavy = sink->heavy_keys();
-      for (auto& slab : slabs) slab->set_heavy_keys(heavy);
-    }
-  }
-  for (const StateStore& store : stores) run.checksum += store.checksum();
-  return run;
+  Controller& controller_;
+  const OperatorLogic& logic_;
+  std::size_t batch_size_;
+  std::size_t workers_;
+  SketchStatsWindow* sink_;
+  std::vector<StateStore> stores_;
+  std::vector<BatchFold> folds_;
+  std::vector<std::unique_ptr<WorkerSketchSlab>> slabs_;
+  std::vector<KeyAggMap> maps_;
+  std::vector<WorkerSketchSlab::IntervalScalars> scalars_;
+  std::vector<std::vector<Tuple>> pending_;
+  NullCollector out_;
+};
+
+ReferenceRun run_sequential_reference(
+    Controller& controller, const OperatorLogic& logic,
+    const std::vector<std::vector<Tuple>>& intervals,
+    std::size_t batch_size) {
+  return SequentialReference(controller, logic, batch_size).run(intervals);
 }
 
 PlannerPtr make_planner(const std::string& which) {

@@ -91,11 +91,6 @@ std::vector<std::vector<std::uint8_t>> valid_payloads() {
     out.push_back(w.bytes());
   }
   {
-    ByteWriter w;
-    encode_expire(w, Micros{987654321});
-    out.push_back(w.bytes());
-  }
-  {
     PlanPayload plan;
     plan.seq = 55;
     for (int i = 0; i < 9; ++i) {
@@ -189,11 +184,6 @@ void decode_all(const std::vector<std::uint8_t>& bytes) {
     if (!ok) {
       EXPECT_FALSE(r.ok());
     }
-  }
-  {
-    ByteReader r(bytes, ByteReader::Untrusted{});
-    Micros watermark = 0;
-    (void)decode_expire(r, watermark);
   }
   {
     ByteReader r(bytes, ByteReader::Untrusted{});
@@ -461,19 +451,19 @@ TEST(NetFuzz, SlabSummaryCellOutOfRangeRejected) {
   EXPECT_TRUE(target.deserialize_from(clean) && clean.exhausted());
 }
 
-// A peer still speaking wire v4, which sent its checkpoint whole on the
-// control channel, is refused on its first frame: its Hello fails the
-// version check before any payload byte is read, and a v4 credit on a
-// data channel is a rejected frame, not a count.
-TEST(NetFuzz, V4PeerIsRefusedAtTheHandshake) {
-  const auto write_v4 = [](const FrameChannel& to, FrameType type,
+// A peer still speaking wire v5, which could send kExpire and published
+// the heavy set after a migration, is refused on its first frame: its
+// Hello fails the version check before any payload byte is read, and a
+// v5 credit on a data channel is a rejected frame, not a count.
+TEST(NetFuzz, V5PeerIsRefusedAtTheHandshake) {
+  const auto write_v5 = [](const FrameChannel& to, FrameType type,
                            std::uint64_t epoch, const ByteWriter& payload) {
     ByteWriter frame;
     encode_frame_header(frame, type, epoch,
                         static_cast<std::uint32_t>(payload.size()));
     frame.append(payload.bytes().data(), payload.size());
     std::vector<std::uint8_t> bytes = frame.bytes();
-    bytes[4] = 4;  // the version byte follows the u32 magic
+    bytes[4] = 5;  // the version byte follows the u32 magic
     ASSERT_EQ(::write(to.fd(), bytes.data(), bytes.size()),
               static_cast<::ssize_t>(bytes.size()));
   };
@@ -489,11 +479,11 @@ TEST(NetFuzz, V4PeerIsRefusedAtTheHandshake) {
 
   ByteWriter hello;
   encode_hello(hello, HelloPayload{0, 1});
-  write_v4(peer_ctrl, FrameType::kHello, 0, hello);
+  write_v5(peer_ctrl, FrameType::kHello, 0, hello);
   FrameHeader header;
   std::vector<std::uint8_t> payload;
   EXPECT_FALSE(ctrl.recv(header, payload));
-  EXPECT_NE(ctrl.last_error().find("peer speaks v4, this build v" +
+  EXPECT_NE(ctrl.last_error().find("peer speaks v5, this build v" +
                                    std::to_string(kWireVersion)),
             std::string::npos)
       << ctrl.last_error();
@@ -501,7 +491,7 @@ TEST(NetFuzz, V4PeerIsRefusedAtTheHandshake) {
   CreditWindow window(kQueueBatches);
   ASSERT_EQ(window.acquire(data, 1'000), "");
   window.sent();
-  write_v4(peer_data, FrameType::kCredit, 1, ByteWriter{});
+  write_v5(peer_data, FrameType::kCredit, 1, ByteWriter{});
   EXPECT_NE(window.acquire(data, 1'000).find("version mismatch"),
             std::string::npos);
   EXPECT_EQ(window.in_flight(), 1u);

@@ -12,21 +12,32 @@ namespace {
 
 TEST(BoundedMpmcQueue, PushPopSingleThread) {
   BoundedMpmcQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_EQ(q.try_pop().value(), 2);
-  EXPECT_FALSE(q.try_pop().has_value());
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
+  EXPECT_EQ(q.pop().value(), 1);
+  EXPECT_EQ(q.pop().value(), 2);
+  q.close();
+  EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(BoundedMpmcQueue, TryPushFailsWhenFull) {
+TEST(BoundedMpmcQueue, PushBlocksWhileFull) {
+  // The data path's backpressure: a push into a full queue waits until a
+  // pop frees a slot.
   BoundedMpmcQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  q.try_pop();
-  EXPECT_TRUE(q.try_push(3));
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.push(3));
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(q.pop().value(), 1);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(q.pop().value(), 2);
+  EXPECT_EQ(q.pop().value(), 3);
 }
 
 TEST(BoundedMpmcQueue, ForcePushBypassesCapacityButNotClose) {
@@ -34,11 +45,9 @@ TEST(BoundedMpmcQueue, ForcePushBypassesCapacityButNotClose) {
   // force_push succeeds on a FULL queue without blocking, keeps FIFO
   // order, and still fails once the queue is closed.
   BoundedMpmcQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
   EXPECT_TRUE(q.force_push(3));
-  EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.pop().value(), 1);
   EXPECT_EQ(q.pop().value(), 2);
   EXPECT_EQ(q.pop().value(), 3);
@@ -48,10 +57,10 @@ TEST(BoundedMpmcQueue, ForcePushBypassesCapacityButNotClose) {
 
 TEST(BoundedMpmcQueue, CloseDrainsThenReturnsNullopt) {
   BoundedMpmcQueue<int> q(4);
-  q.try_push(1);
-  q.try_push(2);
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
   q.close();
-  EXPECT_FALSE(q.try_push(3));
+  EXPECT_FALSE(q.push(3));
   EXPECT_EQ(q.pop().value(), 1);
   EXPECT_EQ(q.pop().value(), 2);
   EXPECT_FALSE(q.pop().has_value());
@@ -109,55 +118,6 @@ TEST(BoundedMpmcQueue, MoveOnlyPayload) {
   auto v = q.pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 42);
-}
-
-TEST(SpscRing, CapacityRoundsUp) {
-  const SpscRing<int> ring(10);
-  EXPECT_GE(ring.capacity(), 10u);
-}
-
-TEST(SpscRing, PushPopOrder) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(ring.try_pop().value(), i);
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, FullRejectsPush) {
-  SpscRing<int> ring(2);
-  std::size_t pushed = 0;
-  while (ring.try_push(1)) ++pushed;
-  EXPECT_EQ(pushed, ring.capacity());
-}
-
-TEST(SpscRing, WrapAroundManyTimes) {
-  SpscRing<int> ring(4);
-  for (int round = 0; round < 1000; ++round) {
-    EXPECT_TRUE(ring.try_push(round));
-    EXPECT_EQ(ring.try_pop().value(), round);
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, ConcurrentProducerConsumer) {
-  SpscRing<int> ring(128);
-  constexpr int kCount = 200'000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount;) {
-      if (ring.try_push(i)) ++i;
-    }
-  });
-  long long sum = 0;
-  int received = 0;
-  while (received < kCount) {
-    if (auto v = ring.try_pop()) {
-      EXPECT_EQ(*v, received);  // FIFO order preserved
-      sum += *v;
-      ++received;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(kCount) * (kCount - 1) / 2);
 }
 
 }  // namespace

@@ -194,33 +194,6 @@ TEST(ThreadedEngine, RunWithSourceExpandsCounts) {
   engine.shutdown();
 }
 
-TEST(ThreadedEngine, ExpiryMessagesShrinkWindows) {
-  // With and without a planner: expiry is an operator concern, so the
-  // hash-only engine must advance the watermark exactly like the
-  // rebalancing one.
-  for (const bool with_controller : {true, false}) {
-    ThreadedConfig cfg;
-    cfg.expire_lag_intervals = 1;
-    const auto logic = std::make_shared<SelfJoinLogic>(1.0, 0.01, 1 << 20);
-    auto engine = std::make_unique<ThreadedEngine>(
-        cfg, logic,
-        with_controller ? make_controller(2, 4, 0.9)
-                        : hash_only_controller(2, 11, 4));
-    // Tuples with old timestamps: after the interval, the expiry watermark
-    // passes them and the window shrinks.
-    std::vector<Tuple> tuples(500, Tuple{1, 7, 0, 0});
-    engine->run_interval(tuples);
-    engine->run_interval({});  // watermark advances past the tuples
-    engine->run_interval({});
-    engine->shutdown();
-    // State entry still exists but its window emptied: an empty SelfJoin
-    // window checksums to 0, so the store reads mix64(key ^ 0).
-    EXPECT_EQ(engine->total_state_entries(), 1u);
-    EXPECT_EQ(engine->state_checksum(), mix64(1))
-        << "with_controller=" << with_controller;
-  }
-}
-
 TEST(ThreadedEngine, SketchModeHashOnlyTracksHeavyKeysViaSlabs) {
   SketchStatsConfig sketch_cfg;
   sketch_cfg.heavy_capacity = 64;
