@@ -44,9 +44,9 @@ DriverResult drive_planner(WorkloadSource& source, PlannerPtr planner,
       // Destination-attributed, like the engines' record paths: sketch
       // mode needs it for exact per-instance cold residuals (the compact
       // planning view); the exact provider ignores it.
-      controller.record(static_cast<KeyId>(k), opts.cost_per_tuple * n,
-                        per_tuple_bytes * n, 1,
-                        controller.assignment()(static_cast<KeyId>(k)));
+      controller.stats().record(
+          static_cast<KeyId>(k), opts.cost_per_tuple * n,
+          per_tuple_bytes * n, controller.assignment()(static_cast<KeyId>(k)));
     }
     const auto plan = controller.end_interval();
     result.theta_before.add(controller.last_observed_theta());

@@ -44,9 +44,9 @@ std::vector<std::pair<int, std::size_t>> run(double theta,
     const auto load = source.next_interval();
     for (std::size_t k = 0; k < load.counts.size(); ++k) {
       if (load.counts[k] == 0) continue;
-      controller.record(static_cast<KeyId>(k),
-                        static_cast<double>(load.counts[k]),
-                        8.0 * static_cast<double>(load.counts[k]));
+      controller.stats().record(static_cast<KeyId>(k),
+                                static_cast<double>(load.counts[k]),
+                                8.0 * static_cast<double>(load.counts[k]));
     }
     if (controller.end_interval().has_value()) {
       ++adjustments;

@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
       const auto key = static_cast<KeyId>(k);
       const double nd = static_cast<double>(n);
       const InstanceId dest = ring.owner(key);
-      exact.record(key, kCostPerTuple * nd, kBytesPerTuple * nd, n, dest);
-      sketch.record(key, kCostPerTuple * nd, kBytesPerTuple * nd, n, dest);
+      exact.record(key, kCostPerTuple * nd, kBytesPerTuple * nd, dest);
+      sketch.record(key, kCostPerTuple * nd, kBytesPerTuple * nd, dest);
     }
     exact.roll();
     sketch.roll();

@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
       if (n == 0) continue;
       const auto key = static_cast<KeyId>(k);
       const double nd = static_cast<double>(n);
-      exact.record(key, kCostPerTuple * nd, kBytesPerTuple * nd, n);
-      sketch.record(key, kCostPerTuple * nd, kBytesPerTuple * nd, n);
+      exact.record(key, kCostPerTuple * nd, kBytesPerTuple * nd);
+      sketch.record(key, kCostPerTuple * nd, kBytesPerTuple * nd);
     }
     exact.roll();
     sketch.roll();

@@ -179,13 +179,13 @@ int main(int argc, char** argv) {
   Scenario sc;
   // Coarser sketches than the planner-accuracy bench (micro_sketch):
   // eps 1e-3 / delta 0.05 give width-4096 x depth-3 sketches, so one
-  // worker's three slab sketches fit in ~300 KB (L2-resident on the data
-  // path, and 3 row updates per cold key instead of 5) and the whole
-  // sketch-mode footprint (window + N slab pairs) stays an order of
-  // magnitude under exact mode's dense vectors. The hot head — what
-  // planning actually consumes — is tracked exactly either way via the
-  // heavy tier, which is also why the cold tail can afford the coarser
-  // geometry.
+  // worker's fused slab cells (cost and state) fit in ~200 KB
+  // (L2-resident on the data path, and 3 row updates per cold key
+  // instead of 5) and the whole sketch-mode footprint (window + N slab
+  // pairs) stays an order of magnitude under exact mode's dense vectors.
+  // The hot head — what planning actually consumes — is tracked exactly
+  // either way via the heavy tier, which is also why the cold tail can
+  // afford the coarser geometry.
   sc.sketch.epsilon = 1e-3;
   sc.sketch.delta = 0.05;
   const auto usage = [&argv] {

@@ -56,16 +56,8 @@ class Controller {
 
   [[nodiscard]] bool has_planner() const { return planner_ != nullptr; }
 
-  /// Load reporting (step 1 of Fig. 5): the engine records each key's cost
-  /// and state growth as it processes tuples. `dest` — the instance the
-  /// key's tuples ran on — feeds the sketch provider's per-instance cold
-  /// residual aggregates (the compact planning view); engines know it at
-  /// routing time and must pass it in sketch mode.
-  void record(KeyId key, Cost cost, Bytes state_bytes,
-              std::uint64_t frequency = 1, InstanceId dest = kNilInstance) {
-    stats_->record(key, cost, state_bytes, frequency, dest);
-  }
-
+  /// The statistics store the engines record each key's cost and state
+  /// growth into (load reporting, step 1 of Fig. 5).
   [[nodiscard]] StatsProvider& stats() { return *stats_; }
   [[nodiscard]] const StatsProvider& stats() const { return *stats_; }
 

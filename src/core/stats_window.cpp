@@ -11,26 +11,22 @@ StatsWindow::StatsWindow(std::size_t num_keys, int window)
     : window_(window),
       cur_cost_(num_keys, 0.0),
       cur_state_(num_keys, 0.0),
-      cur_freq_(num_keys, 0),
       last_cost_(num_keys, 0.0),
-      last_freq_(num_keys, 0),
       window_sum_(num_keys, 0.0) {
   SKW_EXPECTS(window >= 1);
 }
 
 void StatsWindow::record(KeyId key, Cost cost, Bytes state_bytes,
-                         std::uint64_t frequency, InstanceId /*dest*/) {
+                         InstanceId /*dest*/) {
   const auto k = static_cast<std::size_t>(key);
   SKW_EXPECTS(k < cur_cost_.size());
   SKW_EXPECTS(cost >= 0.0 && state_bytes >= 0.0);
   cur_cost_[k] += cost;
   cur_state_[k] += state_bytes;
-  cur_freq_[k] += frequency;
 }
 
 void StatsWindow::roll() {
   last_cost_ = cur_cost_;
-  last_freq_ = cur_freq_;
 
   for (std::size_t k = 0; k < cur_state_.size(); ++k) {
     window_sum_[k] += cur_state_[k];
@@ -48,7 +44,6 @@ void StatsWindow::roll() {
 
   cur_state_.assign(window_sum_.size(), 0.0);
   std::fill(cur_cost_.begin(), cur_cost_.end(), 0.0);
-  std::fill(cur_freq_.begin(), cur_freq_.end(), 0);
   ++closed_;
 }
 
@@ -61,11 +56,6 @@ Bytes StatsWindow::total_windowed_state() const {
 Cost StatsWindow::last_cost_of(KeyId key) const {
   SKW_EXPECTS(key < last_cost_.size());
   return last_cost_[static_cast<std::size_t>(key)];
-}
-
-std::uint64_t StatsWindow::last_frequency_of(KeyId key) const {
-  SKW_EXPECTS(key < last_freq_.size());
-  return last_freq_[static_cast<std::size_t>(key)];
 }
 
 Bytes StatsWindow::windowed_state_of(KeyId key) const {
@@ -83,9 +73,7 @@ std::size_t StatsWindow::memory_bytes() const {
   std::size_t bytes = sizeof(*this) +
                       cur_cost_.capacity() * sizeof(Cost) +
                       cur_state_.capacity() * sizeof(Bytes) +
-                      cur_freq_.capacity() * sizeof(std::uint64_t) +
                       last_cost_.capacity() * sizeof(Cost) +
-                      last_freq_.capacity() * sizeof(std::uint64_t) +
                       window_sum_.capacity() * sizeof(Bytes);
   for (const auto& interval : ring_) {
     bytes += sizeof(interval) + interval.capacity() * sizeof(Bytes);

@@ -1,17 +1,18 @@
 // Per-key statistics collection over the sliding window of the last w
-// intervals (Section II-A): frequency g_i(k), computation cost c_i(k),
-// per-interval state growth s_i(k) and the windowed total S_i(k, w).
+// intervals (Section II-A): computation cost c_i(k), per-interval state
+// growth s_i(k) and the windowed total S_i(k, w) — what the rebalance
+// algorithms read. The section's g_i(k) is not kept: no planner reads
+// it.
 //
 // The engine's load-reporting module feeds record(); the controller calls
 // roll() at each interval boundary and reads the closed interval's values.
 //
-// This is the *exact* StatsProvider: six dense O(|K|) vectors plus a
+// This is the *exact* StatsProvider: four dense O(|K|) vectors plus a
 // w-deep ring. Perfect fidelity, O(|K|) memory. For million-key domains
 // use the sketch provider, SketchStatsWindow (sketch/sketch_stats_window.h),
 // instead — the make_stats_provider factory below selects between them.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -34,22 +35,16 @@ class StatsWindow final : public StatsProvider {
   /// `dest` is ignored: the exact provider resolves per-instance loads
   /// from the dense per-key view, not from recorded destinations.
   void record(KeyId key, Cost cost, Bytes state_bytes,
-              std::uint64_t frequency = 1,
               InstanceId dest = kNilInstance) override;
 
   /// Closes the current interval: its values become "last interval"
-  /// (c_{i-1}, g_{i-1}), enter the window sum, and the oldest interval
+  /// (c_{i-1}), enter the window sum, and the oldest interval
   /// falls out once more than w intervals are retained.
   void roll() override;
 
   /// c_{i-1}(k) — cost during the most recently closed interval.
   [[nodiscard]] const std::vector<Cost>& last_cost() const {
     return last_cost_;
-  }
-
-  /// g_{i-1}(k).
-  [[nodiscard]] const std::vector<std::uint64_t>& last_frequency() const {
-    return last_freq_;
   }
 
   /// S_{i-1}(k, w) — state bytes summed over the last w closed intervals.
@@ -59,7 +54,6 @@ class StatsWindow final : public StatsProvider {
 
   // StatsProvider per-key accessors (exact).
   [[nodiscard]] Cost last_cost_of(KeyId key) const override;
-  [[nodiscard]] std::uint64_t last_frequency_of(KeyId key) const override;
   [[nodiscard]] Bytes windowed_state_of(KeyId key) const override;
 
   /// Total windowed state over all keys (denominator of the paper's
@@ -85,9 +79,7 @@ class StatsWindow final : public StatsProvider {
   IntervalId closed_ = 0;
   std::vector<Cost> cur_cost_;
   std::vector<Bytes> cur_state_;
-  std::vector<std::uint64_t> cur_freq_;
   std::vector<Cost> last_cost_;
-  std::vector<std::uint64_t> last_freq_;
   std::vector<Bytes> window_sum_;
   std::deque<std::vector<Bytes>> ring_;  // closed per-interval state bytes
 };

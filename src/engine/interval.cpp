@@ -31,7 +31,6 @@ void BatchFold::run(const std::vector<Tuple>& batch, Micros now_us,
     auto& entry = per_key_[t.key];
     entry.cost += cost;
     entry.state_bytes += std::max(0.0, state.bytes() - before);
-    ++entry.frequency;
     latency_sum_us_ += static_cast<double>(now_us - t.emit_micros);
   }
   tuples_ = batch.size();
@@ -40,7 +39,6 @@ void BatchFold::run(const std::vector<Tuple>& batch, Micros now_us,
 void BatchFold::add_scalars(WorkerSketchSlab::IntervalScalars& sc) const {
   sc.processed += tuples_;
   sc.latency_sum_us += latency_sum_us_;
-  sc.latency_samples += tuples_;
 }
 
 void BatchFold::add_to(WorkerSketchSlab& slab) const {
@@ -51,7 +49,6 @@ void BatchFold::add_to(WorkerSketchSlab& slab) const {
 void SlabTally::add(const WorkerSketchSlab::IntervalScalars& sc) {
   scalars.processed += sc.processed;
   scalars.latency_sum_us += sc.latency_sum_us;
-  scalars.latency_samples += sc.latency_samples;
 }
 
 void SlabTally::absorb(SketchStatsWindow& stats, const WorkerSketchSlab& slab,
@@ -75,8 +72,7 @@ void SlabTally::replay(StatsProvider& stats, const KeyAggMap& per_key,
   WallTimer merge_timer;
   for (const auto& [key, cb] : per_key) {
     worker_cost[w] += cb.cost;
-    stats.record(key, cb.cost, cb.state_bytes, cb.frequency,
-                 static_cast<InstanceId>(w));
+    stats.record(key, cb.cost, cb.state_bytes, static_cast<InstanceId>(w));
   }
   merge_ms += merge_timer.elapsed_millis();
 }
@@ -115,9 +111,9 @@ std::optional<RebalancePlan> close_statistics(Controller& controller,
                                               const SlabTally& tally,
                                               IntervalReport& report) {
   report.processed += tally.scalars.processed;
-  const auto samples = static_cast<double>(tally.scalars.latency_samples);
+  const auto processed = static_cast<double>(tally.scalars.processed);
   report.avg_latency_ms =
-      samples > 0.0 ? tally.scalars.latency_sum_us / samples / 1000.0 : 0.0;
+      processed > 0.0 ? tally.scalars.latency_sum_us / processed / 1000.0 : 0.0;
   report.merge_ms += tally.merge_ms;
   report.stats_memory_bytes += tally.memory_bytes;
   WallTimer roll_timer;

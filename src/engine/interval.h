@@ -109,9 +109,9 @@ void note_plan(const RebalancePlan& plan, const StatsProvider& stats,
 using KeyAggMap = std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg>;
 
 /// A worker's per-batch operator fold: runs the operator over every tuple
-/// of a batch against the worker's state store and aggregates cost,
-/// state growth and frequency per key, so each distinct key pays ONE
-/// slab/map update per batch, not one per tuple.
+/// of a batch against the worker's state store and aggregates cost and
+/// state growth per key, so each distinct key pays ONE slab/map update
+/// per batch, not one per tuple.
 class BatchFold {
  public:
   BatchFold();
@@ -121,8 +121,8 @@ class BatchFold {
   void run(const std::vector<Tuple>& batch, Micros now_us, StateStore& store,
            const OperatorLogic& logic, Collector& out);
 
-  /// Adds the last run's interval scalars: processed, latency sum and
-  /// latency samples (one per tuple).
+  /// Adds the last run's interval scalars: processed and the latency
+  /// sum (one sample per tuple).
   void add_scalars(WorkerSketchSlab::IntervalScalars& sc) const;
 
   /// Adds the last run to `slab`: the per-key aggregates plus the scalars.

@@ -69,7 +69,7 @@ IntervalReport SimEngine::step() {
           static_cast<KeyId>(k), n,
           stats.windowed_state_of(static_cast<KeyId>(k)));
       stats.record(static_cast<KeyId>(k), 0.0,
-                   op_->state_delta(static_cast<KeyId>(k), n), n);
+                   op_->state_delta(static_cast<KeyId>(k), n));
     }
     for (std::size_t d = 0; d < nd; ++d) {
       work[d] = total_work / static_cast<double>(nd);
@@ -99,7 +99,7 @@ IntervalReport SimEngine::step() {
         remaining -= take;
       }
       stats.record(static_cast<KeyId>(k), batch,
-                   op_->state_delta(static_cast<KeyId>(k), n), n);
+                   op_->state_delta(static_cast<KeyId>(k), n));
     }
     pkg_router_->on_interval();
   } else {
@@ -125,7 +125,7 @@ IntervalReport SimEngine::step() {
       work[di] += batch;
       tuples[di] += static_cast<double>(n);
       if (key_paused_[k]) paused_tuples_on[di] += static_cast<double>(n);
-      stats.record(key, batch, op_->state_delta(key, n), n, d);
+      stats.record(key, batch, op_->state_delta(key, n), d);
     }
   }
 

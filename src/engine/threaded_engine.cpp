@@ -156,7 +156,6 @@ void ThreadedEngine::worker_loop(InstanceId id) {
           auto& entry = buf->per_key[key];
           entry.cost += cb.cost;
           entry.state_bytes += cb.state_bytes;
-          entry.frequency += cb.frequency;
         }
         fold.add_scalars(buf->scalars);
       }

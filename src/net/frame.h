@@ -37,8 +37,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 /// chunks, behind the summary; kRestore carries a stored checkpoint's
 /// bytes verbatim plus the adjustments made since. v6: kExpire (type 10)
 /// is gone, and the boundary's kHeavySet broadcast precedes its
-/// migration.
-inline constexpr std::uint8_t kWireVersion = 6;
+/// migration. v7: kSummary carries cost and state only: 16-byte cells,
+/// 24-byte hot entries, and an 80-byte scalar block without the cold
+/// count or the latency sample count.
+inline constexpr std::uint8_t kWireVersion = 7;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
 /// summaries are a few MiB at most; anything bigger is a corrupt length

@@ -9,7 +9,7 @@
 // Conservative update preserves the overestimate property and is never
 // less accurate, but cell-wise merge/subtract only remain sound for the
 // classic update — which is why the windowed-state ring uses add() while
-// the per-interval frequency/cost sketches use add_conservative().
+// the per-interval cost sketches use add_conservative().
 #pragma once
 
 #include <cstddef>
@@ -94,10 +94,9 @@ class CountMinSketch {
 
   /// Probe-reusing update variants: same semantics as the KeyId forms,
   /// with a caller-supplied probe, so a hot path updating SEVERAL
-  /// same-family sketches for one key (the window's
-  /// cost/frequency/state triple — see
-  /// SketchStatsWindow::kSharedFamilySalt) hashes the key once instead
-  /// of once per sketch. `probe` must come from make_probe(key, seed()).
+  /// same-family sketches for one key (the window's cost/state pair —
+  /// see SketchStatsWindow::kSharedFamilySalt) hashes the key once
+  /// instead of once per sketch. `probe` must come from make_probe(key, seed()).
   void add(double amount, const KeyProbe& probe);
   void add_conservative(double amount, const KeyProbe& probe);
 

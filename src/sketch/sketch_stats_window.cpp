@@ -1,7 +1,6 @@
 #include "sketch/sketch_stats_window.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.h"
 #include "sketch/worker_sketch_slab.h"
@@ -41,8 +40,6 @@ SketchStatsWindow::SketchStatsWindow(std::size_t num_keys, int window,
       // One shared family across quantities — see kSharedFamilySalt.
       cost_cur_(cms_params(kSharedFamilySalt)),
       cost_last_(cms_params(kSharedFamilySalt)),
-      freq_cur_(cms_params(kSharedFamilySalt)),
-      freq_last_(cms_params(kSharedFamilySalt)),
       state_cur_(cms_params(kSharedFamilySalt)),
       state_window_(cms_params(kSharedFamilySalt)) {
   SKW_EXPECTS(window >= 1);
@@ -63,7 +60,7 @@ void SketchStatsWindow::grow_dest(std::size_t slot) {
 }
 
 void SketchStatsWindow::record(KeyId key, Cost cost, Bytes state_bytes,
-                               std::uint64_t frequency, InstanceId dest) {
+                               InstanceId dest) {
   SKW_EXPECTS(cost >= 0.0 && state_bytes >= 0.0);
   SKW_EXPECTS(dest >= kNilInstance);
   // The sketch allocates nothing per key, so the domain auto-grows
@@ -72,7 +69,6 @@ void SketchStatsWindow::record(KeyId key, Cost cost, Bytes state_bytes,
 
   if (const auto it = heavy_.find(key); it != heavy_.end()) {
     it->second.cur_cost += cost;
-    it->second.cur_freq += frequency;
     it->second.cur_state += state_bytes;
     // A key routes to one instance per interval, so "last seen" is also
     // "current" — kept fresh so a later demotion credits the right
@@ -80,18 +76,15 @@ void SketchStatsWindow::record(KeyId key, Cost cost, Bytes state_bytes,
     if (dest != kNilInstance) it->second.dest = dest;
     return;
   }
-  // The three sketches share one hash family, so one probe serves all
-  // sibling updates — hashed once, with the later two sketches' rows
-  // prefetched while the first one's misses are outstanding.
+  // The two sketches share one hash family, so one probe serves both
+  // updates — hashed once, with the state sketch's rows prefetched while
+  // the cost sketch's misses are outstanding.
   const auto probe = CountMinSketch::make_probe(key, cost_cur_.seed());
-  freq_cur_.prefetch(probe);
   state_cur_.prefetch(probe);
   cost_cur_.add_conservative(cost, probe);
-  freq_cur_.add_conservative(static_cast<double>(frequency), probe);
   state_cur_.add(state_bytes, probe);
   candidates_.add(key, cost, dest);
   cold_cost_cur_ += cost;
-  cold_freq_cur_ += frequency;
   cold_state_cur_ += state_bytes;
   const std::size_t slot = dest_slot(dest);
   grow_dest(slot);
@@ -107,11 +100,11 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
   // membership, so a stale hot entry (demoted since the slab's snapshot)
   // degrades gracefully to the cold path.
   for (const auto& [key, agg] : slab.hot()) {
-    record(key, agg.cost, agg.state_bytes, agg.frequency, dest);
+    record(key, agg.cost, agg.state_bytes, dest);
   }
-  // Cold tier: unpack the slab's fused (cost, freq, state) cells into
-  // the per-quantity sketches cell-wise. Exact merge — the slab writes
-  // its cells with classic updates, under which a Count-Min array is a
+  // Cold tier: unpack the slab's fused (cost, state) cells into the
+  // per-quantity sketches cell-wise. Exact merge — the slab writes its
+  // cells with classic updates, under which a Count-Min array is a
   // linear function of its stream — legal because every sketch here
   // shares the slab's hash family (kSharedFamilySalt).
   const auto* fused = slab.cells().data();
@@ -119,8 +112,6 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
       sizeof(WorkerSketchSlab::FusedCell) / sizeof(double);
   cost_cur_.add_interleaved(&fused->cost, kStride, slab.width(), slab.depth(),
                             slab.cold_cost());
-  freq_cur_.add_interleaved(&fused->freq, kStride, slab.width(), slab.depth(),
-                            static_cast<double>(slab.cold_frequency()));
   state_cur_.add_interleaved(&fused->state, kStride, slab.width(),
                              slab.depth(), slab.cold_state());
   // The slab's whole cold stream was processed on its owning worker:
@@ -135,7 +126,6 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
   }
   candidates_.merge(entries, slab.candidates().total_weight());
   cold_cost_cur_ += slab.cold_cost();
-  cold_freq_cur_ += slab.cold_frequency();
   cold_state_cur_ += slab.cold_state();
   const std::size_t slot = dest_slot(dest);
   grow_dest(slot);
@@ -154,8 +144,6 @@ std::vector<KeyId> SketchStatsWindow::heavy_keys() const {
 void SketchStatsWindow::close_cold_interval() {
   std::swap(cost_last_, cost_cur_);
   cost_cur_.clear();
-  std::swap(freq_last_, freq_cur_);
-  freq_cur_.clear();
 
   state_window_.add_sketch(state_cur_);
   state_ring_.push_back(std::move(state_cur_));
@@ -172,8 +160,6 @@ void SketchStatsWindow::close_cold_interval() {
 
   cold_cost_last_ = cold_cost_cur_;
   cold_cost_cur_ = 0.0;
-  cold_freq_last_ = cold_freq_cur_;
-  cold_freq_cur_ = 0;
   cold_state_window_ += cold_state_cur_;
   cold_state_ring_.push_back(cold_state_cur_);
   cold_state_cur_ = 0.0;
@@ -208,7 +194,6 @@ void SketchStatsWindow::roll_heavy_entries(Cost& heavy_cost_closed) {
   for (auto it = heavy_.begin(); it != heavy_.end();) {
     HeavyEntry& e = it->second;
     e.last_cost = e.cur_cost;
-    e.last_freq = e.cur_freq;
     heavy_cost_closed += e.last_cost;
     e.window_state += e.cur_state;
     e.ring.push_back(e.cur_state);
@@ -217,14 +202,14 @@ void SketchStatsWindow::roll_heavy_entries(Cost& heavy_cost_closed) {
       e.ring.pop_front();
     }
     e.idle_intervals =
-        (e.cur_cost == 0.0 && e.cur_freq == 0) ? e.idle_intervals + 1 : 0;
+        (e.cur_cost == 0.0 && e.cur_state == 0.0) ? e.idle_intervals + 1 : 0;
     e.decayed_cost = config_.decay_beta * e.decayed_cost + e.cur_cost;
     e.cur_cost = 0.0;
-    e.cur_freq = 0;
     e.cur_state = 0.0;
-    // Without decay, demote keys that have been silent for a full window
-    // and hold no windowed state: their stats are all-zero, so nothing is
-    // lost and the slot frees up for a new heavy hitter. With decay
+    // Without decay, demote keys that have added neither cost nor state
+    // for a full window and hold no windowed state: their stats are
+    // all-zero, so nothing is lost and the slot frees up for a new heavy
+    // hitter. With decay
     // enabled demotion is handled by demote_decayed() instead — the
     // decayed criterion keeps a rotating hot key's slot warm across its
     // idle phase, which is exactly what the idle rule would thrash.
@@ -241,7 +226,6 @@ void SketchStatsWindow::roll_heavy_entries(Cost& heavy_cost_closed) {
 
 void SketchStatsWindow::debit_backfill(const HeavyEntry& e) {
   cold_cost_last_ = std::max(0.0, cold_cost_last_ - e.last_cost);
-  cold_freq_last_ -= std::min(cold_freq_last_, e.last_freq);
   {
     // Per-destination mirror of the debit. The entry's destination is
     // where all of its cold mass accrued (a key routes to one instance
@@ -299,8 +283,6 @@ void SketchStatsWindow::promote_candidates(Cost interval_total_cost) {
     // bounds); the matching mass leaves the cold aggregates so the dense
     // synthesis does not count it twice.
     e.last_cost = cand.count;
-    e.last_freq = static_cast<std::uint64_t>(
-        std::llround(freq_last_.estimate(cand.key)));
     e.window_state = state_window_.estimate(cand.key);
     // The backfill lands in a single ring slot for the just-closed
     // interval: a key is usually promoted right after its first active
@@ -387,11 +369,7 @@ void SketchStatsWindow::demote_entry(KeyId key) {
   // mass originally accrued on.
   const auto probe = CountMinSketch::make_probe(key, cost_last_.seed());
   if (e.last_cost > 0.0) cost_last_.add(e.last_cost, probe);
-  if (e.last_freq > 0) {
-    freq_last_.add(static_cast<double>(e.last_freq), probe);
-  }
   cold_cost_last_ += e.last_cost;
-  cold_freq_last_ += e.last_freq;
   const std::size_t slot = dest_slot(e.dest);
   grow_dest(slot);
   cold_cost_last_d_[slot] += e.last_cost;
@@ -508,9 +486,6 @@ void SketchStatsWindow::promote_decayed() {
     const SpaceSaving::Entry* obs = candidates_.find(cand.key);
     const Cost observed = obs ? std::max(0.0, obs->count - obs->error) : 0.0;
     e.last_cost = observed;
-    e.last_freq = obs ? static_cast<std::uint64_t>(std::llround(
-                            freq_last_.estimate(cand.key)))
-                      : 0;
     e.window_state = state_window_.estimate(cand.key);
     e.ring.assign(1, e.window_state);
     e.decayed_cost = cand.count;
@@ -550,13 +525,6 @@ Cost SketchStatsWindow::last_cost_of(KeyId key) const {
     return it->second.last_cost;
   }
   return cost_last_.estimate(key);
-}
-
-std::uint64_t SketchStatsWindow::last_frequency_of(KeyId key) const {
-  if (const auto it = heavy_.find(key); it != heavy_.end()) {
-    return it->second.last_freq;
-  }
-  return static_cast<std::uint64_t>(std::llround(freq_last_.estimate(key)));
 }
 
 Bytes SketchStatsWindow::windowed_state_of(KeyId key) const {
@@ -665,8 +633,6 @@ std::size_t SketchStatsWindow::memory_bytes() const {
       heavy_.bucket_count() * sizeof(void*);
   std::size_t sketch_bytes = cost_cur_.memory_bytes() +
                              cost_last_.memory_bytes() +
-                             freq_cur_.memory_bytes() +
-                             freq_last_.memory_bytes() +
                              state_cur_.memory_bytes() +
                              state_window_.memory_bytes();
   for (const auto& s : state_ring_) sketch_bytes += s.memory_bytes();

@@ -8,17 +8,17 @@
 // the rolling-window setting):
 //
 //  * HOT TIER — keys promoted to "heavy" are tracked exactly in a bounded
-//    hash map: per-interval cost/frequency/state plus a w-slot ring for
-//    the windowed state sum. This is precisely the set the Mixed planner
+//    hash map: per-interval cost and state plus a w-slot ring for the
+//    windowed state sum. This is precisely the set the Mixed planner
 //    wants explicit routing-table entries for.
 //  * COLD TIER — everything else goes into Count-Min sketches
-//    (conservative update for the per-interval cost/frequency pair;
-//    classic update for state so a ring of per-interval sketches can be
-//    cell-wise subtracted to maintain the w-interval window sum) and a
+//    (conservative update for the per-interval cost; classic update for
+//    state so a ring of per-interval sketches can be cell-wise
+//    subtracted to maintain the w-interval window sum) and a
 //    Space-Saving tracker that nominates next interval's promotions.
 //
-// Interval totals (cost, frequency, state) are tracked exactly as
-// scalars, so total_windowed_state() and the aggregate mass of the dense
+// Interval totals (cost, state) are tracked exactly as scalars, so
+// total_windowed_state() and the aggregate mass of the dense
 // synthesized view stay exact: synthesize_dense() writes exact values for
 // heavy keys and scales the cold keys' upper-bound estimates so they sum
 // to the exactly-known cold aggregate.
@@ -65,14 +65,14 @@ class SketchStatsWindow final : public StatsProvider {
   SketchStatsWindow(std::size_t num_keys, int window,
                     SketchStatsConfig config = {});
 
-  /// Every per-quantity sketch (cost, frequency, state — current, last
-  /// and the windowed-state ring) shares ONE hash family: the worker
-  /// slabs fuse all three quantities into a single probed cell array on
-  /// the data path (one probe, one set of cache lines per key), and
-  /// cell-wise unpacking that array into the per-quantity sketches is
-  /// only sound when the placements coincide. Per-sketch Count-Min
-  /// bounds are unaffected (the analysis is per sketch); the price is
-  /// that two colliding keys collide in every quantity at once.
+  /// Every per-quantity sketch (cost and state — current, last and the
+  /// windowed-state ring) shares ONE hash family: the worker slabs fuse
+  /// both quantities into a single probed cell array on the data path
+  /// (one probe, one set of cache lines per key), and cell-wise
+  /// unpacking that array into the per-quantity sketches is only sound
+  /// when the placements coincide. Per-sketch Count-Min bounds are
+  /// unaffected (the analysis is per sketch); the price is that two
+  /// colliding keys collide in every quantity at once.
   static constexpr std::uint64_t kSharedFamilySalt = 3;
 
   /// The Count-Min parameters of hash family `salt` under `config`.
@@ -86,7 +86,6 @@ class SketchStatsWindow final : public StatsProvider {
   /// without it still keeps every total exact but leaves the mass
   /// unattributed (spread evenly at compact-synthesis time).
   void record(KeyId key, Cost cost, Bytes state_bytes,
-              std::uint64_t frequency = 1,
               InstanceId dest = kNilInstance) override;
   void roll() override;
 
@@ -111,7 +110,6 @@ class SketchStatsWindow final : public StatsProvider {
   [[nodiscard]] std::vector<KeyId> heavy_keys() const;
 
   [[nodiscard]] Cost last_cost_of(KeyId key) const override;
-  [[nodiscard]] std::uint64_t last_frequency_of(KeyId key) const override;
   [[nodiscard]] Bytes windowed_state_of(KeyId key) const override;
   [[nodiscard]] Bytes total_windowed_state() const override;
   void synthesize_dense(std::vector<Cost>& cost,
@@ -180,8 +178,6 @@ class SketchStatsWindow final : public StatsProvider {
   struct HeavyEntry {
     Cost cur_cost = 0.0;
     Cost last_cost = 0.0;
-    std::uint64_t cur_freq = 0;
-    std::uint64_t last_freq = 0;
     Bytes cur_state = 0.0;
     Bytes window_state = 0.0;
     std::deque<Bytes> ring;  // per closed interval, newest at back
@@ -200,9 +196,9 @@ class SketchStatsWindow final : public StatsProvider {
   [[nodiscard]] CountMinSketch::Params cms_params(std::uint64_t salt) const;
   void close_cold_interval();
   void roll_heavy_entries(Cost& heavy_cost_closed);
-  /// Moves a newly promoted entry's backfill (last cost and frequency,
-  /// window state) out of the cold scalars, the aggregates of its
-  /// destination, and both state rings.
+  /// Moves a newly promoted entry's backfill (last cost, window state)
+  /// out of the cold scalars, the aggregates of its destination, and
+  /// both state rings.
   void debit_backfill(const HeavyEntry& e);
   void promote_candidates(Cost interval_total_cost);
   void decay_candidates(Cost interval_total_cost);
@@ -238,14 +234,12 @@ class SketchStatsWindow final : public StatsProvider {
   std::size_t last_demotions_ = 0;
 
   CountMinSketch cost_cur_, cost_last_;    // conservative update
-  CountMinSketch freq_cur_, freq_last_;    // conservative update
   CountMinSketch state_cur_;               // classic update (subtractable)
   CountMinSketch state_window_;            // running sum of state_ring_
   std::deque<CountMinSketch> state_ring_;  // last ≤ w closed intervals
 
   // Exact scalar totals for the cold tier.
   Cost cold_cost_cur_ = 0.0, cold_cost_last_ = 0.0;
-  std::uint64_t cold_freq_cur_ = 0, cold_freq_last_ = 0;
   Bytes cold_state_cur_ = 0.0;
   Bytes cold_state_window_ = 0.0;
   std::deque<Bytes> cold_state_ring_;

@@ -1,7 +1,8 @@
 // StatsProvider — the statistics contract the controller and the engines
 // consume, abstracted from its storage. Two implementations exist:
 //
-//  * StatsWindow (core/stats_window.h) — exact, six dense O(|K|) vectors.
+//  * StatsWindow (core/stats_window.h) — exact, four dense O(|K|) vectors
+//    plus a ring of w per-interval state vectors.
 //    Right for the figure benches (K ≤ a few hundred thousand).
 //  * SketchStatsWindow (sketch/sketch_stats_window.h) — approximate:
 //    exact stats only for the tracked heavy-hitter keys and
@@ -64,7 +65,8 @@ struct SketchStatsConfig {
   /// tracking instead of being stranded in the cold tier.
   /// When false, the original single-interval behavior is reproduced
   /// bit-for-bit: upper-bound first-interval backfill, idle-only
-  /// demotion.
+  /// demotion (an interval is idle for a key that added neither cost
+  /// nor state in it).
   bool decay = true;
   /// β — per-interval multiplier applied to the decayed candidate counts
   /// and the decayed total (0 < β < 1). Matches the window's spirit of
@@ -81,16 +83,17 @@ class StatsProvider {
  public:
   virtual ~StatsProvider() = default;
 
-  /// Accumulates one observation for the current (open) interval.
-  /// `dest` is the instance the key's tuples were processed on (F(key)
-  /// during the interval). The exact provider ignores it; the sketch
-  /// provider uses it to keep EXACT per-instance cold residual
-  /// aggregates for synthesize_compact — callers on the planning path
-  /// (engines, controller drains) must supply it. kNilInstance marks
-  /// the destination unknown (tests, non-planning monitors); such mass
-  /// is spread evenly across instances at compact-synthesis time.
+  /// Accumulates one observation for the current (open) interval: the
+  /// key's cost c(k) and state growth, the two per-key quantities the
+  /// planners read. `dest` is the instance the key's tuples were
+  /// processed on (F(key) during the interval). The exact provider
+  /// ignores it; the sketch provider uses it to keep EXACT per-instance
+  /// cold residual aggregates for synthesize_compact — callers on the
+  /// planning path (the engines' boundary replay and the sim's keyed
+  /// routing) must supply it. kNilInstance marks the destination unknown
+  /// (tests, non-planning monitors); such mass is spread evenly across
+  /// instances at compact-synthesis time.
   virtual void record(KeyId key, Cost cost, Bytes state_bytes,
-                      std::uint64_t frequency = 1,
                       InstanceId dest = kNilInstance) = 0;
 
   /// Closes the current interval (see StatsWindow::roll for semantics).
@@ -99,9 +102,6 @@ class StatsProvider {
   /// c_{i-1}(k). For the sketch provider this is exact for heavy keys and
   /// an unnormalized upper-bound estimate for cold keys.
   [[nodiscard]] virtual Cost last_cost_of(KeyId key) const = 0;
-
-  /// g_{i-1}(k), same exact/estimate split as last_cost_of.
-  [[nodiscard]] virtual std::uint64_t last_frequency_of(KeyId key) const = 0;
 
   /// S_{i-1}(k, w), same exact/estimate split as last_cost_of.
   [[nodiscard]] virtual Bytes windowed_state_of(KeyId key) const = 0;

@@ -30,35 +30,29 @@ void WorkerSketchSlab::add_hot(KeyId key, const KeyAgg& agg) {
   KeyAgg& hot = hot_[key];
   hot.cost += agg.cost;
   hot.state_bytes += agg.state_bytes;
-  hot.frequency += agg.frequency;
   hot_cost_ += agg.cost;
 }
 
 void WorkerSketchSlab::add_cold(KeyId key, const KeyAgg& agg,
                                 const CountMinSketch::KeyProbe& probe) {
-  // One probe, `depth_` fused cells: all three quantities ride the same
-  // cache lines (the point of the fused layout). The pad is never
-  // written, and the summary does not ship it.
-  const double freq = static_cast<double>(agg.frequency);
+  // One probe, `depth_` fused cells: both quantities ride the same cache
+  // line (the point of the fused layout).
   const std::size_t mask = width_ - 1;
   for (std::size_t row = 0; row < depth_; ++row) {
     FusedCell& cell =
         cells_[row * width_ + CountMinSketch::probe_index(probe, row, mask)];
     cell.cost += agg.cost;
-    cell.freq += freq;
     cell.state += agg.state_bytes;
   }
   candidates_.add(key, agg.cost);
   cold_cost_ += agg.cost;
-  cold_freq_ += agg.frequency;
   cold_state_ += agg.state_bytes;
 }
 
-void WorkerSketchSlab::add(KeyId key, Cost cost, Bytes state_bytes,
-                           std::uint64_t frequency) {
+void WorkerSketchSlab::add(KeyId key, Cost cost, Bytes state_bytes) {
   SKW_EXPECTS(cost >= 0.0 && state_bytes >= 0.0);
   key_bound_ = std::max(key_bound_, static_cast<std::size_t>(key) + 1);
-  const KeyAgg agg{cost, state_bytes, frequency};
+  const KeyAgg agg{cost, state_bytes};
   if (heavy_.find(key) != heavy_.end()) {
     add_hot(key, agg);
     return;
@@ -120,7 +114,6 @@ void WorkerSketchSlab::clear() {
   candidates_.clear();
   cold_cost_ = 0.0;
   hot_cost_ = 0.0;
-  cold_freq_ = 0;
   cold_state_ = 0.0;
   scalars_ = IntervalScalars{};
 }
@@ -132,12 +125,12 @@ namespace {
 /// corruption, not data.
 bool valid_magnitude(double v) { return std::isfinite(v) && v >= 0.0; }
 
-/// A summary cell on the wire: cost, frequency, state. FusedCell's pad
-/// stays in memory.
-constexpr std::size_t kWireCellDoubles = 3;
-/// Cells packed per append or read, so the cell block costs one buffer
-/// copy per chunk rather than one call per field.
-constexpr std::size_t kCellChunk = 256;
+/// A summary cell on the wire is a FusedCell as laid out in memory —
+/// cost, then state, no pad — so the cell block ships and lands as one
+/// copy.
+constexpr std::size_t kWireCellDoubles = 2;
+static_assert(sizeof(WorkerSketchSlab::FusedCell) ==
+              kWireCellDoubles * sizeof(double));
 
 }  // namespace
 
@@ -149,13 +142,11 @@ void WorkerSketchSlab::serialize(ByteWriter& out) const {
   out.u64(key_bound_);
   out.u64(scalars_.processed);
   out.f64(scalars_.latency_sum_us);
-  out.u64(scalars_.latency_samples);
   // The accumulated scalars ship verbatim — recomputing them from the
   // entries on the far side would re-associate the floating-point sums
   // and break byte-identity with the in-process run.
   out.f64(hot_cost_);
   out.f64(cold_cost_);
-  out.u64(cold_freq_);
   out.f64(cold_state_);
 
   std::vector<std::pair<KeyId, KeyAgg>> hot(hot_.begin(), hot_.end());
@@ -166,7 +157,6 @@ void WorkerSketchSlab::serialize(ByteWriter& out) const {
     out.u64(key);
     out.f64(agg.cost);
     out.f64(agg.state_bytes);
-    out.u64(agg.frequency);
   }
 
   out.f64(candidates_.total_weight());
@@ -179,17 +169,7 @@ void WorkerSketchSlab::serialize(ByteWriter& out) const {
     out.f64(e.error);
   }
 
-  double packed[kCellChunk * kWireCellDoubles];
-  for (std::size_t i = 0; i < cells_.size(); i += kCellChunk) {
-    const std::size_t n = std::min(kCellChunk, cells_.size() - i);
-    for (std::size_t j = 0; j < n; ++j) {
-      const FusedCell& cell = cells_[i + j];
-      packed[j * kWireCellDoubles] = cell.cost;
-      packed[j * kWireCellDoubles + 1] = cell.freq;
-      packed[j * kWireCellDoubles + 2] = cell.state;
-    }
-    out.append(packed, n * sizeof(double) * kWireCellDoubles);
-  }
+  out.append(cells_.data(), cells_.size() * sizeof(FusedCell));
 }
 
 bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
@@ -205,10 +185,8 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
   key_bound_ = static_cast<std::size_t>(in.u64());
   scalars_.processed = in.u64();
   scalars_.latency_sum_us = in.f64();
-  scalars_.latency_samples = in.u64();
   hot_cost_ = in.f64();
   cold_cost_ = in.f64();
-  cold_freq_ = in.u64();
   cold_state_ = in.f64();
   if (!valid_magnitude(scalars_.latency_sum_us) ||
       !valid_magnitude(hot_cost_) || !valid_magnitude(cold_cost_) ||
@@ -218,7 +196,7 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
   }
 
   const std::uint32_t hot_n = in.u32();
-  constexpr std::size_t kHotEntryBytes = 8 + 8 + 8 + 8;
+  constexpr std::size_t kHotEntryBytes = 8 + 8 + 8;
   if (!in.fits(hot_n, kHotEntryBytes)) return false;
   hot_.clear();
   for (std::uint32_t i = 0; i < hot_n; ++i) {
@@ -226,7 +204,6 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
     KeyAgg agg;
     agg.cost = in.f64();
     agg.state_bytes = in.f64();
-    agg.frequency = in.u64();
     if (!valid_magnitude(agg.cost) || !valid_magnitude(agg.state_bytes)) {
       in.fail();
       return false;
@@ -268,22 +245,14 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
     return false;
   }
 
-  double packed[kCellChunk * kWireCellDoubles];
-  for (std::size_t i = 0; i < cells_.size(); i += kCellChunk) {
-    const std::size_t n = std::min(kCellChunk, cells_.size() - i);
-    if (!in.read_into(packed, n * sizeof(double) * kWireCellDoubles)) {
+  if (!in.read_into(cells_.data(), cells_.size() * sizeof(FusedCell))) {
+    return false;
+  }
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const FusedCell& cell = cells_[i];
+    if (!valid_magnitude(cell.cost) || !valid_magnitude(cell.state)) {
+      in.fail();
       return false;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      FusedCell& cell = cells_[i + j];
-      cell.cost = packed[j * kWireCellDoubles];
-      cell.freq = packed[j * kWireCellDoubles + 1];
-      cell.state = packed[j * kWireCellDoubles + 2];
-      if (!valid_magnitude(cell.cost) || !valid_magnitude(cell.freq) ||
-          !valid_magnitude(cell.state)) {
-        in.fail();
-        return false;
-      }
     }
   }
   return true;

@@ -14,9 +14,9 @@
 //    bounded per-slab map, so the hot tier keeps perfect fidelity even
 //    though the observations are produced on N threads.
 //  * COLD — everything else lands in ONE fused Count-Min cell array
-//    holding the (cost, frequency, state) triple per cell. All three
-//    quantities share a single Kirsch–Mitzenmacher probe and a single
-//    set of cache lines per key — the hot-path reason the slab exists —
+//    holding the (cost, state) pair per cell. Both quantities share a
+//    single Kirsch–Mitzenmacher probe and a single set of cache lines
+//    per key — the hot-path reason the slab exists —
 //    and the cells are written with CLASSIC updates (never conservative),
 //    so the array stays a linear function of the stream and the boundary
 //    merge can unpack it cell-wise (CountMinSketch::add_interleaved)
@@ -64,17 +64,14 @@ class WorkerSketchSlab {
   struct KeyAgg {
     Cost cost = 0.0;
     Bytes state_bytes = 0.0;
-    std::uint64_t frequency = 0;
   };
 
-  /// One fused Count-Min cell: the three per-quantity counters a key's
-  /// probe touches together. Padded to 32 bytes so a cell never
-  /// straddles more cache lines than it must; the pad is not serialized.
+  /// One fused Count-Min cell: the two per-quantity counters a key's
+  /// probe touches together, 16 bytes, so a cell never straddles two
+  /// cache lines.
   struct FusedCell {
     double cost = 0.0;
-    double freq = 0.0;
     double state = 0.0;
-    double pad = 0.0;
   };
 
   /// Per-interval scalar counters the owning worker accumulates next to
@@ -84,8 +81,9 @@ class WorkerSketchSlab {
   /// synchronization an epoch needs.
   struct IntervalScalars {
     std::uint64_t processed = 0;
+    /// Summed over every processed tuple, so the mean is
+    /// latency_sum_us / processed.
     double latency_sum_us = 0.0;
-    std::uint64_t latency_samples = 0;
   };
 
   /// `config` must be the SketchStatsConfig of the SketchStatsWindow the
@@ -96,7 +94,7 @@ class WorkerSketchSlab {
 
   /// Accumulates one observation. Hot keys (current heavy set) go to the
   /// exact map; everything else to the fused cells + candidate tracker.
-  void add(KeyId key, Cost cost, Bytes state_bytes, std::uint64_t frequency);
+  void add(KeyId key, Cost cost, Bytes state_bytes);
 
   /// Folds one batch's per-key aggregation in two passes: pass 1
   /// classifies every entry against the heavy set and computes each cold
@@ -135,7 +133,6 @@ class WorkerSketchSlab {
   [[nodiscard]] const MisraGries& candidates() const { return candidates_; }
 
   [[nodiscard]] Cost cold_cost() const { return cold_cost_; }
-  [[nodiscard]] std::uint64_t cold_frequency() const { return cold_freq_; }
   [[nodiscard]] Bytes cold_state() const { return cold_state_; }
 
   /// Exact total cost observed this interval (hot + cold) — what the
@@ -163,7 +160,7 @@ class WorkerSketchSlab {
   /// Writes the slab's full interval content as a boundary summary — the
   /// NetEngine's kSummary payload. The encoding is deterministic (hot
   /// entries sorted by key, candidates by (count desc, key asc), then
-  /// every cell's cost, frequency and state), so two slabs holding equal
+  /// every cell's cost and state), so two slabs holding equal
   /// content serialize to equal bytes regardless of the hash-map
   /// insertion order that produced them.
   void serialize(ByteWriter& out) const;
@@ -206,7 +203,6 @@ class WorkerSketchSlab {
   std::vector<CountMinSketch::KeyProbe> probes_;  // one per cold entry
   Cost cold_cost_ = 0.0;
   Cost hot_cost_ = 0.0;
-  std::uint64_t cold_freq_ = 0;
   Bytes cold_state_ = 0.0;
   std::size_t key_bound_ = 0;
   IntervalScalars scalars_;

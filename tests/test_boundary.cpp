@@ -48,16 +48,16 @@ class RecordingTransport final : public BoundaryTransport {
     for (KeyId k = 0; k < static_cast<KeyId>(kKeys); ++k) {
       const auto w = static_cast<std::size_t>(controller_.assignment()(k));
       WorkerSketchSlab::KeyAgg& agg = maps[w][k];
-      agg.frequency = w == 0 ? 10 : 1;
-      agg.cost = static_cast<Cost>(agg.frequency);
+      agg.cost = w == 0 ? 10.0 : 1.0;  // one cost unit per tuple
       agg.state_bytes = 8.0 * agg.cost;
       worker_cost[w] += agg.cost;
     }
     SketchStatsWindow* sketch = controller_.slab_sink();
     for (std::size_t w = 0; w < maps.size(); ++w) {
       WorkerSketchSlab::IntervalScalars sc;
-      for (const auto& [key, agg] : maps[w]) sc.processed += agg.frequency;
-      sc.latency_samples = sc.processed;
+      for (const auto& [key, agg] : maps[w]) {
+        sc.processed += static_cast<std::uint64_t>(agg.cost);
+      }
       sc.latency_sum_us = 2000.0 * static_cast<double>(sc.processed);
       processed += sc.processed;
       if (sketch != nullptr) {

@@ -170,7 +170,7 @@ TEST(CompactSnapshot, SynthesizeCompactEmitsExactPerInstanceColdMass) {
       const auto dest = static_cast<InstanceId>(k % kNd);
       const Cost c = k < 8 ? 50'000.0 : static_cast<Cost>(k % 13 + 1);
       const Bytes s = 2.0 * c;
-      w.record(key, c, s, 1, dest);
+      w.record(key, c, s, dest);
       if (tally && !w.is_heavy(key)) {
         // Ground truth per-destination cold mass of this interval.
         cold_cost_true[static_cast<std::size_t>(dest)] += c;
@@ -257,7 +257,7 @@ TEST(CompactSnapshot, ControllersAgreeUnderFullHeavyCoverage) {
   const auto feed = [&](Controller& ctrl) {
     for (KeyId k = 0; k < kKeys; ++k) {
       const Cost c = static_cast<Cost>(kKeys - k);  // integer, skewed
-      ctrl.record(k, c, 2.0 * c, 1, ctrl.assignment()(k));
+      ctrl.stats().record(k, c, 2.0 * c, ctrl.assignment()(k));
     }
   };
 

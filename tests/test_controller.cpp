@@ -26,8 +26,8 @@ TEST(Controller, NoTriggerWhenBalanced) {
   while (ctrl.assignment()(k0) != 0) ++k0;
   KeyId k1 = 0;
   while (ctrl.assignment()(k1) != 1) ++k1;
-  ctrl.record(k0, 10.0, 1.0);
-  ctrl.record(k1, 10.0, 1.0);
+  ctrl.stats().record(k0, 10.0, 1.0);
+  ctrl.stats().record(k1, 10.0, 1.0);
   EXPECT_FALSE(ctrl.end_interval().has_value());
   EXPECT_NEAR(ctrl.last_observed_theta(), 0.0, 1e-9);
 }
@@ -37,10 +37,10 @@ TEST(Controller, TriggersAndInstallsOnImbalance) {
   // Load two keys onto whatever instance key 0 maps to; leave the other
   // instance idle -> max theta = 1.
   const InstanceId hot = ctrl.assignment()(0);
-  ctrl.record(0, 10.0, 4.0);
+  ctrl.stats().record(0, 10.0, 4.0);
   KeyId other = 1;
   while (ctrl.assignment()(other) != hot) ++other;
-  ctrl.record(other, 10.0, 4.0);
+  ctrl.stats().record(other, 10.0, 4.0);
 
   const auto plan = ctrl.end_interval();
   ASSERT_TRUE(plan.has_value());
@@ -56,10 +56,10 @@ TEST(Controller, PlannerlessControllerOnlyRolls) {
   auto ctrl = make_controller(2, 10, 0.08, 1, /*with_planner=*/false);
   EXPECT_FALSE(ctrl.has_planner());
   const InstanceId hot = ctrl.assignment()(0);
-  ctrl.record(0, 10.0, 1.0);
+  ctrl.stats().record(0, 10.0, 1.0);
   KeyId other = 1;
   while (ctrl.assignment()(other) != hot) ++other;
-  ctrl.record(other, 10.0, 1.0);
+  ctrl.stats().record(other, 10.0, 1.0);
   // The same imbalance makes the planning controller rebalance (see
   // TriggersAndInstallsOnImbalance); this one only rolls its statistics.
   EXPECT_FALSE(ctrl.end_interval().has_value());
@@ -78,13 +78,13 @@ TEST(Controller, RepeatedIntervalsConverge) {
   // Skewed load: key k costs ~1/(rank+1).
   for (int interval = 0; interval < 5; ++interval) {
     for (KeyId k = 0; k < 100; ++k) {
-      ctrl.record(k, 1000.0 / (1.0 + static_cast<double>(k)), 8.0);
+      ctrl.stats().record(k, 1000.0 / (1.0 + static_cast<double>(k)), 8.0);
     }
     ctrl.end_interval();
   }
   // After rebalancing, one more identical interval must be balanced.
   for (KeyId k = 0; k < 100; ++k) {
-    ctrl.record(k, 1000.0 / (1.0 + static_cast<double>(k)), 8.0);
+    ctrl.stats().record(k, 1000.0 / (1.0 + static_cast<double>(k)), 8.0);
   }
   EXPECT_FALSE(ctrl.end_interval().has_value());
   EXPECT_LE(ctrl.last_observed_theta(), 0.1 + 1e-9);
@@ -124,7 +124,7 @@ TEST(Controller, PlannerlessAddInstanceRehashes) {
 TEST(Controller, ScaleOutThenRebalanceUsesNewInstance) {
   auto ctrl = make_controller(2, 200, 0.05);
   ctrl.add_instance();
-  for (KeyId k = 0; k < 200; ++k) ctrl.record(k, 1.0, 1.0);
+  for (KeyId k = 0; k < 200; ++k) ctrl.stats().record(k, 1.0, 1.0);
   const auto plan = ctrl.end_interval();
   ASSERT_TRUE(plan.has_value());
   bool new_instance_used = false;
@@ -141,7 +141,7 @@ TEST(Controller, GenerationTimeAccumulates) {
   for (int i = 0; i < 3; ++i) {
     // Alternate hot instance to keep triggering.
     for (KeyId k = 0; k < 20; ++k) {
-      if (ctrl.assignment()(k) == hot) ctrl.record(k, 10.0 + i, 1.0);
+      if (ctrl.assignment()(k) == hot) ctrl.stats().record(k, 10.0 + i, 1.0);
     }
     ctrl.end_interval();
   }

@@ -170,7 +170,6 @@ class SequentialReference final : public BoundaryTransport {
       auto& entry = maps_[w][key];
       entry.cost += cb.cost;
       entry.state_bytes += cb.state_bytes;
-      entry.frequency += cb.frequency;
     }
     folds_[w].add_scalars(scalars_[w]);
   }
@@ -268,16 +267,15 @@ TEST_P(CompactDenseEquivalence, FullCoverageCompactPlansAreByteIdentical) {
   std::vector<InstanceId> hash(kKeys), current(kKeys);
   std::vector<Cost> cost(kKeys);
   std::vector<Bytes> state(kKeys);
-  std::vector<std::uint64_t> freq(kKeys);
   const ZipfDistribution zipf(kKeys, 1.0, true, 11);
   const auto counts = zipf.expected_counts(kKeys * 20);
   for (std::size_t k = 0; k < kKeys; ++k) {
     hash[k] = ring.owner(static_cast<KeyId>(k));
     current[k] = (k % 9 == 0) ? static_cast<InstanceId>((hash[k] + 1) % kNd)
                               : hash[k];
-    freq[k] = counts[k] + 1;  // every key active: full promotion
-    cost[k] = static_cast<Cost>(freq[k]);
-    state[k] = 4.0 * static_cast<Bytes>(freq[k]);
+    // Every key active (one tuple more than its count): full promotion.
+    cost[k] = static_cast<Cost>(counts[k] + 1);
+    state[k] = 4.0 * static_cast<Bytes>(counts[k] + 1);
   }
 
   StatsWindow exact(kKeys, 1);
@@ -291,8 +289,8 @@ TEST_P(CompactDenseEquivalence, FullCoverageCompactPlansAreByteIdentical) {
   for (int interval = 0; interval < 2; ++interval) {
     for (std::size_t k = 0; k < kKeys; ++k) {
       const auto key = static_cast<KeyId>(k);
-      exact.record(key, cost[k], state[k], freq[k], current[k]);
-      sketch.record(key, cost[k], state[k], freq[k], current[k]);
+      exact.record(key, cost[k], state[k], current[k]);
+      sketch.record(key, cost[k], state[k], current[k]);
     }
     exact.roll();
     sketch.roll();
@@ -396,7 +394,6 @@ TEST(Determinism, SeededSketchStatsWindowIsByteIdentical) {
                            state_a.size() * sizeof(Bytes)));
   for (KeyId key = 0; key < 5000; ++key) {
     ASSERT_EQ(a.last_cost_of(key), b.last_cost_of(key));
-    ASSERT_EQ(a.last_frequency_of(key), b.last_frequency_of(key));
     ASSERT_EQ(a.windowed_state_of(key), b.windowed_state_of(key));
   }
   EXPECT_EQ(a.total_windowed_state(), b.total_windowed_state());
@@ -419,7 +416,7 @@ TEST(Determinism, WorkerSlabMergeIsByteIdenticalAcrossFinishOrders) {
     for (int i = 0; i < 15'000; ++i) {
       KeyId key = zipf.sample(rng);
       key = key - (key % kWorkers) + static_cast<KeyId>(w);  // w's partition
-      slab.add(key, 2.0, 8.0, 1);
+      slab.add(key, 2.0, 8.0);
     }
   };
 
@@ -629,10 +626,8 @@ TEST(Determinism, AdversarialDirectRecordMatchesSlabAbsorbWithDecay) {
       const auto key = static_cast<KeyId>(k);
       const auto n = static_cast<double>(load.counts[k]);
       const int w = static_cast<int>(k % kWorkers);
-      direct.record(key, n, 4.0 * n, load.counts[k],
-                    static_cast<InstanceId>(w));
-      slabs[static_cast<std::size_t>(w)]->add(key, n, 4.0 * n,
-                                              load.counts[k]);
+      direct.record(key, n, 4.0 * n, static_cast<InstanceId>(w));
+      slabs[static_cast<std::size_t>(w)]->add(key, n, 4.0 * n);
     }
     for (int w = 0; w < kWorkers; ++w) {
       merged.absorb(*slabs[static_cast<std::size_t>(w)],

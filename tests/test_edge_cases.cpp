@@ -18,7 +18,7 @@ TEST(EdgeCases, SingleInstanceNeverRebalances) {
   cfg.planner.theta_max = 0.0;
   Controller ctrl(AssignmentFunction(ConsistentHashRing(1), 0),
                   std::make_unique<MixedPlanner>(), cfg, 10);
-  for (KeyId k = 0; k < 10; ++k) ctrl.record(k, 100.0, 1.0);
+  for (KeyId k = 0; k < 10; ++k) ctrl.stats().record(k, 100.0, 1.0);
   // One instance: theta is 0 by definition; no trigger.
   EXPECT_FALSE(ctrl.end_interval().has_value());
   EXPECT_EQ(ctrl.last_observed_theta(), 0.0);
@@ -83,7 +83,8 @@ TEST(EdgeCases, ControllerHonorsUnboundedAfterBoundedPlans) {
   Xoshiro256 rng(3);
   for (int interval = 0; interval < 6; ++interval) {
     for (KeyId k = 0; k < 64; ++k) {
-      ctrl.record(k, 1.0 + static_cast<double>(rng.next_below(20)), 4.0);
+      const Cost cost = 1.0 + static_cast<double>(rng.next_below(20));
+      ctrl.stats().record(k, cost, 4.0);
     }
     ctrl.end_interval();
     for (KeyId k = 0; k < 64; ++k) {
@@ -101,7 +102,7 @@ TEST(EdgeCases, RepeatedScaleOutKeepsEveryKeyRoutable) {
                   std::make_unique<MixedPlanner>(), cfg, 200);
   for (int round = 0; round < 5; ++round) {
     ctrl.add_instance();
-    for (KeyId k = 0; k < 200; ++k) ctrl.record(k, 1.0, 1.0);
+    for (KeyId k = 0; k < 200; ++k) ctrl.stats().record(k, 1.0, 1.0);
     ctrl.end_interval();
   }
   EXPECT_EQ(ctrl.num_instances(), 7);

@@ -550,13 +550,11 @@ WorkerSketchSlab make_filled_slab(const SketchStatsConfig& cfg,
     auto& agg = batch[i * 2654435761u + salt];
     agg.cost = static_cast<double>(i % 97) + 0.5;
     agg.state_bytes = static_cast<double>(i % 13) * 8.0;
-    agg.frequency = 1 + i % 7;
   }
   slab.add_batch(batch);
   auto& sc = slab.scalars();
   sc.processed = 500;
   sc.latency_sum_us = 123.75;
-  sc.latency_samples = 500;
   slab.set_epoch(9);
   return slab;
 }
@@ -617,6 +615,41 @@ TEST(SlabWire, RejectsTruncation) {
   }
 }
 
+// The kSummary layout (wire v7): a scalar block of ten 8-byte fields,
+// a u32 hot count and 24 bytes per hot entry (key, cost, state), then
+// f64 total, f64 offset, a u32 count and 24 bytes per candidate (key,
+// count, error), then 16 bytes per cell (cost, state).
+constexpr std::size_t kSummaryScalarBytes = 80;
+constexpr std::size_t kSummaryHotEntryBytes = 24;
+constexpr std::size_t kSummaryCandidateBytes = 24;
+constexpr std::size_t kSummaryCellBytes = 16;
+
+std::uint32_t read_u32_at(const std::vector<std::uint8_t>& bytes,
+                          std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+TEST(SlabWire, SerializedSizeFollowsTheLayout) {
+  SketchStatsConfig cfg;
+  cfg.heavy_capacity = 64;
+  WorkerSketchSlab slab = make_filled_slab(cfg, 17);
+  // Two hot keys, so the hot block is not empty.
+  slab.set_heavy_keys({3, 5});
+  slab.add(3, 2.0, 8.0);
+  slab.add(5, 1.0, 0.0);
+  ASSERT_EQ(slab.hot().size(), 2u);
+  ByteWriter w;
+  slab.serialize(w);
+  const std::size_t candidates = slab.candidates().size();
+  ASSERT_GT(candidates, 0u);
+  EXPECT_EQ(w.size(), kSummaryScalarBytes + 4 +
+                          kSummaryHotEntryBytes * slab.hot().size() + 20 +
+                          kSummaryCandidateBytes * candidates +
+                          kSummaryCellBytes * slab.width() * slab.depth());
+}
+
 TEST(SlabWire, RejectsDuplicateCandidateKey) {
   SketchStatsConfig cfg;
   cfg.heavy_capacity = 64;
@@ -624,19 +657,16 @@ TEST(SlabWire, RejectsDuplicateCandidateKey) {
   ByteWriter w;
   slab.serialize(w);
   std::vector<std::uint8_t> bytes = w.bytes();
-  // Summary layout: 96 bytes of scalars, a u32 hot count, 32 bytes per
-  // hot entry, then f64 total, f64 offset and a u32 count, then 24 bytes
-  // per candidate (u64 key first).
-  const auto read_u32 = [&](std::size_t at) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, bytes.data() + at, sizeof(v));
-    return v;
-  };
-  const std::size_t hot_n = read_u32(96);
-  const std::size_t count_at = 96 + 4 + 32 * hot_n + 16;
-  ASSERT_GE(read_u32(count_at), 2u);
+  ASSERT_LE(kSummaryScalarBytes + 4, bytes.size());
+  const std::size_t hot_n = read_u32_at(bytes, kSummaryScalarBytes);
+  const std::size_t count_at =
+      kSummaryScalarBytes + 4 + kSummaryHotEntryBytes * hot_n + 16;
+  ASSERT_LE(count_at + 4, bytes.size());
+  ASSERT_GE(read_u32_at(bytes, count_at), 2u);
   const std::size_t first_key = count_at + 4;
-  std::memcpy(bytes.data() + first_key + 24, bytes.data() + first_key,
+  const std::size_t second_key = first_key + kSummaryCandidateBytes;
+  ASSERT_LE(second_key + sizeof(KeyId), bytes.size());
+  std::memcpy(bytes.data() + second_key, bytes.data() + first_key,
               sizeof(KeyId));
 
   WorkerSketchSlab target(cfg);

@@ -374,7 +374,6 @@ std::vector<std::uint8_t> valid_summary() {
     auto& agg = batch[i * 7919];
     agg.cost = 1.0 + static_cast<double>(i % 11);
     agg.state_bytes = 8.0 * (i % 5);
-    agg.frequency = 1;
   }
   source.add_batch(batch);
   source.set_epoch(4);
@@ -421,24 +420,26 @@ TEST(NetFuzz, SlabSummaryCorruptionsRejectOrRoundTrip) {
   }
 }
 
-// A summary cell is three doubles on the wire (cost, frequency, state),
-// each a magnitude the slab only ever accumulates as finite and
-// non-negative. A clean summary with one cell field set to -1, NaN or +inf
-// is corruption and must be rejected, never absorbed.
+// A summary cell is two doubles on the wire (cost, state), each a
+// magnitude the slab only ever accumulates as finite and non-negative. A
+// clean summary with one cell field set to -1, NaN or +inf is corruption
+// and must be rejected, never absorbed.
 TEST(NetFuzz, SlabSummaryCellOutOfRangeRejected) {
+  constexpr std::size_t kCellFields = 2;
   const SketchStatsConfig cfg = summary_config();
   const std::vector<std::uint8_t> valid = valid_summary();
   WorkerSketchSlab target(cfg);
   const std::size_t cells = target.width() * target.depth();
-  ASSERT_GT(valid.size(), cells * 3 * sizeof(double));
+  ASSERT_GT(valid.size(), cells * kCellFields * sizeof(double));
   // The cell block ends the summary; probe the first cell and a middle one.
-  const std::size_t block = valid.size() - cells * 3 * sizeof(double);
+  const std::size_t block = valid.size() - cells * kCellFields * sizeof(double);
   for (const std::size_t cell : {std::size_t{0}, cells / 2}) {
-    for (std::size_t field = 0; field < 3; ++field) {
+    for (std::size_t field = 0; field < kCellFields; ++field) {
       for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
                                std::numeric_limits<double>::infinity()}) {
         std::vector<std::uint8_t> bytes = valid;
-        std::memcpy(bytes.data() + block + (cell * 3 + field) * sizeof(double),
+        std::memcpy(bytes.data() + block +
+                        (cell * kCellFields + field) * sizeof(double),
                     &bad, sizeof(bad));
         ByteReader r(bytes, ByteReader::Untrusted{});
         EXPECT_FALSE(target.deserialize_from(r))
@@ -451,19 +452,21 @@ TEST(NetFuzz, SlabSummaryCellOutOfRangeRejected) {
   EXPECT_TRUE(target.deserialize_from(clean) && clean.exhausted());
 }
 
-// A peer still speaking wire v5, which could send kExpire and published
-// the heavy set after a migration, is refused on its first frame: its
-// Hello fails the version check before any payload byte is read, and a
-// v5 credit on a data channel is a rejected frame, not a count.
-TEST(NetFuzz, V5PeerIsRefusedAtTheHandshake) {
-  const auto write_v5 = [](const FrameChannel& to, FrameType type,
-                           std::uint64_t epoch, const ByteWriter& payload) {
+// A peer speaking the previous wire version (whose kSummary layout this
+// build would misread) is refused on its first frame: its Hello fails
+// the version check before any payload byte is read, and its credit on
+// a data channel is a rejected frame, not a count.
+TEST(NetFuzz, PreviousVersionPeerIsRefusedAtTheHandshake) {
+  constexpr std::uint8_t kPrevious = kWireVersion - 1;
+  const auto write_previous = [](const FrameChannel& to, FrameType type,
+                                 std::uint64_t epoch,
+                                 const ByteWriter& payload) {
     ByteWriter frame;
     encode_frame_header(frame, type, epoch,
                         static_cast<std::uint32_t>(payload.size()));
     frame.append(payload.bytes().data(), payload.size());
     std::vector<std::uint8_t> bytes = frame.bytes();
-    bytes[4] = 5;  // the version byte follows the u32 magic
+    bytes[4] = kPrevious;  // the version byte follows the u32 magic
     ASSERT_EQ(::write(to.fd(), bytes.data(), bytes.size()),
               static_cast<::ssize_t>(bytes.size()));
   };
@@ -479,19 +482,20 @@ TEST(NetFuzz, V5PeerIsRefusedAtTheHandshake) {
 
   ByteWriter hello;
   encode_hello(hello, HelloPayload{0, 1});
-  write_v5(peer_ctrl, FrameType::kHello, 0, hello);
+  write_previous(peer_ctrl, FrameType::kHello, 0, hello);
   FrameHeader header;
   std::vector<std::uint8_t> payload;
   EXPECT_FALSE(ctrl.recv(header, payload));
-  EXPECT_NE(ctrl.last_error().find("peer speaks v5, this build v" +
-                                   std::to_string(kWireVersion)),
+  EXPECT_NE(ctrl.last_error().find(
+                "peer speaks v" + std::to_string(kPrevious) +
+                ", this build v" + std::to_string(kWireVersion)),
             std::string::npos)
       << ctrl.last_error();
 
   CreditWindow window(kQueueBatches);
   ASSERT_EQ(window.acquire(data, 1'000), "");
   window.sent();
-  write_v5(peer_data, FrameType::kCredit, 1, ByteWriter{});
+  write_previous(peer_data, FrameType::kCredit, 1, ByteWriter{});
   EXPECT_NE(window.acquire(data, 1'000).find("version mismatch"),
             std::string::npos);
   EXPECT_EQ(window.in_flight(), 1u);

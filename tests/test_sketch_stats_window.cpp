@@ -50,8 +50,8 @@ TEST(SketchStatsWindow, AllKeysHeavyMatchesExactWindow) {
     for (KeyId k = 0; k < kKeys; ++k) {
       const Cost c = 1.0 + static_cast<double>(rng.next_below(50));
       const Bytes b = static_cast<double>(rng.next_below(100));
-      exact.record(k, c, b, 2);
-      sketch.record(k, c, b, 2);
+      exact.record(k, c, b);
+      sketch.record(k, c, b);
     }
     exact.roll();
     sketch.roll();
@@ -67,7 +67,6 @@ TEST(SketchStatsWindow, AllKeysHeavyMatchesExactWindow) {
     EXPECT_NEAR(cost_s[k], cost_e[k], 1e-9) << "key " << k;
     EXPECT_NEAR(state_s[k], state_e[k], 1e-9) << "key " << k;
     EXPECT_EQ(sketch.last_cost_of(k), exact.last_cost_of(k));
-    EXPECT_EQ(sketch.last_frequency_of(k), exact.last_frequency_of(k));
     EXPECT_EQ(sketch.windowed_state_of(k), exact.windowed_state_of(k));
   }
 }
@@ -85,8 +84,8 @@ TEST(SketchStatsWindow, TotalsExactEvenWithoutHeavyTier) {
     for (std::size_t k = 0; k < counts.size(); ++k) {
       if (counts[k] == 0) continue;
       const auto n = static_cast<double>(counts[k]);
-      exact.record(static_cast<KeyId>(k), 2.0 * n, 8.0 * n, counts[k]);
-      sketch.record(static_cast<KeyId>(k), 2.0 * n, 8.0 * n, counts[k]);
+      exact.record(static_cast<KeyId>(k), 2.0 * n, 8.0 * n);
+      sketch.record(static_cast<KeyId>(k), 2.0 * n, 8.0 * n);
     }
     exact.roll();
     sketch.roll();
@@ -112,8 +111,8 @@ TEST(SketchStatsWindow, SynthesisPreservesAggregateMass) {
     for (std::size_t k = 0; k < counts.size(); ++k) {
       if (counts[k] == 0) continue;
       const auto n = static_cast<double>(counts[k]);
-      exact.record(static_cast<KeyId>(k), 1.5 * n, 8.0 * n, counts[k]);
-      sketch.record(static_cast<KeyId>(k), 1.5 * n, 8.0 * n, counts[k]);
+      exact.record(static_cast<KeyId>(k), 1.5 * n, 8.0 * n);
+      sketch.record(static_cast<KeyId>(k), 1.5 * n, 8.0 * n);
     }
     exact.roll();
     sketch.roll();
@@ -144,16 +143,14 @@ TEST(SketchStatsWindow, HeavyHittersAreTrackedExactlyAfterWarmup) {
   // Interval 1: all keys cold; hot ones get promoted at the roll.
   for (std::size_t k = 0; k < counts.size(); ++k) {
     if (counts[k] == 0) continue;
-    sketch.record(static_cast<KeyId>(k), static_cast<double>(counts[k]), 8.0,
-                  counts[k]);
+    sketch.record(static_cast<KeyId>(k), static_cast<double>(counts[k]), 8.0);
   }
   sketch.roll();
   EXPECT_GT(sketch.heavy_count(), 0u);
   // Interval 2: identical load; the hottest keys must now be exact.
   for (std::size_t k = 0; k < counts.size(); ++k) {
     if (counts[k] == 0) continue;
-    sketch.record(static_cast<KeyId>(k), static_cast<double>(counts[k]), 8.0,
-                  counts[k]);
+    sketch.record(static_cast<KeyId>(k), static_cast<double>(counts[k]), 8.0);
   }
   sketch.roll();
   for (std::uint64_t rank = 0; rank < 10; ++rank) {
@@ -161,7 +158,6 @@ TEST(SketchStatsWindow, HeavyHittersAreTrackedExactlyAfterWarmup) {
     ASSERT_TRUE(sketch.is_heavy(hot)) << "rank " << rank;
     EXPECT_DOUBLE_EQ(sketch.last_cost_of(hot),
                      static_cast<double>(counts[hot]));
-    EXPECT_EQ(sketch.last_frequency_of(hot), counts[hot]);
   }
 }
 
@@ -222,6 +218,26 @@ TEST(SketchStatsWindow, IdleHeavyKeysAreDemoted) {
   EXPECT_EQ(w.heavy_count(), 0u);
 }
 
+// An interval counts as idle when it adds neither cost nor state:
+// tuples that cost nothing and grow no state give the planner nothing to
+// move, so a key receiving only those is demoted on the silent key's
+// schedule — after max(w, 2) such intervals, not before.
+TEST(SketchStatsWindow, CostAndStateFreeTuplesCountAsIdle) {
+  SketchStatsConfig cfg = tiny_config(16, 0.0);
+  cfg.decay = false;
+  SketchStatsWindow w(100, 1, cfg);
+  w.record(7, 10.0, 0.0);
+  w.roll();
+  ASSERT_TRUE(w.is_heavy(7));
+  w.record(7, 0.0, 0.0);
+  w.roll();
+  EXPECT_TRUE(w.is_heavy(7));
+  w.record(7, 0.0, 0.0);
+  w.roll();
+  EXPECT_FALSE(w.is_heavy(7));
+  EXPECT_EQ(w.heavy_count(), 0u);
+}
+
 // The decay-mode counterpart: the same idle key survives those few
 // intervals (its decayed standing has not collapsed), so the heavy tier
 // keeps the key's exact history across the gap.
@@ -247,10 +263,10 @@ TEST(SketchStatsWindow, ControllerInSketchModeRebalances) {
                   std::make_unique<MixedPlanner>(), cfg, 10);
 
   const InstanceId hot = ctrl.assignment()(0);
-  ctrl.record(0, 10.0, 4.0);
+  ctrl.stats().record(0, 10.0, 4.0);
   KeyId other = 1;
   while (ctrl.assignment()(other) != hot) ++other;
-  ctrl.record(other, 10.0, 4.0);
+  ctrl.stats().record(other, 10.0, 4.0);
 
   const auto plan = ctrl.end_interval();
   ASSERT_TRUE(plan.has_value());
@@ -259,8 +275,8 @@ TEST(SketchStatsWindow, ControllerInSketchModeRebalances) {
   EXPECT_EQ(ctrl.stats().mode(), StatsMode::kSketch);
 
   // Identical load under the new assignment: balanced, no further plan.
-  ctrl.record(0, 10.0, 4.0);
-  ctrl.record(other, 10.0, 4.0);
+  ctrl.stats().record(0, 10.0, 4.0);
+  ctrl.stats().record(other, 10.0, 4.0);
   EXPECT_FALSE(ctrl.end_interval().has_value());
   EXPECT_NEAR(ctrl.last_observed_theta(), 0.0, 1e-9);
 }
@@ -278,7 +294,7 @@ TEST(SketchStatsWindow, AbsorbPreservesExactAggregatesAndHotTier) {
   // hot path. (promote_fraction 0 promotes every candidate up to
   // capacity; key 7 dominates the stream.)
   const auto warm = [](SketchStatsWindow& w) {
-    w.record(7, 500.0, 64.0, 10);
+    w.record(7, 500.0, 64.0);
     w.roll();
   };
   warm(direct);
@@ -300,12 +316,12 @@ TEST(SketchStatsWindow, AbsorbPreservesExactAggregatesAndHotTier) {
     if (key == 7) key = 8;  // keep the heavy key's totals hand-computable
     const Cost c = 1.0 + static_cast<double>(rng.next_below(8));
     const Bytes b = static_cast<double>(rng.next_below(32));
-    direct.record(key, c, b, 1);
-    slabs[key % 3].add(key, c, b, 1);
+    direct.record(key, c, b);
+    slabs[key % 3].add(key, c, b);
   }
   // Hot traffic on the heavy key through all three workers.
-  for (int w = 0; w < 3; ++w) slabs[w].add(7, 100.0, 16.0, 5);
-  direct.record(7, 300.0, 48.0, 15);
+  for (int w = 0; w < 3; ++w) slabs[w].add(7, 100.0, 16.0);
+  direct.record(7, 300.0, 48.0);
 
   for (const auto& slab : slabs) merged.absorb(slab);
   direct.roll();
@@ -319,7 +335,6 @@ TEST(SketchStatsWindow, AbsorbPreservesExactAggregatesAndHotTier) {
   // Hot tier: exact regardless of the worker partition.
   EXPECT_DOUBLE_EQ(merged.last_cost_of(7), direct.last_cost_of(7));
   EXPECT_DOUBLE_EQ(merged.last_cost_of(7), 300.0);
-  EXPECT_EQ(merged.last_frequency_of(7), 15u);
   EXPECT_DOUBLE_EQ(merged.windowed_state_of(7), direct.windowed_state_of(7));
   // Aggregate mass of the dense views matches (cold estimates differ per
   // key — classic vs conservative updates — but both normalize to the
@@ -341,8 +356,8 @@ TEST(SketchStatsWindow, AbsorbWithStaleHeavySnapshotKeepsMass) {
   SketchStatsWindow window(50, 1, cfg);
   WorkerSketchSlab slab(cfg);
   slab.set_heavy_keys({42});  // never heavy in the window
-  slab.add(42, 10.0, 4.0, 2);
-  slab.add(1, 5.0, 2.0, 1);
+  slab.add(42, 10.0, 4.0);
+  slab.add(1, 5.0, 2.0);
   window.absorb(slab);
   window.roll();
   // All 15 cost units survived the merge (42's through the cold tier).
@@ -403,15 +418,14 @@ TEST(SketchStatsWindow, DemotedKeyMassReturnsToColdTierExactly) {
   cfg.decay_beta = 0.5;
   SketchStatsWindow w(16, 2, cfg);
   StatsWindow exact(16, 2);
-  const auto both = [&](KeyId key, Cost cost, Bytes bytes, std::uint64_t freq,
-                        InstanceId dest) {
-    w.record(key, cost, bytes, freq, dest);
-    exact.record(key, cost, bytes, freq, dest);
+  const auto both = [&](KeyId key, Cost cost, Bytes bytes, InstanceId dest) {
+    w.record(key, cost, bytes, dest);
+    exact.record(key, cost, bytes, dest);
   };
 
   // Interval 0: X and Z fill the two heavy slots.
-  both(/*X=*/3, 10.0, 40.0, 10, /*dest=*/0);
-  both(/*Z=*/5, 8.0, 32.0, 8, /*dest=*/1);
+  both(/*X=*/3, 10.0, 40.0, /*dest=*/0);
+  both(/*Z=*/5, 8.0, 32.0, /*dest=*/1);
   w.roll();
   exact.roll();
   ASSERT_TRUE(w.is_heavy(3));
@@ -420,8 +434,8 @@ TEST(SketchStatsWindow, DemotedKeyMassReturnsToColdTierExactly) {
   // Interval 1: Y arrives far stronger than the weakest incumbent Z
   // (decayed standing 0.5·8 = 4 < guaranteed 100 / kDisplaceMargin), so
   // the roll displaces Z for Y while Z still holds windowed state.
-  both(/*Y=*/7, 100.0, 400.0, 100, /*dest=*/0);
-  both(3, 6.0, 24.0, 6, 0);
+  both(/*Y=*/7, 100.0, 400.0, /*dest=*/0);
+  both(3, 6.0, 24.0, 0);
   w.roll();
   exact.roll();
   EXPECT_TRUE(w.is_heavy(3));
@@ -559,11 +573,10 @@ TEST(WorkerSketchSlab, AddBatchMatchesPerEntryAdd) {
       auto& agg = batch[key];
       agg.cost += static_cast<double>(1 + rng.next_below(4));
       agg.state_bytes += 8.0;
-      agg.frequency += 1;
     }
     batched.add_batch(batch);
     for (const auto& [key, agg] : batch) {
-      per_entry.add(key, agg.cost, agg.state_bytes, agg.frequency);
+      per_entry.add(key, agg.cost, agg.state_bytes);
     }
   }
   ByteWriter batched_bytes;

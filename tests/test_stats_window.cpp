@@ -16,10 +16,9 @@ TEST(StatsWindow, FreshWindowIsZero) {
 TEST(StatsWindow, RecordAccumulatesWithinInterval) {
   StatsWindow w(4, 1);
   w.record(1, 2.0, 8.0);
-  w.record(1, 3.0, 8.0, 2);
+  w.record(1, 3.0, 8.0);
   w.roll();
   EXPECT_EQ(w.last_cost()[1], 5.0);
-  EXPECT_EQ(w.last_frequency()[1], 3u);
   EXPECT_EQ(w.windowed_state()[1], 16.0);
 }
 
@@ -29,7 +28,6 @@ TEST(StatsWindow, RollResetsCurrentInterval) {
   w.roll();
   w.roll();  // empty second interval
   EXPECT_EQ(w.last_cost()[0], 0.0);
-  EXPECT_EQ(w.last_frequency()[0], 0u);
 }
 
 TEST(StatsWindow, WindowSumCoversLastWIntervals) {
