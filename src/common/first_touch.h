@@ -6,9 +6,10 @@
 // on the constructing thread, committing every page on the driver's
 // node before the worker ever runs.
 //
-// Contract: the constructor maps but never touches; call prefault() (or
-// just start writing) from the thread that owns the memory. Values read
-// before any write are zero, exactly like the vector it replaces.
+// Contract: the constructor maps but never touches; the first write
+// (zero() included) should come from the thread that owns the memory.
+// Values read before any write are zero, exactly like the vector it
+// replaces.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,6 @@
 
 #if defined(__linux__)
 #include <sys/mman.h>
-#include <unistd.h>
 #define SKEWLESS_FIRST_TOUCH_MMAP 1
 #else
 #include <cstdlib>
@@ -85,24 +85,6 @@ class FirstTouchArray {
     }
 #endif
     size_ = n;
-  }
-
-  /// Commit every page from the CALLING thread by writing a zero into
-  /// each — a write, not a read: read faults map the shared zero page
-  /// without committing, and a later write would still fault wherever
-  /// that write happens. Writing zero over lazy-zero pages is
-  /// value-neutral, so this is safe any time before first real use.
-  void prefault() {
-    if (data_ == nullptr) return;
-#if SKEWLESS_FIRST_TOUCH_MMAP
-    const std::size_t page =
-        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-#else
-    const std::size_t page = 4096;
-#endif
-    volatile unsigned char* bytes =
-        reinterpret_cast<volatile unsigned char*>(data_);
-    for (std::size_t off = 0; off < bytes_; off += page) bytes[off] = 0;
   }
 
   /// Zero the contents in place (the clear() path — pages stay where

@@ -31,7 +31,16 @@ namespace skewless {
 /// batches wait per worker, besides the one it is folding, so under load
 /// the backlog a boundary drains and, by Little's law, most of a tuple's
 /// latency are the same on both.
-inline constexpr std::size_t kQueueBatches = 8;
+///
+/// Sizing (perfbench, 3 workers + driver on a 4-vCPU host, 20 s runs): a
+/// worker folds a 256-tuple batch in ~0.43 ms, so four queued batches are
+/// ~1.8 ms of operator work per worker, still ~18× the ~0.1 ms the driver
+/// needs to route a worker's next batch. Going from 8 to 4 nearly halved
+/// zipf-threaded's tuple latency (1.60 → 0.89 ms and 1.92 → 1.03 ms,
+/// medians of two sets of 10 pairs) with throughput inside the runs'
+/// spread; 3 cut it to ~0.9 ms but cost shift-threaded 2–6% of its
+/// throughput.
+inline constexpr std::size_t kQueueBatches = 4;
 
 /// One closed interval, reported by every engine. The wire,
 /// migration-wire and recovery fields read 0 on the threaded engine.

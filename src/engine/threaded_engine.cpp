@@ -120,15 +120,12 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   StateStore& store = *stores_[idx];
   SlabPair& pair = *slabs_[idx];
   // The worker starts on buffer 0 of its pair and alternates at every
-  // seal.
-  std::size_t active_buf = 0;
+  // seal, clearing each buffer as it switches into it. For a slab that
+  // zeroing is the cells' first touch: they were mapped untouched on the
+  // driver thread, so their pages commit near this worker, and its seal's
+  // release orders the writes before any merge-thread read.
   EpochBuffer* buf = &pair.bufs[0];
-  // First-touch placement: the slab cells were mapped (untouched) on the
-  // driver thread; this worker commits each buffer's pages the first
-  // time it is about to write it, so they land near the worker. Done
-  // INSIDE batch processing — the seal's release/acquire then orders the
-  // prefault writes before any merge-thread read of the cells.
-  bool prefaulted[2] = {false, false};
+  buf->clear();
   CountingCollector collector(total_outputs_);
   BatchFold fold;
 
@@ -146,10 +143,6 @@ void ThreadedEngine::worker_loop(InstanceId id) {
       if (buf->slab != nullptr) {
         // The batched fold prefetches the cold cells a few entries ahead
         // (see add_batch).
-        if (!prefaulted[active_buf]) {
-          buf->slab->prefault();
-          prefaulted[active_buf] = true;
-        }
         fold.add_to(*buf->slab);
       } else {
         for (const auto& [key, cb] : fold.per_key()) {
@@ -174,12 +167,10 @@ void ThreadedEngine::worker_loop(InstanceId id) {
       }
     } else if (auto* seal = std::get_if<SealMsg>(&*msg)) {
       // Epoch boundary: stamp (sketch mode) + release-publish the active
-      // buffer, swap onto the peer (cleared by the merge path before the
-      // previous epoch's heavy set was published, which we waited for),
-      // and install the closing epoch's post-roll heavy set before any
-      // next-epoch batch — the acquire on heavy_epoch_ pairs with the
-      // publisher's release, ordering the merge path's writes (peer
-      // clear, heavy_published_) before ours.
+      // buffer, swap onto the peer and clear it, and install the closing
+      // epoch's post-roll heavy set before any next-epoch batch — the
+      // acquire on heavy_epoch_ pairs with the publisher's release,
+      // ordering the merge path's heavy_published_ write before ours.
       if (buf->slab != nullptr) buf->slab->set_epoch(seal->epoch);
       pair.sealed_epoch.store(seal->epoch, std::memory_order_release);
       {
@@ -189,8 +180,14 @@ void ThreadedEngine::worker_loop(InstanceId id) {
         std::lock_guard lock(seal_mu_);
       }
       seal_cv_.notify_all();
-      active_buf = static_cast<std::size_t>(seal->epoch & 1);
-      buf = &pair.bufs[active_buf];
+      buf = &pair.bufs[seal->epoch & 1];
+      // The peer was sealed at the previous epoch. The merge thread last
+      // read it in that boundary's collect, which came before the publish
+      // this worker acquired at its previous seal (and before the merge
+      // completion the driver waited for ahead of pushing this seal), so
+      // clearing it here races with no reader. Clearing on this side
+      // keeps the chore off the merge thread's boundary path.
+      buf->clear();
       if (heavy_epoch_.load(std::memory_order_acquire) < seal->epoch) {
         // Sleep (never spin — the merge path needs the cycles) until the
         // closing epoch's roll publishes the new heavy set.
@@ -257,24 +254,22 @@ bool ThreadedEngine::collect(std::uint64_t epoch, SlabTally& tally) {
     if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) {
       return false;
     }
-    EpochBuffer& buf = pair.bufs[(epoch - 1) & 1];
+    const EpochBuffer& buf = pair.bufs[(epoch - 1) & 1];
     // The worker's active peer cannot be measured while it accumulates;
-    // the just-cleared buffer stands in for it so the double-buffer
-    // footprint is still accounted.
+    // the sealed buffer as its worker will clear it stands in for the
+    // peer, so the double-buffer footprint is still accounted. The worker
+    // clears it at its next seal; the merge thread only reads it.
     if (buf.slab != nullptr) {
-      WorkerSketchSlab& slab = *buf.slab;
+      const WorkerSketchSlab& slab = *buf.slab;
       SKW_ASSERT(slab.epoch() == epoch);
       tally.absorb(*sketch_stats_, slab, w);
-      slab.clear();
       // A cleared slab keeps its cells and hot maps but not its
       // candidate tracker's table, so the stand-in counts the peer's
       // fixed footprint, not its candidates.
-      tally.memory_bytes += slab.memory_bytes();
+      tally.memory_bytes += slab.cleared_memory_bytes();
     } else {
       tally.replay(controller_->stats(), buf.per_key, buf.scalars, w);
       // clear() keeps the bucket array, which stands in for the peer's.
-      buf.per_key.clear();
-      buf.scalars = {};
       tally.memory_bytes += buf.per_key.bucket_count() * sizeof(void*);
     }
   }

@@ -20,14 +20,14 @@
 //      state.
 // Keys not involved in ∆(F, F') keep flowing the whole time.
 //
-// Queue bound: each worker queue holds 8 batches (kQueueBatches in
-// engine/interval.h, which is also the net engine's credit window)
+// Queue bound: each worker queue holds kQueueBatches batches
+// (engine/interval.h, which is also the net engine's credit window)
 // before the driver blocks. The driver routes a batch several
 // times faster than a worker processes one, so under load every queue
 // sits full: its depth is the backlog a boundary waits for the workers to
-// drain, and by Little's law most of a tuple's latency. Eight 256-tuple
-// batches are still milliseconds of operator work per worker, far longer
-// than the driver needs to refill a slot, so the workers do not starve.
+// drain, and by Little's law most of a tuple's latency. Four 256-tuple
+// batches are still ~2 ms of operator work per worker, far longer than
+// the driver needs to refill a slot, so the workers do not starve.
 //
 // Statistics contract (worker ↔ driver): the controller's provider is
 // the one statistics store, configured by ControllerConfig. The engine
@@ -52,9 +52,11 @@
 // driver next needs the controller. Each worker, on reaching its SealMsg
 // (FIFO: after every batch of the closing epoch), release-publishes its
 // active buffer through SlabPair::sealed_epoch, swaps onto the other
-// buffer, and then waits for the NEW heavy set (epoch-stamped, published
-// after the merge thread rolls the window; empty in exact mode) before
-// touching the next epoch's batches — so every slab accumulates under
+// buffer and clears it (the merge thread finished reading it at the
+// previous boundary), and then waits for the NEW heavy set
+// (epoch-stamped, published after the merge thread rolls the window;
+// empty in exact mode) before touching the next epoch's batches — so
+// every slab accumulates under
 // exactly the heavy set a sequential run would have installed. A
 // driver-side merge thread runs the whole boundary through
 // close_boundary (engine/interval.h), the routine the net engine runs
@@ -194,8 +196,20 @@ class ThreadedEngine : private BoundaryTransport {
   /// One worker's statistics for one epoch: the slab in sketch mode, the
   /// per-key map plus the interval scalars in exact mode (the slab
   /// carries its own scalars). Only the owning worker writes it, with no
-  /// lock; the merge thread reads it only after the seal published it.
+  /// lock, and it clears it as it switches into it; the merge thread only
+  /// reads it, after the seal published it.
   struct EpochBuffer {
+    /// Empties the epoch's statistics and keeps every allocation but the
+    /// slab's candidate table.
+    void clear() {
+      if (slab != nullptr) {
+        slab->clear();
+      } else {
+        per_key.clear();
+        scalars = {};
+      }
+    }
+
     std::unique_ptr<WorkerSketchSlab> slab;
     KeyAggMap per_key;
     WorkerSketchSlab::IntervalScalars scalars;

@@ -73,25 +73,24 @@ void CountMinSketch::add_sketch(const CountMinSketch& other) {
   total_ += other.total_;
 }
 
-void CountMinSketch::add_interleaved(const double* cells, std::size_t stride,
-                                     std::size_t width, std::size_t depth,
-                                     double total) {
-  SKW_EXPECTS(width == width_ && depth == depth_);
-  // The boundary-merge inner loop, run once per quantity per sealed
-  // slab: dst streams sequentially, and the strided source is
-  // read-prefetched one stripe of kAhead cells ahead.
-  constexpr std::size_t kAhead = 64;
-  const std::size_t n = cells_.size();
+void CountMinSketch::add_fused(CountMinSketch& first, CountMinSketch& second,
+                               const double* pairs, std::size_t width,
+                               std::size_t depth, double first_total,
+                               double second_total) {
+  SKW_EXPECTS(&first != &second);
+  SKW_EXPECTS(width == first.width_ && depth == first.depth_);
+  SKW_EXPECTS(width == second.width_ && depth == second.depth_);
+  // The boundary-merge inner loop, run once per sealed slab: all three
+  // arrays stream sequentially, and every source byte read is used.
+  double* a = first.cells_.data();
+  double* b = second.cells_.data();
+  const std::size_t n = first.cells_.size();
   for (std::size_t i = 0; i < n; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (i + kAhead < n) {
-      __builtin_prefetch(cells + (i + kAhead) * stride, /*rw=*/0,
-                         /*locality=*/2);
-    }
-#endif
-    cells_[i] += cells[i * stride];
+    a[i] += pairs[2 * i];
+    b[i] += pairs[2 * i + 1];
   }
-  total_ += total;
+  first.total_ += first_total;
+  second.total_ += second_total;
 }
 
 void CountMinSketch::subtract_sketch(const CountMinSketch& other) {

@@ -48,14 +48,20 @@ class CountMinSketch {
   void add_sketch(const CountMinSketch& other);
   void subtract_sketch(const CountMinSketch& other);
 
-  /// Cell-wise merge from an interleaved external buffer: cell (row, c)
-  /// is read from `cells[(row * width + c) * stride]`. The buffer must
-  /// have been written with this sketch's exact geometry and probe
-  /// placement (same family Params — see make_probe/probe_index, which
-  /// exist so external accumulators like WorkerSketchSlab can share the
-  /// placement). `total` is the exact mass the buffer accumulated.
-  void add_interleaved(const double* cells, std::size_t stride,
-                       std::size_t width, std::size_t depth, double total);
+  /// Cell-wise merge of an external fused buffer into two sketches in
+  /// one pass: cell (row, c) of `first` gains `pairs[2 * i]` and the same
+  /// cell of `second` gains `pairs[2 * i + 1]`, where i = row * width + c.
+  /// Per sketch, the additions and their order are those of a cell-wise
+  /// merge of that lane alone. The buffer must have been written with
+  /// both sketches' exact geometry and probe placement (one family's
+  /// Params — see make_probe/probe_index, which exist so external
+  /// accumulators like WorkerSketchSlab can share the placement).
+  /// `first_total` and `second_total` are the exact masses each lane
+  /// accumulated.
+  static void add_fused(CountMinSketch& first, CountMinSketch& second,
+                        const double* pairs, std::size_t width,
+                        std::size_t depth, double first_total,
+                        double second_total);
 
   void clear();
 

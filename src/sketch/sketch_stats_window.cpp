@@ -1,6 +1,8 @@
 #include "sketch/sketch_stats_window.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
 
 #include "common/assert.h"
 #include "sketch/worker_sketch_slab.h"
@@ -103,17 +105,17 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
     record(key, agg.cost, agg.state_bytes, dest);
   }
   // Cold tier: unpack the slab's fused (cost, state) cells into the
-  // per-quantity sketches cell-wise. Exact merge — the slab writes its
-  // cells with classic updates, under which a Count-Min array is a
-  // linear function of its stream — legal because every sketch here
-  // shares the slab's hash family (kSharedFamilySalt).
-  const auto* fused = slab.cells().data();
-  constexpr std::size_t kStride =
-      sizeof(WorkerSketchSlab::FusedCell) / sizeof(double);
-  cost_cur_.add_interleaved(&fused->cost, kStride, slab.width(), slab.depth(),
-                            slab.cold_cost());
-  state_cur_.add_interleaved(&fused->state, kStride, slab.width(),
-                             slab.depth(), slab.cold_state());
+  // per-quantity sketches cell-wise, both in one pass over the cells.
+  // Exact merge — the slab writes its cells with classic updates, under
+  // which a Count-Min array is a linear function of its stream — legal
+  // because every sketch here shares the slab's hash family
+  // (kSharedFamilySalt).
+  static_assert(sizeof(WorkerSketchSlab::FusedCell) == 2 * sizeof(double) &&
+                offsetof(WorkerSketchSlab::FusedCell, cost) == 0 &&
+                offsetof(WorkerSketchSlab::FusedCell, state) == sizeof(double));
+  CountMinSketch::add_fused(cost_cur_, state_cur_, &slab.cells().data()->cost,
+                            slab.width(), slab.depth(), slab.cold_cost(),
+                            slab.cold_state());
   // The slab's whole cold stream was processed on its owning worker:
   // stamp that destination onto the merged candidates and credit the
   // per-instance cold aggregates wholesale. Unsorted summary: the union
@@ -189,6 +191,34 @@ void SketchStatsWindow::close_cold_interval() {
   }
 }
 
+void SketchStatsWindow::StateRing::reset(int window, Bytes amount) {
+  slots_ = std::make_unique<Bytes[]>(static_cast<std::size_t>(window));
+  slots_[0] = amount;
+  oldest_ = 0;
+  size_ = 1;
+}
+
+bool SketchStatsWindow::StateRing::push(int window, Bytes amount,
+                                        Bytes& expired) {
+  const auto w = static_cast<std::uint32_t>(window);
+  if (size_ < w) {
+    slots_[(oldest_ + size_) % w] = amount;
+    ++size_;
+    return false;
+  }
+  expired = slots_[oldest_];
+  slots_[oldest_] = amount;
+  oldest_ = (oldest_ + 1) % w;
+  return true;
+}
+
+Bytes SketchStatsWindow::StateRing::newest(int window,
+                                           std::size_t age) const {
+  SKW_EXPECTS(age < size_);
+  const auto w = static_cast<std::size_t>(window);
+  return slots_[(oldest_ + size_ - 1 - age) % w];
+}
+
 void SketchStatsWindow::roll_heavy_entries(Cost& heavy_cost_closed) {
   heavy_cost_closed = 0.0;
   for (auto it = heavy_.begin(); it != heavy_.end();) {
@@ -196,10 +226,8 @@ void SketchStatsWindow::roll_heavy_entries(Cost& heavy_cost_closed) {
     e.last_cost = e.cur_cost;
     heavy_cost_closed += e.last_cost;
     e.window_state += e.cur_state;
-    e.ring.push_back(e.cur_state);
-    if (e.ring.size() > static_cast<std::size_t>(window_)) {
-      e.window_state = std::max(0.0, e.window_state - e.ring.front());
-      e.ring.pop_front();
+    if (Bytes expired = 0.0; e.ring.push(window_, e.cur_state, expired)) {
+      e.window_state = std::max(0.0, e.window_state - expired);
     }
     e.idle_intervals =
         (e.cur_cost == 0.0 && e.cur_state == 0.0) ? e.idle_intervals + 1 : 0;
@@ -287,7 +315,7 @@ void SketchStatsWindow::promote_candidates(Cost interval_total_cost) {
     // The backfill lands in a single ring slot for the just-closed
     // interval: a key is usually promoted right after its first active
     // interval, where that is the exact expiry schedule.
-    e.ring.assign(1, e.window_state);
+    e.ring.reset(window_, e.window_state);
     e.decayed_cost = cand.count;
     e.dest = cand.dest;
     debit_backfill(e);
@@ -335,10 +363,13 @@ void SketchStatsWindow::truncate_decayed() {
   // candidates union merged in at the roll is non-truncating and in
   // threaded runs holds many times capacity; without this the tracker
   // would carry that whole union until the next boundary.
-  // Selecting the set needs no full sort: filter, partition the top
-  // heavy_capacity entries to the front and sort only those — the same
-  // entries, in the same order, as the prefix of a full sort, because
-  // count_order is a total order.
+  // Selecting the set needs no sort: filter, and partition the top
+  // heavy_capacity entries to the front — the same entries as the prefix
+  // of a full sort, because count_order is a total order. Their order is
+  // unobservable: the next rebuild reads the tracker back sorted by
+  // count_order, a union adds per key, and the one order-dependent sum,
+  // the kept weight, only reaches decayed_.total_weight(), which nothing
+  // reads.
   const std::size_t capacity = config_.heavy_capacity;
   if (decayed_.size() <= capacity) return;
   std::vector<SpaceSaving::Entry> kept = decayed_.entries_unsorted();
@@ -350,7 +381,6 @@ void SketchStatsWindow::truncate_decayed() {
     std::nth_element(kept.begin(), cut, kept.end(), SpaceSaving::count_order);
     kept.erase(cut, kept.end());
   }
-  std::sort(kept.begin(), kept.end(), SpaceSaving::count_order);
   double kept_weight = 0.0;
   for (const SpaceSaving::Entry& e : kept) kept_weight += e.count;
   decayed_ = SpaceSaving(capacity);
@@ -375,7 +405,7 @@ void SketchStatsWindow::demote_entry(KeyId key) {
   cold_cost_last_d_[slot] += e.last_cost;
   cold_state_window_ += e.window_state;
   cold_state_window_d_[slot] += e.window_state;
-  // Ring credit, newest at back on both sides. The entry ring is never
+  // Ring credit, newest first on both sides. The entry ring is never
   // longer than the cold rings (both grow one slot per roll, and the
   // entry started at one slot when the cold rings already had one), so
   // every slot of entry state lands in a matching cold slot. The
@@ -384,9 +414,8 @@ void SketchStatsWindow::demote_entry(KeyId key) {
   auto ring_it = state_ring_.rbegin();
   auto cold_ring_it = cold_state_ring_.rbegin();
   auto cold_ring_d_it = cold_state_ring_d_.rbegin();
-  for (auto entry_it = e.ring.rbegin(); entry_it != e.ring.rend();
-       ++entry_it) {
-    const Bytes amount = *entry_it;
+  for (std::size_t age = 0; age < e.ring.size(); ++age) {
+    const Bytes amount = e.ring.newest(window_, age);
     if (amount > 0.0) {
       if (ring_it != state_ring_.rend()) ring_it->add(amount, probe);
       state_window_.add(amount, probe);
@@ -487,7 +516,7 @@ void SketchStatsWindow::promote_decayed() {
     const Cost observed = obs ? std::max(0.0, obs->count - obs->error) : 0.0;
     e.last_cost = observed;
     e.window_state = state_window_.estimate(cand.key);
-    e.ring.assign(1, e.window_state);
+    e.ring.reset(window_, e.window_state);
     e.decayed_cost = cand.count;
     e.dest = (obs && obs->dest != kNilInstance) ? obs->dest : cand.dest;
     debit_backfill(e);
@@ -626,6 +655,7 @@ void SketchStatsWindow::synthesize_compact(InstanceId num_instances,
 
 std::size_t SketchStatsWindow::memory_bytes() const {
   constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
+  // Per heavy key: its map node and its ring's one w-slot allocation.
   std::size_t heavy_bytes =
       heavy_.size() *
           (sizeof(std::pair<const KeyId, HeavyEntry>) + kNodeOverhead +

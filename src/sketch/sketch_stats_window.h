@@ -8,9 +8,9 @@
 // the rolling-window setting):
 //
 //  * HOT TIER — keys promoted to "heavy" are tracked exactly in a bounded
-//    hash map: per-interval cost and state plus a w-slot ring for the
-//    windowed state sum. This is precisely the set the Mixed planner
-//    wants explicit routing-table entries for.
+//    hash map: per-interval cost and state plus a w-slot ring (one
+//    allocation) for the windowed state sum. This is precisely the set
+//    the Mixed planner wants explicit routing-table entries for.
 //  * COLD TIER — everything else goes into Count-Min sketches
 //    (conservative update for the per-interval cost; classic update for
 //    state so a ring of per-interval sketches can be cell-wise
@@ -46,7 +46,9 @@
 //    nothing per key.
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -175,18 +177,40 @@ class SketchStatsWindow final : public StatsProvider {
   [[nodiscard]] Cost decayed_total_cost() const { return decayed_total_; }
 
  private:
+  /// One heavy key's state per closed interval, oldest to newest, in one
+  /// allocation of exactly w slots used as a circular buffer: that
+  /// allocation is all memory_bytes() counts for it. The window passes
+  /// its w to every call.
+  class StateRing {
+   public:
+    /// Starts over with one closed interval holding `amount`.
+    void reset(int window, Bytes amount);
+    /// Appends `amount` as the newest interval. On a full ring it takes
+    /// the oldest interval's slot, returns true and writes that
+    /// interval's amount to `expired`.
+    bool push(int window, Bytes amount, Bytes& expired);
+    /// The `age`-th newest interval's amount (0 = newest), age < size().
+    [[nodiscard]] Bytes newest(int window, std::size_t age) const;
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    std::unique_ptr<Bytes[]> slots_;
+    std::uint32_t oldest_ = 0;  // slot of the oldest interval
+    std::uint32_t size_ = 0;
+  };
+
   struct HeavyEntry {
     Cost cur_cost = 0.0;
     Cost last_cost = 0.0;
     Bytes cur_state = 0.0;
     Bytes window_state = 0.0;
-    std::deque<Bytes> ring;  // per closed interval, newest at back
-    int idle_intervals = 0;
     /// Decayed cost history Σ β^age · (interval cost), maintained while
     /// heavy (seeded from the promoting candidate's decayed count). The
     /// decayed-demotion criterion compares it against the demote
     /// threshold on the same timescale as decayed_total_.
     Cost decayed_cost = 0.0;
+    StateRing ring;
+    int idle_intervals = 0;
     /// Last known routing destination (kNilInstance when never
     /// attributed) — where a demotion credits the per-instance cold
     /// aggregates back.

@@ -183,8 +183,11 @@ std::vector<SpaceSaving::Entry> MisraGries::entries_by_count() const {
 }
 
 std::size_t MisraGries::memory_bytes() const {
-  return sizeof(*this) + table_.memory_bytes() +
-         prune_scratch_.capacity() * sizeof(double);
+  return cleared_memory_bytes() + table_.memory_bytes();
+}
+
+std::size_t MisraGries::cleared_memory_bytes() const {
+  return sizeof(*this) + prune_scratch_.capacity() * sizeof(double);
 }
 
 void MisraGries::clear() {

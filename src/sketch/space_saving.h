@@ -352,6 +352,9 @@ class MisraGries {
   [[nodiscard]] std::size_t size() const { return table_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t memory_bytes() const;
+  /// What memory_bytes() will read once clear() has run: the tracker
+  /// without its entry table.
+  [[nodiscard]] std::size_t cleared_memory_bytes() const;
 
   /// Empties the tracker; the entry table hands its memory back.
   void clear();

@@ -19,8 +19,8 @@ WorkerSketchSlab::WorkerSketchSlab(const SketchStatsConfig& config)
   depth_ = geometry.depth();
   seed_ = geometry.seed();
   // Lazily-mapped zero pages: the constructor must NOT touch them, so
-  // the owning worker thread's first write (or prefault()) decides their
-  // NUMA placement — not the driver thread constructing the slab.
+  // the owning worker thread's first write (its first clear()) decides
+  // their NUMA placement — not the driver thread constructing the slab.
   cells_.reset(depth_ * width_);
   heavy_.reserve(config.heavy_capacity);
   hot_.reserve(config.heavy_capacity);
@@ -258,16 +258,26 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
   return true;
 }
 
+namespace {
+
+constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
+
+}  // namespace
+
 std::size_t WorkerSketchSlab::memory_bytes() const {
-  constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
-  const std::size_t hot_bytes =
-      hot_.size() * (sizeof(std::pair<const KeyId, KeyAgg>) + kNodeOverhead) +
-      hot_.bucket_count() * sizeof(void*);
+  // The fixed footprint plus what clear() hands back or empties.
+  const std::size_t hot_entry_bytes =
+      hot_.size() * (sizeof(std::pair<const KeyId, KeyAgg>) + kNodeOverhead);
+  return cleared_memory_bytes() + hot_entry_bytes +
+         (candidates_.memory_bytes() - candidates_.cleared_memory_bytes());
+}
+
+std::size_t WorkerSketchSlab::cleared_memory_bytes() const {
   const std::size_t heavy_bytes =
       heavy_.size() * (sizeof(KeyId) + kNodeOverhead) +
       heavy_.bucket_count() * sizeof(void*);
-  return sizeof(*this) + hot_bytes + heavy_bytes + cells_.memory_bytes() +
-         candidates_.memory_bytes();
+  return sizeof(*this) + hot_.bucket_count() * sizeof(void*) + heavy_bytes +
+         cells_.memory_bytes() + candidates_.cleared_memory_bytes();
 }
 
 }  // namespace skewless

@@ -19,30 +19,33 @@
 //    per key — the hot-path reason the slab exists —
 //    and the cells are written with CLASSIC updates (never conservative),
 //    so the array stays a linear function of the stream and the boundary
-//    merge can unpack it cell-wise (CountMinSketch::add_interleaved)
-//    into the window's per-quantity sketches, which share the same hash
-//    family. A MisraGries tracker (amortized O(1) per add — SpaceSaving's
-//    per-add heap maintenance measurably dominated the fold cost)
-//    nominates promotion candidates and exact scalars keep the cold
-//    aggregates truthful. The tracker is interval-local by construction
-//    (clear()ed after every absorb), which is precisely the granularity
-//    the window's decayed promotion needs: each interval's merged
-//    candidates enter the β-decayed union once, at that interval's roll.
+//    merge can unpack both quantities cell-wise in one pass
+//    (CountMinSketch::add_fused) into the window's per-quantity sketches,
+//    which share the same hash family. A MisraGries tracker (amortized
+//    O(1) per add — SpaceSaving's per-add heap maintenance measurably
+//    dominated the fold cost) nominates promotion candidates and exact
+//    scalars keep the cold aggregates truthful. The tracker is
+//    interval-local by construction (clear()ed before each interval's
+//    first add), which is precisely the granularity the window's decayed
+//    promotion needs: each interval's merged candidates enter the
+//    β-decayed union once, at that interval's roll.
 //
 // At the interval boundary the merge path calls SketchStatsWindow::absorb
 // on each slab in worker-index order — a fixed order, so the merged result
-// is byte-identical regardless of which worker finished first — and then
-// clear()s the slab for the next interval (cells and hot maps keep their
-// allocations; the candidate tracker hands its table back).
+// is byte-identical regardless of which worker finished first. The slab
+// is clear()ed before it takes the next interval's first add (cells and
+// hot maps keep their allocations; the candidate tracker hands its table
+// back): the threaded engine's worker clears it when it switches back
+// into it, the net worker right after shipping it.
 //
 // Double-buffered operation (ThreadedEngine's seal protocol): each worker
 // owns a PAIR of slabs. A SealMsg at the interval boundary stamps the
 // active slab with the closing epoch, release-publishes it to the
-// driver-side merge thread, and swaps the worker onto the other buffer —
-// tuples keep flowing through the merge. The sealed slab also carries the
-// interval's scalar counters (IntervalScalars), so the merge path reads a
-// complete epoch without any lock: the seal publication orders every
-// worker write before the merge thread's reads.
+// driver-side merge thread, and swaps the worker onto the other buffer,
+// which it clears — tuples keep flowing through the merge. The sealed
+// slab also carries the interval's scalar counters (IntervalScalars), so
+// the merge path reads a complete epoch without any lock: the seal
+// publication orders every worker write before the merge thread's reads.
 #pragma once
 
 #include <cstdint>
@@ -106,12 +109,6 @@ class WorkerSketchSlab {
   /// its original order.
   void add_batch(const std::unordered_map<KeyId, KeyAgg>& batch);
 
-  /// Commits the fused cell pages from the CALLING thread (first-touch
-  /// NUMA placement — the cells are mapped lazily so the owning worker
-  /// thread, not the constructing driver, places them). Value-neutral;
-  /// safe any time the caller may write the slab.
-  void prefault() { cells_.prefault(); }
-
   /// Replaces the hot-key set. Called by the owning worker at its seal,
   /// with the heavy set SketchStatsWindow::roll left behind, before it
   /// folds the next epoch's first batch.
@@ -119,7 +116,9 @@ class WorkerSketchSlab {
 
   /// Resets the interval-local contents (keeps the heavy set; fused
   /// cells are zeroed in place, hash maps keep their buckets, and the
-  /// candidate tracker releases its table).
+  /// candidate tracker releases its table). The zeroing is also the
+  /// cells' first touch, so the thread that clears a fresh slab places
+  /// its pages.
   void clear();
 
   [[nodiscard]] const std::unordered_map<KeyId, KeyAgg>& hot() const {
@@ -156,6 +155,10 @@ class WorkerSketchSlab {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   [[nodiscard]] std::size_t memory_bytes() const;
+  /// What memory_bytes() will read once clear() has run, read without
+  /// clearing: the slab's fixed footprint (cells, both maps' buckets and
+  /// the heavy set) without its hot entries or candidate table.
+  [[nodiscard]] std::size_t cleared_memory_bytes() const;
 
   /// Writes the slab's full interval content as a boundary summary — the
   /// NetEngine's kSummary payload. The encoding is deterministic (hot
@@ -193,7 +196,7 @@ class WorkerSketchSlab {
   std::uint64_t seed_ = 0;
   /// depth_ rows of width_ fused cells. First-touch mapped: pages commit
   /// on the NUMA node of whichever thread writes them first — see
-  /// prefault().
+  /// clear().
   FirstTouchArray<FusedCell> cells_;
   MisraGries candidates_;
   // add_batch scratch (retained across calls; the slab is single-writer

@@ -103,40 +103,47 @@ TEST(CountMin, AddSubtractSketchMaintainsWindow) {
   EXPECT_NEAR(window.total(), i2.total(), 1e-6);
 }
 
-TEST(CountMin, AddInterleavedEqualsClassicAdds) {
-  // An external stride-3 accumulator written with classic updates at
-  // the sketch's own probe placement (lane 0), merged cell-wise, must
-  // equal the sketch built by add() on the same stream. Lanes 1 and 2
-  // hold other values that the merge must skip.
+TEST(CountMin, AddFusedEqualsClassicAdds) {
+  // An external pair buffer written with classic updates at the
+  // sketches' own probe placement — lane 0 from one stream, lane 1 from
+  // another — merged cell-wise into two sketches in one pass, must equal
+  // the two sketches add() builds on those streams.
   const auto params = small_params(1e-2, 0.01, 9);
-  CountMinSketch classic(params);
-  const std::size_t width = classic.width();
-  const std::size_t depth = classic.depth();
-  constexpr std::size_t kStride = 3;
-  std::vector<double> buf(width * depth * kStride, 0.0);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    if (i % kStride != 0) buf[i] = 1e9 + static_cast<double>(i);
-  }
+  CountMinSketch classic_first(params);
+  CountMinSketch classic_second(params);
+  const std::size_t width = classic_first.width();
+  const std::size_t depth = classic_first.depth();
+  std::vector<double> pairs(2 * width * depth, 0.0);
   Xoshiro256 rng(31);
-  double total = 0.0;
+  double first_total = 0.0;
+  double second_total = 0.0;
   for (int i = 0; i < 2000; ++i) {
     const KeyId key = rng.next_below(700);
-    const double amount = 0.25 * static_cast<double>(1 + rng.next_below(8));
-    classic.add(key, amount);
-    const auto probe = CountMinSketch::make_probe(key, classic.seed());
+    const double first = 0.25 * static_cast<double>(1 + rng.next_below(8));
+    const double second = 8.0 * static_cast<double>(rng.next_below(5));
+    classic_first.add(key, first);
+    classic_second.add(key, second);
+    const auto probe = CountMinSketch::make_probe(key, classic_first.seed());
     for (std::size_t row = 0; row < depth; ++row) {
       const std::size_t cell =
           row * width + CountMinSketch::probe_index(probe, row, width - 1);
-      buf[cell * kStride] += amount;
+      pairs[2 * cell] += first;
+      pairs[2 * cell + 1] += second;
     }
-    total += amount;
+    first_total += first;
+    second_total += second;
   }
-  CountMinSketch merged(params);
-  merged.add_interleaved(buf.data(), kStride, width, depth, total);
+  CountMinSketch merged_first(params);
+  CountMinSketch merged_second(params);
+  CountMinSketch::add_fused(merged_first, merged_second, pairs.data(), width,
+                            depth, first_total, second_total);
   for (KeyId key = 0; key < 700; ++key) {
-    ASSERT_EQ(merged.estimate(key), classic.estimate(key)) << key;
+    ASSERT_EQ(merged_first.estimate(key), classic_first.estimate(key)) << key;
+    ASSERT_EQ(merged_second.estimate(key), classic_second.estimate(key))
+        << key;
   }
-  ASSERT_EQ(merged.total(), classic.total());
+  ASSERT_EQ(merged_first.total(), classic_first.total());
+  ASSERT_EQ(merged_second.total(), classic_second.total());
 }
 
 TEST(CountMin, ClearZeroesEverything) {

@@ -16,7 +16,7 @@ namespace {
 // FirstTouchArray — the lazily-mapped backing store the first-touch
 // placement relies on.
 
-TEST(FirstTouchArrayTest, ResetZeroPrefaultAndMoveSemantics) {
+TEST(FirstTouchArrayTest, ResetZeroAndMoveSemantics) {
   FirstTouchArray<double> arr;
   EXPECT_TRUE(arr.empty());
   EXPECT_EQ(arr.size(), 0u);
@@ -31,9 +31,6 @@ TEST(FirstTouchArrayTest, ResetZeroPrefaultAndMoveSemantics) {
   for (std::size_t i = 0; i < arr.size(); ++i) {
     arr[i] = static_cast<double>(i);
   }
-  // prefault() is value-neutral: committing pages must not disturb
-  // already-written contents.
-  arr.prefault();
   for (std::size_t i = 0; i < arr.size(); ++i) {
     ASSERT_EQ(arr[i], static_cast<double>(i));
   }

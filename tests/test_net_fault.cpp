@@ -737,10 +737,10 @@ RunDigest run_stall(const std::vector<std::vector<Tuple>>& intervals,
 
 // A worker killed while its credit window is full is found by the
 // credit wait, not by a send. Worker 1 credits its first batch and
-// stalls in it (or dies before the stall begins), with nine full
-// batches routed to it: the ninth went out on that one credit, so at
-// the boundary's entry — where the kill fires — its partial batch waits
-// for a credit and reads the dead worker's EOF.
+// stalls in it (or dies before the stall begins), with kQueueBatches + 1
+// full batches routed to it: the last went out on that one credit, so
+// at the boundary's entry — where the kill fires — its partial batch
+// waits for a credit and reads the dead worker's EOF.
 TEST(NetRecovery, KillWithFullCreditWindowFoundByCreditWait) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
   SharedFlag armed;

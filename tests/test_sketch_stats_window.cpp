@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <memory>
 #include <numeric>
 #include <unordered_map>
 #include <vector>
@@ -193,6 +198,64 @@ TEST(SketchStatsWindow, MemoryIndependentOfDomainSize) {
   const SketchStatsWindow small(100, 1);
   const SketchStatsWindow large(10'000'000, 1);
   EXPECT_EQ(small.memory_bytes(), large.memory_bytes());
+}
+
+/// True where glibc's own allocator serves this binary and mallinfo2()
+/// reports its heap: not under a sanitizer, whose allocator replaces it.
+bool glibc_heap_observable() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  return false;
+#endif
+#endif
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  return true;
+#else
+  return false;
+#endif
+}
+
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+/// Bytes glibc holds for live allocations, heap and mmap chunks alike.
+std::size_t glibc_bytes_held() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+#else
+std::size_t glibc_bytes_held() { return 0; }
+#endif
+
+// memory_bytes() is the provider's share of stats_memory_bytes, so it
+// must count what the window holds. On a window carrying ~1000 heavy
+// keys, each with a w-slot state ring, the reported bytes must agree
+// with the heap glibc holds for the window, allocator headers and page
+// rounding aside.
+TEST(SketchStatsWindow, MemoryBytesMatchesTheHeapItHolds) {
+  if (!glibc_heap_observable()) {
+    GTEST_SKIP() << "mallinfo2 does not describe a sanitizer's heap";
+  }
+  constexpr KeyId kHeavy = 1000;
+  constexpr KeyId kKeys = 20'000;
+  const std::size_t before = glibc_bytes_held();
+  auto window = std::make_unique<SketchStatsWindow>(kKeys, 2);
+  for (int interval = 0; interval < 4; ++interval) {
+    for (KeyId key = 0; key < kKeys; ++key) {
+      const bool heavy = key < kHeavy;
+      window->record(key, heavy ? 100.0 : 1.0, heavy ? 64.0 : 8.0,
+                     static_cast<InstanceId>(key % 4));
+    }
+    window->roll();
+  }
+  ASSERT_EQ(window->heavy_count(), static_cast<std::size_t>(kHeavy));
+  const std::size_t held = glibc_bytes_held() - before;
+  const auto reported = static_cast<double>(window->memory_bytes());
+  EXPECT_NEAR(reported, static_cast<double>(held), 0.02 * held)
+      << "reported " << reported << " B, glibc holds " << held << " B";
 }
 
 TEST(SketchStatsWindow, DefaultConfigAtLeastTenTimesSmallerThanExactAt1M) {
@@ -584,6 +647,29 @@ TEST(WorkerSketchSlab, AddBatchMatchesPerEntryAdd) {
   batched.serialize(batched_bytes);
   per_entry.serialize(per_entry_bytes);
   EXPECT_EQ(batched_bytes.take(), per_entry_bytes.take());
+}
+
+TEST(WorkerSketchSlab, ClearedMemoryBytesMatchesAClearedSlab) {
+  // The threaded engine's merge thread reads cleared_memory_bytes() off a
+  // sealed slab that its worker clears later: it must read exactly what
+  // memory_bytes() reads after that clear().
+  const SketchStatsConfig cfg = tiny_config(16);
+  WorkerSketchSlab slab(cfg);
+  slab.set_heavy_keys({3, 17, 42});
+  Xoshiro256 rng(0xc1ea7ULL);
+  for (int t = 0; t < 5'000; ++t) {
+    const KeyId key = t % 7 == 0 ? 17 : rng.next_below(4'000);
+    slab.add(key, 1.0 + static_cast<double>(rng.next_below(3)), 16.0);
+  }
+  slab.scalars().processed = 5'000;
+  ASSERT_FALSE(slab.hot().empty());
+  ASSERT_GT(slab.candidates().size(), 0u);
+  const std::size_t filled = slab.memory_bytes();
+  const std::size_t predicted = slab.cleared_memory_bytes();
+  EXPECT_LT(predicted, filled);
+  slab.clear();
+  EXPECT_EQ(slab.memory_bytes(), predicted);
+  EXPECT_EQ(slab.cleared_memory_bytes(), predicted);
 }
 
 TEST(SketchStatsWindowDeath, NegativeCostRejected) {
