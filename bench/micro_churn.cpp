@@ -55,8 +55,8 @@ struct RunStats {
 // the new assignment. This, not the plan's own predicted achieved θ, is
 // the like-for-like number across stats modes: at a hot-set jump the
 // sketch's compact snapshot momentarily carries cold residual not yet
-// debited for freshly promoted keys (Space-Saving error keeps the
-// guaranteed backfill below the true count), so the planner *predicts* a
+// debited for freshly promoted keys (a candidate's insertion offset keeps
+// the guaranteed backfill below the true count), so the planner *predicts* a
 // worse θ than the assignment actually delivers. Intervals where the
 // attack shifts its hot set between plan and measurement
 // (interval % shift_period == 0) are excluded: no assignment computed

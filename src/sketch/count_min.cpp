@@ -30,10 +30,6 @@ void CountMinSketch::add(KeyId key, double amount) {
   add(amount, probe(key));
 }
 
-void CountMinSketch::add_conservative(KeyId key, double amount) {
-  add_conservative(amount, probe(key));
-}
-
 void CountMinSketch::add(double amount, const KeyProbe& p) {
   SKW_EXPECTS(amount >= 0.0);
   for (std::size_t row = 0; row < depth_; ++row) {
@@ -42,21 +38,8 @@ void CountMinSketch::add(double amount, const KeyProbe& p) {
   total_ += amount;
 }
 
-void CountMinSketch::add_conservative(double amount, const KeyProbe& p) {
-  SKW_EXPECTS(amount >= 0.0);
-  const double target = row_min(p) + amount;
-  for (std::size_t row = 0; row < depth_; ++row) {
-    double& cell = cells_[row * width_ + cell_index(p, row)];
-    cell = std::max(cell, target);
-  }
-  total_ += amount;
-}
-
 double CountMinSketch::estimate(KeyId key) const {
-  return row_min(probe(key));
-}
-
-double CountMinSketch::row_min(const KeyProbe& p) const {
+  const KeyProbe p = probe(key);
   double est = cells_[cell_index(p, 0)];
   for (std::size_t row = 1; row < depth_; ++row) {
     est = std::min(est, cells_[row * width_ + cell_index(p, row)]);

@@ -1,15 +1,13 @@
 // Count-Min sketch (Cormode & Muthukrishnan, J. Algorithms '05) over the
-// KeyId domain with double-valued counters, supporting both the classic
-// update and the conservative-update variant (Estan & Varghese, SIGCOMM'02)
-// that only raises the cells that need raising.
+// KeyId domain with double-valued counters and the classic update.
 //
-// Guarantees (classic update, depth d = ⌈ln 1/δ⌉, width w ≥ e/ε):
+// Guarantees (depth d = ⌈ln 1/δ⌉, width w ≥ e/ε):
 //   estimate(k) ≥ true(k)                                   always
 //   P[ estimate(k) − true(k) > ε · Σ true ] ≤ δ             per query
-// Conservative update preserves the overestimate property and is never
-// less accurate, but cell-wise merge/subtract only remain sound for the
-// classic update — which is why the windowed-state ring uses add() while
-// the per-interval cost sketches use add_conservative().
+// Under the classic update a sketch is a linear function of its stream,
+// so same-family sketches merge and unmerge cell-wise: the windowed-state
+// ring subtracts expired intervals, and the window unpacks the worker
+// slabs' fused cells into its sketches.
 #pragma once
 
 #include <cstddef>
@@ -31,14 +29,8 @@ class CountMinSketch {
 
   explicit CountMinSketch(Params params);
 
-  /// Classic update: every row's cell += amount. Cell-wise add_sketch /
-  /// subtract_sketch stay exact under this update.
+  /// Classic update: every row's cell += amount.
   void add(KeyId key, double amount);
-
-  /// Conservative update: raises each row's cell only up to
-  /// min-row-estimate + amount. Tighter estimates, but the sketch is no
-  /// longer a linear function of the stream (no subtract).
-  void add_conservative(KeyId key, double amount);
 
   /// Upper-bound point estimate: min over rows.
   [[nodiscard]] double estimate(KeyId key) const;
@@ -65,8 +57,7 @@ class CountMinSketch {
 
   void clear();
 
-  /// Exact running total of all added amounts (maintained as a scalar;
-  /// conservative updates make cell sums useless for this).
+  /// Exact running total of all added amounts, kept as a scalar.
   [[nodiscard]] double total() const { return total_; }
 
   [[nodiscard]] std::size_t width() const { return width_; }
@@ -98,13 +89,12 @@ class CountMinSketch {
     return static_cast<std::size_t>(p.h1 + row * p.h2) & width_mask;
   }
 
-  /// Probe-reusing update variants: same semantics as the KeyId forms,
-  /// with a caller-supplied probe, so a hot path updating SEVERAL
-  /// same-family sketches for one key (the window's cost/state pair —
-  /// see SketchStatsWindow::kSharedFamilySalt) hashes the key once
-  /// instead of once per sketch. `probe` must come from make_probe(key, seed()).
+  /// Probe-reusing update: same semantics as add(key, amount), with a
+  /// caller-supplied probe, so a hot path updating SEVERAL same-family
+  /// sketches for one key (the window's cost/state pair — see
+  /// SketchStatsWindow::kSharedFamilySalt) hashes the key once instead
+  /// of once per sketch. `probe` must come from make_probe(key, seed()).
   void add(double amount, const KeyProbe& probe);
-  void add_conservative(double amount, const KeyProbe& probe);
 
   /// Portable software-prefetch hint for one cell (no-op where the
   /// intrinsic is unavailable). Public for the same reason as
@@ -135,9 +125,6 @@ class CountMinSketch {
                                        std::size_t row) const {
     return probe_index(p, row, width_ - 1);
   }
-  /// Minimum over the rows' cells for `p`: the point estimate, and the
-  /// conservative update's raise target.
-  [[nodiscard]] double row_min(const KeyProbe& p) const;
 
   std::size_t width_;   // power of two
   std::size_t depth_;

@@ -83,7 +83,7 @@ void SketchStatsWindow::record(KeyId key, Cost cost, Bytes state_bytes,
   // the cost sketch's misses are outstanding.
   const auto probe = CountMinSketch::make_probe(key, cost_cur_.seed());
   state_cur_.prefetch(probe);
-  cost_cur_.add_conservative(cost, probe);
+  cost_cur_.add(cost, probe);
   state_cur_.add(state_bytes, probe);
   candidates_.add(key, cost, dest);
   cold_cost_cur_ += cost;
@@ -106,7 +106,7 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
   }
   // Cold tier: unpack the slab's fused (cost, state) cells into the
   // per-quantity sketches cell-wise, both in one pass over the cells.
-  // Exact merge — the slab writes its cells with classic updates, under
+  // Exact merge — slab and window both write classic updates, under
   // which a Count-Min array is a linear function of its stream — legal
   // because every sketch here shares the slab's hash family
   // (kSharedFamilySalt).
@@ -122,7 +122,7 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
   // accumulates per key, so entry order is unobservable — and skipping
   // the O(n log n) sort is the dominant saving on the boundary-merge
   // path (the promotion pass sorts the merged tracker once instead).
-  std::vector<SpaceSaving::Entry> entries = slab.candidates().entries_unsorted();
+  std::vector<MisraGries::Entry> entries = slab.candidates().entries_unsorted();
   if (dest != kNilInstance) {
     for (auto& e : entries) e.dest = dest;
   }
@@ -297,7 +297,7 @@ void SketchStatsWindow::promote_candidates(Cost interval_total_cost) {
   // unions the tracker can hold tens of thousands of entries, and
   // sorting only the eligible few keeps this pass (on the boundary-merge
   // critical path) proportional to what can actually promote.
-  for (const SpaceSaving::Entry& cand :
+  for (const MisraGries::Entry& cand :
        candidates_.entries_by_count_at_least(threshold)) {
     if (heavy_.size() >= config_.heavy_capacity) break;
     // Sorted descending, so the first miss ends the scan. Zero-cost
@@ -333,22 +333,22 @@ void SketchStatsWindow::decay_candidates(Cost interval_total_cost) {
   // deterministic suffix), filter keys promoted since, then merge the
   // just-closed interval's candidates in. Rebuilding — instead of
   // scaling in place — is what keeps the tracker bounded even though
-  // SpaceSaving's union never truncates.
-  std::vector<SpaceSaving::Entry> history = decayed_.entries_by_count();
-  std::vector<SpaceSaving::Entry> kept;
+  // a union never truncates.
+  std::vector<MisraGries::Entry> history = decayed_.entries_by_count();
+  std::vector<MisraGries::Entry> kept;
   kept.reserve(std::min(history.size(), config_.heavy_capacity));
   double kept_weight = 0.0;
-  for (const SpaceSaving::Entry& e : history) {
+  for (const MisraGries::Entry& e : history) {
     if (kept.size() >= config_.heavy_capacity) break;
     if (e.count <= 0.0) break;  // sorted descending
     if (heavy_.find(e.key) != heavy_.end()) continue;
-    SpaceSaving::Entry scaled = e;
+    MisraGries::Entry scaled = e;
     scaled.count *= config_.decay_beta;
     scaled.error *= config_.decay_beta;
     kept.push_back(scaled);
     kept_weight += scaled.count;
   }
-  decayed_ = SpaceSaving(config_.heavy_capacity);
+  decayed_ = MisraGries(config_.heavy_capacity);
   decayed_.merge(kept, kept_weight);
   decayed_.merge(candidates_);
 }
@@ -372,18 +372,18 @@ void SketchStatsWindow::truncate_decayed() {
   // reads.
   const std::size_t capacity = config_.heavy_capacity;
   if (decayed_.size() <= capacity) return;
-  std::vector<SpaceSaving::Entry> kept = decayed_.entries_unsorted();
-  std::erase_if(kept, [&](const SpaceSaving::Entry& e) {
+  std::vector<MisraGries::Entry> kept = decayed_.entries_unsorted();
+  std::erase_if(kept, [&](const MisraGries::Entry& e) {
     return e.count <= 0.0 || heavy_.find(e.key) != heavy_.end();
   });
   if (kept.size() > capacity) {
     const auto cut = kept.begin() + static_cast<std::ptrdiff_t>(capacity);
-    std::nth_element(kept.begin(), cut, kept.end(), SpaceSaving::count_order);
+    std::nth_element(kept.begin(), cut, kept.end(), MisraGries::count_order);
     kept.erase(cut, kept.end());
   }
   double kept_weight = 0.0;
-  for (const SpaceSaving::Entry& e : kept) kept_weight += e.count;
-  decayed_ = SpaceSaving(capacity);
+  for (const MisraGries::Entry& e : kept) kept_weight += e.count;
+  decayed_ = MisraGries(capacity);
   decayed_.merge(kept, kept_weight);
 }
 
@@ -437,7 +437,7 @@ void SketchStatsWindow::demote_entry(KeyId key) {
   // error here is a true lower bound (it is a decayed sum of exactly
   // tracked costs).
   if (e.decayed_cost > 0.0) {
-    SpaceSaving::Entry back;
+    MisraGries::Entry back;
     back.key = key;
     back.count = e.decayed_cost;
     back.error = 0.0;
@@ -484,7 +484,7 @@ void SketchStatsWindow::promote_decayed() {
   }
   std::sort(weakest.begin(), weakest.end());
   std::size_t weak_idx = 0;
-  for (const SpaceSaving::Entry& cand :
+  for (const MisraGries::Entry& cand :
        decayed_.entries_by_count_at_least(threshold)) {
     if (cand.count <= 0.0) break;
     if (heavy_.find(cand.key) != heavy_.end()) continue;
@@ -512,7 +512,7 @@ void SketchStatsWindow::promote_decayed() {
     // caveat the no-decay path documents. A key promoted purely on
     // standing (no observation this interval) backfills zero cost and
     // turns exact from the next interval on.
-    const SpaceSaving::Entry* obs = candidates_.find(cand.key);
+    const MisraGries::Entry* obs = candidates_.find(cand.key);
     const Cost observed = obs ? std::max(0.0, obs->count - obs->error) : 0.0;
     e.last_cost = observed;
     e.window_state = state_window_.estimate(cand.key);

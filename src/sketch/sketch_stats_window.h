@@ -11,11 +11,14 @@
 //    hash map: per-interval cost and state plus a w-slot ring (one
 //    allocation) for the windowed state sum. This is precisely the set
 //    the Mixed planner wants explicit routing-table entries for.
-//  * COLD TIER — everything else goes into Count-Min sketches
-//    (conservative update for the per-interval cost; classic update for
-//    state so a ring of per-interval sketches can be cell-wise
-//    subtracted to maintain the w-interval window sum) and a
-//    Space-Saving tracker that nominates next interval's promotions.
+//  * COLD TIER — everything else goes into Count-Min sketches (classic
+//    update, so a ring of per-interval state sketches can be cell-wise
+//    subtracted to maintain the w-interval window sum) and a MisraGries
+//    tracker that nominates next interval's promotions. record() feeds
+//    both exactly as a WorkerSketchSlab feeds its own, so recording a
+//    stream directly and absorbing it through slabs leave the same
+//    window whenever no tracker prunes (and the per-key sums are exact,
+//    e.g. whole-number costs).
 //
 // Interval totals (cost, state) are tracked exactly as scalars, so
 // total_windowed_state() and the aggregate mass of the dense
@@ -25,7 +28,7 @@
 //
 // Promotion nomination runs in one of two modes (SketchStatsConfig::
 // decay, default on): the DECAYED mode keeps a β-decayed union of the
-// per-interval Space-Saving candidates, promotes against a decayed
+// per-interval candidate trackers, promotes against a decayed
 // threshold, backfills the first interval from the closed interval's
 // guaranteed (count − error) observation, and demotes heavy keys whose
 // decayed standing collapses — crediting their residual mass back to the
@@ -53,7 +56,7 @@
 #include <vector>
 
 #include "sketch/count_min.h"
-#include "sketch/space_saving.h"
+#include "sketch/misra_gries.h"
 #include "sketch/stats_provider.h"
 
 namespace skewless {
@@ -95,8 +98,8 @@ class SketchStatsWindow final : public StatsProvider {
   /// open interval. Hot entries accumulate exactly into the heavy tier
   /// (the slab's heavy set is a snapshot of this window's, so they route
   /// straight to existing entries); cold mass merges cell-wise into the
-  /// open Count-Min sketches (exact, since slabs use the classic
-  /// update), candidates union into the Space-Saving tracker, and the
+  /// open Count-Min sketches (exact: every sketch here uses the classic
+  /// update), candidates union into the candidate tracker, and the
   /// exact scalar aggregates add. Absorbing slabs in a fixed order
   /// yields byte-identical state regardless of worker finish order —
   /// and regardless of WHERE the absorb runs (the driver's inline drain
@@ -132,12 +135,12 @@ class SketchStatsWindow final : public StatsProvider {
   /// Exactness caveat (same one the class header documents for the
   /// scalar aggregates): a promotion debits the candidate's backfilled
   /// upper-bound count from its recorded destination, clamped at zero.
-  /// When Space-Saving ran eviction-free (capacity ≥ distinct cold keys
-  /// — the equivalence-anchor regime) the backfill is the exact recorded
-  /// mass and the residuals are exact; under evictions the inherited
-  /// error can over-debit one instance by up to the entry's `error`
-  /// for the promotion interval, after which fresh intervals are exact
-  /// again.
+  /// When the candidate tracker never pruned (2 × capacity ≥ distinct
+  /// cold keys — the equivalence-anchor regime) the backfill is the
+  /// exact recorded mass and the residuals are exact; after a prune the
+  /// offset a key inserted at can over-debit one instance by up to the
+  /// entry's `error` for the promotion interval, after which fresh
+  /// intervals are exact again.
   void synthesize_compact(InstanceId num_instances, std::vector<KeyId>& keys,
                           std::vector<Cost>& cost, std::vector<Bytes>& state,
                           std::vector<Cost>& cold_cost,
@@ -242,14 +245,14 @@ class SketchStatsWindow final : public StatsProvider {
   IntervalId closed_ = 0;
 
   std::unordered_map<KeyId, HeavyEntry> heavy_;
-  SpaceSaving candidates_;  // cold stream of the open interval, weight=cost
+  MisraGries candidates_;  // cold stream of the open interval, weight=cost
   /// Decayed union of per-interval candidate trackers (decay mode only):
   /// at each roll the previous history is scaled by β, truncated back to
   /// capacity, filtered of currently-heavy keys, and the just-closed
   /// interval's candidates_ are merged in. Promotion reads this tracker
   /// instead of the single-interval one, so a key hot across intervals
   /// accumulates standing while a one-interval spike decays away.
-  SpaceSaving decayed_;
+  MisraGries decayed_;
   Cost decayed_total_ = 0.0;  // Σ β^age · interval total cost
 
   std::uint64_t total_promotions_ = 0;
@@ -257,8 +260,8 @@ class SketchStatsWindow final : public StatsProvider {
   std::size_t last_promotions_ = 0;
   std::size_t last_demotions_ = 0;
 
-  CountMinSketch cost_cur_, cost_last_;    // conservative update
-  CountMinSketch state_cur_;               // classic update (subtractable)
+  CountMinSketch cost_cur_, cost_last_;
+  CountMinSketch state_cur_;
   CountMinSketch state_window_;            // running sum of state_ring_
   std::deque<CountMinSketch> state_ring_;  // last ≤ w closed intervals
 

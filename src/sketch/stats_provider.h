@@ -40,8 +40,10 @@ struct SketchStatsConfig {
   double epsilon = 2e-4;
   /// Count-Min δ. Depth = ⌈ln(1/δ)⌉.
   double delta = 0.01;
-  /// Maximum number of keys tracked exactly (Space-Saving capacity and
-  /// heavy-map bound).
+  /// Maximum number of keys tracked exactly (the heavy-map bound), and
+  /// the capacity m of every MisraGries candidate tracker: a tracker's
+  /// counts stay exact until its own adds pass 2m distinct keys in one
+  /// interval, and only then does it prune.
   std::size_t heavy_capacity = 4096;
   /// A key is promoted to exact tracking when its estimated interval cost
   /// is ≥ promote_fraction · (interval total cost). With decay enabled
@@ -50,7 +52,7 @@ struct SketchStatsConfig {
   double promote_fraction = 1e-4;
   /// Seed for the sketch hash functions (determinism knob).
   std::uint64_t seed = 0x5eedc0de;
-  /// Decayed heavy-hitter tracking. When true (default), Space-Saving
+  /// Decayed heavy-hitter tracking. When true (default), MisraGries
   /// candidates are tracked per interval and merged across intervals with
   /// exponential decay: promotion compares each key's decayed cost
   /// history against promote_fraction · (decayed total cost), the first

@@ -226,10 +226,10 @@ bool WorkerSketchSlab::deserialize_from(ByteReader& in) {
     in.fail();
     return false;
   }
-  std::vector<SpaceSaving::Entry> entries;
+  std::vector<MisraGries::Entry> entries;
   entries.reserve(cand_n);
   for (std::uint32_t i = 0; i < cand_n; ++i) {
-    SpaceSaving::Entry e;
+    MisraGries::Entry e;
     e.key = in.u64();
     e.count = in.f64();
     e.error = in.f64();

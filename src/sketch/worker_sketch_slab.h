@@ -17,14 +17,14 @@
 //    holding the (cost, state) pair per cell. Both quantities share a
 //    single Kirsch–Mitzenmacher probe and a single set of cache lines
 //    per key — the hot-path reason the slab exists —
-//    and the cells are written with CLASSIC updates (never conservative),
-//    so the array stays a linear function of the stream and the boundary
-//    merge can unpack both quantities cell-wise in one pass
+//    and the cells are written with the classic update, so the array
+//    stays a linear function of the stream and the boundary merge can
+//    unpack both quantities cell-wise in one pass
 //    (CountMinSketch::add_fused) into the window's per-quantity sketches,
 //    which share the same hash family. A MisraGries tracker (amortized
-//    O(1) per add — SpaceSaving's per-add heap maintenance measurably
-//    dominated the fold cost) nominates promotion candidates and exact
-//    scalars keep the cold aggregates truthful. The tracker is
+//    O(1) per add) nominates promotion candidates and exact scalars keep
+//    the cold aggregates truthful — the update rule, tracker and scalars
+//    SketchStatsWindow::record uses too. The tracker is
 //    interval-local by construction (clear()ed before each interval's
 //    first add), which is precisely the granularity the window's decayed
 //    promotion needs: each interval's merged candidates enter the
@@ -56,7 +56,7 @@
 #include "common/first_touch.h"
 #include "common/serde.h"
 #include "sketch/count_min.h"
-#include "sketch/space_saving.h"
+#include "sketch/misra_gries.h"
 #include "sketch/stats_provider.h"
 
 namespace skewless {

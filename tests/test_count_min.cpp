@@ -69,23 +69,6 @@ TEST(CountMin, ErrorBoundHoldsForMostKeys) {
             2.0 * 0.01 * static_cast<double>(counts.size()));
 }
 
-TEST(CountMin, ConservativeUpdateNeverLooserThanClassic) {
-  CountMinSketch classic(small_params(5e-2, 0.05, 3));
-  CountMinSketch conservative(small_params(5e-2, 0.05, 3));
-  Xoshiro256 rng(11);
-  std::unordered_map<KeyId, double> truth;
-  for (int i = 0; i < 20'000; ++i) {
-    const KeyId key = rng.next_below(3000);
-    classic.add(key, 1.0);
-    conservative.add_conservative(key, 1.0);
-    truth[key] += 1.0;
-  }
-  for (const auto& [key, true_count] : truth) {
-    EXPECT_GE(conservative.estimate(key), true_count - 1e-9);
-    EXPECT_LE(conservative.estimate(key), classic.estimate(key) + 1e-9);
-  }
-}
-
 TEST(CountMin, AddSubtractSketchMaintainsWindow) {
   // window = i1 + i2 − i1 must equal a sketch holding only i2's stream.
   const auto params = small_params(1e-2, 0.01, 5);
@@ -149,7 +132,7 @@ TEST(CountMin, AddFusedEqualsClassicAdds) {
 TEST(CountMin, ClearZeroesEverything) {
   CountMinSketch cms(small_params());
   cms.add(1, 10.0);
-  cms.add_conservative(2, 5.0);
+  cms.add(2, 5.0);
   EXPECT_GT(cms.total(), 0.0);
   cms.clear();
   EXPECT_EQ(cms.total(), 0.0);
@@ -160,7 +143,7 @@ TEST(CountMin, ClearZeroesEverything) {
 TEST(CountMin, TotalTracksMassExactly) {
   CountMinSketch cms(small_params());
   cms.add(1, 10.0);
-  cms.add_conservative(1, 2.5);
+  cms.add(1, 2.5);
   cms.add(7, 0.5);
   EXPECT_DOUBLE_EQ(cms.total(), 13.0);
 }
@@ -170,8 +153,8 @@ TEST(CountMin, SeededDeterminism) {
   CountMinSketch b(small_params(1e-2, 0.01, 77));
   Xoshiro256 rng_a(5), rng_b(5);
   for (int i = 0; i < 3000; ++i) {
-    a.add_conservative(rng_a.next_below(800), 1.0);
-    b.add_conservative(rng_b.next_below(800), 1.0);
+    a.add(rng_a.next_below(800), 1.0);
+    b.add(rng_b.next_below(800), 1.0);
   }
   for (KeyId key = 0; key < 800; ++key) {
     ASSERT_EQ(a.estimate(key), b.estimate(key)) << key;
@@ -181,7 +164,8 @@ TEST(CountMin, SeededDeterminism) {
 TEST(CountMinDeath, NegativeAmountRejected) {
   CountMinSketch cms(small_params());
   EXPECT_DEATH(cms.add(0, -1.0), "precondition");
-  EXPECT_DEATH(cms.add_conservative(0, -1.0), "precondition");
+  EXPECT_DEATH(cms.add(-1.0, CountMinSketch::make_probe(0, cms.seed())),
+               "precondition");
 }
 
 TEST(CountMinDeath, MismatchedSketchMergeRejected) {

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "core/plan.h"
 #include "core/planners.h"
 #include "core/controller.h"
+#include "engine/sim_engine.h"
+#include "engine/sim_operator.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
 #include "sketch/sketch_stats_window.h"
@@ -280,7 +283,7 @@ TEST_P(CompactDenseEquivalence, FullCoverageCompactPlansAreByteIdentical) {
 
   StatsWindow exact(kKeys, 1);
   SketchStatsConfig scfg;
-  scfg.heavy_capacity = 1024;     // >= |K|: Space-Saving is exact
+  scfg.heavy_capacity = 1024;     // >= |K|: the tracker never prunes
   scfg.promote_fraction = 0.0;    // every active key promotes
   SketchStatsWindow sketch(kKeys, 1, scfg);
   // Interval 1 nominates (and exactly backfills) the heavy set; interval
@@ -586,74 +589,89 @@ TEST(Determinism, AdversarialSourcesArePureFunctions) {
   }
 }
 
-// The decayed tracker must be schedule-independent: feeding a rotating
+// The decayed tracker must be schedule-independent: feeding an
 // adversarial stream through the driver's direct record path (what the
 // sim engine does) and through per-worker slabs absorbed in worker-index
 // order (what the threaded engine does) must leave byte-identical
-// windows. Run in the eviction-free regime (heavy capacity ≥ |K|), where
-// the SpaceSaving and MisraGries candidate trackers are both exact, so
-// any divergence is a real scheduling leak — promotion, displacement and
+// windows. Both paths track candidates with MisraGries, so they agree
+// whenever no tracker prunes — every tracker sees at most 2 × capacity
+// distinct keys per interval. The rotating input runs with capacity
+// ≥ |K|; the skew-flip input with capacity 300, below |K| = 512 but with
+// 512 ≤ 2 × 300, and a promotion bar that leaves a cold tail. Any
+// divergence is a real scheduling leak — promotion, displacement and
 // decayed demotion all run driver-side and must not care where the
 // stream was aggregated.
 TEST(Determinism, AdversarialDirectRecordMatchesSlabAbsorbWithDecay) {
   constexpr int kWorkers = 3;
-  AdversarialSource::Options aopts;
-  aopts.attack = AttackKind::kRotatingHotSet;
-  aopts.num_keys = 512;
-  aopts.tuples_per_interval = 20'000;
-  aopts.seed = 5;
-  aopts.rotation_period = 2;
-  aopts.hot_groups = 4;
-  aopts.hot_keys_per_group = 16;
-  AdversarialSource source(aopts);
+  struct Input {
+    AttackKind attack;
+    std::size_t heavy_capacity;
+    double promote_fraction;
+  };
+  const double default_promote = SketchStatsConfig{}.promote_fraction;
+  for (const Input& input : {Input{AttackKind::kRotatingHotSet, 600,
+                                   default_promote},
+                             Input{AttackKind::kSkewFlip, 300, 5e-3}}) {
+    SCOPED_TRACE(attack_name(input.attack));
+    AdversarialSource::Options aopts;
+    aopts.attack = input.attack;
+    aopts.num_keys = 512;
+    aopts.tuples_per_interval = 20'000;
+    aopts.seed = 5;
+    aopts.rotation_period = 2;
+    aopts.hot_groups = 4;
+    aopts.hot_keys_per_group = 16;
+    AdversarialSource source(aopts);
 
-  SketchStatsConfig cfg;
-  cfg.heavy_capacity = 600;  // ≥ |K|: candidate trackers are exact
-  cfg.decay = true;
-  cfg.decay_beta = 0.8;
+    SketchStatsConfig cfg;
+    cfg.heavy_capacity = input.heavy_capacity;
+    cfg.promote_fraction = input.promote_fraction;
+    cfg.decay = true;
+    cfg.decay_beta = 0.8;
 
-  SketchStatsWindow direct(aopts.num_keys, 2, cfg);
-  SketchStatsWindow merged(aopts.num_keys, 2, cfg);
-  std::vector<std::unique_ptr<WorkerSketchSlab>> slabs;
-  for (int w = 0; w < kWorkers; ++w) {
-    slabs.push_back(std::make_unique<WorkerSketchSlab>(cfg));
-  }
-
-  for (std::int64_t interval = 0; interval < 8; ++interval) {
-    const auto load = source.counts_for(interval);
-    for (std::size_t k = 0; k < load.counts.size(); ++k) {
-      if (load.counts[k] == 0) continue;
-      const auto key = static_cast<KeyId>(k);
-      const auto n = static_cast<double>(load.counts[k]);
-      const int w = static_cast<int>(k % kWorkers);
-      direct.record(key, n, 4.0 * n, static_cast<InstanceId>(w));
-      slabs[static_cast<std::size_t>(w)]->add(key, n, 4.0 * n);
-    }
+    SketchStatsWindow direct(aopts.num_keys, 2, cfg);
+    SketchStatsWindow merged(aopts.num_keys, 2, cfg);
+    std::vector<std::unique_ptr<WorkerSketchSlab>> slabs;
     for (int w = 0; w < kWorkers; ++w) {
-      merged.absorb(*slabs[static_cast<std::size_t>(w)],
-                    static_cast<InstanceId>(w));
-      slabs[static_cast<std::size_t>(w)]->clear();
+      slabs.push_back(std::make_unique<WorkerSketchSlab>(cfg));
     }
-    direct.roll();
-    merged.roll();
-    const auto heavy = merged.heavy_keys();
-    ASSERT_EQ(direct.heavy_keys(), heavy) << "interval " << interval;
-    for (auto& slab : slabs) slab->set_heavy_keys(heavy);
 
-    std::vector<Cost> cost_d, cost_m;
-    std::vector<Bytes> state_d, state_m;
-    direct.synthesize_dense(cost_d, state_d);
-    merged.synthesize_dense(cost_m, state_m);
-    ASSERT_EQ(cost_d.size(), cost_m.size());
-    EXPECT_EQ(0, std::memcmp(cost_d.data(), cost_m.data(),
-                             cost_d.size() * sizeof(Cost)))
-        << "interval " << interval;
-    EXPECT_EQ(0, std::memcmp(state_d.data(), state_m.data(),
-                             state_d.size() * sizeof(Bytes)))
-        << "interval " << interval;
-    EXPECT_EQ(direct.total_windowed_state(), merged.total_windowed_state());
-    EXPECT_EQ(direct.total_promotions(), merged.total_promotions());
-    EXPECT_EQ(direct.total_demotions(), merged.total_demotions());
+    for (std::int64_t interval = 0; interval < 8; ++interval) {
+      const auto load = source.counts_for(interval);
+      for (std::size_t k = 0; k < load.counts.size(); ++k) {
+        if (load.counts[k] == 0) continue;
+        const auto key = static_cast<KeyId>(k);
+        const auto n = static_cast<double>(load.counts[k]);
+        const int w = static_cast<int>(k % kWorkers);
+        direct.record(key, n, 4.0 * n, static_cast<InstanceId>(w));
+        slabs[static_cast<std::size_t>(w)]->add(key, n, 4.0 * n);
+      }
+      for (int w = 0; w < kWorkers; ++w) {
+        merged.absorb(*slabs[static_cast<std::size_t>(w)],
+                      static_cast<InstanceId>(w));
+        slabs[static_cast<std::size_t>(w)]->clear();
+      }
+      direct.roll();
+      merged.roll();
+      const auto heavy = merged.heavy_keys();
+      ASSERT_EQ(direct.heavy_keys(), heavy) << "interval " << interval;
+      for (auto& slab : slabs) slab->set_heavy_keys(heavy);
+
+      std::vector<Cost> cost_d, cost_m;
+      std::vector<Bytes> state_d, state_m;
+      direct.synthesize_dense(cost_d, state_d);
+      merged.synthesize_dense(cost_m, state_m);
+      ASSERT_EQ(cost_d.size(), cost_m.size());
+      EXPECT_EQ(0, std::memcmp(cost_d.data(), cost_m.data(),
+                               cost_d.size() * sizeof(Cost)))
+          << "interval " << interval;
+      EXPECT_EQ(0, std::memcmp(state_d.data(), state_m.data(),
+                               state_d.size() * sizeof(Bytes)))
+          << "interval " << interval;
+      EXPECT_EQ(direct.total_windowed_state(), merged.total_windowed_state());
+      EXPECT_EQ(direct.total_promotions(), merged.total_promotions());
+      EXPECT_EQ(direct.total_demotions(), merged.total_demotions());
+    }
   }
 }
 
@@ -794,6 +812,92 @@ TEST(Determinism, SealedRunMatchesSequentialReferenceUnderController) {
     EXPECT_EQ(ref.checksum, engine.state_checksum()) << name;
   }
 }
+
+// SimEngine ≡ ThreadedEngine: the sim records each key's interval count
+// straight into the controller's provider, the threaded engine folds
+// batches on four workers and hands the provider their slabs (sketch
+// mode) or per-key maps (exact mode). Both must leave the controller the
+// same statistics, so after every interval the plan-history digest and
+// the bits of the observed θ are equal. Sketch mode needs no tracker to
+// prune: heavy_capacity must be at least half the distinct keys per
+// interval (the default 4,096 against 5,000 here). Costs (2 µs per
+// tuple) and state (16 B per tuple) are whole numbers, so every sum is
+// exact in either order.
+struct SimThreadedCase {
+  StatsMode mode;
+  double skew;
+  int intervals;
+};
+
+// Names each case in test listings: mode and skew, e.g. "sketch_z08".
+void PrintTo(const SimThreadedCase& c, std::ostream* os) {
+  *os << (c.mode == StatsMode::kExact ? "exact" : "sketch") << "_z"
+      << (c.skew < 1.0 ? "0" : "") << static_cast<int>(c.skew * 10);
+}
+
+class SimMatchesThreaded : public ::testing::TestWithParam<SimThreadedCase> {
+};
+
+TEST_P(SimMatchesThreaded, PlanDigestAndThetaBitsEveryInterval) {
+  const SimThreadedCase& param = GetParam();
+  constexpr std::uint64_t kKeys = 5'000;
+  ZipfFluctuatingSource::Options opts;
+  opts.num_keys = kKeys;
+  opts.skew = param.skew;
+  opts.tuples_per_interval = 200'000;
+  opts.fluctuation = 0.5;
+  opts.fluctuate_every = 2;
+  opts.seed = 7;
+  const auto make_controller = [&] {
+    ControllerConfig cfg;
+    cfg.window = 3;
+    cfg.planner.theta_max = 0.08;
+    cfg.planner.max_table_entries = 10'000;
+    cfg.stats_mode = param.mode;
+    return std::make_unique<Controller>(
+        AssignmentFunction(ConsistentHashRing(4), 0),
+        std::make_unique<MixedPlanner>(), cfg, kKeys);
+  };
+  ASSERT_GE(2 * ControllerConfig{}.sketch.heavy_capacity, kKeys);
+
+  SimConfig sim_cfg;
+  sim_cfg.charge_generation_time = false;
+  SimEngine sim(sim_cfg, std::make_unique<UniformCostOperator>(2.0, 16.0),
+                std::make_unique<ZipfFluctuatingSource>(opts),
+                make_controller());
+  ThreadedConfig threaded_cfg;
+  threaded_cfg.batch_size = 256;
+  ThreadedEngine threaded(threaded_cfg, std::make_shared<WordCountLogic>(2.0),
+                          make_controller());
+  ZipfFluctuatingSource source(opts);
+  Xoshiro256 rng(1);
+  std::vector<Tuple> tuples;
+  for (int interval = 0; interval < param.intervals; ++interval) {
+    sim.step();
+    expand_interval(source, rng, tuples);
+    threaded.run_interval(tuples);
+    const Controller& s = *sim.controller();
+    const Controller& t = *threaded.controller();
+    ASSERT_EQ(s.plan_history_digest(), t.plan_history_digest())
+        << "interval " << interval;
+    const double theta_s = s.last_observed_theta();
+    const double theta_t = t.last_observed_theta();
+    ASSERT_EQ(0, std::memcmp(&theta_s, &theta_t, sizeof(double)))
+        << "interval " << interval << ": " << theta_s << " vs " << theta_t;
+  }
+  EXPECT_GT(sim.controller()->rebalance_count(), 0u);
+  threaded.shutdown();
+}
+
+// One case per (mode, skew), each a few seconds under the sanitizers.
+INSTANTIATE_TEST_SUITE_P(
+    Zipf, SimMatchesThreaded,
+    ::testing::Values(SimThreadedCase{StatsMode::kExact, 0.8, 16},
+                      SimThreadedCase{StatsMode::kExact, 1.0, 12},
+                      SimThreadedCase{StatsMode::kExact, 1.2, 16},
+                      SimThreadedCase{StatsMode::kSketch, 0.8, 16},
+                      SimThreadedCase{StatsMode::kSketch, 1.0, 12},
+                      SimThreadedCase{StatsMode::kSketch, 1.2, 16}));
 
 // The distributed engine's headline contract: a net run (N forked worker
 // PROCESSES over loopback sockets) is byte-identical to a ThreadedEngine

@@ -1,7 +1,7 @@
 // Randomized differential suite for the sketch statistics stack, run
 // under the `fuzz` CTest label (like test_compact_fuzz): hundreds of
 // seeded random streams checked against the exact StatsWindow and
-// against the Space-Saving paper guarantees.
+// against the Misra–Gries tracker's guarantees.
 //
 // Invariants exercised per stream:
 //  * mass conservation — the sketch window's aggregate totals (dense
@@ -12,11 +12,10 @@
 //    bound on its true value (Count-Min never underestimates, and the
 //    window's promotion/demotion bookkeeping credits sketches without
 //    ever debiting them);
-//  * Space-Saving W/m — after chaining merges of per-worker summaries
-//    (SpaceSaving and MisraGries mixed), every key with true weight
-//    > W/m is tracked, no entry's guaranteed bound (count − error)
-//    exceeds its true weight, and all-SpaceSaving unions conserve
-//    Σ counts == W.
+//  * heavy-hitter W/m — after chaining merges of per-worker MisraGries
+//    summaries (through both union overloads), every key with true
+//    weight > W/m is tracked and no entry's guaranteed bound
+//    (count − error) exceeds its true weight.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,8 +24,8 @@
 #include <vector>
 
 #include "core/stats_window.h"
+#include "sketch/misra_gries.h"
 #include "sketch/sketch_stats_window.h"
-#include "sketch/space_saving.h"
 
 namespace skewless {
 namespace {
@@ -141,46 +140,32 @@ TEST(SketchFuzz, SpaceSavingChainedMergeKeepsGuarantees) {
     const int workers = 1 + static_cast<int>(rng() % 6);
     const std::size_t domain = 16 + rng() % 112;
 
-    SpaceSaving combined(capacity);
+    MisraGries combined(capacity);
     std::unordered_map<KeyId, double> truth;
     double total = 0.0;
-    bool any_misra_gries = false;
     for (int w = 0; w < workers; ++w) {
-      // Alternate tracker flavors: the window unions SpaceSaving
-      // trackers and MisraGries worker summaries through the same merge.
-      const bool use_mg = (rng() % 2) == 0;
-      SpaceSaving ss(capacity);
-      MisraGries mg(capacity);
+      // Alternate the two union forms: the window unions worker
+      // summaries as entry lists and its own trackers whole.
+      const bool whole = (rng() % 2) == 0;
+      MisraGries source(capacity);
       const int adds = 20 + static_cast<int>(rng() % 300);
       for (int a = 0; a < adds; ++a) {
         const bool head = (rng() % 2) == 0;
         const KeyId key = static_cast<KeyId>(
             head ? rng() % (1 + domain / 8) : rng() % domain);
         const double weight = 1.0 + static_cast<double>(rng() % 7);
-        if (use_mg) {
-          mg.add(key, weight);
-        } else {
-          ss.add(key, weight);
-        }
+        source.add(key, weight);
         truth[key] += weight;
         total += weight;
       }
-      if (use_mg) {
-        any_misra_gries = true;
-        combined.merge(mg.entries_by_count(), mg.total_weight());
+      if (whole) {
+        combined.merge(source);
       } else {
-        combined.merge(ss);
+        combined.merge(source.entries_by_count(), source.total_weight());
       }
     }
 
-    // Space-Saving sources conserve mass exactly (eviction inherits
-    // counts), so an all-SS union's counts sum to W. MisraGries has no
-    // such sum identity — inserts seed count from the offset while
-    // prunes drop entries wholesale — so mixed unions only promise the
-    // per-key bounds and coverage below, plus the carried total_weight().
-    double count_sum = 0.0;
-    for (const SpaceSaving::Entry& e : combined.entries_by_count()) {
-      count_sum += e.count;
+    for (const MisraGries::Entry& e : combined.entries_by_count()) {
       // The guaranteed bound never lies: count − error ≤ true. The
       // overestimate side (count ≥ true) survives a union only for keys
       // tracked by every source that saw them, so it is asserted just
@@ -191,9 +176,6 @@ TEST(SketchFuzz, SpaceSavingChainedMergeKeepsGuarantees) {
         EXPECT_GE(e.count + tol(total), true_weight);
       }
       EXPECT_LE(e.count - e.error, true_weight + tol(total));
-    }
-    if (!any_misra_gries) {
-      EXPECT_NEAR(count_sum, total, tol(total));
     }
     EXPECT_NEAR(combined.total_weight(), total, tol(total));
 

@@ -399,9 +399,11 @@ TEST(SketchStatsWindow, AbsorbPreservesExactAggregatesAndHotTier) {
   EXPECT_DOUBLE_EQ(merged.last_cost_of(7), direct.last_cost_of(7));
   EXPECT_DOUBLE_EQ(merged.last_cost_of(7), 300.0);
   EXPECT_DOUBLE_EQ(merged.windowed_state_of(7), direct.windowed_state_of(7));
-  // Aggregate mass of the dense views matches (cold estimates differ per
-  // key — classic vs conservative updates — but both normalize to the
-  // same exactly-tracked cold aggregate).
+  // Aggregate mass of the dense views matches (per-key values can
+  // differ — the window's tracker and the slabs' trackers prune over
+  // different streams here, so the two windows may promote different
+  // keys — but both normalize to the same exactly-tracked cold
+  // aggregate).
   std::vector<Cost> cost_d, cost_m;
   std::vector<Bytes> state_d, state_m;
   direct.synthesize_dense(cost_d, state_d);
@@ -565,16 +567,17 @@ TEST(SketchStatsWindow, DisplacementRequiresClearMargin) {
 }
 
 // The two promotion modes backfill the promotion interval differently,
-// and the difference is exactly the Space-Saving inherited error: the
+// and the difference is exactly the tracker's insertion offset: the
 // legacy path writes the upper bound (count, over-debiting the cold
 // aggregates by the error), the decayed path writes the guaranteed
 // observation (count − error, never an over-debit).
 TEST(SketchStatsWindow, BackfillUpperBoundWithoutDecayGuaranteedWithIt) {
   const auto feed = [](SketchStatsWindow& w) {
-    // Six unit-weight keys against capacity 4 force evictions; key 9
-    // then inserts by evicting the minimum entry (count 1), inheriting
-    // error 1: tracked count 51 for 50 of true mass.
-    for (KeyId k = 0; k < 6; ++k) w.record(k, 1.0, 0.0);
+    // Nine unit-weight keys pass capacity 4's table bound of 2 × 4: the
+    // ninth insert prunes at the fifth-largest count (1), dropping every
+    // entry and raising the offset to 1. Key 9 then inserts at
+    // offset + 50 with error 1: tracked count 51 for 50 of true mass.
+    for (KeyId k = 0; k < 9; ++k) w.record(k, 1.0, 0.0);
     w.record(9, 50.0, 0.0);
     w.roll();
   };
